@@ -280,7 +280,7 @@ def train(train_raw: Dataset, config: CoEyeConfig | None = None, lens_strategy: 
 
     if config.threads is not None and config.threads > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=config.threads) as pool:
-            eyes = list(pool.map(_fit_eye, tasks, chunksize=4))
+            eyes = list(pool.map(_fit_eye, tasks, chunksize=1))
     else:
         eyes = [_fit_eye(task) for task in tasks]
     t_train = time.perf_counter() - t0
@@ -421,13 +421,19 @@ def load_model(path) -> CoEyeModel:
             )
             for e in payload["eyes"]
         ]
+        class_labels = np.asarray(payload["class_labels"], dtype=np.int64)
+        for i, eye in enumerate(eyes):
+            if eye.forest.n_features != eye.lens.w or not np.array_equal(eye.forest.class_labels, class_labels):
+                raise ModelParseError(f"eye {i}: forest does not match its lens width or the class labels")
         return CoEyeModel(
             eyes=eyes,
-            class_labels=np.asarray(payload["class_labels"], dtype=np.int64),
+            class_labels=class_labels,
             n=int(payload["n"]),
             config=CoEyeConfig.from_dict(payload["config"]),
             dataset_name=payload["dataset_name"],
             smote_report=smote_report,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelParseError(f"{path}: malformed model payload ({exc})") from None
+    except ModelParseError as exc:
+        raise ModelParseError(f"{path}: {exc}") from None

@@ -5,20 +5,46 @@ uses threshold tests with candidate thresholds at midpoints between
 consecutive values present at a node. Determinism contract: a forest is a
 pure function of (X, y, n_trees, seed) — each tree draws from its own RNG
 stream derived from (seed, tree_index), so results do not depend on the
-worker count or scheduling.
+worker count, on scheduling, or on which other trees grow beside it.
+
+Draw order. Tree ``t`` of a forest seeded ``s`` draws from
+``default_rng(SeedSequence([s, t]))``: first its bootstrap,
+``integers(0, n, n)``, then one ``choice(d, m, replace=False)`` feature
+subset per node that has at least 2 rows and more than one class. Nodes
+are visited depth first, the root first and then the right subtree before
+the left. A split node's children take the next two node ids, left first.
+
+Growth. ``_grow`` grows the trees of several forests together, in rounds:
+every unfinished tree pops the next node of its own depth-first stack, and
+the round computes class counts, (node, feature, value, class) histograms,
+Gini decreases and row partitions for all popped nodes with a few NumPy
+calls. Rows live in one flat sample array per batch; a node owns a
+[start, end) range of it, partitioned in place when the node splits. Each
+tree still pops its own nodes in the order above, so its draws, and hence
+its bytes, are the same as when it grows alone.
+
+Packed layout. For routing, a forest's trees are concatenated into flat
+node arrays (``feature``, ``threshold``, ``left``, ``right``) whose child
+indices are global offsets into those arrays, plus per-node leaf class
+probabilities ``counts / counts.sum(1)``; ``roots`` holds the first node of
+each tree. The pack is built once per model and cached on it.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from .errors import EmptyTrainingSet, FeatureMismatch
+from .errors import EmptyTrainingSet, FeatureMismatch, ModelParseError
 
 _MIN_DECREASE = 1e-12
+# histogram cells plus gathered sample values per split-search chunk, and
+# tree-row pairs per routing chunk: bounds the engine's transient memory
+_CHUNK_CELLS = 1 << 16
 
 
 @dataclass(eq=False)
@@ -37,6 +63,18 @@ class DecisionTree:
         return self.feature.shape[0]
 
 
+@dataclass(frozen=True, eq=False)
+class PackedForest:
+    """All trees of a forest as flat node arrays with global child offsets (see the module docstring)."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    proba: np.ndarray
+    roots: np.ndarray
+
+
 @dataclass(eq=False)
 class RandomForestModel:
     trees: list[DecisionTree]
@@ -48,83 +86,246 @@ class RandomForestModel:
     def n_classes(self) -> int:
         return self.class_labels.shape[0]
 
-
-def _gini_from_counts(counts, n):
-    return 1.0 - np.sum((counts / n) ** 2)
-
-
-def _grow_tree(Xb, yb, n_values, n_classes, max_features, rng):
-    """Grow one unpruned CART tree on a bootstrap sample."""
-    feature, threshold, left, right, counts = [], [], [], [], []
-
-    def alloc():
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        counts.append(None)
-        return len(feature) - 1
-
-    root = alloc()
-    stack = [(np.arange(Xb.shape[0]), root)]
-    while stack:
-        rows, idx = stack.pop()
-        node_counts = np.bincount(yb[rows], minlength=n_classes).astype(np.float64)
-        counts[idx] = node_counts
-        n_node = rows.shape[0]
-        nonzero = np.count_nonzero(node_counts)
-        if n_node < 2 or nonzero <= 1:
-            continue
-
-        parent_gini = _gini_from_counts(node_counts, n_node)
-        feats = np.sort(rng.choice(Xb.shape[1], size=max_features, replace=False))
-        cols = Xb[rows][:, feats]
-        # one histogram per sampled feature: (m, n_values, n_classes)
-        codes = (np.arange(feats.shape[0]) * n_values + cols) * n_classes + yb[rows][:, None]
-        hist = np.bincount(codes.ravel(), minlength=feats.shape[0] * n_values * n_classes)
-        hist = hist.reshape(feats.shape[0], n_values, n_classes)
-        # candidate boundary after value v: left bin = values <= v, threshold v + 0.5
-        cum = hist.cumsum(axis=1)[:, :-1, :].astype(np.float64)
-        n_left = cum.sum(axis=2)
-        n_right = n_node - n_left
-        valid = (n_left > 0) & (n_right > 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gini_l = 1.0 - np.sum((cum / n_left[..., None]) ** 2, axis=2)
-            gini_r = 1.0 - np.sum(((node_counts - cum) / n_right[..., None]) ** 2, axis=2)
-            dec = parent_gini - (n_left * gini_l + n_right * gini_r) / n_node
-        dec[~valid] = -np.inf
-        if dec.size == 0:  # every feature constant at this node
-            continue
-        # flat argmax keeps the first maximum: lowest feature index, then
-        # lowest threshold (features were sorted ascending)
-        flat = int(np.argmax(dec))
-        fi, v = divmod(flat, n_values - 1)
-        if not np.isfinite(dec[fi, v]) or dec[fi, v] <= _MIN_DECREASE:
-            continue
-        best_f = int(feats[fi])
-        best_t = v + 0.5
-        best_mask = cols[:, fi] <= best_t
-        feature[idx] = best_f
-        threshold[idx] = best_t
-        li, ri = alloc(), alloc()
-        left[idx], right[idx] = li, ri
-        stack.append((rows[best_mask], li))
-        stack.append((rows[~best_mask], ri))
-
-    return (
-        np.asarray(feature, dtype=np.int32),
-        np.asarray(threshold, dtype=np.float64),
-        np.asarray(left, dtype=np.int32),
-        np.asarray(right, dtype=np.int32),
-        np.vstack(counts),
-    )
+    @cached_property
+    def packed(self) -> PackedForest:
+        """All trees as one PackedForest, built on first use."""
+        feature, threshold, left, right, counts = (
+            np.concatenate([getattr(t, name) for t in self.trees])
+            for name in ("feature", "threshold", "left", "right", "counts")
+        )
+        n_nodes = np.array([t.n_nodes for t in self.trees])
+        roots = np.cumsum(n_nodes) - n_nodes
+        offset = np.repeat(roots, n_nodes)
+        proba = np.zeros(counts.shape)
+        np.divide(counts, counts.sum(axis=1, keepdims=True), out=proba, where=(feature < 0)[:, None])
+        return PackedForest(feature.astype(np.intp), threshold, left + offset, right + offset, proba, roots)
 
 
-def _fit_one_tree(X, y_enc, n_values, n_classes, max_features, seed, tree_index):
-    rng = np.random.default_rng(np.random.SeedSequence([seed, tree_index]))
-    boot = rng.integers(0, X.shape[0], size=X.shape[0])
-    arrays = _grow_tree(X[boot], y_enc[boot], n_values, n_classes, max_features, rng)
-    return DecisionTree(*arrays, bootstrap_unique=np.unique(boot).shape[0])
+@dataclass(frozen=True, eq=False)
+class _ForestSpec:
+    """One forest of a growth batch: its training rows of X and its trees."""
+
+    rows: np.ndarray
+    y_enc: np.ndarray
+    n_values: int
+    n_classes: int
+    seed: int
+    trees: range
+
+
+def _segments(starts, sizes):
+    """(segment id, position) of every slot of the ranges [start, start + size)."""
+    seg = np.repeat(np.arange(sizes.shape[0]), sizes)
+    pos = np.arange(seg.shape[0]) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+    return seg, pos
+
+
+def _best_splits(X, sample_row, sample_cls, starts, sizes, counts, feats, n_values, n_classes):
+    """Best (feature slot, value) of each node, or slot -1 for a leaf.
+
+    Nodes are given by their sample ranges, class counts, sorted feature
+    subsets ``feats`` (nodes, m) and their forests' class counts. Rows of
+    each split node are partitioned in place, left rows first; returns
+    (slot, value, left row count) per node. ``n_values`` is the largest
+    alphabet of the batch: a boundary beyond a forest's own alphabet leaves
+    no row on the right, so it is never valid and never chosen.
+    """
+    m = feats.shape[1]
+    slot = np.full(sizes.shape[0], -1)
+    value = np.zeros(sizes.shape[0], dtype=np.int64)
+    n_left_rows = np.zeros(sizes.shape[0], dtype=np.int64)
+    if n_values < 2:
+        return slot, value, n_left_rows
+    # nodes of forests with different class counts are searched apart, so
+    # every Gini sum runs over exactly its forest's classes
+    for c in np.unique(n_classes):
+        group = np.flatnonzero(n_classes == c)
+        cost = m * n_values * c + sizes[group] * m
+        chunk = (np.cumsum(cost) - cost) // _CHUNK_CELLS
+        for nodes in np.split(group, np.flatnonzero(np.diff(chunk)) + 1):
+            q = nodes.shape[0]
+            n_node = sizes[nodes]
+            seg, pos = _segments(starts[nodes], n_node)
+            cls = sample_cls[pos]
+            vals = X[sample_row[pos][:, None], feats[nodes][seg]]
+            codes = ((seg[:, None] * m + np.arange(m)) * n_values + vals) * c + cls[:, None]
+            hist = np.bincount(codes.ravel(), minlength=q * m * n_values * c).reshape(q, m, n_values, c)
+            # candidate boundary after value v: left bin = values <= v, threshold v + 0.5
+            cum = hist.cumsum(axis=2)[:, :, :-1, :].astype(np.float64)
+            node_counts = counts[nodes, :c].astype(np.float64)
+            parent_gini = 1.0 - np.sum((node_counts / n_node[:, None]) ** 2, axis=1)
+            n_left = cum.sum(axis=3)
+            n_right = n_node[:, None, None] - n_left
+            valid = (n_left > 0) & (n_right > 0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                gini_l = 1.0 - np.sum((cum / n_left[..., None]) ** 2, axis=3)
+                gini_r = 1.0 - np.sum(((node_counts[:, None, None, :] - cum) / n_right[..., None]) ** 2, axis=3)
+                dec = parent_gini[:, None, None] - (n_left * gini_l + n_right * gini_r) / n_node[:, None, None]
+            dec[~valid] = -np.inf
+            dec = dec.reshape(q, -1)
+            # first maximum: lowest feature (subsets are sorted), then lowest threshold
+            flat = dec.argmax(axis=1)
+            best = dec[np.arange(q), flat]
+            split = np.isfinite(best) & (best > _MIN_DECREASE)
+            fi, v = np.divmod(flat, n_values - 1)
+            slot[nodes[split]] = fi[split]
+            value[nodes[split]] = v[split]
+
+            moved = split[seg]
+            seg, pos = seg[moved], pos[moved]
+            go_left = vals[moved, fi[seg]] <= v[seg]
+            order = np.argsort(seg * 2 + ~go_left, kind="stable")
+            sample_row[pos] = sample_row[pos[order]]
+            sample_cls[pos] = sample_cls[pos[order]]
+            n_left_rows[nodes] = np.bincount(seg[go_left], minlength=q)
+    return slot, value, n_left_rows
+
+
+def _grow(X, specs: list[_ForestSpec], max_features: int) -> list[list[DecisionTree]]:
+    """Grow every tree of every spec together; returns each spec's trees in order."""
+    if not specs:
+        return []
+    d = X.shape[1]
+    tree_spec = np.repeat(np.arange(len(specs)), [len(s.trees) for s in specs])
+    n_trees = tree_spec.shape[0]
+    tree_classes = np.array([s.n_classes for s in specs])[tree_spec]
+    n_classes = int(tree_classes.max())
+    n_values = max(s.n_values for s in specs)
+
+    # bootstraps, mapped to rows of X, laid out tree after tree
+    sizes = np.array([s.rows.shape[0] for s in specs])[tree_spec]
+    starts = np.cumsum(sizes) - sizes
+    sample_row = np.empty(int(sizes.sum()), dtype=np.intp)
+    sample_cls = np.empty_like(sample_row)
+    rngs = []
+    for spec in specs:
+        n = spec.rows.shape[0]
+        for t in spec.trees:
+            rng = np.random.default_rng(np.random.SeedSequence([spec.seed, t]))
+            boot = rng.integers(0, n, size=n)
+            lo = starts[len(rngs)]
+            sample_row[lo:lo + n] = spec.rows[boot]
+            sample_cls[lo:lo + n] = spec.y_enc[boot]
+            rngs.append(rng)
+    tree_of_slot = np.repeat(np.arange(n_trees), sizes)
+    distinct = np.unique(tree_of_slot * X.shape[0] + sample_row) // X.shape[0]
+    bootstrap_unique = np.bincount(distinct, minlength=n_trees)
+
+    # one depth-first stack of (start, end, node id) per tree
+    stack = np.zeros((n_trees, 8, 3), dtype=np.int64)
+    stack[:, 0] = np.column_stack([starts, starts + sizes, np.zeros(n_trees, dtype=np.int64)])
+    depth = np.ones(n_trees, dtype=np.int64)
+    n_nodes = np.ones(n_trees, dtype=np.int64)
+    record = []
+    while True:
+        live = np.flatnonzero(depth)
+        if live.shape[0] == 0:
+            break
+        depth[live] -= 1
+        lo, hi, node = stack[live, depth[live]].T
+        size = hi - lo
+        seg, pos = _segments(lo, size)
+        counts = np.bincount(seg * n_classes + sample_cls[pos], minlength=live.shape[0] * n_classes)
+        counts = counts.reshape(-1, n_classes)
+        feature = np.full(live.shape[0], -1, dtype=np.int32)
+        threshold = np.zeros(live.shape[0])
+        left = np.full(live.shape[0], -1, dtype=np.int32)
+
+        cand = np.flatnonzero((size >= 2) & (np.count_nonzero(counts, axis=1) > 1))
+        if cand.shape[0]:
+            feats = np.sort(
+                np.array([rngs[t].choice(d, size=max_features, replace=False) for t in live[cand].tolist()]),
+                axis=1,
+            )
+            slot, value, n_left = _best_splits(
+                X, sample_row, sample_cls, lo[cand], size[cand], counts[cand], feats, n_values,
+                tree_classes[live[cand]],
+            )
+            split = slot >= 0
+            at, trees = cand[split], live[cand[split]]
+            feature[at] = feats[split, slot[split]]
+            threshold[at] = value[split] + 0.5
+            left[at] = n_nodes[trees]
+            n_nodes[trees] += 2
+            if depth.max() + 2 > stack.shape[1]:
+                stack = np.concatenate([stack, np.zeros_like(stack)], axis=1)
+            mid = lo[at] + n_left[split]
+            # push left, then right: the right child is grown first
+            stack[trees, depth[trees]] = np.column_stack([lo[at], mid, left[at]])
+            stack[trees, depth[trees] + 1] = np.column_stack([mid, hi[at], left[at] + 1])
+            depth[trees] += 2
+        record.append((live, node, feature, threshold, left, counts))
+
+    tree_start = np.cumsum(n_nodes) - n_nodes
+    total = int(n_nodes.sum())
+    feature = np.empty(total, dtype=np.int32)
+    threshold = np.empty(total)
+    left = np.empty(total, dtype=np.int32)
+    counts = np.empty((total, n_classes))
+    for live, node, f, t, l, c in record:
+        at = tree_start[live] + node
+        feature[at], threshold[at], left[at], counts[at] = f, t, l, c
+    right = np.where(left >= 0, left + 1, -1).astype(np.int32)
+
+    out = []
+    for k, spec in enumerate(specs):
+        first = np.flatnonzero(tree_spec == k)
+        base, stop = tree_start[first[0]], tree_start[first[-1]] + n_nodes[first[-1]]
+        spec_counts = np.ascontiguousarray(counts[base:stop, :spec.n_classes])
+        trees = []
+        for i in first.tolist():
+            a, b = tree_start[i], tree_start[i] + n_nodes[i]
+            trees.append(DecisionTree(
+                feature[a:b], threshold[a:b], left[a:b], right[a:b],
+                spec_counts[a - base:b - base], int(bootstrap_unique[i]),
+            ))
+        out.append(trees)
+    return out
+
+
+def fit_forests(X, y, row_sets, seeds, n_trees: int = 100, threads: int | None = None) -> list[RandomForestModel]:
+    """Fit one forest per row set of (X, y), all grown in one batch.
+
+    Forest ``k`` is exactly ``fit_forest(X[row_sets[k]], y[row_sets[k]],
+    n_trees, seeds[k])``. With ``threads`` > 1 the trees are split into
+    ranges grown by the same engine on a thread pool; the forests do not
+    depend on the split.
+    """
+    X = np.ascontiguousarray(X, dtype=np.int64)
+    y = np.asarray(y, dtype=np.int64)
+    if X.ndim != 2 or X.shape[0] == 0:
+        raise EmptyTrainingSet("training set must contain at least one row")
+    if y.shape != (X.shape[0],):
+        raise ValueError("y length must match rows of X")
+    if len(seeds) != len(row_sets):
+        raise ValueError("need one seed per row set")
+    if n_trees < 1:
+        raise ValueError("need at least one tree")
+    if any(seed < 0 for seed in seeds):
+        raise ValueError("seed must be non-negative")
+    max_features = max(1, math.ceil(math.sqrt(X.shape[1])))
+
+    labels, specs = [], []
+    for rows, seed in zip(row_sets, seeds):
+        rows = np.asarray(rows, dtype=np.intp)
+        if rows.shape[0] == 0:
+            raise EmptyTrainingSet("training set must contain at least one row")
+        class_labels, y_enc = np.unique(y[rows], return_inverse=True)
+        labels.append(class_labels)
+        specs.append(_ForestSpec(rows, y_enc, int(X[rows].max()) + 1, class_labels.shape[0], int(seed),
+                                 range(n_trees)))
+
+    if threads is not None and threads > 1:
+        bounds = np.linspace(0, n_trees, threads + 1).astype(int)
+        jobs = [[replace(s, trees=range(a, b)) for s in specs] for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(lambda job: _grow(X, job, max_features), jobs))
+    else:
+        parts = [_grow(X, specs, max_features)]
+    return [
+        RandomForestModel([tree for part in parts for tree in part[k]], labels[k], X.shape[1], spec.seed)
+        for k, spec in enumerate(specs)
+    ]
 
 
 def fit_forest(X, y, n_trees: int = 100, seed: int = 0, threads: int | None = None) -> RandomForestModel:
@@ -134,43 +335,24 @@ def fit_forest(X, y, n_trees: int = 100, seed: int = 0, threads: int | None = No
     depth limit, minimum split size 2. Tie-breaks go to the lowest feature
     index, then the lowest threshold.
     """
-    X = np.ascontiguousarray(X, dtype=np.int64)
-    y = np.asarray(y, dtype=np.int64)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise EmptyTrainingSet("training set must contain at least one row")
-    if y.shape != (X.shape[0],):
-        raise ValueError("y length must match rows of X")
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
-
-    class_labels = np.unique(y)
-    y_enc = np.searchsorted(class_labels, y)
-    n_classes = class_labels.shape[0]
-    n_values = int(X.max()) + 1
-    max_features = max(1, math.ceil(math.sqrt(X.shape[1])))
-
-    def build(t):
-        return _fit_one_tree(X, y_enc, n_values, n_classes, max_features, seed, t)
-
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            trees = list(pool.map(build, range(n_trees)))
-    else:
-        trees = [build(t) for t in range(n_trees)]
-    return RandomForestModel(trees, class_labels, X.shape[1], int(seed))
+    X = np.asarray(X)
+    n_rows = X.shape[0] if X.ndim == 2 else 0
+    return fit_forests(X, y, [np.arange(n_rows)], [seed], n_trees, threads)[0]
 
 
-def _route(tree: DecisionTree, X: np.ndarray) -> np.ndarray:
-    """Leaf index reached by each row."""
-    idx = np.zeros(X.shape[0], dtype=np.int32)
-    active = tree.feature[idx] >= 0
-    while active.any():
-        rows = np.nonzero(active)[0]
-        nd = idx[rows]
-        go_left = X[rows, tree.feature[nd]] <= tree.threshold[nd]
-        idx[rows] = np.where(go_left, tree.left[nd], tree.right[nd])
-        active[rows] = tree.feature[idx[rows]] >= 0
-    return idx
+def _leaves(packed: PackedForest, X: np.ndarray) -> np.ndarray:
+    """Global leaf index reached by each (tree, row), tree-major."""
+    rows, width = X.shape
+    node = np.repeat(packed.roots, rows)
+    flat = X.ravel()
+    active = np.flatnonzero(packed.feature[node] >= 0)
+    while active.shape[0]:
+        at = node[active]
+        go_left = flat[(active % rows) * width + packed.feature[at]] <= packed.threshold[at]
+        nxt = np.where(go_left, packed.left[at], packed.right[at])
+        node[active] = nxt
+        active = active[packed.feature[nxt] >= 0]
+    return node
 
 
 def predict_proba(model: RandomForestModel, X) -> np.ndarray:
@@ -180,11 +362,16 @@ def predict_proba(model: RandomForestModel, X) -> np.ndarray:
         raise FeatureMismatch(
             f"expected {model.n_features} features, got {X.shape[1] if X.ndim == 2 else 'non-matrix'}"
         )
-    acc = np.zeros((X.shape[0], model.n_classes))
-    for tree in model.trees:
-        leaf_counts = tree.counts[_route(tree, X)]
-        acc += leaf_counts / leaf_counts.sum(axis=1, keepdims=True)
-    return acc / len(model.trees)
+    packed = model.packed
+    n_trees = packed.roots.shape[0]
+    out = np.empty((X.shape[0], model.n_classes))
+    step = max(1, _CHUNK_CELLS // n_trees)
+    for lo in range(0, X.shape[0], step):
+        chunk = X[lo:lo + step]
+        leaves = _leaves(packed, chunk).reshape(n_trees, chunk.shape[0])
+        # summed over the tree axis in tree order, as one tree at a time would
+        out[lo:lo + step] = packed.proba[leaves].sum(axis=0) / n_trees
+    return out
 
 
 def predict(model: RandomForestModel, X) -> np.ndarray:
@@ -211,7 +398,35 @@ def forest_to_dict(model: RandomForestModel) -> dict:
     }
 
 
+def _check_trees(trees: list[DecisionTree], n_features: int, n_classes: int) -> None:
+    """Raise ModelParseError unless every tree is a well-formed, finite routing graph."""
+    if not trees:
+        raise ModelParseError("forest has no trees")
+    for i, tree in enumerate(trees):
+        n = tree.feature.shape[0] if tree.feature.ndim == 1 else 0
+        if n == 0 or any(a.shape != (n,) for a in (tree.threshold, tree.left, tree.right)):
+            raise ModelParseError(f"tree {i}: node arrays are empty or differ in length")
+        if tree.counts.shape != (n, n_classes):
+            raise ModelParseError(f"tree {i}: counts shape {tree.counts.shape}, expected ({n}, {n_classes})")
+    n_nodes = np.array([t.n_nodes for t in trees])
+    feature, left, right, counts = (
+        np.concatenate([getattr(t, name) for t in trees]) for name in ("feature", "left", "right", "counts")
+    )
+    node = np.arange(feature.shape[0]) - np.repeat(np.cumsum(n_nodes) - n_nodes, n_nodes)
+    end = np.repeat(n_nodes, n_nodes)
+    inner = feature >= 0
+    # children above their parent and inside the tree: routing always terminates
+    children_ok = all(np.all((c[inner] > node[inner]) & (c[inner] < end[inner])) for c in (left, right))
+    if not (children_ok and np.all(left[~inner] == -1) and np.all(right[~inner] == -1)):
+        raise ModelParseError("tree child pointers must point forward within the tree, at inner nodes only")
+    if np.any(feature[inner] >= n_features):
+        raise ModelParseError(f"split feature outside [0, {n_features})")
+    if not np.all(counts[~inner].sum(axis=1) > 0):
+        raise ModelParseError("a leaf has no class counts")
+
+
 def forest_from_dict(payload: dict) -> RandomForestModel:
+    """Rebuild a forest from ``forest_to_dict`` output; raises ModelParseError if malformed."""
     trees = [
         DecisionTree(
             np.asarray(t["feature"], dtype=np.int32),
@@ -222,9 +437,11 @@ def forest_from_dict(payload: dict) -> RandomForestModel:
         )
         for t in payload["trees"]
     ]
-    return RandomForestModel(
+    model = RandomForestModel(
         trees,
         np.asarray(payload["class_labels"], dtype=np.int64),
         int(payload["n_features"]),
         int(payload["seed"]),
     )
+    _check_trees(trees, model.n_features, model.n_classes)
+    return model

@@ -20,7 +20,7 @@ import numpy as np
 from .config import CoEyeConfig
 from .data import Dataset
 from .errors import NoFeasibleLens
-from .forest import fit_forest, predict
+from .forest import fit_forests, predict
 from .symbolic import (
     MAX_ALPHABET,
     digitize_columns,
@@ -161,15 +161,20 @@ def stratified_fold_assignment(y, n_folds: int, seed: int) -> np.ndarray:
 
 
 def cross_val_accuracy(symbols, y, fold_ids, trees, seed) -> float:
-    """Pooled accuracy of per-fold forests predicting their held-out rows."""
+    """Pooled accuracy of per-fold forests predicting their held-out rows.
+
+    The forests of all folds are grown in one batch.
+    """
     symbols = np.asarray(symbols)
     y = np.asarray(y)
+    folds = [int(f) for f in np.unique(fold_ids) if not np.all(fold_ids == f)]
+    models = fit_forests(
+        symbols, y, [np.flatnonzero(fold_ids != f) for f in folds],
+        [_derived_seed(seed, f) for f in folds], n_trees=trees,
+    )
     correct = 0
-    for f in np.unique(fold_ids):
+    for f, model in zip(folds, models):
         val = fold_ids == f
-        if not val.any() or val.all():
-            continue
-        model = fit_forest(symbols[~val], y[~val], n_trees=trees, seed=_derived_seed(seed, int(f)))
         correct += int(np.sum(predict(model, symbols[val]) == y[val]))
     return correct / y.shape[0]
 
@@ -229,7 +234,7 @@ def _score_grid(train, rep, pairs, drop_dc, trees, seed, sax_mode, fold_ids, wor
     accs = np.empty(len(pairs), dtype=np.float64)
     if workers is not None and workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for index, acc in pool.map(_eval_grid_point, tasks, chunksize=4):
+            for index, acc in pool.map(_eval_grid_point, tasks, chunksize=1):
                 accs[index] = acc
     else:
         for task in tasks:

@@ -26,7 +26,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from .data import Dataset, TimeSeries, znormalize_rows
 from .errors import DegenerateBinning, EqualDepthDegenerate, InvalidWordSize
@@ -119,6 +118,10 @@ def gaussian_cuts(alpha: int) -> np.ndarray:
     """Standard-normal quantiles at k/alpha for k = 1..alpha-1."""
     if alpha < 2:
         raise ValueError("alphabet size must be at least 2")
+    # imported here: only gaussian SAX and the degenerate-minmax fallback
+    # need it, and scipy.stats dominates the package's import time
+    from scipy.stats import norm
+
     return norm.ppf(np.arange(1, alpha) / alpha)
 
 

@@ -1,4 +1,8 @@
+import contextlib
+import hashlib
 import json
+import signal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,11 +15,13 @@ from coeye import (
     Dataset,
     classify,
     load_model,
+    load_ucr,
     predict_dataset,
     save_model,
     train,
     vote,
 )
+from coeye.cli import main
 from coeye.ensemble import CoEyeModel, Eye, eye_probabilities
 from coeye.errors import (
     EmptyEnsemble,
@@ -355,3 +361,107 @@ class TestPersistence:
         path.write_text(json.dumps({"format_version": 1, "eyes": [{"lens": {}}]}))
         with pytest.raises(ModelParseError):
             load_model(path)
+
+
+def _corrupt_first_split(payload, mutate):
+    """Apply ``mutate(tree, n_features)`` to the first tree whose root splits."""
+    for eye in payload["eyes"]:
+        for tree in eye["forest"]["trees"]:
+            if tree["feature"][0] >= 0:
+                mutate(tree, eye["forest"]["n_features"])
+                return payload
+    raise AssertionError("no split tree in the model")
+
+
+def _self_loop(tree, n_features):
+    tree["left"][0] = 0
+
+
+def _child_out_of_range(tree, n_features):
+    tree["right"][0] = len(tree["feature"]) + 5
+
+
+def _feature_out_of_range(tree, n_features):
+    tree["feature"][0] = n_features
+
+
+def _ragged_arrays(tree, n_features):
+    tree["threshold"].pop()
+
+
+def _leaf_with_child(tree, n_features):
+    leaf = tree["feature"].index(-1)
+    tree["left"][leaf] = leaf + 1
+
+
+def _empty_leaf(tree, n_features):
+    leaf = tree["feature"].index(-1)
+    tree["counts"][leaf] = [0.0] * len(tree["counts"][leaf])
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail instead of hanging: a corrupt tree used to make routing loop forever."""
+
+    def hang(signum, frame):
+        raise AssertionError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestCorruptForests:
+    """Structurally corrupt trees are refused at load, before any routing."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("corrupt") / "model.json"
+        save_model(train(synth_dataset("waves", seed=11), CoEyeConfig(seed=42, **SMALL_CONFIG)), path)
+        return path
+
+    @pytest.mark.parametrize("mutate", [
+        _self_loop, _child_out_of_range, _feature_out_of_range, _ragged_arrays, _leaf_with_child, _empty_leaf,
+    ])
+    def test_rejected_promptly(self, saved, tmp_path, mutate):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(_corrupt_first_split(json.loads(saved.read_text()), mutate)))
+        with _deadline(5), pytest.raises(ModelParseError):
+            load_model(bad)
+
+    def test_forest_width_must_match_lens(self, saved, tmp_path):
+        payload = json.loads(saved.read_text())
+        payload["eyes"][0]["lens"]["w"] += 1
+        bad = tmp_path / "width.json"
+        bad.write_text(json.dumps(payload))
+        with pytest.raises(ModelParseError):
+            load_model(bad)
+
+    def test_cli_exit_code_2(self, saved, tmp_path):
+        bad = tmp_path / "loop.json"
+        bad.write_text(json.dumps(_corrupt_first_split(json.loads(saved.read_text()), _self_loop)))
+        series = tmp_path / "series.tsv"
+        series.write_text("\t".join(["0.5"] * 32) + "\n")
+        assert main(["predict", "--model", str(saved), "--input", str(series)]) == 0
+        with _deadline(5):
+            assert main(["predict", "--model", str(bad), "--input", str(series)]) == 2
+
+    def test_valid_model_loads(self, saved):
+        assert load_model(saved).eyes
+
+
+# sha256 of the model file below, as written before the forest engine was
+# batched; growth and serialisation changes must keep it
+PINNED_CHINATOWN_SHA256 = "2c80a7798b4fa07b739f813781ddbbc90ae679d8cb46f045a786eb11cf39decf"
+
+
+@pytest.mark.parametrize("threads", [None, 2])
+def test_model_bytes_pinned(tmp_path, threads):
+    train_set = load_ucr(Path(__file__).parent / "data" / "ucr" / "Chinatown_TRAIN.tsv")
+    path = tmp_path / "chinatown.json"
+    save_model(train(train_set, CoEyeConfig(seed=1, threads=threads, **SMALL_CONFIG)), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_CHINATOWN_SHA256

@@ -6,11 +6,13 @@ from hypothesis import strategies as st
 from coeye.errors import EmptyTrainingSet, FeatureMismatch
 from coeye.forest import (
     fit_forest,
+    fit_forests,
     forest_from_dict,
     forest_to_dict,
     predict,
     predict_proba,
 )
+from tests.forest_reference import reference_fit_forest, reference_predict_proba
 
 
 def separable_fixture(seed=0, rows_per_class=50, width=10):
@@ -130,3 +132,110 @@ class TestSerialization:
         clone = forest_from_dict(forest_to_dict(model))
         probe = np.random.default_rng(1).integers(0, 7, size=(30, 10))
         assert np.array_equal(predict_proba(model, probe), predict_proba(clone, probe))
+
+
+def assert_same_forest(expected, got):
+    """Node arrays, their dtypes, bootstrap sizes and labels all equal."""
+    assert np.array_equal(expected.class_labels, got.class_labels)
+    assert (expected.n_features, expected.seed) == (got.n_features, got.seed)
+    assert len(expected.trees) == len(got.trees)
+    for a, b in zip(expected.trees, got.trees):
+        for name in ("feature", "threshold", "left", "right", "counts"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and x.shape == y.shape, name
+            assert np.array_equal(x, y), name
+        assert a.bootstrap_unique == b.bootstrap_unique
+
+
+def assert_same_proba(expected, got, probe):
+    """Bit-identical probabilities, for the whole probe and for single rows."""
+    assert np.array_equal(reference_predict_proba(expected, probe), predict_proba(got, probe))
+    for row in probe[:3]:
+        one = row.reshape(1, -1)
+        assert np.array_equal(reference_predict_proba(expected, one), predict_proba(got, one))
+
+
+@st.composite
+def symbol_problems(draw):
+    rows = draw(st.integers(1, 40))
+    width = draw(st.integers(1, 16))
+    n_values = draw(st.integers(1, 7))
+    n_classes = draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.integers(0, n_values, size=(rows, width))
+    constant = rng.random(width) < 0.3
+    X[:, constant] = rng.integers(0, n_values)
+    y = rng.integers(0, n_classes, size=rows) * 5 - 2
+    return X, y, draw(st.integers(0, 10**6)), draw(st.integers(1, 12))
+
+
+class TestEngineMatchesReference:
+    """The batched engine reproduces the per-node reference grower and router exactly."""
+
+    @given(symbol_problems())
+    @settings(max_examples=60, deadline=None)
+    def test_single_forest(self, problem):
+        X, y, seed, trees = problem
+        expected = reference_fit_forest(X, y, trees, seed)
+        got = fit_forest(X, y, n_trees=trees, seed=seed)
+        assert_same_forest(expected, got)
+        probe = np.random.default_rng(seed).integers(0, X.max() + 2, size=(9, X.shape[1]))
+        assert_same_proba(expected, got, probe)
+
+    @given(symbol_problems(), st.integers(2, 4))
+    @settings(max_examples=20, deadline=None)
+    def test_thread_ranges(self, problem, threads):
+        X, y, seed, trees = problem
+        assert_same_forest(reference_fit_forest(X, y, trees, seed),
+                           fit_forest(X, y, n_trees=trees, seed=seed, threads=threads))
+
+    @given(symbol_problems())
+    @settings(max_examples=30, deadline=None)
+    def test_fold_batch(self, problem):
+        X, y, seed, trees = problem
+        folds = np.arange(X.shape[0]) % 3
+        row_sets = [np.flatnonzero(folds != f) for f in range(3)]
+        row_sets = [rows for rows in row_sets if rows.shape[0]]
+        seeds = [seed + k for k in range(len(row_sets))]
+        for rows, s, got in zip(row_sets, seeds, fit_forests(X, y, row_sets, seeds, n_trees=trees)):
+            expected = reference_fit_forest(X[rows], y[rows], trees, s)
+            assert_same_forest(expected, got)
+            assert_same_proba(expected, got, X)
+
+    def test_leave_one_out_batch_mixes_class_and_value_counts(self):
+        # row 0 holds the only class-9 label and the only symbol 6, so the
+        # fold without it has one class fewer and a smaller alphabet
+        rng = np.random.default_rng(4)
+        X = rng.integers(0, 3, size=(12, 9))
+        X[0, 4] = 6
+        y = np.array([9] + [1, 2] * 5 + [1])
+        row_sets = [np.delete(np.arange(12), k) for k in range(12)]
+        models = fit_forests(X, y, row_sets, list(range(12)), n_trees=15)
+        assert models[0].n_classes == 2 and models[1].n_classes == 3
+        for k, rows in enumerate(row_sets):
+            expected = reference_fit_forest(X[rows], y[rows], 15, k)
+            assert_same_forest(expected, models[k])
+            assert_same_proba(expected, models[k], X)
+
+    def test_all_columns_constant(self):
+        X = np.full((10, 4), 2)
+        y = np.array([0, 1] * 5)
+        expected = reference_fit_forest(X, y, 8, 3)
+        got = fit_forest(X, y, n_trees=8, seed=3)
+        assert_same_forest(expected, got)
+        assert all(tree.n_nodes == 1 for tree in got.trees)
+        assert_same_proba(expected, got, X)
+
+    def test_many_rows_many_trees(self):
+        X, y = separable_fixture(seed=12, rows_per_class=60, width=14)
+        y[::7] = 3
+        expected = reference_fit_forest(X, y, 60, 21)
+        got = fit_forest(X, y, n_trees=60, seed=21)
+        assert_same_forest(expected, got)
+        probe = np.random.default_rng(3).integers(0, 8, size=(1500, 14))
+        assert_same_proba(expected, got, probe)
+
+    def test_loaded_forest_routes_like_reference(self):
+        X, y = separable_fixture(seed=5, rows_per_class=20)
+        clone = forest_from_dict(forest_to_dict(fit_forest(X, y, n_trees=12, seed=4)))
+        assert_same_proba(reference_fit_forest(X, y, 12, 4), clone, X)

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -7,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import coeye
 from coeye import Dataset, dft_lowpass, fit_mcb, fit_sax_binning, paa, sax, sfa
 from coeye.errors import DegenerateBinning, EqualDepthDegenerate, InvalidWordSize
 from coeye.symbolic import (
@@ -311,3 +315,17 @@ class TestSymbolicWord:
         word = SymbolicWord(np.zeros(2, dtype=int), alpha=30, w=2)
         with pytest.raises(ValueError):
             word.to_text()
+
+
+def test_import_leaves_scipy_unloaded():
+    """scipy.stats is imported only when gaussian cut points are computed."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(coeye.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, coeye, coeye.cli\n"
+        "assert 'scipy' not in sys.modules, 'scipy imported by coeye'\n"
+        "coeye.symbolic.gaussian_cuts(4)\n"
+        "assert 'scipy' in sys.modules\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
