@@ -19,9 +19,11 @@ every unfinished tree pops the next node of its own depth-first stack, and
 the round computes class counts, (node, feature, value, class) histograms,
 Gini decreases and row partitions for all popped nodes with a few NumPy
 calls. Rows live in one flat sample array per batch; a node owns a
-[start, end) range of it, partitioned in place when the node splits. Each
-tree still pops its own nodes in the order above, so its draws, and hence
-its bytes, are the same as when it grows alone.
+[start, end) range of it, partitioned in place when the node splits. A
+batch holds at most ``BATCH_SLOTS`` bootstrap rows (trees times rows), so
+a large forest grows as several tree ranges. Each tree still pops its own
+nodes in the order above, so its draws, and hence its bytes, are the same
+as when it grows alone.
 
 Packed layout. For routing, a forest's trees are concatenated into flat
 node arrays (``feature``, ``threshold``, ``left``, ``right``) whose child
@@ -45,6 +47,10 @@ _MIN_DECREASE = 1e-12
 # histogram cells plus gathered sample values per split-search chunk, and
 # tree-row pairs per routing chunk: bounds the engine's transient memory
 _CHUNK_CELLS = 1 << 16
+# bootstrap slots (trees times rows) grown in one batch: the batch state is
+# a few integer arrays over all slots, so this bounds its memory; a 5-fold
+# search of a few hundred rows still fits in one batch
+BATCH_SLOTS = 1 << 17
 
 
 @dataclass(eq=False)
@@ -283,13 +289,46 @@ def _grow(X, specs: list[_ForestSpec], max_features: int) -> list[list[DecisionT
     return out
 
 
+def _batches(specs: list[_ForestSpec], max_slots: int):
+    """Split the trees of ``specs`` into consecutive batches of at most
+    ``max_slots`` bootstrap slots (at least one tree each); yields lists of
+    (spec index, spec restricted to a tree range)."""
+    batch, used = [], 0
+    for k, spec in enumerate(specs):
+        n = spec.rows.shape[0]
+        start = spec.trees.start
+        while start < spec.trees.stop:
+            room = (max_slots - used) // n
+            if room < 1 and batch:
+                yield batch
+                batch, used = [], 0
+                continue
+            stop = min(spec.trees.stop, start + max(room, 1))
+            batch.append((k, replace(spec, trees=range(start, stop))))
+            used += (stop - start) * n
+            start = stop
+    if batch:
+        yield batch
+
+
+def _grow_bounded(X, specs: list[_ForestSpec], max_features: int) -> list[list[DecisionTree]]:
+    """``_grow`` over batches of at most ``BATCH_SLOTS`` slots; the trees do not depend on the split."""
+    out = [[] for _ in specs]
+    for batch in _batches(specs, BATCH_SLOTS):
+        for (k, _), trees in zip(batch, _grow(X, [spec for _, spec in batch], max_features)):
+            out[k].extend(trees)
+    return out
+
+
 def fit_forests(X, y, row_sets, seeds, n_trees: int = 100, threads: int | None = None) -> list[RandomForestModel]:
-    """Fit one forest per row set of (X, y), all grown in one batch.
+    """Fit one forest per row set of (X, y), grown together in batches.
 
     Forest ``k`` is exactly ``fit_forest(X[row_sets[k]], y[row_sets[k]],
-    n_trees, seeds[k])``. With ``threads`` > 1 the trees are split into
-    ranges grown by the same engine on a thread pool; the forests do not
-    depend on the split.
+    n_trees, seeds[k])``. A batch holds at most ``BATCH_SLOTS`` bootstrap
+    rows, which bounds the growth state; the returned forests are the
+    caller's to bound. With ``threads`` > 1 the trees are split into ranges
+    grown by the same engine on a thread pool; the forests do not depend on
+    either split.
     """
     X = np.ascontiguousarray(X, dtype=np.int64)
     y = np.asarray(y, dtype=np.int64)
@@ -319,9 +358,9 @@ def fit_forests(X, y, row_sets, seeds, n_trees: int = 100, threads: int | None =
         bounds = np.linspace(0, n_trees, threads + 1).astype(int)
         jobs = [[replace(s, trees=range(a, b)) for s in specs] for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda job: _grow(X, job, max_features), jobs))
+            parts = list(pool.map(lambda job: _grow_bounded(X, job, max_features), jobs))
     else:
-        parts = [_grow(X, specs, max_features)]
+        parts = [_grow_bounded(X, specs, max_features)]
     return [
         RandomForestModel([tree for part in parts for tree in part[k]], labels[k], X.shape[1], spec.seed)
         for k, spec in enumerate(specs)
@@ -398,31 +437,40 @@ def forest_to_dict(model: RandomForestModel) -> dict:
     }
 
 
-def _check_trees(trees: list[DecisionTree], n_features: int, n_classes: int) -> None:
-    """Raise ModelParseError unless every tree is a well-formed, finite routing graph."""
-    if not trees:
+def _check_forest(model: RandomForestModel) -> None:
+    """Raise ModelParseError unless every tree is a well-formed, finite routing graph.
+
+    Array shapes are checked per tree, the rest on the packed arrays that
+    routing will use.
+    """
+    if not model.trees:
         raise ModelParseError("forest has no trees")
-    for i, tree in enumerate(trees):
+    for i, tree in enumerate(model.trees):
         n = tree.feature.shape[0] if tree.feature.ndim == 1 else 0
         if n == 0 or any(a.shape != (n,) for a in (tree.threshold, tree.left, tree.right)):
             raise ModelParseError(f"tree {i}: node arrays are empty or differ in length")
-        if tree.counts.shape != (n, n_classes):
-            raise ModelParseError(f"tree {i}: counts shape {tree.counts.shape}, expected ({n}, {n_classes})")
-    n_nodes = np.array([t.n_nodes for t in trees])
-    feature, left, right, counts = (
-        np.concatenate([getattr(t, name) for t in trees]) for name in ("feature", "left", "right", "counts")
-    )
-    node = np.arange(feature.shape[0]) - np.repeat(np.cumsum(n_nodes) - n_nodes, n_nodes)
-    end = np.repeat(n_nodes, n_nodes)
-    inner = feature >= 0
+        if tree.counts.shape != (n, model.n_classes):
+            raise ModelParseError(f"tree {i}: counts shape {tree.counts.shape}, expected ({n}, {model.n_classes})")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        packed = model.packed
+    total = packed.feature.shape[0]
+    n_nodes = np.diff(np.append(packed.roots, total))
+    start = np.repeat(packed.roots, n_nodes)
+    end = start + np.repeat(n_nodes, n_nodes)
+    node = np.arange(total)
+    inner = packed.feature >= 0
     # children above their parent and inside the tree: routing always terminates
-    children_ok = all(np.all((c[inner] > node[inner]) & (c[inner] < end[inner])) for c in (left, right))
-    if not (children_ok and np.all(left[~inner] == -1) and np.all(right[~inner] == -1)):
+    children_ok = all(np.all((c[inner] > node[inner]) & (c[inner] < end[inner])) for c in (packed.left, packed.right))
+    no_leaf_children = all(np.all(c[~inner] == start[~inner] - 1) for c in (packed.left, packed.right))
+    if not (children_ok and no_leaf_children):
         raise ModelParseError("tree child pointers must point forward within the tree, at inner nodes only")
-    if np.any(feature[inner] >= n_features):
-        raise ModelParseError(f"split feature outside [0, {n_features})")
-    if not np.all(counts[~inner].sum(axis=1) > 0):
-        raise ModelParseError("a leaf has no class counts")
+    if np.any(packed.feature[inner] >= model.n_features):
+        raise ModelParseError(f"split feature outside [0, {model.n_features})")
+    if not np.all(np.isfinite(packed.threshold)):
+        raise ModelParseError("a split threshold is not finite")
+    counts = np.concatenate([t.counts for t in model.trees])
+    if not (np.all(np.isfinite(counts)) and np.all(counts >= 0) and np.all(counts[~inner].sum(axis=1) > 0)):
+        raise ModelParseError("class counts must be finite and non-negative, with rows at every leaf")
 
 
 def forest_from_dict(payload: dict) -> RandomForestModel:
@@ -443,5 +491,5 @@ def forest_from_dict(payload: dict) -> RandomForestModel:
         int(payload["n_features"]),
         int(payload["seed"]),
     )
-    _check_trees(trees, model.n_features, model.n_classes)
+    _check_forest(model)
     return model

@@ -20,7 +20,7 @@ import numpy as np
 from .config import CoEyeConfig
 from .data import Dataset
 from .errors import NoFeasibleLens
-from .forest import fit_forests, predict
+from .forest import BATCH_SLOTS, fit_forests, predict
 from .symbolic import (
     MAX_ALPHABET,
     digitize_columns,
@@ -163,19 +163,25 @@ def stratified_fold_assignment(y, n_folds: int, seed: int) -> np.ndarray:
 def cross_val_accuracy(symbols, y, fold_ids, trees, seed) -> float:
     """Pooled accuracy of per-fold forests predicting their held-out rows.
 
-    The forests of all folds are grown in one batch.
+    The forests of as many folds as fit ``BATCH_SLOTS`` bootstrap rows are
+    grown in one batch, then scored and dropped: all folds of a 5-fold split
+    of a few hundred rows, a few folds at a time under leave-one-out.
     """
     symbols = np.asarray(symbols)
     y = np.asarray(y)
     folds = [int(f) for f in np.unique(fold_ids) if not np.all(fold_ids == f)]
-    models = fit_forests(
-        symbols, y, [np.flatnonzero(fold_ids != f) for f in folds],
-        [_derived_seed(seed, f) for f in folds], n_trees=trees,
-    )
+    train_rows = y.shape[0] - y.shape[0] // max(1, len(folds))
+    step = max(1, BATCH_SLOTS // max(1, trees * train_rows))
     correct = 0
-    for f, model in zip(folds, models):
-        val = fold_ids == f
-        correct += int(np.sum(predict(model, symbols[val]) == y[val]))
+    for lo in range(0, len(folds), step):
+        group = folds[lo:lo + step]
+        models = fit_forests(
+            symbols, y, [np.flatnonzero(fold_ids != f) for f in group],
+            [_derived_seed(seed, f) for f in group], n_trees=trees,
+        )
+        for f, model in zip(group, models):
+            val = fold_ids == f
+            correct += int(np.sum(predict(model, symbols[val]) == y[val]))
     return correct / y.shape[0]
 
 

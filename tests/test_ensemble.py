@@ -399,6 +399,20 @@ def _empty_leaf(tree, n_features):
     tree["counts"][leaf] = [0.0] * len(tree["counts"][leaf])
 
 
+def _negative_count(tree, n_features):
+    leaf = tree["feature"].index(-1)
+    tree["counts"][leaf][0] = -1.0
+    tree["counts"][leaf][1] += 2.0
+
+
+def _infinite_count(tree, n_features):
+    tree["counts"][tree["feature"].index(-1)][0] = float("inf")
+
+
+def _nan_threshold(tree, n_features):
+    tree["threshold"][0] = float("nan")
+
+
 @contextlib.contextmanager
 def _deadline(seconds):
     """Fail instead of hanging: a corrupt tree used to make routing loop forever."""
@@ -426,6 +440,7 @@ class TestCorruptForests:
 
     @pytest.mark.parametrize("mutate", [
         _self_loop, _child_out_of_range, _feature_out_of_range, _ragged_arrays, _leaf_with_child, _empty_leaf,
+        _negative_count, _infinite_count, _nan_threshold,
     ])
     def test_rejected_promptly(self, saved, tmp_path, mutate):
         bad = tmp_path / "bad.json"

@@ -3,8 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coeye import forest, lenses
 from coeye.errors import EmptyTrainingSet, FeatureMismatch
 from coeye.forest import (
+    _batches,
+    _ForestSpec,
     fit_forest,
     fit_forests,
     forest_from_dict,
@@ -217,6 +220,17 @@ class TestEngineMatchesReference:
             assert_same_forest(expected, models[k])
             assert_same_proba(expected, models[k], X)
 
+    def test_small_batches_split_trees_and_folds(self, monkeypatch):
+        # 60 slots per batch: a 20-row forest of 7 trees spans three batches,
+        # and two 4-row forests share one
+        monkeypatch.setattr(forest, "BATCH_SLOTS", 60)
+        rng = np.random.default_rng(8)
+        X = rng.integers(0, 5, size=(24, 6))
+        y = rng.integers(0, 3, size=24)
+        row_sets = [np.arange(20), np.arange(20, 24), np.arange(18, 22)]
+        for k, (rows, got) in enumerate(zip(row_sets, fit_forests(X, y, row_sets, [3, 4, 5], n_trees=7))):
+            assert_same_forest(reference_fit_forest(X[rows], y[rows], 7, 3 + k), got)
+
     def test_all_columns_constant(self):
         X = np.full((10, 4), 2)
         y = np.array([0, 1] * 5)
@@ -239,3 +253,48 @@ class TestEngineMatchesReference:
         X, y = separable_fixture(seed=5, rows_per_class=20)
         clone = forest_from_dict(forest_to_dict(fit_forest(X, y, n_trees=12, seed=4)))
         assert_same_proba(reference_fit_forest(X, y, 12, 4), clone, X)
+
+
+def _spec(rows, trees):
+    return _ForestSpec(np.arange(rows), np.zeros(rows, dtype=np.int64), 2, 1, 0, range(trees))
+
+
+class TestBatches:
+    def test_slots_bounded_and_every_tree_once(self):
+        specs = [_spec(300, 100), _spec(5, 100), _spec(299, 100)]
+        seen = {k: [] for k in range(len(specs))}
+        for batch in _batches(specs, 4000):
+            assert sum(len(part.trees) * part.rows.shape[0] for _, part in batch) <= 4000
+            for k, part in batch:
+                seen[k].extend(part.trees)
+        assert all(seen[k] == list(range(100)) for k in seen)
+
+    def test_tree_larger_than_bound_grows_alone(self):
+        batches = list(_batches([_spec(50, 3)], 10))
+        assert [[list(part.trees) for _, part in batch] for batch in batches] == [[[0]], [[1]], [[2]]]
+
+
+class TestLeaveOneOutMemory:
+    """Leave-one-out grows and holds only a few forests at a time, with the same accuracy."""
+
+    def test_groups_bounded_and_accuracy_unchanged(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        X = rng.integers(0, 6, size=(30, 8))
+        y = rng.integers(0, 2, size=30)
+        folds, trees = np.arange(30), 10
+        calls = []
+
+        def recording(X_, y_, row_sets, seeds, n_trees=100, threads=None):
+            calls.append(sum(n_trees * len(rows) for rows in row_sets))
+            return fit_forests(X_, y_, row_sets, seeds, n_trees, threads)
+
+        monkeypatch.setattr(lenses, "BATCH_SLOTS", 1000)
+        monkeypatch.setattr(lenses, "fit_forests", recording)
+        acc = lenses.cross_val_accuracy(X, y, folds, trees, 5)
+        assert len(calls) == 10 and max(calls) <= 1000
+        correct = 0
+        for f in range(30):
+            rows = np.flatnonzero(folds != f)
+            model = reference_fit_forest(X[rows], y[rows], trees, lenses._derived_seed(5, f))
+            correct += int(model.class_labels[np.argmax(reference_predict_proba(model, X[f:f + 1]))] == y[f])
+        assert acc == correct / 30
