@@ -27,6 +27,7 @@ from .errors import (
     ModelParseError,
     NoFeasibleLens,
     NoMinorityClass,
+    NonFiniteSeries,
     ParseError,
     RaggedData,
     SeriesLengthMismatch,
@@ -34,11 +35,11 @@ from .errors import (
     UnsupportedModelVersion,
 )
 from .evaluate import BENCHMARK_MODES, find_split, run_benchmark
-from .lenses import SFA, LensGrid, search_lenses, search_sfa_with_normalization
-from .symbolic import fit_mcb, fit_sax_binning, sax, sax_training_paa, sfa
+from .lenses import SFA, LensGrid, _rep_flag, search_lenses, search_sfa_with_normalization
+from .symbolic import Lens, SymbolicWord, fit_lens
 
 _DATA_ERRORS = (
-    RaggedData, ParseError, EmptyDataset, UnknownLabel,
+    RaggedData, ParseError, EmptyDataset, UnknownLabel, NonFiniteSeries,
     ModelParseError, UnsupportedModelVersion,
     FileNotFoundError, IsADirectoryError, PermissionError, ValueError,
 )
@@ -101,28 +102,10 @@ def _load_split(args, split: str) -> Dataset:
     return Dataset(loaded.X, loaded.y, name=args.dataset)
 
 
-def _load_values_only(path) -> np.ndarray:
-    """Read a label-free series file: one series per line, tab or comma separated."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            sep = "\t" if "\t" in line else ","
-            rows.append([float(v) for v in line.split(sep)])
-    if not rows:
-        raise EmptyDataset(f"{path}: no series found")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise ValueError(f"{path}: ragged rows in input file")
-    return np.asarray(rows, dtype=np.float64)
-
-
 def _resolve_input(args) -> tuple[np.ndarray, np.ndarray | None]:
     """(values matrix, labels or None) from --input or --data/--dataset."""
     if getattr(args, "input", None):
-        return _load_values_only(args.input), None
+        return load_ucr(args.input, labeled=False).X, None
     if args.data and args.dataset:
         test = _load_split(args, "TEST")
         return test.X, test.y
@@ -208,14 +191,9 @@ def cmd_transform(args) -> int:
     train_set = _load_split(args, "TRAIN")
     if not 0 <= args.index < len(train_set):
         raise ValueError(f"--index {args.index} outside dataset with {len(train_set)} series")
-    values = train_set.X[args.index]
-    if args.rep == "sax":
-        binning = fit_sax_binning(sax_training_paa(train_set.X, args.w), args.alpha, args.sax_mode)
-        word = sax(values, args.w, binning)
-    else:
-        table = fit_mcb(train_set, args.alpha, args.w, drop_dc=args.drop_dc)
-        word = sfa(values, table)
-    print(word.to_text())
+    lens = Lens(_rep_flag(args.rep), args.alpha, args.w, args.drop_dc)
+    _, symbols = fit_lens(train_set.X, lens, args.sax_mode)
+    print(SymbolicWord(symbols[args.index], lens.alpha, lens.w).to_text())
     return 0
 
 

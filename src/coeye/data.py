@@ -82,12 +82,14 @@ def _sniff_delimiter(first_line: str) -> str:
     return "\t" if "\t" in first_line else ","
 
 
-def load_ucr(path, delimiter: str = "auto") -> Dataset:
+def load_ucr(path, delimiter: str = "auto", labeled: bool = True) -> Dataset:
     """Parse a flat-file dataset.
 
     ``delimiter`` is ``auto`` (try tab, then comma), ``tab``, or ``comma``.
-    Raises RaggedData / ParseError / EmptyDataset on malformed input; never
-    silently drops rows.
+    With ``labeled=False`` every field is a series value, as in the
+    label-free files ``coeye predict --input`` reads, and every row gets the
+    placeholder label 0. Raises RaggedData / ParseError / EmptyDataset on
+    malformed input; never silently drops rows.
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw_lines = fh.read().splitlines()
@@ -105,6 +107,7 @@ def load_ucr(path, delimiter: str = "auto") -> Dataset:
     else:
         raise ValueError(f"unknown delimiter {delimiter!r}")
 
+    first = 1 if labeled else 0
     rows = []
     labels = []
     width = None
@@ -112,21 +115,21 @@ def load_ucr(path, delimiter: str = "auto") -> Dataset:
         fields = line.strip().split(sep)
         if width is None:
             width = len(fields)
-            if width < 2:
+            if width <= first:
                 raise ParseError(path, line_no, 1, "row has no values after the label")
         elif len(fields) != width:
-            raise RaggedData(path, line_no, width - 1, len(fields) - 1)
+            raise RaggedData(path, line_no, width - first, len(fields) - first)
 
-        label = _parse_label(path, line_no, fields[0])
-        values = np.empty(width - 1, dtype=np.float64)
-        for col, cell in enumerate(fields[1:], start=2):
+        label = _parse_label(path, line_no, fields[0]) if labeled else 0
+        values = np.empty(width - first, dtype=np.float64)
+        for col, cell in enumerate(fields[first:], start=first + 1):
             try:
                 v = float(cell)
             except ValueError:
                 raise ParseError(path, line_no, col, f"not a number: {cell!r}") from None
             if not math.isfinite(v):
                 raise ParseError(path, line_no, col, f"non-finite value: {cell!r}")
-            values[col - 2] = v
+            values[col - first - 1] = v
         labels.append(label)
         rows.append(values)
 

@@ -2,8 +2,9 @@
 
 Training balances the data, picks the frequency-domain DC convention and
 the lens sets by cross-validated search, then fits one binning + forest
-pair per lens (all SAX eyes first, then SFA). Classification transforms an
-instance once per eye, stacks the per-eye class-probability rows into a
+pair per lens (all SAX eyes first, then SFA). Training and serving reject
+NaN and infinite values. Classification symbolizes an instance once per
+eye, stacks the per-eye class-probability rows into a
 (k, c) matrix, and applies a two-round vote:
 
 * round 1 — each representation nominates the label of its most confident
@@ -32,6 +33,7 @@ from .errors import (
     EmptyTrainingSet,
     ModelParseError,
     NoMinorityClass,
+    NonFiniteSeries,
     SeriesLengthMismatch,
     UnsupportedModelVersion,
 )
@@ -49,17 +51,7 @@ from .lenses import (
     search_sfa_with_normalization,
 )
 from .resample import SmoteReport, smote
-from .symbolic import (
-    McbTable,
-    SaxBinning,
-    digitize,
-    digitize_columns,
-    fit_sax_binning,
-    mcb_from_coeffs,
-    sax_training_paa,
-    sfa_coefficients,
-    sfa_symbols,
-)
+from .symbolic import McbTable, SaxBinning, binning_from_dict, check_binning, fit_lens, symbolize
 
 MODEL_FORMAT_VERSION = 1
 
@@ -108,10 +100,10 @@ class Prediction:
     sfa_label: int | None = None
 
 
-def _eye_symbols(eye: Eye, X: np.ndarray) -> np.ndarray:
-    if eye.lens.s == SAX:
-        return digitize(sax_training_paa(X, eye.lens.w), eye.binning.cuts)
-    return sfa_symbols(X, eye.binning)
+def _require_finite(X: np.ndarray) -> None:
+    bad = ~np.isfinite(X).all(axis=1)
+    if bad.any():
+        raise NonFiniteSeries(f"series {int(np.argmax(bad))} holds NaN or infinite values")
 
 
 def _fit_eye(task) -> Eye:
@@ -127,9 +119,10 @@ def eye_probabilities(model: CoEyeModel, X) -> np.ndarray:
         X = X.reshape(1, -1)
     if X.shape[1] != model.n:
         raise SeriesLengthMismatch(f"expected series of length {model.n}, got {X.shape[1]}")
+    _require_finite(X)
     out = np.empty((X.shape[0], len(model.eyes), model.class_labels.shape[0]))
     for j, eye in enumerate(model.eyes):
-        out[:, j, :] = predict_proba(eye.forest, _eye_symbols(eye, X))
+        out[:, j, :] = predict_proba(eye.forest, symbolize(X, eye.lens, eye.binning))
     return out
 
 
@@ -226,6 +219,7 @@ def train(train_raw: Dataset, config: CoEyeConfig | None = None, lens_strategy: 
         raise EmptyTrainingSet("training needs at least two series")
     if len(train_raw.class_counts()) < 2:
         raise NoMinorityClass("training needs at least two classes")
+    _require_finite(train_raw.X)
     if lens_strategy not in ("search", "random"):
         raise ValueError(f"unknown lens strategy {lens_strategy!r}")
 
@@ -261,22 +255,10 @@ def train(train_raw: Dataset, config: CoEyeConfig | None = None, lens_strategy: 
 
     t0 = time.perf_counter()
     tasks = []
-    for lens in sax_lenses:
-        paa_values = sax_training_paa(balanced.X, lens.w)
-        binning = fit_sax_binning(paa_values, lens.alpha, config.sax_mode)
-        symbols = digitize(paa_values, binning.cuts)
-        seed = _derived_seed(config.seed, _NS_TRAIN, SAX, lens.alpha, lens.w, 0)
+    for lens in sax_lenses + sfa_lenses:
+        binning, symbols = fit_lens(balanced.X, lens, config.sax_mode)
+        seed = _derived_seed(config.seed, _NS_TRAIN, lens.s, lens.alpha, lens.w, int(lens.drop_dc))
         tasks.append((lens, binning, symbols, balanced.y, config.trees, seed))
-
-    coeff_cache: dict[int, np.ndarray] = {}
-    for lens in sfa_lenses:
-        if lens.w not in coeff_cache:
-            coeff_cache[lens.w] = sfa_coefficients(balanced.X, lens.w, lens.drop_dc)
-        coeffs = coeff_cache[lens.w]
-        table = mcb_from_coeffs(coeffs, lens.alpha, lens.w, lens.drop_dc)
-        symbols = digitize_columns(coeffs, table)
-        seed = _derived_seed(config.seed, _NS_TRAIN, SFA, lens.alpha, lens.w, int(lens.drop_dc))
-        tasks.append((lens, table, symbols, balanced.y, config.trees, seed))
 
     if config.threads is not None and config.threads > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=config.threads) as pool:
@@ -336,38 +318,6 @@ def predict_dataset(model: CoEyeModel, data, representation: str = "both") -> li
     return out
 
 
-def _binning_to_dict(binning) -> dict:
-    if isinstance(binning, SaxBinning):
-        return {
-            "kind": "sax",
-            "mode": binning.mode,
-            "alpha": binning.alpha,
-            "cuts": binning.cuts.tolist(),
-            "degenerate": binning.degenerate,
-        }
-    return {
-        "kind": "mcb",
-        "alpha": binning.alpha,
-        "w": binning.w,
-        "drop_dc": binning.drop_dc,
-        "breakpoints": binning.breakpoints.tolist(),
-    }
-
-
-def _binning_from_dict(payload: dict):
-    if payload["kind"] == "sax":
-        return SaxBinning(
-            payload["mode"], int(payload["alpha"]),
-            np.asarray(payload["cuts"], dtype=np.float64), bool(payload["degenerate"]),
-        )
-    if payload["kind"] == "mcb":
-        return McbTable(
-            int(payload["alpha"]), int(payload["w"]), bool(payload["drop_dc"]),
-            np.asarray(payload["breakpoints"], dtype=np.float64),
-        )
-    raise ModelParseError(f"unknown binning kind {payload['kind']!r}")
-
-
 def save_model(model: CoEyeModel, path) -> None:
     """Serialize to versioned JSON; identical models produce identical bytes."""
     payload = {
@@ -381,7 +331,7 @@ def save_model(model: CoEyeModel, path) -> None:
         "eyes": [
             {
                 "lens": eye.lens.to_dict(),
-                "binning": _binning_to_dict(eye.binning),
+                "binning": eye.binning.to_dict(),
                 "forest": forest_to_dict(eye.forest),
             }
             for eye in model.eyes
@@ -416,7 +366,7 @@ def load_model(path) -> CoEyeModel:
         eyes = [
             Eye(
                 Lens.from_dict(e["lens"]),
-                _binning_from_dict(e["binning"]),
+                binning_from_dict(e["binning"]),
                 forest_from_dict(e["forest"]),
             )
             for e in payload["eyes"]
@@ -425,6 +375,7 @@ def load_model(path) -> CoEyeModel:
         for i, eye in enumerate(eyes):
             if eye.forest.n_features != eye.lens.w or not np.array_equal(eye.forest.class_labels, class_labels):
                 raise ModelParseError(f"eye {i}: forest does not match its lens width or the class labels")
+            check_binning(eye.lens, eye.binning)
         return CoEyeModel(
             eyes=eyes,
             class_labels=class_labels,

@@ -33,6 +33,10 @@ class EmptyDataset(CoEyeError):
     """The data file contains no series."""
 
 
+class NonFiniteSeries(CoEyeError):
+    """A series given to training or prediction holds NaN or infinite values."""
+
+
 class InvalidWordSize(CoEyeError):
     """Word size w is outside the valid range for the transform."""
 

@@ -13,7 +13,7 @@ so the selected set does not depend on scheduling.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,18 +21,7 @@ from .config import CoEyeConfig
 from .data import Dataset
 from .errors import NoFeasibleLens
 from .forest import BATCH_SLOTS, fit_forests, predict
-from .symbolic import (
-    MAX_ALPHABET,
-    digitize_columns,
-    fit_sax_binning,
-    mcb_from_coeffs,
-    sax_symbols,
-    sax_training_paa,
-    sfa_coefficients,
-)
-
-SAX = 0
-SFA = 1
+from .symbolic import MAX_ALPHABET, SAX, SFA, Lens, fit_lens
 
 ACCURACY_MARGIN = 0.01
 _MARGIN_SLACK = 1e-12
@@ -43,46 +32,6 @@ _NS_TRAIN = 2
 _NS_SMOTE = 3
 _NS_FOLDS = 4
 _NS_RANDOM_LENSES = 5
-
-
-@dataclass(frozen=True)
-class Lens:
-    """One parameterised symbolic view: representation, alphabet, word size."""
-
-    s: int
-    alpha: int
-    w: int
-    drop_dc: bool = False
-    cv_accuracy: float = 0.0
-
-    def __post_init__(self):
-        if self.s not in (SAX, SFA):
-            raise ValueError("representation flag must be 0 (SAX) or 1 (SFA)")
-        if not 2 <= self.alpha <= MAX_ALPHABET:
-            raise ValueError(f"alphabet size must be in [2, {MAX_ALPHABET}]")
-
-    @property
-    def representation(self) -> str:
-        return "sax" if self.s == SAX else "sfa"
-
-    def to_dict(self) -> dict:
-        return {
-            "s": self.s,
-            "alpha": self.alpha,
-            "w": self.w,
-            "drop_dc": self.drop_dc,
-            "cv_accuracy": self.cv_accuracy,
-        }
-
-    @staticmethod
-    def from_dict(payload: dict) -> "Lens":
-        return Lens(
-            int(payload["s"]),
-            int(payload["alpha"]),
-            int(payload["w"]),
-            bool(payload["drop_dc"]),
-            float(payload["cv_accuracy"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -186,18 +135,12 @@ def cross_val_accuracy(symbols, y, fold_ids, trees, seed) -> float:
 
 
 def _eval_grid_point(args) -> tuple[int, float]:
-    """Score one (alpha, w) pair; module-level so worker processes can pickle it."""
-    (index, rep, alpha, w, drop_dc, X, y, fold_ids, trees, seed, sax_mode) = args
-    if rep == SAX:
-        binning = fit_sax_binning(sax_training_paa(X, w), alpha, sax_mode)
-        symbols = sax_symbols(X, w, binning)
-    else:
-        coeffs = sfa_coefficients(X, w, drop_dc)
-        table = mcb_from_coeffs(coeffs, alpha, w, drop_dc)
-        symbols = digitize_columns(coeffs, table)
+    """Score one candidate lens; module-level so worker processes can pickle it."""
+    (index, lens, X, y, fold_ids, trees, seed, sax_mode) = args
+    _, symbols = fit_lens(X, lens, sax_mode)
     # dc flag excluded from the stream so both flag variants are compared
     # on identical forest randomness
-    acc = cross_val_accuracy(symbols, y, fold_ids, trees, _derived_seed(seed, _NS_SEARCH, rep, alpha, w))
+    acc = cross_val_accuracy(symbols, y, fold_ids, trees, _derived_seed(seed, _NS_SEARCH, lens.s, lens.alpha, lens.w))
     return index, acc
 
 
@@ -232,12 +175,9 @@ def _fold_ids_for(train: Dataset, folds: int, seed: int) -> np.ndarray:
     return stratified_fold_assignment(train.y, folds, seed)
 
 
-def _score_grid(train, rep, pairs, drop_dc, trees, seed, sax_mode, fold_ids, workers):
-    tasks = [
-        (i, rep, alpha, w, drop_dc, train.X, train.y, fold_ids, trees, seed, sax_mode)
-        for i, (alpha, w) in enumerate(pairs)
-    ]
-    accs = np.empty(len(pairs), dtype=np.float64)
+def _score_grid(train, candidates, trees, seed, sax_mode, fold_ids, workers):
+    tasks = [(i, lens, train.X, train.y, fold_ids, trees, seed, sax_mode) for i, lens in enumerate(candidates)]
+    accs = np.empty(len(candidates), dtype=np.float64)
     if workers is not None and workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for index, acc in pool.map(_eval_grid_point, tasks, chunksize=1):
@@ -272,10 +212,10 @@ def search_lenses(
     pairs = grid.pairs(rep, train.n)
     if not pairs:
         raise NoFeasibleLens(f"no feasible (alpha, w) pairs for series length {train.n}")
+    candidates = [Lens(rep, alpha, w, drop_dc) for alpha, w in pairs]
     fold_ids = _fold_ids_for(train, grid.folds, seed)
-    accs = _score_grid(train, rep, pairs, drop_dc, trees, seed, sax_mode, fold_ids, workers)
-    keep = select_per_alpha(pairs, accs)
-    return [Lens(rep, pairs[i][0], pairs[i][1], drop_dc if rep == SFA else False, float(accs[i])) for i in keep]
+    accs = _score_grid(train, candidates, trees, seed, sax_mode, fold_ids, workers)
+    return [replace(candidates[i], cv_accuracy=float(accs[i])) for i in select_per_alpha(pairs, accs)]
 
 
 def search_lenses_random(
@@ -301,7 +241,7 @@ def search_lenses_random(
     budget = min(budget, len(pairs))
     rng = np.random.default_rng(np.random.SeedSequence([seed, _NS_RANDOM_LENSES, rep]))
     chosen = sorted(rng.choice(len(pairs), size=budget, replace=False))
-    return [Lens(rep, pairs[i][0], pairs[i][1], drop_dc if rep == SFA else False, 0.0) for i in chosen]
+    return [Lens(rep, pairs[i][0], pairs[i][1], drop_dc) for i in chosen]
 
 
 def search_sfa_with_normalization(

@@ -16,6 +16,9 @@ import numpy as np
 from .data import Dataset
 from .errors import NoMinorityClass
 
+# float64 elements of the difference tensor held at once by the neighbour search
+NEIGHBOR_BLOCK = 1 << 22
+
 
 @dataclass(frozen=True)
 class SmoteReport:
@@ -38,11 +41,21 @@ class SmoteReport:
 
 
 def _nearest_neighbors(points: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k nearest rows of each row (self excluded)."""
-    d2 = ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
-    np.fill_diagonal(d2, np.inf)
-    order = np.argsort(d2, axis=1, kind="stable")
-    return order[:, :k]
+    """Indices of the k nearest rows of each row (self excluded).
+
+    Distances are computed for a block of rows at a time, so memory stays
+    near ``NEIGHBOR_BLOCK`` elements; each distance is the same sum over the
+    same differences as in one (m, m, n) tensor, so the order does not
+    depend on the block size.
+    """
+    m = points.shape[0]
+    step = max(1, NEIGHBOR_BLOCK // max(1, points.size))
+    order = np.empty((m, k), dtype=np.intp)
+    for lo in range(0, m, step):
+        d2 = ((points[lo:lo + step, None, :] - points[None, :, :]) ** 2).sum(axis=2)
+        d2[np.arange(d2.shape[0]), np.arange(lo, lo + d2.shape[0])] = np.inf
+        order[lo:lo + step] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return order
 
 
 def smote(train: Dataset, k: int = 5, seed: int = 0) -> tuple[Dataset, SmoteReport]:

@@ -1,13 +1,18 @@
-"""Symbolic transforms: PAA, SAX, low-pass DFT, equal-depth binning, SFA.
+"""Symbolic transforms and the lens pipeline.
 
-Two families of views are produced from a series:
+A lens is one symbolic view of a series: a representation, an alphabet
+size ``alpha`` and a word length ``w``. The lens search, the eye fits,
+serving and ``coeye transform`` all build lens words by the same two
+steps: ``fit_lens`` makes the real-valued word of each training series,
+fits the binning on those words and digitizes them; ``symbolize``
+digitizes the words of new series against a fitted binning. The words are
 
-* time domain — znormalize, compress to ``w`` segment means (PAA), then
-  digitize each mean against ``alpha - 1`` cuts (SAX);
-* frequency domain — znormalize, keep the first ``w/2`` complex DFT
-  coefficients as ``w`` interleaved real/imaginary values, then digitize
-  each value column against its own equal-depth breakpoints fitted on the
-  training set (SFA).
+* time domain (SAX) — znormalize, compress to ``w`` segment means (PAA);
+  the binning is one row of ``alpha - 1`` cuts shared by every position;
+* frequency domain (SFA) — znormalize, keep the first ``w/2`` complex DFT
+  coefficients as ``w`` interleaved real/imaginary values; the binning is
+  a (w, alpha - 1) table of equal-depth breakpoints, row j for value
+  column j (multiple coefficient binning, MCB).
 
 SFA's DC convention: with ``drop_dc`` the coefficient window starts at
 index 1. Without it the window starts at the DC term, which for a
@@ -31,6 +36,54 @@ from .data import Dataset, TimeSeries, znormalize_rows
 from .errors import DegenerateBinning, EqualDepthDegenerate, InvalidWordSize
 
 MAX_ALPHABET = 26
+
+SAX = 0
+SFA = 1
+
+
+@dataclass(frozen=True)
+class Lens:
+    """One parameterised symbolic view: representation, alphabet, word size.
+
+    ``drop_dc`` applies to SFA only; a SAX lens always records False.
+    """
+
+    s: int
+    alpha: int
+    w: int
+    drop_dc: bool = False
+    cv_accuracy: float = 0.0
+
+    def __post_init__(self):
+        if self.s not in (SAX, SFA):
+            raise ValueError("representation flag must be 0 (SAX) or 1 (SFA)")
+        if not 2 <= self.alpha <= MAX_ALPHABET:
+            raise ValueError(f"alphabet size must be in [2, {MAX_ALPHABET}]")
+        if self.s == SAX:
+            object.__setattr__(self, "drop_dc", False)
+
+    @property
+    def representation(self) -> str:
+        return "sax" if self.s == SAX else "sfa"
+
+    def to_dict(self) -> dict:
+        return {
+            "s": self.s,
+            "alpha": self.alpha,
+            "w": self.w,
+            "drop_dc": self.drop_dc,
+            "cv_accuracy": self.cv_accuracy,
+        }
+
+    @staticmethod
+    def from_dict(payload: dict) -> "Lens":
+        return Lens(
+            int(payload["s"]),
+            int(payload["alpha"]),
+            int(payload["w"]),
+            bool(payload["drop_dc"]),
+            float(payload["cv_accuracy"]),
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,6 +128,15 @@ class SaxBinning:
         cuts.flags.writeable = False
         object.__setattr__(self, "cuts", cuts)
 
+    def to_dict(self) -> dict:
+        return {
+            "kind": "sax",
+            "mode": self.mode,
+            "alpha": self.alpha,
+            "cuts": self.cuts.tolist(),
+            "degenerate": self.degenerate,
+        }
+
 
 @dataclass(frozen=True, eq=False)
 class McbTable:
@@ -96,6 +158,47 @@ class McbTable:
             raise ValueError("breakpoints must have shape (w, alpha - 1)")
         bp.flags.writeable = False
         object.__setattr__(self, "breakpoints", bp)
+
+    @property
+    def cuts(self) -> np.ndarray:
+        """The breakpoint table, in the form ``digitize`` takes."""
+        return self.breakpoints
+
+    def to_dict(self) -> dict:
+        return {
+            "kind": "mcb",
+            "alpha": self.alpha,
+            "w": self.w,
+            "drop_dc": self.drop_dc,
+            "breakpoints": self.breakpoints.tolist(),
+        }
+
+
+def binning_from_dict(payload: dict) -> SaxBinning | McbTable:
+    """Rebuild a binning from its ``to_dict`` form."""
+    if payload["kind"] == "sax":
+        return SaxBinning(payload["mode"], int(payload["alpha"]), payload["cuts"], bool(payload["degenerate"]))
+    if payload["kind"] == "mcb":
+        return McbTable(int(payload["alpha"]), int(payload["w"]), bool(payload["drop_dc"]), payload["breakpoints"])
+    raise ValueError(f"unknown binning kind {payload['kind']!r}")
+
+
+def check_binning(lens: Lens, binning) -> None:
+    """Raise ValueError unless ``binning`` is a well-formed fit for ``lens``.
+
+    The kind must match the representation and the alphabet must be equal.
+    SAX needs ``alpha - 1`` cuts; an MCB table needs the lens's ``w`` and
+    DC convention. Every cut must be finite and each row non-decreasing.
+    """
+    if lens.s == SAX:
+        fits, shape = isinstance(binning, SaxBinning), (lens.alpha - 1,)
+    else:
+        fits = isinstance(binning, McbTable) and binning.drop_dc == lens.drop_dc
+        shape = (lens.w, lens.alpha - 1)
+    if not fits or binning.alpha != lens.alpha or binning.cuts.shape != shape:
+        raise ValueError(f"binning does not fit its {lens.representation} lens (alpha={lens.alpha}, w={lens.w})")
+    if not np.isfinite(binning.cuts).all() or (np.diff(binning.cuts, axis=-1) < 0).any():
+        raise ValueError("binning cuts must be finite and non-decreasing")
 
 
 def paa(values, w: int) -> np.ndarray:
@@ -151,26 +254,14 @@ def fit_sax_binning(paa_values, alpha: int, mode: str = "minmax") -> SaxBinning:
 
 
 def digitize(values, cuts) -> np.ndarray:
-    """Symbol index = number of cuts strictly below the value (ties go low)."""
-    return np.searchsorted(np.asarray(cuts), np.asarray(values), side="left")
+    """Symbol index = number of cuts strictly below the value (ties go low).
 
-
-def sax(ts, w: int, binning: SaxBinning) -> SymbolicWord:
-    """Transform one series to its SAX word (znormalize -> PAA -> digitize)."""
-    values = ts.values if isinstance(ts, TimeSeries) else np.asarray(ts)
-    row = znormalize_rows(values.reshape(1, -1))
-    symbols = digitize(paa(row, w), binning.cuts)[0]
-    return SymbolicWord(symbols, binning.alpha, w)
-
-
-def sax_symbols(X, w: int, binning: SaxBinning) -> np.ndarray:
-    """SAX transform of each row of a raw (n_series, n) matrix."""
-    return digitize(paa(znormalize_rows(X), w), binning.cuts)
-
-
-def sax_training_paa(X, w: int) -> np.ndarray:
-    """PAA matrix of the row-normalized training set, for binning fits."""
-    return paa(znormalize_rows(X), w)
+    ``cuts`` is one row shared by every value (SAX), or a (w, alpha - 1)
+    table whose row j digitizes the values of the last axis's column j
+    (SFA). Cuts must be non-decreasing along each row.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    return np.count_nonzero(np.asarray(cuts) < values[..., None], axis=-1)
 
 
 def dft_lowpass(values, w: int, drop_dc: bool = False) -> np.ndarray:
@@ -207,42 +298,68 @@ def sfa_coefficients(X, w: int, drop_dc: bool = False) -> np.ndarray:
     return coeffs
 
 
-def equal_depth_breakpoints(column, alpha: int) -> np.ndarray:
+def equal_depth_breakpoints(values, alpha: int) -> np.ndarray:
     """Place alpha-1 breakpoints so bin occupancies differ by at most one.
 
-    Breakpoints sit at the midpoint of the two sorted values straddling
-    each bin boundary. Duplicate breakpoints (too few distinct values) are
-    perturbed upward by the smallest representable step so the result is
-    strictly increasing.
+    ``values`` is one column, or an (n_series, w) matrix whose columns are
+    fitted separately into a (w, alpha - 1) table. Breakpoints sit at the
+    midpoint of the two sorted values straddling each bin boundary.
+    Duplicate breakpoints (too few distinct values) are perturbed upward by
+    the smallest representable step so each row is strictly increasing.
     """
     if alpha < 2:
         raise ValueError("alphabet size must be at least 2")
-    col = np.sort(np.asarray(column, dtype=np.float64))
+    col = np.sort(np.asarray(values, dtype=np.float64), axis=0)
     s = col.shape[0]
     if s == 0:
         raise ValueError("cannot fit breakpoints on an empty column")
     positions = (np.arange(1, alpha) * s) // alpha
-    lo = col[np.clip(positions - 1, 0, s - 1)]
-    hi = col[np.clip(positions, 0, s - 1)]
-    bps = (lo + hi) / 2.0
-    for j in range(1, bps.shape[0]):
-        if bps[j] <= bps[j - 1]:
-            bps[j] = np.nextafter(bps[j - 1], np.inf)
-    return bps
+    bps = (col[np.clip(positions - 1, 0, s - 1)] + col[np.clip(positions, 0, s - 1)]) / 2.0
+    for j in range(1, alpha - 1):
+        bps[j] = np.where(bps[j] <= bps[j - 1], np.nextafter(bps[j - 1], np.inf), bps[j])
+    return np.ascontiguousarray(bps.T)
 
 
-def mcb_from_coeffs(coeffs: np.ndarray, alpha: int, w: int, drop_dc: bool) -> McbTable:
-    """Equal-depth table from an already computed (n_series, w) coefficient matrix."""
-    s = coeffs.shape[0]
-    if s < alpha:
-        warnings.warn(
-            f"equal-depth binning with {s} series and {alpha} bins is degenerate",
-            EqualDepthDegenerate,
-        )
-    bps = np.empty((w, alpha - 1), dtype=np.float64)
-    for j in range(w):
-        bps[j] = equal_depth_breakpoints(coeffs[:, j], alpha)
-    return McbTable(alpha, w, drop_dc, bps)
+def _words(X, lens: Lens) -> np.ndarray:
+    """Real-valued words of each row of a raw (n_series, n) matrix."""
+    if lens.s == SAX:
+        return paa(znormalize_rows(X), lens.w)
+    return sfa_coefficients(X, lens.w, lens.drop_dc)
+
+
+def fit_lens(X, lens: Lens, sax_mode: str = "minmax") -> tuple[SaxBinning | McbTable, np.ndarray]:
+    """Fit a lens's binning on a raw (n_series, n) training matrix.
+
+    Returns (binning, symbols of the training rows). SAX fits one row of
+    cuts in ``sax_mode``; SFA fits an equal-depth table and warns
+    EqualDepthDegenerate when there are fewer training series than bins.
+    """
+    words = _words(X, lens)
+    if lens.s == SAX:
+        binning = fit_sax_binning(words, lens.alpha, sax_mode)
+    else:
+        if words.shape[0] < lens.alpha:
+            warnings.warn(
+                f"equal-depth binning with {words.shape[0]} series and {lens.alpha} bins is degenerate",
+                EqualDepthDegenerate,
+            )
+        binning = McbTable(lens.alpha, lens.w, lens.drop_dc, equal_depth_breakpoints(words, lens.alpha))
+    return binning, digitize(words, binning.cuts)
+
+
+def symbolize(X, lens: Lens, binning) -> np.ndarray:
+    """Symbols of each row of a raw (n_series, n) matrix under a fitted lens."""
+    return digitize(_words(X, lens), binning.cuts)
+
+
+def _word(ts, lens: Lens, binning) -> SymbolicWord:
+    values = ts.values if isinstance(ts, TimeSeries) else np.asarray(ts)
+    return SymbolicWord(symbolize(values.reshape(1, -1), lens, binning)[0], lens.alpha, lens.w)
+
+
+def sax(ts, w: int, binning: SaxBinning) -> SymbolicWord:
+    """Transform one series to its SAX word (znormalize -> PAA -> digitize)."""
+    return _word(ts, Lens(SAX, binning.alpha, w), binning)
 
 
 def fit_mcb(train, alpha: int, w: int, drop_dc: bool = False) -> McbTable:
@@ -252,25 +369,10 @@ def fit_mcb(train, alpha: int, w: int, drop_dc: bool = False) -> McbTable:
     znormalized before the DFT. Emits EqualDepthDegenerate when there are
     fewer training series than bins.
     """
-    X = train.X if isinstance(train, Dataset) else np.asarray(train, dtype=np.float64)
-    return mcb_from_coeffs(sfa_coefficients(X, w, drop_dc), alpha, w, drop_dc)
+    X = train.X if isinstance(train, Dataset) else train
+    return fit_lens(X, Lens(SFA, alpha, w, drop_dc))[0]
 
 
 def sfa(ts, table: McbTable) -> SymbolicWord:
     """Transform one series to its SFA word using a fitted MCB table."""
-    values = ts.values if isinstance(ts, TimeSeries) else np.asarray(ts)
-    symbols = sfa_symbols(values.reshape(1, -1), table)[0]
-    return SymbolicWord(symbols, table.alpha, table.w)
-
-
-def digitize_columns(coeffs: np.ndarray, table: McbTable) -> np.ndarray:
-    """Digitize column j of a coefficient matrix against breakpoint row j."""
-    out = np.empty(coeffs.shape, dtype=np.int64)
-    for j in range(table.w):
-        out[:, j] = digitize(coeffs[:, j], table.breakpoints[j])
-    return out
-
-
-def sfa_symbols(X, table: McbTable) -> np.ndarray:
-    """SFA transform of each row of a raw (n_series, n) matrix."""
-    return digitize_columns(sfa_coefficients(X, table.w, table.drop_dc), table)
+    return _word(ts, Lens(SFA, table.alpha, table.w, table.drop_dc), table)

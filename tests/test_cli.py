@@ -82,6 +82,21 @@ class TestPredict:
         assert len(rows) == 4
         assert set(rows[0]) == {"index", "predicted", "confidence", "round"}
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "x"])
+    def test_unparseable_input_exit_2(self, workdir, trained, tmp_path, capsys, cell):
+        row = ["0.5"] * 32
+        row[4] = cell
+        path = tmp_path / "bad.tsv"
+        path.write_text("\t".join(["0.25"] * 32) + "\n" + "\t".join(row) + "\n")
+        for command in ("predict", "inspect"):
+            assert main([command, "--model", str(trained), "--input", str(path)]) == 2
+            assert "line 2, column 5" in capsys.readouterr().err
+
+    def test_ragged_input_exit_2(self, workdir, trained, tmp_path, capsys):
+        path = tmp_path / "ragged.tsv"
+        path.write_text("\t".join(["0.5"] * 32) + "\n" + "\t".join(["0.5"] * 31) + "\n")
+        assert main(["predict", "--model", str(trained), "--input", str(path)]) == 2
+
     def test_wrong_length_exit_4(self, workdir, trained, tmp_path, capsys):
         path = tmp_path / "short.tsv"
         path.write_text("\t".join(["0.5"] * 7) + "\n")

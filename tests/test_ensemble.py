@@ -27,11 +27,12 @@ from coeye.errors import (
     EmptyEnsemble,
     ModelParseError,
     NoMinorityClass,
+    NonFiniteSeries,
     SeriesLengthMismatch,
     UnsupportedModelVersion,
 )
 from coeye.forest import fit_forest
-from coeye.lenses import SAX, Lens
+from coeye.lenses import SAX, SFA, Lens
 from coeye.symbolic import fit_sax_binning
 from tests.conftest import SMALL_CONFIG, synth_dataset
 
@@ -242,6 +243,13 @@ class TestTrain:
         with pytest.raises(NoMinorityClass):
             train(ds, CoEyeConfig(seed=0, **SMALL_CONFIG))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected(self, waves, small_config, bad):
+        X = waves.X.copy()
+        X[3, 5] = bad
+        with pytest.raises(NonFiniteSeries):
+            train(Dataset(X, waves.y), small_config)
+
     def test_random_strategy_trains(self, waves):
         config = CoEyeConfig(seed=2, **SMALL_CONFIG)
         model = train(waves, config, lens_strategy="random")
@@ -270,6 +278,16 @@ class TestClassify:
         model = train(waves, small_config)
         with pytest.raises(SeriesLengthMismatch):
             classify(model, np.zeros(waves.n + 1))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected(self, waves, small_config, bad):
+        model = train(waves, small_config)
+        row = waves.X[0].copy()
+        row[7] = bad
+        with pytest.raises(NonFiniteSeries):
+            classify(model, row)
+        with pytest.raises(NonFiniteSeries):
+            predict_dataset(model, np.vstack([waves.X[1], row]))
 
     def test_single_eye_model_is_argmax(self):
         rng = np.random.default_rng(0)
@@ -413,6 +431,35 @@ def _nan_threshold(tree, n_features):
     tree["threshold"][0] = float("nan")
 
 
+def _first_binning(payload, kind, alpha=None):
+    return next(e["binning"] for e in payload["eyes"]
+                if e["binning"]["kind"] == kind and alpha in (None, e["binning"]["alpha"]))
+
+
+def _flip_mcb_drop_dc(payload):
+    binning = _first_binning(payload, "mcb")
+    binning["drop_dc"] = not binning["drop_dc"]
+
+
+def _one_sax_cut(payload):
+    binning = _first_binning(payload, "sax")
+    binning["cuts"] = binning["cuts"][:1]
+
+
+def _nan_sax_cut(payload):
+    _first_binning(payload, "sax")["cuts"][0] = float("nan")
+
+
+def _decreasing_mcb_row(payload):
+    row = _first_binning(payload, "mcb")["breakpoints"][-1]
+    row.reverse()
+
+
+def _sax_binning_on_sfa_lens(payload):
+    sfa_eye = next(e for e in payload["eyes"] if e["binning"]["kind"] == "mcb")
+    sfa_eye["binning"] = dict(_first_binning(payload, "sax", sfa_eye["lens"]["alpha"]))
+
+
 @contextlib.contextmanager
 def _deadline(seconds):
     """Fail instead of hanging: a corrupt tree used to make routing loop forever."""
@@ -456,6 +503,17 @@ class TestCorruptForests:
         with pytest.raises(ModelParseError):
             load_model(bad)
 
+    @pytest.mark.parametrize("mutate", [
+        _flip_mcb_drop_dc, _one_sax_cut, _nan_sax_cut, _decreasing_mcb_row, _sax_binning_on_sfa_lens,
+    ])
+    def test_binning_must_fit_its_lens(self, saved, tmp_path, mutate):
+        payload = json.loads(saved.read_text())
+        mutate(payload)
+        bad = tmp_path / "binning.json"
+        bad.write_text(json.dumps(payload))
+        with pytest.raises(ModelParseError):
+            load_model(bad)
+
     def test_cli_exit_code_2(self, saved, tmp_path):
         bad = tmp_path / "loop.json"
         bad.write_text(json.dumps(_corrupt_first_split(json.loads(saved.read_text()), _self_loop)))
@@ -480,3 +538,19 @@ def test_model_bytes_pinned(tmp_path, threads):
     path = tmp_path / "chinatown.json"
     save_model(train(train_set, CoEyeConfig(seed=1, threads=threads, **SMALL_CONFIG)), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_CHINATOWN_SHA256
+
+
+# sha256 of the model file below, as written before the lens pipeline was
+# unified: seed 2 with gaussian SAX cuts picks drop_dc=True, which the pin
+# above (minmax cuts, DC kept) does not cover
+PINNED_CHINATOWN_GAUSSIAN_SHA256 = "860fe573604b8f2596b98baaf82c12647a6155e24255666503686dfe672c224a"
+
+
+def test_model_bytes_pinned_gaussian_drop_dc(tmp_path):
+    train_set = load_ucr(Path(__file__).parent / "data" / "ucr" / "Chinatown_TRAIN.tsv")
+    model = train(train_set, CoEyeConfig(seed=2, sax_mode="gaussian", **SMALL_CONFIG))
+    assert model.sfa_count and all(e.lens.drop_dc for e in model.eyes if e.lens.s == SFA)
+    assert all(e.binning.mode == "gaussian" for e in model.eyes if e.lens.s == SAX)
+    path = tmp_path / "chinatown.json"
+    save_model(model, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_CHINATOWN_GAUSSIAN_SHA256

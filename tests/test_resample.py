@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coeye import Dataset, smote
+from coeye import Dataset, resample, smote
 from coeye.errors import NoMinorityClass
 
 
@@ -114,3 +114,18 @@ class TestSmote:
         out, report = smote(ds, k=5, seed=0)
         assert report.added_counts[2] == 6
         assert out.class_counts() == {1: 8, 2: 8}
+
+
+class TestNeighbourBlocks:
+    def test_blocks_match_full_tensor(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        # rounded values give tied distances, so the stable order is tested too
+        points = np.round(rng.normal(size=(23, 9)), 1)
+        d2 = ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
+        np.fill_diagonal(d2, np.inf)
+        expected = np.argsort(d2, axis=1, kind="stable")[:, :5]
+        # 4 rows per block: 6 blocks, the last one short
+        monkeypatch.setattr(resample, "NEIGHBOR_BLOCK", 4 * points.size)
+        assert np.array_equal(resample._nearest_neighbors(points, 5), expected)
+        monkeypatch.setattr(resample, "NEIGHBOR_BLOCK", 1)
+        assert np.array_equal(resample._nearest_neighbors(points, 5), expected)

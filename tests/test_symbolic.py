@@ -14,14 +14,24 @@ import coeye
 from coeye import Dataset, dft_lowpass, fit_mcb, fit_sax_binning, paa, sax, sfa
 from coeye.errors import DegenerateBinning, EqualDepthDegenerate, InvalidWordSize
 from coeye.symbolic import (
+    SAX,
+    SFA,
+    Lens,
     SymbolicWord,
     digitize,
     equal_depth_breakpoints,
     gaussian_cuts,
-    sax_symbols,
     sfa_coefficients,
-    sfa_symbols,
+    symbolize,
 )
+
+
+def digitize_columns_reference(values, table):
+    """Per-column oracle: column j searched in breakpoint row j, ties going low."""
+    out = np.empty(values.shape, dtype=np.int64)
+    for j in range(table.shape[0]):
+        out[:, j] = np.searchsorted(table[j], values[:, j], side="left")
+    return out
 
 
 def dft_direct(x, w, drop_dc):
@@ -141,6 +151,8 @@ class TestSax:
         cuts = np.array([-0.5, 0.5])
         assert digitize([-0.5], cuts)[0] == 0
         assert digitize([0.5], cuts)[0] == 1
+        table = np.array([[-1.0, 0.0, 1.0], [2.0, 2.0, 3.0]])
+        assert np.array_equal(digitize([[0.0, 2.0], [1.0, 3.0], [1.5, 2.5]], table), [[1, 0], [2, 2], [3, 2]])
 
     def test_constant_series_single_letter(self):
         b = fit_sax_binning(np.zeros(1), 5, "gaussian")
@@ -171,9 +183,28 @@ class TestSax:
 
     def test_batch_matches_single(self, waves):
         b = fit_sax_binning(np.array([-2.0, 2.0]), 4, "minmax")
-        batch = sax_symbols(waves.X, 8, b)
+        batch = symbolize(waves.X, Lens(SAX, 4, 8), b)
         for i in range(len(waves)):
             assert np.array_equal(batch[i], sax(waves.X[i], 8, b).symbols)
+
+
+class TestTableDigitize:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_column_searchsorted(self, data):
+        w = data.draw(st.integers(1, 6))
+        alpha = data.draw(st.integers(2, 8))
+        rows = data.draw(st.integers(1, 6))
+        finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+        flat = data.draw(st.lists(finite, min_size=w * (alpha - 1), max_size=w * (alpha - 1)))
+        table = np.sort(np.asarray(flat, dtype=np.float64).reshape(w, alpha - 1), axis=1)
+        # about half the cells sit exactly on a cut of their column
+        cells = [
+            data.draw(st.one_of(finite, st.sampled_from(table[c % w].tolist())))
+            for c in range(rows * w)
+        ]
+        values = np.asarray(cells, dtype=np.float64).reshape(rows, w)
+        assert np.array_equal(digitize(values, table), digitize_columns_reference(values, table))
 
 
 class TestDftLowpass:
@@ -236,6 +267,17 @@ class TestEqualDepth:
             occupancy = np.bincount(bins, minlength=alpha)
             assert occupancy.max() - occupancy.min() <= 1
 
+    def test_table_rows_match_single_columns(self):
+        rng = np.random.default_rng(8)
+        # rounded values repeat, so the upward repair of duplicate breakpoints runs too
+        values = np.round(rng.normal(size=(9, 6)), 1)
+        values[:, 0] = 0.0
+        for alpha in (2, 3, 7, 12):
+            table = equal_depth_breakpoints(values, alpha)
+            assert table.shape == (6, alpha - 1)
+            for j in range(6):
+                assert np.array_equal(table[j], equal_depth_breakpoints(values[:, j], alpha))
+
 
 class TestMcbAndSfa:
     def make_train(self, seed=0, s=8, n=16):
@@ -295,7 +337,7 @@ class TestMcbAndSfa:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", EqualDepthDegenerate)
             table = fit_mcb(X, alpha, w, drop_dc=False)
-        symbols = sfa_symbols(X, table)
+        symbols = symbolize(X, Lens(SFA, alpha, w), table)
         assert np.all(symbols[:, :2] == symbols[0, :2])
 
     def test_word_shape_and_alphabet(self):
