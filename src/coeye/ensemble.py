@@ -3,9 +3,11 @@
 Training balances the data, picks the frequency-domain DC convention and
 the lens sets by cross-validated search, then fits one binning + forest
 pair per lens (all SAX eyes first, then SFA). Training and serving reject
-NaN and infinite values. Classification symbolizes an instance once per
-eye, stacks the per-eye class-probability rows into a
-(k, c) matrix, and applies a two-round vote:
+NaN and infinite values. Serving is one pass over the whole model: the
+rows are znormalized once, each distinct word is built once and
+digitized per eye, the trees of all eyes are routed together, and the
+per-eye class-probability rows of each series, a (k, c) matrix, go to a
+two-round vote that handles all rows at once:
 
 * round 1 — each representation nominates the label of its most confident
   row (most frequent on ties at that confidence); agreement decides.
@@ -21,7 +23,8 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -37,7 +40,15 @@ from .errors import (
     SeriesLengthMismatch,
     UnsupportedModelVersion,
 )
-from .forest import RandomForestModel, fit_forest, forest_from_dict, forest_to_dict, predict_proba
+from .forest import (
+    PackedForest,
+    RandomForestModel,
+    fit_forest,
+    forest_from_dict,
+    forest_to_dict,
+    pack_forests,
+    predict_packed,
+)
 from .lenses import (
     SAX,
     SFA,
@@ -51,7 +62,7 @@ from .lenses import (
     search_sfa_with_normalization,
 )
 from .resample import SmoteReport, smote
-from .symbolic import McbTable, SaxBinning, binning_from_dict, check_binning, fit_lens, symbolize
+from .symbolic import McbTable, SaxBinning, binning_from_dict, check_binning, digitize, fit_lens, lens_words
 
 MODEL_FORMAT_VERSION = 1
 
@@ -89,6 +100,11 @@ class CoEyeModel:
     def sfa_count(self) -> int:
         return len(self.eyes) - self.sax_count
 
+    @cached_property
+    def packed(self) -> PackedForest:
+        """Every eye's trees as one pack, feature columns eye after eye; built on first use."""
+        return pack_forests([eye.forest for eye in self.eyes])
+
 
 @dataclass(frozen=True)
 class Prediction:
@@ -113,98 +129,129 @@ def _fit_eye(task) -> Eye:
 
 
 def eye_probabilities(model: CoEyeModel, X) -> np.ndarray:
-    """Per-eye class probabilities for each row: shape (rows, k, c)."""
+    """Per-eye class probabilities for each row: shape (rows, k, c).
+
+    A 1-D ``X`` is one row. The rows are znormalized once, each distinct
+    word is built once and digitized against each eye's binning, and the
+    trees of every eye are routed in one walk over the model's pack.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:
         X = X.reshape(1, -1)
-    if X.shape[1] != model.n:
-        raise SeriesLengthMismatch(f"expected series of length {model.n}, got {X.shape[1]}")
+    if X.ndim != 2 or X.shape[1] != model.n:
+        raise SeriesLengthMismatch(f"expected series of length {model.n}, got an array of shape {X.shape}")
     _require_finite(X)
-    out = np.empty((X.shape[0], len(model.eyes), model.class_labels.shape[0]))
-    for j, eye in enumerate(model.eyes):
-        out[:, j, :] = predict_proba(eye.forest, symbolize(X, eye.lens, eye.binning))
-    return out
+    if not model.eyes:
+        raise EmptyEnsemble("the model has no eyes")
+    packed = model.packed
+    symbols = np.empty((X.shape[0], packed.n_features), dtype=np.int64)
+    col = 0
+    for eye, words in zip(model.eyes, lens_words(X, [eye.lens for eye in model.eyes])):
+        symbols[:, col:col + eye.forest.n_features] = digitize(words, eye.binning.cuts)
+        col += eye.forest.n_features
+    return predict_packed(packed, symbols)
 
 
-def _block_best(block: np.ndarray, rng):
-    """(best label, best confidence, second label, second confidence) for one block."""
-    row_max = block.max(axis=1)
-    row_arg = block.argmax(axis=1)
-    best = row_max.max()
-    at_best = row_arg[row_max == best]
-    labels, freqs = np.unique(at_best, return_counts=True)
-
-    top = labels[freqs == freqs.max()]
-    first = int(top[0]) if top.shape[0] == 1 else int(rng.choice(top))
-
-    if labels.shape[0] > 1:
-        rest = labels != first
-        rest_labels, rest_freqs = labels[rest], freqs[rest]
-        runners = rest_labels[rest_freqs == rest_freqs.max()]
-        second = int(runners[0]) if runners.shape[0] == 1 else int(rng.choice(runners))
-        return first, float(best), second, float(best)
-
-    below = row_max < best
-    if not below.any():
-        return first, float(best), None, None
-    next_best = row_max[below].max()
-    at_next = row_arg[below & (row_max == next_best)]
-    labels2, freqs2 = np.unique(at_next, return_counts=True)
-    top2 = labels2[freqs2 == freqs2.max()]
-    second = int(top2[0]) if top2.shape[0] == 1 else int(rng.choice(top2))
-    return first, float(best), second, float(next_best)
+def _draw(candidates: np.ndarray, rng) -> int:
+    """The one candidate label of a boolean mask, or a seeded draw among several."""
+    labels = np.flatnonzero(candidates)
+    return int(labels[0]) if labels.shape[0] == 1 else int(rng.choice(labels))
 
 
-def vote(pred, sax_count: int, seed: int = 0, class_labels=None) -> Prediction:
+def _block_best(block: np.ndarray, rng_of):
+    """(best label, best confidence, second label or -1, second confidence) per row of a (rows, k, c) block.
+
+    A tie among labels is drawn from the row's stream ``rng_of(row)``, the
+    best label's draw before the second's.
+    """
+    classes = np.arange(block.shape[2])
+    row_max = block.max(axis=2)
+    votes = block.argmax(axis=2)[..., None] == classes
+    best = row_max.max(axis=1)
+    at_best = row_max == best[:, None]
+    # how many eyes at the best confidence vote each label
+    freq = (votes & at_best[..., None]).sum(axis=1)
+    top_freq = freq.max(axis=1)
+    top = freq == top_freq[:, None]
+    first = top.argmax(axis=1)
+    # the runner-up label at the best when it is disputed, else the label
+    # of the next confidence down
+    disputed = at_best.sum(axis=1) > top_freq
+    next_best = np.where(at_best, -np.inf, row_max).max(axis=1)
+    freq_next = (votes & (row_max == next_best[:, None])[..., None]).sum(axis=1)
+    runner_freq = np.where(disputed[:, None], freq * (classes != first[:, None]), freq_next)
+    runner_top = runner_freq.max(axis=1)
+    runners = (runner_freq == runner_top[:, None]) & (runner_top > 0)[:, None]
+    has_second = runner_top > 0
+    second = np.where(has_second, runners.argmax(axis=1), -1)
+    second_conf = np.where(disputed, best, next_best)
+    for i in np.flatnonzero((top.sum(axis=1) > 1) | (runners.sum(axis=1) > 1)).tolist():
+        rng = rng_of(i)
+        first[i] = _draw(top[i], rng)
+        if disputed[i]:
+            rest = freq[i] * (classes != first[i])
+            runners[i] = rest == rest.max()
+        if has_second[i]:
+            second[i] = _draw(runners[i], rng)
+    return first, best, second, second_conf
+
+
+def vote(pred, sax_count: int, seed: int = 0, class_labels=None) -> Prediction | list[Prediction]:
     """Two-round most-confident-lens vote over a (k, c) probability matrix.
 
     Rows 0..sax_count-1 are the SAX eyes, the rest SFA. When only one
     representation is present its round-1 label is returned directly.
+    A (rows, k, c) stack of matrices is voted in one pass and gives a list
+    of Predictions. Every row that needs a tie draw draws from its own
+    stream seeded by ``seed``: SAX's labels first, then SFA's, then the
+    fallback's pick.
     """
     pred = np.asarray(pred, dtype=np.float64)
-    if pred.ndim != 2 or pred.shape[0] == 0:
+    if pred.ndim not in (2, 3) or pred.shape[-2] == 0:
         raise EmptyEnsemble("the probability matrix has no rows")
-    if not 0 <= sax_count <= pred.shape[0]:
+    k = pred.shape[-2]
+    if not 0 <= sax_count <= k:
         raise ValueError("sax_count outside the matrix")
+    stack = pred if pred.ndim == 3 else pred[None]
+    rows = stack.shape[0]
 
-    rng = np.random.default_rng(np.random.SeedSequence([seed, _NS_VOTE]))
-    blocks = [pred[:sax_count], pred[sax_count:]]
-    results = [_block_best(b, rng) if b.shape[0] else None for b in blocks]
+    rngs = {}
 
-    def emit(label_idx, confidence, rnd):
-        sax_label = results[0][0] if results[0] else None
-        sfa_label = results[1][0] if results[1] else None
-        if class_labels is not None:
-            labels = np.asarray(class_labels)
-            return Prediction(
-                int(labels[label_idx]),
-                confidence,
-                rnd,
-                sax_label=None if sax_label is None else int(labels[sax_label]),
-                sfa_label=None if sfa_label is None else int(labels[sfa_label]),
-            )
-        return Prediction(int(label_idx), confidence, rnd, sax_label=sax_label, sfa_label=sfa_label)
+    def rng_of(row):
+        if row not in rngs:
+            rngs[row] = np.random.default_rng(np.random.SeedSequence([seed, _NS_VOTE]))
+        return rngs[row]
 
-    present = [r for r in results if r is not None]
-    if len(present) == 1:
-        first, conf, _, _ = present[0]
-        return emit(first, conf, ROUND_FIRST)
+    sax = _block_best(stack[:, :sax_count], rng_of) if sax_count else None
+    sfa = _block_best(stack[:, sax_count:], rng_of) if sax_count < k else None
+    if sax is None or sfa is None:
+        label, confidence, _, _ = sfa if sax is None else sax
+        rnd = np.zeros(rows, dtype=np.int64)
+    else:
+        (sax_first, sax_conf, sax_second, sax_sconf), (sfa_first, sfa_conf, sfa_second, sfa_sconf) = sax, sfa
+        agree = sax_first == sfa_first
+        second = ~agree & (sax_second >= 0) & (sax_second == sfa_second)
+        rnd = np.where(agree, 0, np.where(second, 1, 2))
+        fallback = np.where(sax_conf >= sfa_conf, sax_first, sfa_first)
+        label = np.where(agree, sax_first, np.where(second, sax_second, fallback))
+        confidence = np.where(second, np.maximum(sax_sconf, sfa_sconf), np.maximum(sax_conf, sfa_conf))
+        # the fallback settles an exact confidence tie by a seeded draw
+        for i in np.flatnonzero((rnd == 2) & (sax_conf == sfa_conf)).tolist():
+            label[i] = (sax_first[i], sfa_first[i])[rng_of(i).integers(2)]
 
-    (sax_first, sax_conf, sax_second, sax_sconf) = results[0]
-    (sfa_first, sfa_conf, sfa_second, sfa_sconf) = results[1]
+    names = None if class_labels is None else np.asarray(class_labels).astype(np.int64)
 
-    if sax_first == sfa_first:
-        return emit(sax_first, max(sax_conf, sfa_conf), ROUND_FIRST)
+    def named(idx):
+        return (idx if names is None else names[idx]).tolist()
 
-    if sax_second is not None and sfa_second is not None and sax_second == sfa_second:
-        return emit(sax_second, max(sax_sconf, sfa_sconf), ROUND_SECOND)
-
-    if sax_conf > sfa_conf:
-        return emit(sax_first, sax_conf, ROUND_FALLBACK)
-    if sfa_conf > sax_conf:
-        return emit(sfa_first, sfa_conf, ROUND_FALLBACK)
-    pick = int(rng.integers(2))
-    return emit((sax_first, sfa_first)[pick], sax_conf, ROUND_FALLBACK)
+    sax_labels = named(sax[0]) if sax is not None else [None] * rows
+    sfa_labels = named(sfa[0]) if sfa is not None else [None] * rows
+    rounds = (ROUND_FIRST, ROUND_SECOND, ROUND_FALLBACK)
+    out = [
+        Prediction(l, c, rounds[r], sax_label=a, sfa_label=b)
+        for l, c, r, a, b in zip(named(label), confidence.tolist(), rnd.tolist(), sax_labels, sfa_labels)
+    ]
+    return out if pred.ndim == 3 else out[0]
 
 
 def train(train_raw: Dataset, config: CoEyeConfig | None = None, lens_strategy: str = "search") -> CoEyeModel:
@@ -284,38 +331,34 @@ def train(train_raw: Dataset, config: CoEyeConfig | None = None, lens_strategy: 
 
 
 def _restrict(matrix: np.ndarray, sax_count: int, representation: str) -> tuple[np.ndarray, int]:
+    """The eyes of one representation from a (k, c) matrix or a (rows, k, c) stack."""
     if representation == "both":
         return matrix, sax_count
     if representation == "sax":
-        return matrix[:sax_count], sax_count
+        return matrix[..., :sax_count, :], sax_count
     if representation == "sfa":
-        return matrix[sax_count:], 0
+        return matrix[..., sax_count:, :], 0
     raise ValueError(f"unknown representation {representation!r}")
 
 
 def classify(model: CoEyeModel, ts, representation: str = "both", include_per_eye: bool = False) -> Prediction:
     """Predict one instance; ``representation`` may restrict the vote to one block."""
     values = ts.values if isinstance(ts, TimeSeries) else np.asarray(ts, dtype=np.float64)
-    matrix = eye_probabilities(model, values.reshape(1, -1))[0]
+    if values.ndim != 1:
+        raise SeriesLengthMismatch(
+            f"classify takes one series of length {model.n}, got an array of shape {values.shape}"
+        )
+    matrix = eye_probabilities(model, values)[0]
     sliced, sax_count = _restrict(matrix, model.sax_count, representation)
     result = vote(sliced, sax_count, seed=model.config.seed, class_labels=model.class_labels)
-    if include_per_eye:
-        return Prediction(
-            result.label, result.confidence, result.round,
-            per_eye=matrix, sax_label=result.sax_label, sfa_label=result.sfa_label,
-        )
-    return result
+    return replace(result, per_eye=matrix) if include_per_eye else result
 
 
 def predict_dataset(model: CoEyeModel, data, representation: str = "both") -> list[Prediction]:
-    """Predict every row of a Dataset or a raw (rows, n) matrix."""
-    X = data.X if isinstance(data, Dataset) else np.asarray(data, dtype=np.float64)
-    matrices = eye_probabilities(model, X)
-    out = []
-    for i in range(X.shape[0]):
-        sliced, sax_count = _restrict(matrices[i], model.sax_count, representation)
-        out.append(vote(sliced, sax_count, seed=model.config.seed, class_labels=model.class_labels))
-    return out
+    """Predict every row of a Dataset or a raw (rows, n) matrix; a 1-D array is one row."""
+    X = data.X if isinstance(data, Dataset) else data
+    sliced, sax_count = _restrict(eye_probabilities(model, X), model.sax_count, representation)
+    return vote(sliced, sax_count, seed=model.config.seed, class_labels=model.class_labels)
 
 
 def save_model(model: CoEyeModel, path) -> None:

@@ -25,11 +25,20 @@ a large forest grows as several tree ranges. Each tree still pops its own
 nodes in the order above, so its draws, and hence its bytes, are the same
 as when it grows alone.
 
-Packed layout. For routing, a forest's trees are concatenated into flat
-node arrays (``feature``, ``threshold``, ``left``, ``right``) whose child
-indices are global offsets into those arrays, plus per-node leaf class
-probabilities ``counts / counts.sum(1)``; ``roots`` holds the first node of
-each tree. The pack is built once per model and cached on it.
+Packed layout. For routing, the trees of one or more forests are
+concatenated into flat node arrays (``feature``, ``threshold``, ``left``,
+``right``) whose child indices are global offsets into those arrays, plus
+per-node leaf class probabilities ``counts / counts.sum(1)``; ``roots``
+holds the first node of each tree. The forests read their feature columns
+side by side, so a split feature is offset by the widths of the forests
+before its own. ``tree_table[t, f]`` is the pack index of tree ``t`` of
+forest ``f``; a forest with fewer trees is padded with a tree whose leaf
+probabilities are zero. One ``_leaves`` walk routes every row through
+every tree of the pack, and each forest's probabilities are summed over
+its own trees in tree order, so they are bit-identical to routing that
+forest alone. A forest's pack is cached on it
+(``RandomForestModel.packed``), a model's pack over all its eyes on the
+model.
 """
 
 from __future__ import annotations
@@ -44,9 +53,12 @@ import numpy as np
 from .errors import EmptyTrainingSet, FeatureMismatch, ModelParseError
 
 _MIN_DECREASE = 1e-12
-# histogram cells plus gathered sample values per split-search chunk, and
-# tree-row pairs per routing chunk: bounds the engine's transient memory
+# histogram cells plus gathered sample values per split-search chunk:
+# bounds the grower's transient memory
 _CHUNK_CELLS = 1 << 16
+# tree-row pairs per routing chunk: a model-wide pack routes many trees at
+# once, and each walk step holds about a dozen arrays of this length
+_ROUTE_PAIRS = 1 << 14
 # bootstrap slots (trees times rows) grown in one batch: the batch state is
 # a few integer arrays over all slots, so this bounds its memory; a 5-fold
 # search of a few hundred rows still fits in one batch
@@ -71,7 +83,8 @@ class DecisionTree:
 
 @dataclass(frozen=True, eq=False)
 class PackedForest:
-    """All trees of a forest as flat node arrays with global child offsets (see the module docstring)."""
+    """The trees of one or more forests as flat node arrays with global child
+    offsets, reading side-by-side feature columns (see the module docstring)."""
 
     feature: np.ndarray
     threshold: np.ndarray
@@ -79,6 +92,9 @@ class PackedForest:
     right: np.ndarray
     proba: np.ndarray
     roots: np.ndarray
+    tree_table: np.ndarray
+    tree_counts: np.ndarray
+    n_features: int
 
 
 @dataclass(eq=False)
@@ -95,16 +111,34 @@ class RandomForestModel:
     @cached_property
     def packed(self) -> PackedForest:
         """All trees as one PackedForest, built on first use."""
-        feature, threshold, left, right, counts = (
-            np.concatenate([getattr(t, name) for t in self.trees])
-            for name in ("feature", "threshold", "left", "right", "counts")
-        )
-        n_nodes = np.array([t.n_nodes for t in self.trees])
-        roots = np.cumsum(n_nodes) - n_nodes
-        offset = np.repeat(roots, n_nodes)
-        proba = np.zeros(counts.shape)
-        np.divide(counts, counts.sum(axis=1, keepdims=True), out=proba, where=(feature < 0)[:, None])
-        return PackedForest(feature.astype(np.intp), threshold, left + offset, right + offset, proba, roots)
+        return pack_forests([self])
+
+
+def pack_forests(forests: list[RandomForestModel]) -> PackedForest:
+    """Pack the trees of ``forests``, which must share their class labels, for one routing walk."""
+    if not forests or any(not np.array_equal(f.class_labels, forests[0].class_labels) for f in forests):
+        raise ValueError("a pack needs at least one forest, and its forests must share their class labels")
+    trees = [t for f in forests for t in f.trees]
+    feature, threshold, left, right, counts = (
+        np.concatenate([getattr(t, name) for t in trees])
+        for name in ("feature", "threshold", "left", "right", "counts")
+    )
+    n_nodes = np.array([t.n_nodes for t in trees])
+    roots = np.cumsum(n_nodes) - n_nodes
+    offset = np.repeat(roots, n_nodes)
+    # one row per node, plus a last zero row that pads the short forests of tree_table
+    proba = np.zeros((counts.shape[0] + 1, counts.shape[1]))
+    np.divide(counts, counts.sum(axis=1, keepdims=True), out=proba[:-1], where=(feature < 0)[:, None])
+    widths = np.array([f.n_features for f in forests])
+    tree_counts = np.array([len(f.trees) for f in forests])
+    first_tree = np.cumsum(tree_counts) - tree_counts
+    t = np.arange(tree_counts.max())[:, None]
+    tree_table = np.where(t < tree_counts, first_tree + t, len(trees))
+    # a split reads its own forest's columns, which sit after the earlier forests' columns
+    column = np.repeat(np.repeat(np.cumsum(widths) - widths, tree_counts), n_nodes)
+    feature = np.where(feature >= 0, feature + column, feature).astype(np.intp)
+    return PackedForest(feature, threshold, left + offset, right + offset, proba, roots, tree_table, tree_counts,
+                        int(widths.sum()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -394,23 +428,35 @@ def _leaves(packed: PackedForest, X: np.ndarray) -> np.ndarray:
     return node
 
 
-def predict_proba(model: RandomForestModel, X) -> np.ndarray:
-    """Average leaf class frequencies over trees; rows sum to 1."""
+def predict_packed(packed: PackedForest, X) -> np.ndarray:
+    """Class probabilities of each row under each forest of a pack: shape (rows, forests, classes).
+
+    ``X`` holds the forests' feature columns side by side. Each forest
+    averages the leaf class frequencies of its own trees; rows sum to 1.
+    """
     X = np.ascontiguousarray(X, dtype=np.int64)
-    if X.ndim != 2 or X.shape[1] != model.n_features:
+    if X.ndim != 2 or X.shape[1] != packed.n_features:
         raise FeatureMismatch(
-            f"expected {model.n_features} features, got {X.shape[1] if X.ndim == 2 else 'non-matrix'}"
+            f"expected {packed.n_features} features, got {X.shape[1] if X.ndim == 2 else 'non-matrix'}"
         )
-    packed = model.packed
     n_trees = packed.roots.shape[0]
-    out = np.empty((X.shape[0], model.n_classes))
-    step = max(1, _CHUNK_CELLS // n_trees)
+    out = np.empty((X.shape[0], packed.tree_counts.shape[0], packed.proba.shape[1]))
+    step = max(1, _ROUTE_PAIRS // n_trees)
     for lo in range(0, X.shape[0], step):
         chunk = X[lo:lo + step]
         leaves = _leaves(packed, chunk).reshape(n_trees, chunk.shape[0])
-        # summed over the tree axis in tree order, as one tree at a time would
-        out[lo:lo + step] = packed.proba[leaves].sum(axis=0) / n_trees
+        # tree_table's padding row reaches the zero row of proba
+        leaves = np.vstack([leaves, np.full((1, chunk.shape[0]), packed.proba.shape[0] - 1)])
+        # (tree, forest, row, class): each forest summed over its own trees in
+        # tree order, as routing that forest alone would
+        sums = packed.proba[leaves[packed.tree_table]].sum(axis=0)
+        out[lo:lo + step] = (sums / packed.tree_counts[:, None, None]).transpose(1, 0, 2)
     return out
+
+
+def predict_proba(model: RandomForestModel, X) -> np.ndarray:
+    """Average leaf class frequencies over trees; rows sum to 1."""
+    return predict_packed(model.packed, X)[:, 0]
 
 
 def predict(model: RandomForestModel, X) -> np.ndarray:

@@ -5,7 +5,10 @@ size ``alpha`` and a word length ``w``. The lens search, the eye fits,
 serving and ``coeye transform`` all build lens words by the same two
 steps: ``fit_lens`` makes the real-valued word of each training series,
 fits the binning on those words and digitizes them; ``symbolize``
-digitizes the words of new series against a fitted binning. The words are
+digitizes the words of new series against a fitted binning. Both make
+their words with ``lens_words``, which serving also calls once for all
+eyes of a model, so each distinct word is built once per call. The words
+are
 
 * time domain (SAX) — znormalize, compress to ``w`` segment means (PAA);
   the binning is one row of ``alpha - 1`` cuts shared by every position;
@@ -16,8 +19,8 @@ digitizes the words of new series against a fitted binning. The words are
 
 SFA's DC convention: with ``drop_dc`` the coefficient window starts at
 index 1. Without it the window starts at the DC term, which for a
-znormalized series is zero by construction; ``sfa_coefficients`` sets
-that real/imaginary pair to exact zero, so the floating-point round-off
+znormalized series is zero by construction; ``lens_words`` sets that
+real/imaginary pair to exact zero, so the floating-point round-off
 of the transform never reaches the binning as a column of noise.
 
 Digitization always maps a value equal to a cut to the lower bin: the
@@ -264,6 +267,19 @@ def digitize(values, cuts) -> np.ndarray:
     return np.count_nonzero(np.asarray(cuts) < values[..., None], axis=-1)
 
 
+def _lowpass(spectrum, w: int, drop_dc: bool) -> np.ndarray:
+    """``dft_lowpass`` from the full DFT ``spectrum`` of the values."""
+    n = spectrum.shape[-1]
+    if w % 2 != 0 or not 2 <= w <= n:
+        raise InvalidWordSize(f"DFT low-pass needs even w with 2 <= w <= n, got w={w}, n={n}")
+    start = 1 if drop_dc else 0
+    coeffs = spectrum[..., start : start + w // 2]
+    out = np.empty(spectrum.shape[:-1] + (w,), dtype=np.float64)
+    out[..., 0::2] = coeffs.real
+    out[..., 1::2] = coeffs.imag
+    return out
+
+
 def dft_lowpass(values, w: int, drop_dc: bool = False) -> np.ndarray:
     """First w/2 complex DFT coefficients as w interleaved real/imag values.
 
@@ -273,16 +289,7 @@ def dft_lowpass(values, w: int, drop_dc: bool = False) -> np.ndarray:
     is the series sum. SFA goes through ``sfa_coefficients``, which also
     znormalizes and zeroes that pair.
     """
-    values = np.asarray(values, dtype=np.float64)
-    n = values.shape[-1]
-    if w % 2 != 0 or not 2 <= w <= n:
-        raise InvalidWordSize(f"DFT low-pass needs even w with 2 <= w <= n, got w={w}, n={n}")
-    start = 1 if drop_dc else 0
-    coeffs = np.fft.fft(values, axis=-1)[..., start : start + w // 2]
-    out = np.empty(values.shape[:-1] + (w,), dtype=np.float64)
-    out[..., 0::2] = coeffs.real
-    out[..., 1::2] = coeffs.imag
-    return out
+    return _lowpass(np.fft.fft(np.asarray(values, dtype=np.float64), axis=-1), w, drop_dc)
 
 
 def sfa_coefficients(X, w: int, drop_dc: bool = False) -> np.ndarray:
@@ -291,11 +298,9 @@ def sfa_coefficients(X, w: int, drop_dc: bool = False) -> np.ndarray:
     Znormalize, then keep the first w/2 DFT coefficients. When the DC term
     is kept, its pair is set to exact zero: the mean of a znormalized row is
     zero, and the transform would otherwise leave only round-off there.
+    These are the words of an SFA lens of width ``w``, whatever its alphabet.
     """
-    coeffs = dft_lowpass(znormalize_rows(X), w, drop_dc)
-    if not drop_dc:
-        coeffs[..., :2] = 0.0
-    return coeffs
+    return lens_words(X, [Lens(SFA, 2, w, drop_dc)])[0]
 
 
 def equal_depth_breakpoints(values, alpha: int) -> np.ndarray:
@@ -320,11 +325,30 @@ def equal_depth_breakpoints(values, alpha: int) -> np.ndarray:
     return np.ascontiguousarray(bps.T)
 
 
-def _words(X, lens: Lens) -> np.ndarray:
-    """Real-valued words of each row of a raw (n_series, n) matrix."""
-    if lens.s == SAX:
-        return paa(znormalize_rows(X), lens.w)
-    return sfa_coefficients(X, lens.w, lens.drop_dc)
+def lens_words(X, lenses) -> list[np.ndarray]:
+    """Real-valued words of each row of a raw (n_series, n) matrix, one array per lens.
+
+    The rows are znormalized once and each distinct (representation, w,
+    drop_dc) word is built once: one PAA per SAX word length, and one DFT
+    shared by every SFA word, sliced per (w, drop_dc). Lenses that differ
+    only in their alphabet share one array.
+    """
+    Z = znormalize_rows(X)
+    spectrum = None
+    built = {}
+    for lens in lenses:
+        key = (lens.s, lens.w, lens.drop_dc)
+        if key in built:
+            continue
+        if lens.s == SAX:
+            built[key] = paa(Z, lens.w)
+        else:
+            if spectrum is None:
+                spectrum = np.fft.fft(Z, axis=-1)
+            built[key] = _lowpass(spectrum, lens.w, lens.drop_dc)
+            if not lens.drop_dc:
+                built[key][:, :2] = 0.0
+    return [built[(lens.s, lens.w, lens.drop_dc)] for lens in lenses]
 
 
 def fit_lens(X, lens: Lens, sax_mode: str = "minmax") -> tuple[SaxBinning | McbTable, np.ndarray]:
@@ -334,7 +358,7 @@ def fit_lens(X, lens: Lens, sax_mode: str = "minmax") -> tuple[SaxBinning | McbT
     cuts in ``sax_mode``; SFA fits an equal-depth table and warns
     EqualDepthDegenerate when there are fewer training series than bins.
     """
-    words = _words(X, lens)
+    (words,) = lens_words(X, [lens])
     if lens.s == SAX:
         binning = fit_sax_binning(words, lens.alpha, sax_mode)
     else:
@@ -349,7 +373,8 @@ def fit_lens(X, lens: Lens, sax_mode: str = "minmax") -> tuple[SaxBinning | McbT
 
 def symbolize(X, lens: Lens, binning) -> np.ndarray:
     """Symbols of each row of a raw (n_series, n) matrix under a fitted lens."""
-    return digitize(_words(X, lens), binning.cuts)
+    (words,) = lens_words(X, [lens])
+    return digitize(words, binning.cuts)
 
 
 def _word(ts, lens: Lens, binning) -> SymbolicWord:

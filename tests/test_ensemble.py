@@ -21,8 +21,9 @@ from coeye import (
     train,
     vote,
 )
+from coeye import symbolic
 from coeye.cli import main
-from coeye.ensemble import CoEyeModel, Eye, eye_probabilities
+from coeye.ensemble import CoEyeModel, Eye, _restrict, eye_probabilities
 from coeye.errors import (
     EmptyEnsemble,
     ModelParseError,
@@ -31,10 +32,14 @@ from coeye.errors import (
     SeriesLengthMismatch,
     UnsupportedModelVersion,
 )
-from coeye.forest import fit_forest
+from coeye.forest import fit_forest, predict_proba
 from coeye.lenses import SAX, SFA, Lens
-from coeye.symbolic import fit_sax_binning
+from coeye.symbolic import fit_lens, fit_sax_binning, symbolize
 from tests.conftest import SMALL_CONFIG, synth_dataset
+from tests.forest_reference import reference_predict_proba
+from tests.vote_reference import vote_reference
+
+UCR_DIR = Path(__file__).parent / "data" / "ucr"
 
 
 def two_class_rows(*rows):
@@ -203,6 +208,64 @@ class TestVote:
         assert result.label in {result.sax_label, result.sfa_label}
 
 
+def _assert_matches_reference(stack, sax_count, seed, class_labels):
+    """Batch and one-row votes equal the reference vote in every field, or all raise EmptyEnsemble."""
+    if stack.shape[1] == 0:
+        with pytest.raises(EmptyEnsemble):
+            vote(stack, sax_count, seed=seed, class_labels=class_labels)
+        with pytest.raises(EmptyEnsemble):
+            vote_reference(stack[0], sax_count, seed=seed, class_labels=class_labels)
+        return
+    expected = [vote_reference(m, sax_count, seed=seed, class_labels=class_labels) for m in stack]
+    batch = vote(stack, sax_count, seed=seed, class_labels=class_labels)
+    singles = [vote(m, sax_count, seed=seed, class_labels=class_labels) for m in stack]
+    assert batch == expected
+    assert singles == expected
+    for p in batch + singles:
+        assert type(p.label) is int and type(p.confidence) is float
+        assert all(label is None or type(label) is int for label in (p.sax_label, p.sfa_label))
+
+
+class TestVoteMatchesReference:
+    """The batch vote and its one-row call reproduce the scalar reference vote, tie draws included."""
+
+    @given(
+        stack=hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(1, 6), st.integers(1, 8), st.integers(2, 4)),
+            # a coarse grid, so that equal confidences and tie draws are common
+            elements=st.integers(0, 4).map(lambda v: v / 4),
+        ),
+        seed=st.integers(0, 50),
+        representation=st.sampled_from(["both", "sax", "sfa"]),
+        labelled=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_every_field_matches(self, stack, seed, representation, labelled, data):
+        sax_count = data.draw(st.integers(0, stack.shape[1]))
+        class_labels = [3 * j + 10 for j in range(stack.shape[2])] if labelled else None
+        sliced, sax_count = _restrict(stack, sax_count, representation)
+        _assert_matches_reference(sliced, sax_count, seed, class_labels)
+
+    @pytest.mark.parametrize("classes", [2, 3])
+    def test_many_rows_every_sax_count(self, classes):
+        rng = np.random.default_rng(classes)
+        stack = rng.integers(0, 5, size=(300, 7, classes)) / 4
+        for sax_count in range(8):
+            for representation in ("both", "sax", "sfa"):
+                sliced, count = _restrict(stack, sax_count, representation)
+                _assert_matches_reference(sliced, count, 4, None)
+
+    def test_tie_draws_follow_each_row_stream(self):
+        # every row needs draws: SAX ties at the best, SFA ties at the best,
+        # and equal round-1 confidences send disagreeing rows to the coin flip
+        stack = np.array([[[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]]] * 5)
+        expected = [vote_reference(m, 2, seed=9) for m in stack]
+        assert vote(stack, 2, seed=9) == expected
+        assert len({(p.label, p.sax_label, p.sfa_label) for p in expected}) == 1
+
+
 class TestTrain:
     def test_balanced_training_reports_zero_smote(self, waves, small_config):
         model = train(waves, small_config)
@@ -323,6 +386,90 @@ class TestClassify:
         batch = [p.label for p in predict_dataset(model, waves)]
         singles = [classify(model, waves.X[i]).label for i in range(len(waves))]
         assert batch == singles
+
+
+    def test_one_dimensional_array_is_one_row(self, waves, small_config):
+        model = train(waves, small_config)
+        preds = predict_dataset(model, waves.X[3])
+        assert preds == [classify(model, waves.X[3])]
+
+    def test_classify_rejects_a_matrix_naming_its_shape(self, waves, small_config):
+        model = train(waves, small_config)
+        with pytest.raises(SeriesLengthMismatch, match=r"\(2, 32\)"):
+            classify(model, waves.X[:2])
+
+
+@pytest.fixture(scope="module")
+def ucr_models():
+    """Small models of the bundled Chinatown and BeetleFly sets, with their test splits."""
+    out = {}
+    for name, extra in (("Chinatown", {}), ("BeetleFly", {"sfa_word_lengths": (10, 50, 130)})):
+        train_set = load_ucr(UCR_DIR / f"{name}_TRAIN.tsv")
+        out[name] = (train(train_set, CoEyeConfig(seed=1, **SMALL_CONFIG, **extra)),
+                     load_ucr(UCR_DIR / f"{name}_TEST.tsv"))
+    return out
+
+
+def _per_eye(model, X):
+    """Per-eye probabilities the slow way: each eye symbolizes the rows and routes its own forest."""
+    return np.stack([predict_proba(eye.forest, symbolize(X, eye.lens, eye.binning)) for eye in model.eyes], axis=1)
+
+
+class TestServingMatchesPerEye:
+    """One serving pass over the model gives what each eye gives on its own, bit for bit."""
+
+    @pytest.mark.parametrize("name", ["Chinatown", "BeetleFly"])
+    def test_bundled_models(self, ucr_models, name):
+        model, test_set = ucr_models[name]
+        assert np.array_equal(eye_probabilities(model, test_set.X), _per_eye(model, test_set.X))
+
+    def test_eyes_of_different_widths_and_tree_counts(self):
+        data = synth_dataset("waves", seed=3, n=24)
+        # shuffled labels on short words of small alphabets leave impure
+        # leaves, so the order in which tree probabilities are summed shows
+        y = np.random.default_rng(5).permutation(data.y)
+        eyes = []
+        for lens, trees in ((Lens(SAX, 2, 3), 40), (Lens(SFA, 3, 10), 12), (Lens(SAX, 5, 24), 3),
+                            (Lens(SFA, 2, 2, drop_dc=True), 30), (Lens(SFA, 4, 10), 1)):
+            binning, symbols = fit_lens(data.X, lens)
+            eyes.append(Eye(lens, binning, fit_forest(symbols, y, n_trees=trees, seed=lens.w)))
+        model = CoEyeModel(eyes=eyes, class_labels=np.array([1, 2]), n=24, config=CoEyeConfig(seed=0))
+        probe = synth_dataset("waves", seed=4, n=24).X
+        assert model.packed.n_features == 3 + 10 + 24 + 2 + 10
+        got = eye_probabilities(model, probe)
+        assert np.array_equal(got, _per_eye(model, probe))
+        # and the per-tree reference router, which sums each forest's trees in order
+        reference = [reference_predict_proba(eye.forest, symbolize(probe, eye.lens, eye.binning)) for eye in eyes]
+        assert np.array_equal(got, np.stack(reference, axis=1))
+
+    def test_classify_equals_predict_dataset_on_every_row(self, ucr_models):
+        model, test_set = ucr_models["Chinatown"]
+        batch = predict_dataset(model, test_set)
+        matrices = eye_probabilities(model, test_set.X)
+        for i, expected in enumerate(batch):
+            single = classify(model, test_set.X[i], include_per_eye=True)
+            assert (single.label, single.confidence, single.round, single.sax_label, single.sfa_label) == (
+                expected.label, expected.confidence, expected.round, expected.sax_label, expected.sfa_label)
+            assert np.array_equal(single.per_eye, matrices[i])
+
+    def test_one_fft_and_one_znormalize_per_call(self, ucr_models, monkeypatch):
+        model, test_set = ucr_models["Chinatown"]
+        sfa_words = {(e.lens.w, e.lens.drop_dc) for e in model.eyes if e.lens.s == SFA}
+        assert len(sfa_words) > 1 and model.sax_count > 1
+        calls = {"fft": 0, "znormalize_rows": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.fft, "fft", counted("fft", np.fft.fft))
+        monkeypatch.setattr(symbolic, "znormalize_rows", counted("znormalize_rows", symbolic.znormalize_rows))
+        eye_probabilities(model, test_set.X[:5])
+        assert calls == {"fft": 1, "znormalize_rows": 1}
+        classify(model, test_set.X[0])
+        assert calls == {"fft": 2, "znormalize_rows": 2}
 
 
 class TestPersistence:
