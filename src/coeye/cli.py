@@ -35,7 +35,7 @@ from .errors import (
     UnsupportedModelVersion,
 )
 from .evaluate import BENCHMARK_MODES, find_split, run_benchmark
-from .lenses import SFA, LensGrid, _rep_flag, search_lenses, search_sfa_with_normalization
+from .lenses import SFA, _rep_flag
 from .symbolic import Lens, SymbolicWord, fit_lens
 
 _DATA_ERRORS = (
@@ -64,7 +64,8 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--smote", choices=("on", "off"), default="on",
                    help="oversample imbalanced training data (default: on)")
     p.add_argument("--threads", type=int, default=os.cpu_count(),
-                   help="worker count for search and training (default: all cores)")
+                   help="worker processes of the one pool per train, at least 1 and capped at "
+                        "the core count (default: all cores)")
 
 
 def _int_list(text):
@@ -157,14 +158,10 @@ def cmd_predict(args) -> int:
 
 def cmd_lenses(args) -> int:
     train_set = _load_split(args, "TRAIN")
-    config = _config_from_args(args)
-    grid = LensGrid.from_config(config)
-    sax_lenses = search_lenses(train_set, "sax", grid, seed=config.seed, trees=config.trees,
-                               sax_mode=config.sax_mode, workers=config.threads)
-    _, sfa_lenses = search_sfa_with_normalization(train_set, grid, seed=config.seed,
-                                                  trees=config.trees, workers=config.threads)
+    # the lenses a trained model keeps, so this never drifts from `coeye train`
+    lenses = [eye.lens for eye in train(train_set, _config_from_args(args)).eyes]
     print("representation,alpha,w,drop_dc,cv_accuracy")
-    for lens in sax_lenses + sfa_lenses:
+    for lens in lenses:
         print(f"{lens.representation},{lens.alpha},{lens.w},{int(lens.drop_dc)},{lens.cv_accuracy:.6f}")
     return 0
 
@@ -244,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output CSV (default: stdout)")
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("lenses", help="print the lenses the search selects for a dataset")
+    p = sub.add_parser("lenses", help="print the lenses a trained model keeps for a dataset")
     _add_data_flags(p)
     _add_config_flags(p)
     p.set_defaults(func=cmd_lenses)

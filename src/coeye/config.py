@@ -28,6 +28,8 @@ class CoEyeConfig:
             raise ValueError("need at least one tree")
         if self.folds < 2:
             raise ValueError("need at least two folds")
+        if self.threads is not None and self.threads < 1:
+            raise ValueError("threads must be at least 1")
         if self.sax_mode not in ("minmax", "gaussian"):
             raise ValueError(f"unknown sax_mode {self.sax_mode!r}")
 

@@ -2,12 +2,12 @@
 
 Training balances the data, picks the frequency-domain DC convention and
 the lens sets by cross-validated search, then fits one binning + forest
-pair per lens (all SAX eyes first, then SFA). Training and serving reject
-NaN and infinite values. Serving is one pass over the whole model: the
-rows are znormalized once, each distinct word is built once and
-digitized per eye, the trees of all eyes are routed together, and the
-per-eye class-probability rows of each series, a (k, c) matrix, go to a
-two-round vote that handles all rows at once:
+pair per lens (SAX eyes first), all on one worker pool. Training and
+serving reject NaN and infinite values. Serving is one pass over the
+whole model: the rows are znormalized once, each distinct word is built
+once and digitized per eye, the trees of all eyes are routed together,
+and the per-eye class-probability rows of each series, a (k, c) matrix,
+go to a two-round vote that handles all rows at once:
 
 * round 1 — each representation nominates the label of its most confident
   row (most frequent on ties at that confidence); agreement decides.
@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -57,9 +58,11 @@ from .lenses import (
     _derived_seed,
     _NS_SMOTE,
     _NS_TRAIN,
-    search_lenses,
+    _pool_map,
+    _pool_workers,
+    _score_grid,
+    _search_sfa,
     search_lenses_random,
-    search_sfa_with_normalization,
 )
 from .resample import SmoteReport, smote
 from .symbolic import McbTable, SaxBinning, binning_from_dict, check_binning, digitize, fit_lens, lens_words
@@ -277,42 +280,28 @@ def train(train_raw: Dataset, config: CoEyeConfig | None = None, lens_strategy: 
         balanced, report = train_raw, SmoteReport.empty(train_raw.class_counts())
 
     grid = LensGrid.from_config(config)
-
-    t0 = time.perf_counter()
-    if lens_strategy == "search":
-        sax_lenses = search_lenses(
-            balanced, SAX, grid, seed=config.seed, trees=config.trees,
-            sax_mode=config.sax_mode, workers=config.threads,
-        )
-    else:
-        budget = max(1, (len(grid.sax_pairs(balanced.n)) + 1) // 2)
-        sax_lenses = search_lenses_random(balanced, SAX, budget, seed=config.seed, grid=grid)
-    t_search_sax = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    if lens_strategy == "search":
-        drop_dc, sfa_lenses = search_sfa_with_normalization(
-            balanced, grid, seed=config.seed, trees=config.trees, workers=config.threads,
-        )
-    else:
-        budget = max(1, (len(grid.sfa_pairs(balanced.n)) + 1) // 2)
-        drop_dc = False
-        sfa_lenses = search_lenses_random(balanced, SFA, budget, seed=config.seed, grid=grid, drop_dc=drop_dc)
-    t_search_sfa = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    tasks = []
-    for lens in sax_lenses + sfa_lenses:
-        binning, symbols = fit_lens(balanced.X, lens, config.sax_mode)
-        seed = _derived_seed(config.seed, _NS_TRAIN, lens.s, lens.alpha, lens.w, int(lens.drop_dc))
-        tasks.append((lens, binning, symbols, balanced.y, config.trees, seed))
-
-    if config.threads is not None and config.threads > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=config.threads) as pool:
-            eyes = list(pool.map(_fit_eye, tasks, chunksize=1))
-    else:
-        eyes = [_fit_eye(task) for task in tasks]
-    t_train = time.perf_counter() - t0
+    # one pool for the SAX grid, the SFA grid and the eye fits, in that order
+    workers = _pool_workers(config.threads)
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        t_sax = time.perf_counter()
+        if lens_strategy == "search":
+            [sax_lenses] = _score_grid(balanced, SAX, grid, config.seed, config.trees, config.sax_mode, pool)
+            t_sfa = time.perf_counter()
+            _, sfa_lenses = _search_sfa(balanced, grid, config.seed, config.trees, pool)
+        else:
+            budget = max(1, (len(grid.sax_pairs(balanced.n)) + 1) // 2)
+            sax_lenses = search_lenses_random(balanced, SAX, budget, seed=config.seed, grid=grid)
+            t_sfa = time.perf_counter()
+            budget = max(1, (len(grid.sfa_pairs(balanced.n)) + 1) // 2)
+            sfa_lenses = search_lenses_random(balanced, SFA, budget, seed=config.seed, grid=grid)
+        t_fit = time.perf_counter()
+        tasks = []
+        for lens in sax_lenses + sfa_lenses:
+            binning, symbols = fit_lens(balanced.X, lens, config.sax_mode)
+            seed = _derived_seed(config.seed, _NS_TRAIN, lens.s, lens.alpha, lens.w, int(lens.drop_dc))
+            tasks.append((lens, binning, symbols, balanced.y, config.trees, seed))
+        eyes = _pool_map(pool, _fit_eye, tasks)
+        t_end = time.perf_counter()
 
     return CoEyeModel(
         eyes=eyes,
@@ -322,9 +311,9 @@ def train(train_raw: Dataset, config: CoEyeConfig | None = None, lens_strategy: 
         dataset_name=train_raw.name,
         smote_report=report,
         timings={
-            "search_sax": t_search_sax,
-            "search_sfa": t_search_sfa,
-            "train": t_train,
+            "search_sax": t_sfa - t_sax,
+            "search_sfa": t_fit - t_sfa,
+            "train": t_end - t_fit,
             "total": time.perf_counter() - t_start,
         },
     )

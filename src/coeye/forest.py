@@ -486,8 +486,8 @@ def forest_to_dict(model: RandomForestModel) -> dict:
 def _check_forest(model: RandomForestModel) -> None:
     """Raise ModelParseError unless every tree is a well-formed, finite routing graph.
 
-    Array shapes are checked per tree, the rest on the packed arrays that
-    routing will use.
+    Array shapes are checked per tree, the rest on a pack of the forest
+    that is dropped afterwards: a loaded model routes through its own pack.
     """
     if not model.trees:
         raise ModelParseError("forest has no trees")
@@ -498,7 +498,7 @@ def _check_forest(model: RandomForestModel) -> None:
         if tree.counts.shape != (n, model.n_classes):
             raise ModelParseError(f"tree {i}: counts shape {tree.counts.shape}, expected ({n}, {model.n_classes})")
     with np.errstate(divide="ignore", invalid="ignore"):
-        packed = model.packed
+        packed = pack_forests([model])
     total = packed.feature.shape[0]
     n_nodes = np.diff(np.append(packed.roots, total))
     start = np.repeat(packed.roots, n_nodes)

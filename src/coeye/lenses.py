@@ -5,14 +5,16 @@ stratified k-fold cross-validated forest accuracy on the training set
 (leave-one-out when some class has a single instance). For each alphabet,
 all word sizes within a 0.01 margin of that alphabet's best score are
 kept as lenses, so every alphabet contributes its sharpest view. Fold
-assignment is fixed once per search and reused across the grid; grid
-points may be evaluated concurrently, with results gathered by grid index
-so the selected set does not depend on scheduling.
+assignment is fixed once per search and reused across the grid. A grid,
+both SFA DC conventions in one task list, is mapped on the caller's process
+pool, and results come back in task order, so scheduling changes nothing.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -134,14 +136,13 @@ def cross_val_accuracy(symbols, y, fold_ids, trees, seed) -> float:
     return correct / y.shape[0]
 
 
-def _eval_grid_point(args) -> tuple[int, float]:
+def _eval_grid_point(args) -> float:
     """Score one candidate lens; module-level so worker processes can pickle it."""
-    (index, lens, X, y, fold_ids, trees, seed, sax_mode) = args
+    (lens, X, y, fold_ids, trees, seed, sax_mode) = args
     _, symbols = fit_lens(X, lens, sax_mode)
     # dc flag excluded from the stream so both flag variants are compared
     # on identical forest randomness
-    acc = cross_val_accuracy(symbols, y, fold_ids, trees, _derived_seed(seed, _NS_SEARCH, lens.s, lens.alpha, lens.w))
-    return index, acc
+    return cross_val_accuracy(symbols, y, fold_ids, trees, _derived_seed(seed, _NS_SEARCH, lens.s, lens.alpha, lens.w))
 
 
 def select_within_margin(accuracies, margin: float = ACCURACY_MARGIN):
@@ -175,18 +176,50 @@ def _fold_ids_for(train: Dataset, folds: int, seed: int) -> np.ndarray:
     return stratified_fold_assignment(train.y, folds, seed)
 
 
-def _score_grid(train, candidates, trees, seed, sax_mode, fold_ids, workers):
-    tasks = [(i, lens, train.X, train.y, fold_ids, trees, seed, sax_mode) for i, lens in enumerate(candidates)]
-    accs = np.empty(len(candidates), dtype=np.float64)
-    if workers is not None and workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for index, acc in pool.map(_eval_grid_point, tasks, chunksize=1):
-                accs[index] = acc
-    else:
-        for task in tasks:
-            index, acc = _eval_grid_point(task)
-            accs[index] = acc
-    return accs
+def _pool_workers(threads: int | None) -> int:
+    """Worker processes for ``threads``, capped at the core count; 1 means this process only."""
+    return min(threads or 1, os.cpu_count() or 1)
+
+
+def _open_pool(workers: int | None):
+    """A process pool of ``_pool_workers(workers)``, or a null context (``None``) for one."""
+    size = _pool_workers(workers)
+    return ProcessPoolExecutor(max_workers=size) if size > 1 else nullcontext()
+
+
+def _pool_map(pool, fn, tasks) -> list:
+    """``fn`` over ``tasks`` in order, on ``pool`` or, when it is ``None``, in this process."""
+    return list(map(fn, tasks) if pool is None else pool.map(fn, tasks, chunksize=1))
+
+
+def _score_grid(train, representation, grid, seed, trees, sax_mode, pool, dc_flags=(False,)) -> list[list[Lens]]:
+    """Score the grid under every DC flag as one task list on ``pool``; the kept lenses per flag.
+
+    Fold ids are drawn once, and results come back in task order, so the
+    lenses do not depend on the pool or its size.
+    """
+    rep = _rep_flag(representation)
+    pairs = grid.pairs(rep, train.n)
+    if not pairs:
+        raise NoFeasibleLens(f"no feasible (alpha, w) pairs for series length {train.n}")
+    fold_ids = _fold_ids_for(train, grid.folds, seed)
+    rows = [[Lens(rep, alpha, w, dc) for alpha, w in pairs] for dc in dc_flags]
+    tasks = [(lens, train.X, train.y, fold_ids, trees, seed, sax_mode) for row in rows for lens in row]
+    accs = np.reshape(_pool_map(pool, _eval_grid_point, tasks), (len(rows), len(pairs)))
+    return [[replace(row[i], cv_accuracy=float(acc[i])) for i in select_per_alpha(pairs, acc)]
+            for row, acc in zip(rows, accs)]
+
+
+def _search_sfa(train, grid, seed, trees, pool) -> tuple[bool, list[Lens]]:
+    """Search the SFA grid under both DC conventions, keep the better one.
+
+    Returns (drop_dc, lenses). Dropping the DC term wins only on a strictly
+    higher best CV accuracy; an exact tie keeps it.
+    """
+    keep_dc, drop_dc = _score_grid(train, SFA, grid, seed, trees, "minmax", pool, (False, True))
+    if max(l.cv_accuracy for l in drop_dc) > max(l.cv_accuracy for l in keep_dc):
+        return True, drop_dc
+    return False, keep_dc
 
 
 def search_lenses(
@@ -207,15 +240,8 @@ def search_lenses(
     cv_accuracy. Raises NoFeasibleLens when feasibility filtering empties
     the grid.
     """
-    rep = _rep_flag(representation)
-    grid = grid or LensGrid()
-    pairs = grid.pairs(rep, train.n)
-    if not pairs:
-        raise NoFeasibleLens(f"no feasible (alpha, w) pairs for series length {train.n}")
-    candidates = [Lens(rep, alpha, w, drop_dc) for alpha, w in pairs]
-    fold_ids = _fold_ids_for(train, grid.folds, seed)
-    accs = _score_grid(train, candidates, trees, seed, sax_mode, fold_ids, workers)
-    return [replace(candidates[i], cv_accuracy=float(accs[i])) for i in select_per_alpha(pairs, accs)]
+    with _open_pool(workers) as pool:
+        return _score_grid(train, representation, grid or LensGrid(), seed, trees, sax_mode, pool, (drop_dc,))[0]
 
 
 def search_lenses_random(
@@ -244,27 +270,6 @@ def search_lenses_random(
     return [Lens(rep, pairs[i][0], pairs[i][1], drop_dc) for i in chosen]
 
 
-def search_sfa_with_normalization(
-    train: Dataset,
-    grid: LensGrid | None = None,
-    seed: int = 0,
-    trees: int = 100,
-    workers: int | None = None,
-) -> tuple[bool, list[Lens]]:
-    """Search the SFA grid under both DC conventions, keep the better one.
-
-    Returns (drop_dc, lenses). The flag whose best CV accuracy is higher
-    wins; an exact tie keeps the DC term.
-    """
-    keep_dc = search_lenses(train, SFA, grid, seed, drop_dc=False, trees=trees, workers=workers)
-    drop_dc = search_lenses(train, SFA, grid, seed, drop_dc=True, trees=trees, workers=workers)
-    best_keep = max(l.cv_accuracy for l in keep_dc)
-    best_drop = max(l.cv_accuracy for l in drop_dc)
-    if best_drop > best_keep:
-        return True, drop_dc
-    return False, keep_dc
-
-
 def choose_sfa_normalization(
     train: Dataset,
     grid: LensGrid | None = None,
@@ -273,5 +278,5 @@ def choose_sfa_normalization(
     workers: int | None = None,
 ) -> bool:
     """Pick the DC convention for a dataset from training CV accuracy."""
-    flag, _ = search_sfa_with_normalization(train, grid, seed, trees, workers)
-    return flag
+    with _open_pool(workers) as pool:
+        return _search_sfa(train, grid or LensGrid(), seed, trees, pool)[0]

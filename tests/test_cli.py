@@ -4,7 +4,7 @@ import io
 import numpy as np
 import pytest
 
-from coeye import load_model, write_ucr
+from coeye import Dataset, load_model, write_ucr
 from coeye.cli import main
 from tests.conftest import synth_dataset
 
@@ -53,6 +53,13 @@ class TestTrain:
                      "--out", str(tmp_path / "m.json"), "--smote", "off", *FAST])
         assert code == 0
         assert "smote percentage: 0.0000" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("threads", ["0", "-4"])
+    def test_threads_below_one_exit_2(self, workdir, tmp_path, capsys, threads):
+        code = main(["train", "--data", str(workdir), "--dataset", "waves",
+                     "--out", str(tmp_path / "m.json"), *FAST, "--threads", threads])
+        assert code == 2
+        assert "threads must be at least 1" in capsys.readouterr().err
 
 
 class TestPredict:
@@ -120,6 +127,22 @@ class TestLenses:
             rep, alpha, w, drop_dc, acc = line.split(",")
             assert rep in ("sax", "sfa")
             assert 0.0 <= float(acc) <= 1.0
+
+    def test_prints_the_lenses_of_a_smote_trained_model(self, tmp_path, capsys):
+        # an imbalanced split: the search runs on the SMOTE-balanced rows, as in `coeye train`
+        ds = synth_dataset("waves", seed=1)
+        keep = np.flatnonzero((ds.y == 1) | (np.arange(len(ds)) % 10 < 4))
+        write_ucr(Dataset(ds.X[keep], ds.y[keep]), tmp_path / "skewed_TRAIN.tsv")
+        args = ["--data", str(tmp_path), "--dataset", "skewed", "--smote", "on", *FAST]
+        assert main(["lenses", *args]) == 0
+        printed = capsys.readouterr().out.strip().splitlines()[1:]
+        assert main(["train", "--out", str(tmp_path / "m.json"), *args]) == 0
+        assert "smote added: 0 " not in capsys.readouterr().out
+        model = load_model(tmp_path / "m.json")
+        assert printed == [
+            f"{e.lens.representation},{e.lens.alpha},{e.lens.w},{int(e.lens.drop_dc)},{e.lens.cv_accuracy:.6f}"
+            for e in model.eyes
+        ]
 
 
 class TestInspect:

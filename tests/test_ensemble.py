@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import json
+import os
 import signal
 from pathlib import Path
 
@@ -33,7 +34,7 @@ from coeye.errors import (
     UnsupportedModelVersion,
 )
 from coeye.forest import fit_forest, predict_proba
-from coeye.lenses import SAX, SFA, Lens
+from coeye.lenses import SAX, SFA, Lens, LensGrid, choose_sfa_normalization, search_lenses
 from coeye.symbolic import fit_lens, fit_sax_binning, symbolize
 from tests.conftest import SMALL_CONFIG, synth_dataset
 from tests.forest_reference import reference_predict_proba
@@ -673,6 +674,11 @@ class TestCorruptForests:
     def test_valid_model_loads(self, saved):
         assert load_model(saved).eyes
 
+    def test_loaded_forests_keep_no_pack_of_their_own(self, saved):
+        # validation packs each forest and drops it; serving reads only the model's pack
+        model = load_model(saved)
+        assert all("packed" not in vars(eye.forest) for eye in model.eyes)
+
 
 # sha256 of the model file below, as written before the forest engine was
 # batched; growth and serialisation changes must keep it
@@ -701,3 +707,60 @@ def test_model_bytes_pinned_gaussian_drop_dc(tmp_path):
     path = tmp_path / "chinatown.json"
     save_model(model, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_CHINATOWN_GAUSSIAN_SHA256
+
+
+def _recording_executor(made: list):
+    class RecordingExecutor:
+        """Stands in for ProcessPoolExecutor: records each pool's size, runs map() here, starts no process."""
+
+        def __init__(self, max_workers=None):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    return RecordingExecutor
+
+
+class TestOnePool:
+    """A train opens at most one worker pool, in ensemble, sized at most the core count."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        made = {"ensemble": [], "lenses": []}
+        for module, log in made.items():
+            monkeypatch.setattr(f"coeye.{module}.ProcessPoolExecutor", _recording_executor(log))
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        return made
+
+    @pytest.mark.parametrize("strategy", ["search", "random"])
+    def test_train_opens_one_pool_in_ensemble(self, pools, waves, strategy):
+        model = train(waves, CoEyeConfig(seed=0, threads=2, **SMALL_CONFIG), lens_strategy=strategy)
+        assert model.sax_count and model.sfa_count
+        assert pools == {"ensemble": [2], "lenses": []}
+
+    @pytest.mark.parametrize("threads", [None, 1])
+    def test_serial_train_opens_none(self, pools, waves, threads):
+        train(waves, CoEyeConfig(seed=0, threads=threads, **SMALL_CONFIG))
+        assert pools == {"ensemble": [], "lenses": []}
+
+    def test_pool_capped_at_core_count(self, pools, waves):
+        train(waves, CoEyeConfig(seed=0, threads=10_000, **SMALL_CONFIG), lens_strategy="random")
+        assert pools == {"ensemble": [2], "lenses": []}
+
+    def test_standalone_searches_open_their_own(self, pools, waves):
+        grid_args = dict(grid=LensGrid(sax_alphas=(3, 4), sfa_alphas=(3, 4)), seed=0, trees=10, workers=10_000)
+        search_lenses(waves, "sax", **grid_args)
+        choose_sfa_normalization(waves, **grid_args)
+        assert pools == {"ensemble": [], "lenses": [2, 2]}
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_refused(self, threads):
+        with pytest.raises(ValueError):
+            CoEyeConfig(threads=threads)
