@@ -20,58 +20,49 @@ from .data import Dataset, load_ucr
 from .ensemble import classify, load_model, predict_dataset, save_model, train
 from .errors import (
     CoEyeError,
-    EmptyDataset,
     EmptyEnsemble,
     EmptyTrainingSet,
     FeatureMismatch,
-    ModelParseError,
     NoFeasibleLens,
     NoMinorityClass,
-    NonFiniteSeries,
-    ParseError,
-    RaggedData,
     SeriesLengthMismatch,
-    UnknownLabel,
-    UnsupportedModelVersion,
 )
 from .evaluate import BENCHMARK_MODES, find_split, run_benchmark
 from .lenses import SFA, _rep_flag
 from .symbolic import Lens, SymbolicWord, fit_lens
 
-_DATA_ERRORS = (
-    RaggedData, ParseError, EmptyDataset, UnknownLabel, NonFiniteSeries,
-    ModelParseError, UnsupportedModelVersion,
-    FileNotFoundError, IsADirectoryError, PermissionError, ValueError,
-)
-_TRAIN_ERRORS = (NoFeasibleLens, NoMinorityClass, EmptyTrainingSet, EmptyEnsemble)
-_SHAPE_ERRORS = (SeriesLengthMismatch, FeatureMismatch)
+# exit codes of the error types that do not exit with 2
+_EXIT_CODES = {
+    NoFeasibleLens: 3, NoMinorityClass: 3, EmptyTrainingSet: 3, EmptyEnsemble: 3,
+    SeriesLengthMismatch: 4, FeatureMismatch: 4,
+}
+
+
+def _int_list(text) -> tuple[int, ...]:
+    return tuple(int(v) for v in str(text).replace(",", " ").split())
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=42, help="global random seed (default: 42)")
-    p.add_argument("--trees", type=int, default=100, help="trees per forest (default: 100)")
-    p.add_argument("--folds", type=int, default=5, help="cross-validation folds (default: 5)")
-    p.add_argument("--sax-alphas", default=None,
-                   help="comma list of SAX alphabet sizes (default: 3..26)")
-    p.add_argument("--sfa-alphas", default=None,
-                   help="comma list of SFA alphabet sizes (default: 3..26)")
-    p.add_argument("--sax-w", default=None,
+    sax, sfa = CoEyeConfig.sax_alphas, CoEyeConfig.sfa_alphas
+    p.add_argument("--seed", type=int, default=CoEyeConfig.seed, help="global random seed (default: %(default)s)")
+    p.add_argument("--trees", type=int, default=CoEyeConfig.trees, help="trees per forest (default: %(default)s)")
+    p.add_argument("--folds", type=int, default=CoEyeConfig.folds,
+                   help="cross-validation folds (default: %(default)s)")
+    p.add_argument("--sax-alphas", type=_int_list, default=sax,
+                   help=f"comma list of SAX alphabet sizes (default: {min(sax)}..{max(sax)})")
+    p.add_argument("--sfa-alphas", type=_int_list, default=sfa,
+                   help=f"comma list of SFA alphabet sizes (default: {min(sfa)}..{max(sfa)})")
+    p.add_argument("--sax-w", type=_int_list, default=CoEyeConfig.sax_word_lengths,
                    help="comma list of SAX word lengths (default: one uniform word of min(n, 128))")
-    p.add_argument("--sfa-w", default=None,
+    p.add_argument("--sfa-w", type=_int_list, default=CoEyeConfig.sfa_word_lengths,
                    help="comma list of SFA word lengths (default: 10..min(130, n) step 10)")
-    p.add_argument("--sax-mode", choices=("minmax", "gaussian"), default="minmax",
-                   help="SAX binning mode (default: minmax)")
-    p.add_argument("--smote", choices=("on", "off"), default="on",
-                   help="oversample imbalanced training data (default: on)")
+    p.add_argument("--sax-mode", choices=("minmax", "gaussian"), default=CoEyeConfig.sax_mode,
+                   help="SAX binning mode (default: %(default)s)")
+    p.add_argument("--smote", choices=("on", "off"), default="on" if CoEyeConfig.smote else "off",
+                   help="oversample imbalanced training data (default: %(default)s)")
     p.add_argument("--threads", type=int, default=os.cpu_count(),
                    help="worker processes of the one pool per train, at least 1 and capped at "
                         "the core count (default: all cores)")
-
-
-def _int_list(text):
-    if text is None:
-        return None
-    return tuple(int(v) for v in str(text).replace(",", " ").split())
 
 
 def _config_from_args(args) -> CoEyeConfig:
@@ -79,10 +70,10 @@ def _config_from_args(args) -> CoEyeConfig:
         seed=args.seed,
         trees=args.trees,
         folds=args.folds,
-        sax_alphas=_int_list(args.sax_alphas) or tuple(range(3, 27)),
-        sax_word_lengths=_int_list(args.sax_w),
-        sfa_alphas=_int_list(args.sfa_alphas) or tuple(range(3, 27)),
-        sfa_word_lengths=_int_list(args.sfa_w),
+        sax_alphas=args.sax_alphas,
+        sax_word_lengths=args.sax_w,
+        sfa_alphas=args.sfa_alphas,
+        sfa_word_lengths=args.sfa_w,
         sax_mode=args.sax_mode,
         smote=args.smote == "on",
         threads=args.threads,
@@ -98,9 +89,7 @@ def _add_data_flags(p: argparse.ArgumentParser, dataset_required: bool = True) -
 def _load_split(args, split: str) -> Dataset:
     if not args.data:
         raise ValueError("--data is required (or set COEYE_DATA_DIR)")
-    path = find_split(args.data, args.dataset, split)
-    loaded = load_ucr(path)
-    return Dataset(loaded.X, loaded.y, name=args.dataset)
+    return load_ucr(find_split(args.data, args.dataset, split))
 
 
 def _resolve_input(args) -> tuple[np.ndarray, np.ndarray | None]:
@@ -209,12 +198,11 @@ def cmd_benchmark(args) -> int:
     for mode in modes:
         if mode not in BENCHMARK_MODES:
             raise ValueError(f"unknown mode {mode!r}; choose from {', '.join(BENCHMARK_MODES)}")
-    seeds = [int(s) for s in str(args.seeds).replace(",", " ").split()]
     config = _config_from_args(args)
 
     all_reports = []
     for mode in modes:
-        all_reports.extend(run_benchmark(args.data, names, mode, seeds, args.out, config))
+        all_reports.extend(run_benchmark(args.data, names, mode, args.seeds, args.out, config))
     ok = sum(1 for r in all_reports if r.status == "ok")
     print(f"benchmark rows written: {len(all_reports)} ({ok} ok) -> {args.out}")
     return 0 if ok > 0 else 3
@@ -259,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=int, required=True, help="alphabet size (2..26)")
     p.add_argument("--w", type=int, required=True, help="word size")
     p.add_argument("--drop-dc", action="store_true", help="drop the DC coefficient (sfa only)")
-    p.add_argument("--sax-mode", choices=("minmax", "gaussian"), default="minmax")
+    p.add_argument("--sax-mode", choices=("minmax", "gaussian"), default=CoEyeConfig.sax_mode)
     p.add_argument("--index", type=int, default=0, help="series index (default: 0)")
     p.set_defaults(func=cmd_transform)
 
@@ -270,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", default=None, help="file with one dataset name per line")
     p.add_argument("--modes", default="coeye",
                    help=f"comma list from: {', '.join(BENCHMARK_MODES)} (default: coeye)")
-    p.add_argument("--seeds", default="42", help="comma list of seeds (default: 42)")
+    p.add_argument("--seeds", type=_int_list, default=(CoEyeConfig.seed,),
+                   help=f"comma list of seeds (default: {CoEyeConfig.seed})")
     p.add_argument("--out", required=True, help="results CSV, appended to")
     _add_config_flags(p)
     p.set_defaults(func=cmd_benchmark)
@@ -286,18 +275,9 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except _SHAPE_ERRORS as exc:
+    except (CoEyeError, FileNotFoundError, IsADirectoryError, PermissionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except _TRAIN_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except _DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CoEyeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next((code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind)), 2)
 
 
 def entry_point() -> None:

@@ -67,10 +67,6 @@ class Dataset:
         labels, counts = np.unique(self.y, return_counts=True)
         return {int(l): int(c) for l, c in zip(labels, counts)}
 
-    @property
-    def series(self) -> list[TimeSeries]:
-        return [TimeSeries(self.X[i], int(self.y[i])) for i in range(len(self))]
-
     def __len__(self):
         return self.X.shape[0]
 

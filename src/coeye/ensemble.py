@@ -408,6 +408,10 @@ def load_model(path) -> CoEyeModel:
             if eye.forest.n_features != eye.lens.w or not np.array_equal(eye.forest.class_labels, class_labels):
                 raise ModelParseError(f"eye {i}: forest does not match its lens width or the class labels")
             check_binning(eye.lens, eye.binning)
+        # the vote reads the first sax_count eyes as the SAX block
+        is_sax = [eye.lens.s == SAX for eye in eyes]
+        if is_sax != sorted(is_sax, reverse=True):
+            raise ModelParseError("every SAX eye must come before the first SFA eye")
         return CoEyeModel(
             eyes=eyes,
             class_labels=class_labels,

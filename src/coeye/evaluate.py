@@ -15,6 +15,7 @@ import os
 import subprocess
 import time
 from dataclasses import dataclass, field, replace
+from functools import cache
 
 import numpy as np
 
@@ -82,8 +83,12 @@ class EvalReport:
         }
 
 
+@cache
 def build_version() -> str:
-    """git describe of the working tree when available, else the package version."""
+    """git describe of the working tree when available, else the package version.
+
+    Computed once per process, not once per CSV row.
+    """
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
@@ -171,34 +176,20 @@ def find_split(data_dir, name: str, split: str) -> str:
     raise FileNotFoundError(f"no {name}_{split} file under {data_dir}")
 
 
-def evaluate_model_predictions(report: EvalReport, y_true, y_pred, classes) -> EvalReport:
-    scored = metrics(y_true, y_pred, classes)
-    scored.dataset = report.dataset
-    scored.mode = report.mode
-    scored.seed = report.seed
-    scored.smote_pct = report.smote_pct
-    scored.n_sax_lenses = report.n_sax_lenses
-    scored.n_sfa_lenses = report.n_sfa_lenses
-    scored.timings = report.timings
-    scored.status = report.status
-    return scored
-
-
 def run_single(train_set: Dataset, test_set: Dataset, mode: str, seed: int,
                config: CoEyeConfig | None = None) -> EvalReport:
     """Train and score one (dataset, mode, seed) combination."""
     if mode not in BENCHMARK_MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    base = config or CoEyeConfig()
-    cfg = replace(base, seed=seed)
-    shell = EvalReport(dataset=train_set.name or "dataset", mode=mode, seed=seed)
+    cfg = replace(config or CoEyeConfig(), seed=seed)
+    report = dict(dataset=train_set.name or "dataset", mode=mode, seed=seed)
 
     t_start = time.perf_counter()
     if mode == "ed1nn":
         t0 = time.perf_counter()
         y_pred = [nn1_euclidean(train_set, test_set.X[i]) for i in range(len(test_set))]
-        shell.timings = {"search_sax": 0.0, "search_sfa": 0.0, "train": 0.0,
-                         "predict": time.perf_counter() - t0}
+        report["timings"] = {"search_sax": 0.0, "search_sfa": 0.0, "train": 0.0,
+                             "predict": time.perf_counter() - t0}
     else:
         strategy = "random" if mode == "random_lenses" else "search"
         model = train(train_set, cfg, lens_strategy=strategy)
@@ -206,15 +197,16 @@ def run_single(train_set: Dataset, test_set: Dataset, mode: str, seed: int,
         t0 = time.perf_counter()
         preds = predict_dataset(model, test_set, representation=representation)
         y_pred = [p.label for p in preds]
-        shell.timings = dict(model.timings)
-        shell.timings["predict"] = time.perf_counter() - t0
-        shell.smote_pct = model.smote_report.smote_percentage if model.smote_report else 0.0
-        shell.n_sax_lenses = model.sax_count
-        shell.n_sfa_lenses = model.sfa_count
-    shell.timings["total"] = time.perf_counter() - t_start
+        report.update(
+            timings=dict(model.timings, predict=time.perf_counter() - t0),
+            smote_pct=model.smote_report.smote_percentage if model.smote_report else 0.0,
+            n_sax_lenses=model.sax_count,
+            n_sfa_lenses=model.sfa_count,
+        )
+    report["timings"]["total"] = time.perf_counter() - t_start
 
     classes = sorted(set(train_set.class_labels) | set(test_set.class_labels))
-    return evaluate_model_predictions(shell, test_set.y, y_pred, classes)
+    return replace(metrics(test_set.y, y_pred, classes), **report)
 
 
 def run_benchmark(data_dir, names, mode: str, seeds, out_csv,
@@ -224,13 +216,16 @@ def run_benchmark(data_dir, names, mode: str, seeds, out_csv,
         raise ValueError(f"unknown mode {mode!r}")
     reports = []
     for name in names:
+        failure = None
+        try:
+            splits = [load_ucr(find_split(data_dir, name, split)) for split in ("TRAIN", "TEST")]
+        except Exception as exc:
+            failure = exc
         for seed in seeds:
             try:
-                train_set = load_ucr(find_split(data_dir, name, "TRAIN"))
-                test_set = load_ucr(find_split(data_dir, name, "TEST"))
-                train_set = Dataset(train_set.X, train_set.y, name=name)
-                report = run_single(train_set, test_set, mode, seed, config)
-                report.dataset = name
+                if failure is not None:
+                    raise failure
+                report = run_single(*splits, mode, seed, config)
             except Exception as exc:
                 report = EvalReport(dataset=name, mode=mode, seed=seed,
                                     status=f"error: {exc}")

@@ -36,9 +36,7 @@ forest ``f``; a forest with fewer trees is padded with a tree whose leaf
 probabilities are zero. One ``_leaves`` walk routes every row through
 every tree of the pack, and each forest's probabilities are summed over
 its own trees in tree order, so they are bit-identical to routing that
-forest alone. A forest's pack is cached on it
-(``RandomForestModel.packed``), a model's pack over all its eyes on the
-model.
+forest alone.
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -107,11 +104,6 @@ class RandomForestModel:
     @property
     def n_classes(self) -> int:
         return self.class_labels.shape[0]
-
-    @cached_property
-    def packed(self) -> PackedForest:
-        """All trees as one PackedForest, built on first use."""
-        return pack_forests([self])
 
 
 def pack_forests(forests: list[RandomForestModel]) -> PackedForest:
@@ -456,7 +448,7 @@ def predict_packed(packed: PackedForest, X) -> np.ndarray:
 
 def predict_proba(model: RandomForestModel, X) -> np.ndarray:
     """Average leaf class frequencies over trees; rows sum to 1."""
-    return predict_packed(model.packed, X)[:, 0]
+    return predict_packed(pack_forests([model]), X)[:, 0]
 
 
 def predict(model: RandomForestModel, X) -> np.ndarray:

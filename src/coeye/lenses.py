@@ -44,11 +44,11 @@ class LensGrid:
     min(n, 128), and even SFA words 10..min(130, n) step 10.
     """
 
-    sax_alphas: tuple[int, ...] = tuple(range(3, 27))
-    sax_word_lengths: tuple[int, ...] | None = None
-    sfa_alphas: tuple[int, ...] = tuple(range(3, 27))
-    sfa_word_lengths: tuple[int, ...] | None = None
-    folds: int = 5
+    sax_alphas: tuple[int, ...] = CoEyeConfig.sax_alphas
+    sax_word_lengths: tuple[int, ...] | None = CoEyeConfig.sax_word_lengths
+    sfa_alphas: tuple[int, ...] = CoEyeConfig.sfa_alphas
+    sfa_word_lengths: tuple[int, ...] | None = CoEyeConfig.sfa_word_lengths
+    folds: int = CoEyeConfig.folds
 
     def __post_init__(self):
         for alpha in tuple(self.sax_alphas) + tuple(self.sfa_alphas):

@@ -1,11 +1,13 @@
 import csv
+import inspect
 import io
+import os
 
 import numpy as np
 import pytest
 
-from coeye import Dataset, load_model, write_ucr
-from coeye.cli import main
+from coeye import CoEyeConfig, Dataset, cli, errors, load_model, write_ucr
+from coeye.cli import _config_from_args, build_parser, main
 from tests.conftest import synth_dataset
 
 FAST = ["--trees", "10", "--sax-alphas", "3,4", "--sfa-alphas", "3,4", "--threads", "1"]
@@ -277,3 +279,41 @@ class TestHelpAndUsage:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert "coeye" in capsys.readouterr().out
+
+
+class TestDefaults:
+    def test_train_flags_default_to_the_config(self):
+        args = build_parser().parse_args(["train", "--dataset", "waves", "--out", "m.json"])
+        assert _config_from_args(args) == CoEyeConfig(threads=os.cpu_count())
+
+    def test_benchmark_seeds_default_to_the_config_seed(self):
+        args = build_parser().parse_args(["benchmark", "--datasets", "waves", "--out", "r.csv"])
+        assert args.seeds == (CoEyeConfig().seed,)
+
+
+# every type that does not exit with 2
+NON_DEFAULT_EXIT = {
+    "NoFeasibleLens": 3, "NoMinorityClass": 3, "EmptyTrainingSet": 3, "EmptyEnsemble": 3,
+    "SeriesLengthMismatch": 4, "FeatureMismatch": 4,
+}
+COEYE_ERRORS = [kind for _, kind in inspect.getmembers(errors, inspect.isclass) if issubclass(kind, errors.CoEyeError)]
+
+
+def _raise(kind):
+    if kind in (errors.RaggedData, errors.ParseError):
+        raise kind("data.tsv", 3, 2, "bad cell")
+    raise kind("boom")
+
+
+class TestExitCodes:
+    def test_non_default_codes_name_real_types(self):
+        assert set(NON_DEFAULT_EXIT) <= {kind.__name__ for kind in COEYE_ERRORS}
+
+    @pytest.mark.parametrize(
+        "kind", COEYE_ERRORS + [FileNotFoundError, IsADirectoryError, PermissionError, ValueError],
+        ids=lambda kind: kind.__name__,
+    )
+    def test_exit_code_of_each_error_type(self, kind, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "cmd_predict", lambda args: _raise(kind))
+        assert main(["predict", "--model", "m.json"]) == NON_DEFAULT_EXIT.get(kind.__name__, 2)
+        assert capsys.readouterr().err.startswith("error:")

@@ -674,6 +674,29 @@ class TestCorruptForests:
     def test_valid_model_loads(self, saved):
         assert load_model(saved).eyes
 
+    def test_eyes_out_of_vote_order_rejected(self, saved, tmp_path):
+        # the vote reads the first sax_count eyes as SAX, so SFA eyes first would change labels
+        payload = json.loads(saved.read_text())
+        assert {e["lens"]["s"] for e in payload["eyes"]} == {SAX, SFA}
+        payload["eyes"].reverse()
+        bad = tmp_path / "reversed.json"
+        bad.write_text(json.dumps(payload))
+        with pytest.raises(ModelParseError, match="SAX eye"):
+            load_model(bad)
+        series = tmp_path / "series.tsv"
+        series.write_text("\t".join(["0.5"] * 32) + "\n")
+        assert main(["predict", "--model", str(bad), "--input", str(series)]) == 2
+
+    @pytest.mark.parametrize("kept", [SAX, SFA])
+    def test_one_representation_models_load(self, saved, tmp_path, kept):
+        payload = json.loads(saved.read_text())
+        payload["eyes"] = [e for e in payload["eyes"] if e["lens"]["s"] == kept]
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps(payload))
+        model = load_model(path)
+        assert len(model.eyes) == len(payload["eyes"]) > 0
+        assert model.sax_count == (len(model.eyes) if kept == SAX else 0)
+
     def test_loaded_forests_keep_no_pack_of_their_own(self, saved):
         # validation packs each forest and drops it; serving reads only the model's pack
         model = load_model(saved)

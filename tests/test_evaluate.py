@@ -1,4 +1,5 @@
 import csv
+import subprocess
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coeye import CoEyeConfig, Dataset
+from coeye import evaluate
 from coeye.errors import SeriesLengthMismatch, UnknownLabel
 from coeye.evaluate import (
     CSV_COLUMNS,
@@ -172,6 +174,40 @@ class TestRunBenchmark:
             rows = list(csv.DictReader(fh))
         assert rows[0]["accuracy"] == ""
         assert rows[0]["status"].startswith("error")
+
+    def test_each_split_parsed_once_per_dataset(self, ucr_dir, tmp_path, monkeypatch):
+        parsed, load_ucr = [], evaluate.load_ucr
+
+        def counting(path, *args, **kwargs):
+            parsed.append(path)
+            return load_ucr(path, *args, **kwargs)
+
+        monkeypatch.setattr(evaluate, "load_ucr", counting)
+        reports = run_benchmark(ucr_dir, ["waves", "trends"], "ed1nn", [0, 1, 2], tmp_path / "r.csv", self.config())
+        assert len(parsed) == 4
+        assert [(r.dataset, r.seed, r.status) for r in reports] == [
+            (name, seed, "ok") for name in ("waves", "trends") for seed in (0, 1, 2)
+        ]
+
+    def test_missing_dataset_gives_one_error_row_per_seed(self, ucr_dir, tmp_path):
+        reports = run_benchmark(ucr_dir, ["missing"], "coeye", [0, 1], tmp_path / "r.csv", self.config())
+        assert [r.seed for r in reports] == [0, 1]
+        assert all(r.dataset == "missing" and r.status.startswith("error: no missing_TRAIN") for r in reports)
+
+    def test_one_git_describe_per_process(self, ucr_dir, tmp_path, monkeypatch):
+        commands, run = [], subprocess.run
+
+        def counting(cmd, *args, **kwargs):
+            commands.append(cmd)
+            return run(cmd, *args, **kwargs)
+
+        build_version.cache_clear()
+        monkeypatch.setattr(subprocess, "run", counting)
+        out = tmp_path / "r.csv"
+        run_benchmark(ucr_dir, ["waves", "trends"], "ed1nn", [0, 1], out, self.config())
+        assert sum(cmd[0] == "git" for cmd in commands) == 1
+        with open(out) as fh:
+            assert {r["version"] for r in csv.DictReader(fh)} == {build_version()}
 
     def test_append_only(self, ucr_dir, tmp_path):
         out = tmp_path / "results.csv"

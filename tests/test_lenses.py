@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coeye import Dataset, choose_sfa_normalization, search_lenses, search_lenses_random
+from coeye import CoEyeConfig, Dataset, choose_sfa_normalization, search_lenses, search_lenses_random
 from coeye.errors import NoFeasibleLens
 from coeye.lenses import (
     SAX,
@@ -76,6 +76,9 @@ class TestGrid:
     def test_sax_words_filtered_to_feasible(self):
         grid = LensGrid(sax_alphas=(3,), sax_word_lengths=(4, 99))
         assert grid.sax_pairs(8) == [(3, 4)]
+
+    def test_defaults_are_the_config_defaults(self):
+        assert LensGrid() == LensGrid.from_config(CoEyeConfig())
 
     def test_alpha_bounds_validated(self):
         with pytest.raises(ValueError):
