@@ -80,16 +80,24 @@ def _config_from_args(args) -> CoEyeConfig:
     )
 
 
-def _add_data_flags(p: argparse.ArgumentParser, dataset_required: bool = True) -> None:
+def _add_data_dir_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", default=os.environ.get("COEYE_DATA_DIR"),
                    help="dataset directory (default: $COEYE_DATA_DIR)")
+
+
+def _add_data_flags(p: argparse.ArgumentParser, dataset_required: bool = True) -> None:
+    _add_data_dir_flag(p)
     p.add_argument("--dataset", required=dataset_required, help="dataset name, e.g. BeetleFly")
 
 
-def _load_split(args, split: str) -> Dataset:
+def _data_dir(args) -> str:
     if not args.data:
         raise ValueError("--data is required (or set COEYE_DATA_DIR)")
-    return load_ucr(find_split(args.data, args.dataset, split))
+    return args.data
+
+
+def _load_split(args, split: str) -> Dataset:
+    return load_ucr(find_split(_data_dir(args), args.dataset, split))
 
 
 def _resolve_input(args) -> tuple[np.ndarray, np.ndarray | None]:
@@ -184,8 +192,7 @@ def cmd_transform(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    if not args.data:
-        raise ValueError("--data is required (or set COEYE_DATA_DIR)")
+    data_dir = _data_dir(args)
     names = []
     if args.manifest:
         with open(args.manifest, "r", encoding="utf-8") as fh:
@@ -202,7 +209,7 @@ def cmd_benchmark(args) -> int:
 
     all_reports = []
     for mode in modes:
-        all_reports.extend(run_benchmark(args.data, names, mode, args.seeds, args.out, config))
+        all_reports.extend(run_benchmark(data_dir, names, mode, args.seeds, args.out, config))
     ok = sum(1 for r in all_reports if r.status == "ok")
     print(f"benchmark rows written: {len(all_reports)} ({ok} ok) -> {args.out}")
     return 0 if ok > 0 else 3
@@ -252,8 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("benchmark", help="train/test sweeps appended to a results CSV")
-    p.add_argument("--data", default=os.environ.get("COEYE_DATA_DIR"),
-                   help="dataset directory (default: $COEYE_DATA_DIR)")
+    _add_data_dir_flag(p)
     p.add_argument("--datasets", default=None, help="comma list of dataset names")
     p.add_argument("--manifest", default=None, help="file with one dataset name per line")
     p.add_argument("--modes", default="coeye",

@@ -13,6 +13,13 @@ Draw order. Tree ``t`` of a forest seeded ``s`` draws from
 subset per node that has at least 2 rows and more than one class. Nodes
 are visited depth first, the root first and then the right subtree before
 the left. A split node's children take the next two node ids, left first.
+No ``Generator`` is made: ``coeye.stream`` computes these streams in one
+vectorised pass per batch, bit-identical to that generator's, and
+``tests/test_stream.py`` pins them against the installed numpy. All
+bootstraps of a batch are drawn in one call; each tree's node subsets are
+drawn ahead, ``_NODE_CHUNK`` at a time, and a tree that runs out draws its
+next chunk. A stream is consumed only in the order above, so drawing ahead
+changes no tree.
 
 Growth. ``_grow`` grows the trees of several forests together, in rounds:
 every unfinished tree pops the next node of its own depth-first stack, and
@@ -48,6 +55,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import EmptyTrainingSet, FeatureMismatch, ModelParseError
+from .stream import Streams
 
 _MIN_DECREASE = 1e-12
 # histogram cells plus gathered sample values per split-search chunk:
@@ -60,6 +68,10 @@ _ROUTE_PAIRS = 1 << 14
 # a few integer arrays over all slots, so this bounds its memory; a 5-fold
 # search of a few hundred rows still fits in one batch
 BATCH_SLOTS = 1 << 17
+# node feature subsets drawn ahead per tree, and the cap on (trees times
+# features times subsets) held ahead in one batch
+_NODE_CHUNK = 4
+_SUBSET_CELLS = 1 << 18
 
 
 @dataclass(eq=False)
@@ -224,21 +236,23 @@ def _grow(X, specs: list[_ForestSpec], max_features: int) -> list[list[DecisionT
     n_classes = int(tree_classes.max())
     n_values = max(s.n_values for s in specs)
 
-    # bootstraps, mapped to rows of X, laid out tree after tree
-    sizes = np.array([s.rows.shape[0] for s in specs])[tree_spec]
+    # bootstraps, mapped to rows of X, laid out tree after tree; trees of one
+    # bootstrap size draw together
+    spec_sizes = np.array([s.rows.shape[0] for s in specs])
+    sizes = spec_sizes[tree_spec]
     starts = np.cumsum(sizes) - sizes
     sample_row = np.empty(int(sizes.sum()), dtype=np.intp)
     sample_cls = np.empty_like(sample_row)
-    rngs = []
-    for spec in specs:
-        n = spec.rows.shape[0]
-        for t in spec.trees:
-            rng = np.random.default_rng(np.random.SeedSequence([spec.seed, t]))
-            boot = rng.integers(0, n, size=n)
-            lo = starts[len(rngs)]
-            sample_row[lo:lo + n] = spec.rows[boot]
-            sample_cls[lo:lo + n] = spec.y_enc[boot]
-            rngs.append(rng)
+    streams = Streams([(spec.seed, spec.trees) for spec in specs])
+    spec_rows = np.concatenate([s.rows for s in specs])
+    spec_cls = np.concatenate([s.y_enc for s in specs])
+    spec_first = np.cumsum(spec_sizes) - spec_sizes
+    for n in np.unique(sizes).tolist():
+        group = np.flatnonzero(sizes == n)
+        boot = (spec_first[tree_spec[group], None] + streams.draw(group, np.full(n, n))).ravel()
+        slot = (starts[group, None] + np.arange(n)).ravel()
+        sample_row[slot] = spec_rows[boot]
+        sample_cls[slot] = spec_cls[boot]
     tree_of_slot = np.repeat(np.arange(n_trees), sizes)
     distinct = np.unique(tree_of_slot * X.shape[0] + sample_row) // X.shape[0]
     bootstrap_unique = np.bincount(distinct, minlength=n_trees)
@@ -248,6 +262,11 @@ def _grow(X, specs: list[_ForestSpec], max_features: int) -> list[list[DecisionT
     stack[:, 0] = np.column_stack([starts, starts + sizes, np.zeros(n_trees, dtype=np.int64)])
     depth = np.ones(n_trees, dtype=np.int64)
     n_nodes = np.ones(n_trees, dtype=np.int64)
+    # each tree's next node feature subsets, drawn ahead a chunk at a time;
+    # fewer per chunk when the trees are many, so the buffer stays bounded
+    chunk = int(np.clip(_SUBSET_CELLS // (n_trees * max_features), 1, _NODE_CHUNK))
+    subsets = np.empty((n_trees, chunk, max_features), dtype=np.int64)
+    next_subset = np.full(n_trees, chunk)
     record = []
     while True:
         live = np.flatnonzero(depth)
@@ -265,13 +284,16 @@ def _grow(X, specs: list[_ForestSpec], max_features: int) -> list[list[DecisionT
 
         cand = np.flatnonzero((size >= 2) & (np.count_nonzero(counts, axis=1) > 1))
         if cand.shape[0]:
-            feats = np.sort(
-                np.array([rngs[t].choice(d, size=max_features, replace=False) for t in live[cand].tolist()]),
-                axis=1,
-            )
+            cand_trees = live[cand]
+            refill = cand_trees[next_subset[cand_trees] == chunk]
+            if refill.shape[0]:
+                subsets[refill] = streams.subsets(refill, d, max_features, chunk)
+                next_subset[refill] = 0
+            feats = subsets[cand_trees, next_subset[cand_trees]]
+            next_subset[cand_trees] += 1
             slot, value, n_left = _best_splits(
                 X, sample_row, sample_cls, lo[cand], size[cand], counts[cand], feats, n_values,
-                tree_classes[live[cand]],
+                tree_classes[cand_trees],
             )
             split = slot >= 0
             at, trees = cand[split], live[cand[split]]

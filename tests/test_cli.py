@@ -253,6 +253,13 @@ class TestBenchmark:
             assert code == 0
         assert stable(a) == stable(b)
 
+    def test_no_data_dir_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("COEYE_DATA_DIR", raising=False)
+        code = main(["benchmark", "--datasets", "waves", "--out", str(tmp_path / "n.csv"), *FAST])
+        assert code == 2
+        assert capsys.readouterr().err == "error: --data is required (or set COEYE_DATA_DIR)\n"
+        assert not (tmp_path / "n.csv").exists()
+
     def test_all_errors_nonzero_exit(self, workdir, tmp_path, capsys):
         code = main(["benchmark", "--data", str(workdir), "--datasets", "ghost",
                      "--modes", "coeye", "--seeds", "0", "--out", str(tmp_path / "g.csv"), *FAST])

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import json
 import os
@@ -33,7 +34,7 @@ from coeye.errors import (
     SeriesLengthMismatch,
     UnsupportedModelVersion,
 )
-from coeye.forest import fit_forest, predict_proba
+from coeye.forest import RandomForestModel, fit_forest, predict_proba
 from coeye.lenses import SAX, SFA, Lens, LensGrid, choose_sfa_normalization, search_lenses
 from coeye.symbolic import fit_lens, fit_sax_binning, symbolize
 from tests.conftest import SMALL_CONFIG, synth_dataset
@@ -698,9 +699,11 @@ class TestCorruptForests:
         assert model.sax_count == (len(model.eyes) if kept == SAX else 0)
 
     def test_loaded_forests_keep_no_pack_of_their_own(self, saved):
-        # validation packs each forest and drops it; serving reads only the model's pack
+        # validation packs each forest and drops it; serving reads only the
+        # model's pack, so a loaded forest holds its dataclass fields and nothing else
         model = load_model(saved)
-        assert all("packed" not in vars(eye.forest) for eye in model.eyes)
+        fields = {field.name for field in dataclasses.fields(RandomForestModel)}
+        assert all(set(vars(eye.forest)) == fields for eye in model.eyes)
 
 
 # sha256 of the model file below, as written before the forest engine was

@@ -231,6 +231,22 @@ class TestEngineMatchesReference:
         for k, (rows, got) in enumerate(zip(row_sets, fit_forests(X, y, row_sets, [3, 4, 5], n_trees=7))):
             assert_same_forest(reference_fit_forest(X[rows], y[rows], 7, 3 + k), got)
 
+    @pytest.mark.parametrize("rows, width", [(1, 5), (30, 1), (90, 12)])
+    def test_refills_and_small_batches(self, monkeypatch, rows, width):
+        # one subset drawn ahead per tree, so every candidate node after a
+        # tree's first draws a new chunk; a batch holds three full forests' rows
+        monkeypatch.setattr(forest, "_NODE_CHUNK", 1)
+        monkeypatch.setattr(forest, "BATCH_SLOTS", 3 * rows)
+        rng = np.random.default_rng(rows)
+        X = rng.integers(0, 9, size=(rows, width))
+        y = rng.integers(0, 4, size=rows)
+        row_sets = [np.arange(rows), np.arange(rows)[::-2]]
+        models = fit_forests(X, y, row_sets, [6, 7], n_trees=8)
+        for k, (rs, got) in enumerate(zip(row_sets, models)):
+            assert_same_forest(reference_fit_forest(X[rs], y[rs], 8, 6 + k), got)
+        # random labels grow deep trees, which refill many times
+        assert rows < 90 or max(tree.n_nodes for tree in models[0].trees) > 40
+
     def test_all_columns_constant(self):
         X = np.full((10, 4), 2)
         y = np.array([0, 1] * 5)
