@@ -25,7 +25,6 @@ from .forest import RandomForestModel, fit_forest, predict, predict_proba
 from .lenses import (
     Lens,
     LensGrid,
-    choose_sfa_normalization,
     search_lenses,
     search_lenses_random,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "SmoteReport",
     "SymbolicWord",
     "TimeSeries",
-    "choose_sfa_normalization",
     "classify",
     "dft_lowpass",
     "fit_forest",

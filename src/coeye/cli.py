@@ -28,7 +28,7 @@ from .errors import (
     SeriesLengthMismatch,
 )
 from .evaluate import BENCHMARK_MODES, find_split, run_benchmark
-from .lenses import SFA, _rep_flag
+from .lenses import _rep_flag
 from .symbolic import Lens, SymbolicWord, fit_lens
 
 # exit codes of the error types that do not exit with 2
@@ -119,8 +119,6 @@ def cmd_train(args) -> int:
     print(f"dataset: {model.dataset_name}")
     print(f"sax lenses: {model.sax_count}")
     print(f"sfa lenses: {model.sfa_count}")
-    drop_dc = any(e.lens.drop_dc for e in model.eyes if e.lens.s == SFA)
-    print(f"sfa drop_dc: {drop_dc}")
     print(f"smote percentage: {report.smote_percentage:.4f}")
     added = sum(report.added_counts.values())
     print(f"smote added: {added} synthetic series")

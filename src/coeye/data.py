@@ -147,6 +147,8 @@ def _parse_label(path, line_no, cell):
         raise ParseError(path, line_no, 1, f"label is not finite: {cell!r}")
     if v != int(v):
         raise ParseError(path, line_no, 1, f"label is not integer-coded: {cell!r}")
+    if not -2.0**63 <= v < 2.0**63:
+        raise ParseError(path, line_no, 1, f"label outside the int64 range: {cell!r}")
     return int(v)
 
 

@@ -1,8 +1,8 @@
 """The compound-eye classifier: one forest per selected lens.
 
-Training balances the data, picks the frequency-domain DC convention and
-the lens sets by cross-validated search, then fits one binning + forest
-pair per lens (SAX eyes first), all on one worker pool. Training and
+Training balances the data, picks the lens sets by cross-validated search
+(SFA lenses keep the DC window), then fits one binning + forest pair per
+lens (SAX eyes first), all on one worker pool. Training and
 serving reject NaN and infinite values. Serving is one pass over the
 whole model: the rows are znormalized once, each distinct word is built
 once and digitized per eye, the trees of all eyes are routed together,
@@ -61,7 +61,6 @@ from .lenses import (
     _pool_map,
     _pool_workers,
     _score_grid,
-    _search_sfa,
     search_lenses_random,
 )
 from .resample import SmoteReport, smote
@@ -285,9 +284,9 @@ def train(train_raw: Dataset, config: CoEyeConfig | None = None, lens_strategy: 
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         t_sax = time.perf_counter()
         if lens_strategy == "search":
-            [sax_lenses] = _score_grid(balanced, SAX, grid, config.seed, config.trees, config.sax_mode, pool)
+            sax_lenses = _score_grid(balanced, SAX, grid, config.seed, config.trees, config.sax_mode, pool)
             t_sfa = time.perf_counter()
-            _, sfa_lenses = _search_sfa(balanced, grid, config.seed, config.trees, pool)
+            sfa_lenses = _score_grid(balanced, SFA, grid, config.seed, config.trees, config.sax_mode, pool)
         else:
             budget = max(1, (len(grid.sax_pairs(balanced.n)) + 1) // 2)
             sax_lenses = search_lenses_random(balanced, SAX, budget, seed=config.seed, grid=grid)
@@ -395,6 +394,10 @@ def load_model(path) -> CoEyeModel:
                 {int(k): int(v) for k, v in report["added_counts"].items()},
                 float(report["smote_percentage"]),
             )
+        # train writes np.unique output; a repeated label would split one class's votes
+        class_labels = np.asarray(payload["class_labels"], dtype=np.int64)
+        if class_labels.ndim != 1 or not class_labels.size or np.any(np.diff(class_labels) <= 0):
+            raise ModelParseError("class_labels must be non-empty and strictly increasing")
         eyes = [
             Eye(
                 Lens.from_dict(e["lens"]),
@@ -403,7 +406,6 @@ def load_model(path) -> CoEyeModel:
             )
             for e in payload["eyes"]
         ]
-        class_labels = np.asarray(payload["class_labels"], dtype=np.int64)
         for i, eye in enumerate(eyes):
             if eye.forest.n_features != eye.lens.w or not np.array_equal(eye.forest.class_labels, class_labels):
                 raise ModelParseError(f"eye {i}: forest does not match its lens width or the class labels")

@@ -5,9 +5,12 @@ stratified k-fold cross-validated forest accuracy on the training set
 (leave-one-out when some class has a single instance). For each alphabet,
 all word sizes within a 0.01 margin of that alphabet's best score are
 kept as lenses, so every alphabet contributes its sharpest view. Fold
-assignment is fixed once per search and reused across the grid. A grid,
-both SFA DC conventions in one task list, is mapped on the caller's process
-pool, and results come back in task order, so scheduling changes nothing.
+assignment is fixed once per search and reused across the grid. SFA lenses
+keep the DC window: a znormalized series has a zero DC term, so the
+drop-DC window of width w is the keep-DC window shifted by one
+coefficient pair and scoring both would score nearly the same features
+twice. A grid is mapped on the caller's process pool, and results come
+back in task order, so scheduling changes nothing.
 """
 
 from __future__ import annotations
@@ -140,8 +143,8 @@ def _eval_grid_point(args) -> float:
     """Score one candidate lens; module-level so worker processes can pickle it."""
     (lens, X, y, fold_ids, trees, seed, sax_mode) = args
     _, symbols = fit_lens(X, lens, sax_mode)
-    # dc flag excluded from the stream so both flag variants are compared
-    # on identical forest randomness
+    # the stream omits drop_dc: the pinned model bytes were written with
+    # this seed, so adding the flag would move every model
     return cross_val_accuracy(symbols, y, fold_ids, trees, _derived_seed(seed, _NS_SEARCH, lens.s, lens.alpha, lens.w))
 
 
@@ -192,8 +195,8 @@ def _pool_map(pool, fn, tasks) -> list:
     return list(map(fn, tasks) if pool is None else pool.map(fn, tasks, chunksize=1))
 
 
-def _score_grid(train, representation, grid, seed, trees, sax_mode, pool, dc_flags=(False,)) -> list[list[Lens]]:
-    """Score the grid under every DC flag as one task list on ``pool``; the kept lenses per flag.
+def _score_grid(train, representation, grid, seed, trees, sax_mode, pool) -> list[Lens]:
+    """Score the grid as one task list on ``pool``; the kept lenses.
 
     Fold ids are drawn once, and results come back in task order, so the
     lenses do not depend on the pool or its size.
@@ -203,23 +206,10 @@ def _score_grid(train, representation, grid, seed, trees, sax_mode, pool, dc_fla
     if not pairs:
         raise NoFeasibleLens(f"no feasible (alpha, w) pairs for series length {train.n}")
     fold_ids = _fold_ids_for(train, grid.folds, seed)
-    rows = [[Lens(rep, alpha, w, dc) for alpha, w in pairs] for dc in dc_flags]
-    tasks = [(lens, train.X, train.y, fold_ids, trees, seed, sax_mode) for row in rows for lens in row]
-    accs = np.reshape(_pool_map(pool, _eval_grid_point, tasks), (len(rows), len(pairs)))
-    return [[replace(row[i], cv_accuracy=float(acc[i])) for i in select_per_alpha(pairs, acc)]
-            for row, acc in zip(rows, accs)]
-
-
-def _search_sfa(train, grid, seed, trees, pool) -> tuple[bool, list[Lens]]:
-    """Search the SFA grid under both DC conventions, keep the better one.
-
-    Returns (drop_dc, lenses). Dropping the DC term wins only on a strictly
-    higher best CV accuracy; an exact tie keeps it.
-    """
-    keep_dc, drop_dc = _score_grid(train, SFA, grid, seed, trees, "minmax", pool, (False, True))
-    if max(l.cv_accuracy for l in drop_dc) > max(l.cv_accuracy for l in keep_dc):
-        return True, drop_dc
-    return False, keep_dc
+    lenses = [Lens(rep, alpha, w) for alpha, w in pairs]
+    tasks = [(lens, train.X, train.y, fold_ids, trees, seed, sax_mode) for lens in lenses]
+    accs = _pool_map(pool, _eval_grid_point, tasks)
+    return [replace(lenses[i], cv_accuracy=float(accs[i])) for i in select_per_alpha(pairs, accs)]
 
 
 def search_lenses(
@@ -227,7 +217,6 @@ def search_lenses(
     representation,
     grid: LensGrid | None = None,
     seed: int = 0,
-    drop_dc: bool = False,
     trees: int = 100,
     sax_mode: str = "minmax",
     workers: int | None = None,
@@ -241,7 +230,7 @@ def search_lenses(
     the grid.
     """
     with _open_pool(workers) as pool:
-        return _score_grid(train, representation, grid or LensGrid(), seed, trees, sax_mode, pool, (drop_dc,))[0]
+        return _score_grid(train, representation, grid or LensGrid(), seed, trees, sax_mode, pool)
 
 
 def search_lenses_random(
@@ -250,7 +239,6 @@ def search_lenses_random(
     budget: int,
     seed: int = 0,
     grid: LensGrid | None = None,
-    drop_dc: bool = False,
 ) -> list[Lens]:
     """Sample ``budget`` distinct grid pairs uniformly, skipping CV entirely.
 
@@ -267,16 +255,4 @@ def search_lenses_random(
     budget = min(budget, len(pairs))
     rng = np.random.default_rng(np.random.SeedSequence([seed, _NS_RANDOM_LENSES, rep]))
     chosen = sorted(rng.choice(len(pairs), size=budget, replace=False))
-    return [Lens(rep, pairs[i][0], pairs[i][1], drop_dc) for i in chosen]
-
-
-def choose_sfa_normalization(
-    train: Dataset,
-    grid: LensGrid | None = None,
-    seed: int = 0,
-    trees: int = 100,
-    workers: int | None = None,
-) -> bool:
-    """Pick the DC convention for a dataset from training CV accuracy."""
-    with _open_pool(workers) as pool:
-        return _search_sfa(train, grid or LensGrid(), seed, trees, pool)[0]
+    return [Lens(rep, pairs[i][0], pairs[i][1]) for i in chosen]

@@ -58,6 +58,16 @@ class TestLoadUcr:
         with pytest.raises(ParseError):
             load_ucr(write(tmp_path, "1.5\t1.0\t2.0\n"))
 
+    @pytest.mark.parametrize("label", ["1e20", "-1e20", "9223372036854775808"])
+    def test_label_outside_int64_rejected(self, tmp_path, label):
+        with pytest.raises(ParseError) as err:
+            load_ucr(write(tmp_path, f"1\t0.0\t0.5\n{label}\t1.0\t2.0\n"))
+        assert (err.value.line_no, err.value.column) == (2, 1)
+
+    def test_int64_minimum_label_accepted(self, tmp_path):
+        ds = load_ucr(write(tmp_path, "-9223372036854775808\t1.0\t2.0\n"))
+        assert ds.class_labels == (-2**63,)
+
     def test_negative_label_accepted(self, tmp_path):
         ds = load_ucr(write(tmp_path, "-1\t1.0\t2.0\n1\t0.0\t0.5\n"))
         assert ds.class_labels == (-1, 1)

@@ -23,7 +23,7 @@ from coeye import (
     train,
     vote,
 )
-from coeye import symbolic
+from coeye import lenses, symbolic
 from coeye.cli import main
 from coeye.ensemble import CoEyeModel, Eye, _restrict, eye_probabilities
 from coeye.errors import (
@@ -35,7 +35,7 @@ from coeye.errors import (
     UnsupportedModelVersion,
 )
 from coeye.forest import RandomForestModel, fit_forest, predict_proba
-from coeye.lenses import SAX, SFA, Lens, LensGrid, choose_sfa_normalization, search_lenses
+from coeye.lenses import SAX, SFA, Lens, LensGrid, search_lenses
 from coeye.symbolic import fit_lens, fit_sax_binning, symbolize
 from tests.conftest import SMALL_CONFIG, synth_dataset
 from tests.forest_reference import reference_predict_proba
@@ -314,6 +314,24 @@ class TestTrain:
         X[3, 5] = bad
         with pytest.raises(NonFiniteSeries):
             train(Dataset(X, waves.y), small_config)
+
+    def test_each_grid_point_scored_once_and_sfa_lenses_keep_dc(self, waves, small_config, monkeypatch):
+        score = lenses._eval_grid_point
+        scored = []
+
+        def counted(task):
+            scored.append(task[0])
+            return score(task)
+
+        monkeypatch.setattr(lenses, "_eval_grid_point", counted)
+        model = train(waves, small_config)
+        monkeypatch.undo()
+        grid = LensGrid.from_config(small_config)
+        assert model.smote_report.smote_percentage == 0.0  # the search saw waves itself
+        assert len(scored) == len(grid.sax_pairs(waves.n)) + len(grid.sfa_pairs(waves.n))
+        sfa_lenses = [e.lens for e in model.eyes if e.lens.s == SFA]
+        assert sfa_lenses and not any(lens.drop_dc for lens in sfa_lenses)
+        assert sfa_lenses == search_lenses(waves, "sfa", grid, small_config.seed, small_config.trees)
 
     def test_random_strategy_trains(self, waves):
         config = CoEyeConfig(seed=2, **SMALL_CONFIG)
@@ -672,6 +690,21 @@ class TestCorruptForests:
         with _deadline(5):
             assert main(["predict", "--model", str(bad), "--input", str(series)]) == 2
 
+    @pytest.mark.parametrize("labels", [[1, 1], [2, 1], []])
+    def test_class_labels_must_be_strictly_increasing(self, saved, tmp_path, labels):
+        # a repeated label splits one class's votes and still serves confident labels
+        payload = json.loads(saved.read_text())
+        payload["class_labels"] = labels
+        for eye in payload["eyes"]:
+            eye["forest"]["class_labels"] = labels
+        bad = tmp_path / "labels.json"
+        bad.write_text(json.dumps(payload))
+        with pytest.raises(ModelParseError, match="class_labels"):
+            load_model(bad)
+        series = tmp_path / "series.tsv"
+        series.write_text("\t".join(["0.5"] * 32) + "\n")
+        assert main(["predict", "--model", str(bad), "--input", str(series)]) == 2
+
     def test_valid_model_loads(self, saved):
         assert load_model(saved).eyes
 
@@ -719,16 +752,14 @@ def test_model_bytes_pinned(tmp_path, threads):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_CHINATOWN_SHA256
 
 
-# sha256 of the model file below, as written before the lens pipeline was
-# unified: seed 2 with gaussian SAX cuts picks drop_dc=True, which the pin
-# above (minmax cuts, DC kept) does not cover
-PINNED_CHINATOWN_GAUSSIAN_SHA256 = "860fe573604b8f2596b98baaf82c12647a6155e24255666503686dfe672c224a"
+# sha256 of the model file below: gaussian SAX cuts, which the pin above
+# (minmax cuts) does not cover
+PINNED_CHINATOWN_GAUSSIAN_SHA256 = "52c3955afa033bb2bdb7d51331759bf31d15c821474cdefc03aebb2b7cec062a"
 
 
-def test_model_bytes_pinned_gaussian_drop_dc(tmp_path):
+def test_model_bytes_pinned_gaussian(tmp_path):
     train_set = load_ucr(Path(__file__).parent / "data" / "ucr" / "Chinatown_TRAIN.tsv")
     model = train(train_set, CoEyeConfig(seed=2, sax_mode="gaussian", **SMALL_CONFIG))
-    assert model.sfa_count and all(e.lens.drop_dc for e in model.eyes if e.lens.s == SFA)
     assert all(e.binning.mode == "gaussian" for e in model.eyes if e.lens.s == SAX)
     path = tmp_path / "chinatown.json"
     save_model(model, path)
@@ -783,8 +814,7 @@ class TestOnePool:
     def test_standalone_searches_open_their_own(self, pools, waves):
         grid_args = dict(grid=LensGrid(sax_alphas=(3, 4), sfa_alphas=(3, 4)), seed=0, trees=10, workers=10_000)
         search_lenses(waves, "sax", **grid_args)
-        choose_sfa_normalization(waves, **grid_args)
-        assert pools == {"ensemble": [], "lenses": [2, 2]}
+        assert pools == {"ensemble": [], "lenses": [2]}
 
     @pytest.mark.parametrize("threads", [0, -1])
     def test_threads_below_one_refused(self, threads):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coeye import CoEyeConfig, Dataset, choose_sfa_normalization, search_lenses, search_lenses_random
+from coeye import CoEyeConfig, Dataset, search_lenses, search_lenses_random
 from coeye.errors import NoFeasibleLens
 from coeye.lenses import (
     SAX,
@@ -14,7 +14,6 @@ from coeye.lenses import (
     select_within_margin,
     stratified_fold_assignment,
 )
-from tests.conftest import synth_dataset
 
 
 class TestSelectionRule:
@@ -185,23 +184,3 @@ class TestRandomSearch:
         a = search_lenses_random(waves, "sfa", budget=4, seed=6, grid=grid)
         b = search_lenses_random(waves, "sfa", budget=4, seed=6, grid=grid)
         assert a == b
-
-
-class TestSfaNormalization:
-    def test_shifted_constant_classes_exact_tie_keeps_dc(self):
-        # constant series normalize to zeros: both conventions see identical
-        # features, tie resolves to keeping the DC coefficient
-        X = np.vstack([np.full((5, 16), 5.0), np.full((5, 16), 9.0)])
-        ds = Dataset(X, np.array([0] * 5 + [1] * 5))
-        grid = LensGrid(sfa_alphas=(3,), folds=5)
-        assert choose_sfa_normalization(ds, grid, seed=0, trees=10) is False
-
-    def test_deterministic(self, waves):
-        grid = LensGrid(sfa_alphas=(3, 4), folds=3)
-        flags = {choose_sfa_normalization(waves, grid, seed=5, trees=10) for _ in range(2)}
-        assert len(flags) == 1
-
-    def test_shape_classes_return_valid_flag(self):
-        ds = synth_dataset("bumps", seed=3)
-        grid = LensGrid(sfa_alphas=(3,), folds=3)
-        assert choose_sfa_normalization(ds, grid, seed=1, trees=10) in (True, False)
