@@ -139,17 +139,24 @@ def load_ucr(path, delimiter: str = "auto", labeled: bool = True) -> Dataset:
 
 
 def _parse_label(path, line_no, cell):
+    """An integer literal parses exactly; a float literal must hold an integer below 2**53."""
     try:
-        v = float(cell)
+        label = int(cell)
     except ValueError:
-        raise ParseError(path, line_no, 1, f"label is not a number: {cell!r}") from None
-    if not math.isfinite(v):
-        raise ParseError(path, line_no, 1, f"label is not finite: {cell!r}")
-    if v != int(v):
-        raise ParseError(path, line_no, 1, f"label is not integer-coded: {cell!r}")
-    if not -2.0**63 <= v < 2.0**63:
+        try:
+            v = float(cell)
+        except ValueError:
+            raise ParseError(path, line_no, 1, f"label is not a number: {cell!r}") from None
+        if not math.isfinite(v):
+            raise ParseError(path, line_no, 1, f"label is not finite: {cell!r}")
+        if v != int(v):
+            raise ParseError(path, line_no, 1, f"label is not integer-coded: {cell!r}")
+        if abs(v) >= 2.0**53:
+            raise ParseError(path, line_no, 1, f"float label too large to be exact: {cell!r}")
+        label = int(v)
+    if not -(2**63) <= label < 2**63:
         raise ParseError(path, line_no, 1, f"label outside the int64 range: {cell!r}")
-    return int(v)
+    return label
 
 
 def write_ucr(dataset: Dataset, path, delimiter: str = "tab") -> None:

@@ -288,11 +288,9 @@ def train(train_raw: Dataset, config: CoEyeConfig | None = None, lens_strategy: 
             t_sfa = time.perf_counter()
             sfa_lenses = _score_grid(balanced, SFA, grid, config.seed, config.trees, config.sax_mode, pool)
         else:
-            budget = max(1, (len(grid.sax_pairs(balanced.n)) + 1) // 2)
-            sax_lenses = search_lenses_random(balanced, SAX, budget, seed=config.seed, grid=grid)
+            sax_lenses = search_lenses_random(balanced, SAX, seed=config.seed, grid=grid)
             t_sfa = time.perf_counter()
-            budget = max(1, (len(grid.sfa_pairs(balanced.n)) + 1) // 2)
-            sfa_lenses = search_lenses_random(balanced, SFA, budget, seed=config.seed, grid=grid)
+            sfa_lenses = search_lenses_random(balanced, SFA, seed=config.seed, grid=grid)
         t_fit = time.perf_counter()
         tasks = []
         for lens in sax_lenses + sfa_lenses:

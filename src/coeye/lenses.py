@@ -148,27 +148,26 @@ def _eval_grid_point(args) -> float:
     return cross_val_accuracy(symbols, y, fold_ids, trees, _derived_seed(seed, _NS_SEARCH, lens.s, lens.alpha, lens.w))
 
 
-def select_within_margin(accuracies, margin: float = ACCURACY_MARGIN):
-    """Indices of all grid points scoring >= max - margin."""
+def select_within_margin(accuracies):
+    """Indices of all grid points scoring >= max - ACCURACY_MARGIN."""
     accs = np.asarray(accuracies, dtype=np.float64)
-    threshold = accs.max() - margin - _MARGIN_SLACK
+    threshold = accs.max() - ACCURACY_MARGIN - _MARGIN_SLACK
     return [i for i in range(accs.shape[0]) if accs[i] >= threshold]
 
 
-def select_per_alpha(pairs, accuracies, margin: float = ACCURACY_MARGIN):
+def select_per_alpha(pairs, accuracies):
     """Margin selection applied within each alphabet's word-length row.
 
-    For every alphabet, all word sizes scoring within ``margin`` of that
-    alphabet's best are kept; the union over alphabets (in grid order) is
-    returned. Every alphabet therefore contributes at least its best word
-    size.
+    For every alphabet, all word sizes scoring within ``ACCURACY_MARGIN``
+    of that alphabet's best are kept; the union over alphabets (in grid
+    order) is returned. Every alphabet therefore contributes at least its
+    best word size.
     """
     accs = np.asarray(accuracies, dtype=np.float64)
     keep = []
     for alpha in sorted({a for a, _ in pairs}):
         row = [i for i, (a, _) in enumerate(pairs) if a == alpha]
-        row_best = accs[row].max()
-        keep.extend(i for i in row if accs[i] >= row_best - margin - _MARGIN_SLACK)
+        keep.extend(row[j] for j in select_within_margin(accs[row]))
     return sorted(keep)
 
 
@@ -236,23 +235,18 @@ def search_lenses(
 def search_lenses_random(
     train: Dataset,
     representation,
-    budget: int,
     seed: int = 0,
     grid: LensGrid | None = None,
 ) -> list[Lens]:
-    """Sample ``budget`` distinct grid pairs uniformly, skipping CV entirely.
+    """Sample half the feasible grid pairs (rounded up), distinct and uniform, skipping CV entirely.
 
-    Ablation baseline; the sampled lenses carry cv_accuracy 0. Budgets
-    beyond the grid size are clipped.
+    Ablation baseline; the sampled lenses carry cv_accuracy 0.
     """
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
     rep = _rep_flag(representation)
     grid = grid or LensGrid()
     pairs = grid.pairs(rep, train.n)
     if not pairs:
         raise NoFeasibleLens(f"no feasible (alpha, w) pairs for series length {train.n}")
-    budget = min(budget, len(pairs))
     rng = np.random.default_rng(np.random.SeedSequence([seed, _NS_RANDOM_LENSES, rep]))
-    chosen = sorted(rng.choice(len(pairs), size=budget, replace=False))
+    chosen = sorted(rng.choice(len(pairs), size=(len(pairs) + 1) // 2, replace=False))
     return [Lens(rep, pairs[i][0], pairs[i][1]) for i in chosen]

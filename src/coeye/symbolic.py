@@ -32,6 +32,7 @@ from __future__ import annotations
 import string
 import warnings
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -224,11 +225,7 @@ def gaussian_cuts(alpha: int) -> np.ndarray:
     """Standard-normal quantiles at k/alpha for k = 1..alpha-1."""
     if alpha < 2:
         raise ValueError("alphabet size must be at least 2")
-    # imported here: only gaussian SAX and the degenerate-minmax fallback
-    # need it, and scipy.stats dominates the package's import time
-    from scipy.stats import norm
-
-    return norm.ppf(np.arange(1, alpha) / alpha)
+    return np.array([NormalDist().inv_cdf(k / alpha) for k in range(1, alpha)])
 
 
 def fit_sax_binning(paa_values, alpha: int, mode: str = "minmax") -> SaxBinning:

@@ -57,6 +57,13 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "line 1, column 1" in err
 
+    def test_float_label_at_2_53_exit_2(self, tmp_path, capsys):
+        (tmp_path / "big_TRAIN.tsv").write_text("1\t0.0\t0.5\n9007199254740992.0\t1.0\t2.0\n")
+        code = main(["train", "--data", str(tmp_path), "--dataset", "big", "--out", str(tmp_path / "m.json"), *FAST])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "line 2, column 1" in err
+
     def test_smote_off_flag(self, workdir, tmp_path, capsys):
         code = main(["train", "--data", str(workdir), "--dataset", "waves",
                      "--out", str(tmp_path / "m.json"), "--smote", "off", *FAST])

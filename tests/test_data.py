@@ -64,6 +64,24 @@ class TestLoadUcr:
             load_ucr(write(tmp_path, f"1\t0.0\t0.5\n{label}\t1.0\t2.0\n"))
         assert (err.value.line_no, err.value.column) == (2, 1)
 
+    def test_labels_past_2_53_stay_distinct(self, tmp_path):
+        ds = load_ucr(write(tmp_path, "9007199254740993\t1.0\t2.0\n9007199254740992\t0.0\t0.5\n"))
+        assert ds.class_labels == (2**53, 2**53 + 1)
+
+    def test_int64_maximum_label_accepted(self, tmp_path):
+        ds = load_ucr(write(tmp_path, "9223372036854775807\t1.0\t2.0\n-1\t0.0\t0.5\n"))
+        assert ds.class_labels == (-1, 2**63 - 1)
+
+    def test_float_written_labels_accepted(self, tmp_path):
+        ds = load_ucr(write(tmp_path, "1.0\t1.0\t2.0\n1e3\t0.0\t0.5\n-9007199254740991.0\t0.0\t0.5\n"))
+        assert ds.class_labels == (-(2**53) + 1, 1, 1000)
+
+    @pytest.mark.parametrize("label", ["9007199254740992.0", "-9007199254740992.0", "9.007199254740993e15"])
+    def test_float_label_at_2_53_rejected(self, tmp_path, label):
+        with pytest.raises(ParseError) as err:
+            load_ucr(write(tmp_path, f"1\t0.0\t0.5\n{label}\t1.0\t2.0\n"))
+        assert (err.value.line_no, err.value.column) == (2, 1)
+
     def test_int64_minimum_label_accepted(self, tmp_path):
         ds = load_ucr(write(tmp_path, "-9223372036854775808\t1.0\t2.0\n"))
         assert ds.class_labels == (-2**63,)

@@ -754,7 +754,7 @@ def test_model_bytes_pinned(tmp_path, threads):
 
 # sha256 of the model file below: gaussian SAX cuts, which the pin above
 # (minmax cuts) does not cover
-PINNED_CHINATOWN_GAUSSIAN_SHA256 = "52c3955afa033bb2bdb7d51331759bf31d15c821474cdefc03aebb2b7cec062a"
+PINNED_CHINATOWN_GAUSSIAN_SHA256 = "5226fc0a21a656a58e263d19c5c9a70cafc6fad0ff74b99b8e1757d746172f3b"
 
 
 def test_model_bytes_pinned_gaussian(tmp_path):

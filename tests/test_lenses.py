@@ -168,19 +168,24 @@ class TestSearch:
 
 
 class TestRandomSearch:
-    def test_budget_distinct_pairs(self, waves):
-        grid = LensGrid(sfa_alphas=tuple(range(3, 11)))
-        lenses = search_lenses_random(waves, "sfa", budget=5, seed=0, grid=grid)
-        assert len(lenses) == 5
-        assert len({(l.alpha, l.w) for l in lenses}) == 5
+    def test_half_grid_rounded_up(self, waves):
+        for alphas in [(3,), (3, 4), (3, 4, 5), tuple(range(3, 11))]:
+            grid = LensGrid(sax_alphas=alphas, sfa_alphas=alphas)
+            for rep in (SAX, SFA):
+                pairs = grid.pairs(rep, waves.n)
+                lenses = search_lenses_random(waves, rep, seed=0, grid=grid)
+                assert len(lenses) == (len(pairs) + 1) // 2
 
-    def test_budget_clipped_to_grid(self, waves):
-        grid = LensGrid(sax_alphas=(3, 4, 5))
-        lenses = search_lenses_random(waves, "sax", budget=99, seed=0, grid=grid)
-        assert len(lenses) == len(grid.sax_pairs(waves.n))
+    def test_distinct_grid_pairs(self, waves):
+        grid = LensGrid(sfa_alphas=tuple(range(3, 11)))
+        lenses = search_lenses_random(waves, "sfa", seed=0, grid=grid)
+        chosen = [(l.alpha, l.w) for l in lenses]
+        assert len(set(chosen)) == len(chosen)
+        assert set(chosen) <= set(grid.sfa_pairs(waves.n))
+        assert all(l.s == SFA and l.cv_accuracy == 0 for l in lenses)
 
     def test_deterministic(self, waves):
         grid = LensGrid(sfa_alphas=tuple(range(3, 11)))
-        a = search_lenses_random(waves, "sfa", budget=4, seed=6, grid=grid)
-        b = search_lenses_random(waves, "sfa", budget=4, seed=6, grid=grid)
+        a = search_lenses_random(waves, "sfa", seed=6, grid=grid)
+        b = search_lenses_random(waves, "sfa", seed=6, grid=grid)
         assert a == b

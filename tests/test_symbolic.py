@@ -114,6 +114,14 @@ class TestSaxBinning:
         assert np.allclose(cuts, expected, atol=1e-9)
         assert np.allclose(cuts, [-0.6744897501960817, 0.0, 0.6744897501960817])
 
+    @pytest.mark.parametrize("alpha", range(2, 27))
+    def test_gaussian_every_alphabet_against_bisection(self, alpha):
+        cuts = gaussian_cuts(alpha)
+        assert cuts.shape == (alpha - 1,)
+        assert np.all(np.diff(cuts) > 0)
+        expected = [normal_quantile_bisect(k / alpha) for k in range(1, alpha)]
+        assert np.allclose(cuts, expected, rtol=0, atol=2e-15)
+
     def test_gaussian_alpha2_is_median(self):
         assert np.allclose(gaussian_cuts(2), [0.0])
 
@@ -360,14 +368,20 @@ class TestSymbolicWord:
 
 
 def test_import_leaves_scipy_unloaded():
-    """scipy.stats is imported only when gaussian cut points are computed."""
+    """No step of the package, gaussian cut points included, loads scipy."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(coeye.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
-        "import sys, coeye, coeye.cli\n"
-        "assert 'scipy' not in sys.modules, 'scipy imported by coeye'\n"
-        "coeye.symbolic.gaussian_cuts(4)\n"
-        "assert 'scipy' in sys.modules\n"
+        "import sys, warnings, coeye, coeye.cli\n"
+        "from coeye.symbolic import fit_sax_binning, gaussian_cuts\n"
+        "assert 'scipy' not in sys.modules, 'scipy loaded by import'\n"
+        "gaussian_cuts(26)\n"
+        "assert 'scipy' not in sys.modules, 'scipy loaded by gaussian_cuts'\n"
+        "fit_sax_binning([0.0, 1.0], 5, 'gaussian')\n"
+        "assert 'scipy' not in sys.modules, 'scipy loaded by gaussian binning'\n"
+        "warnings.simplefilter('ignore')\n"
+        "assert fit_sax_binning([2.0, 2.0], 5, 'minmax').degenerate\n"
+        "assert 'scipy' not in sys.modules, 'scipy loaded by the degenerate fallback'\n"
     )
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
