@@ -40,6 +40,7 @@ from .errors import (
     NonFiniteSeries,
     SeriesLengthMismatch,
     UnsupportedModelVersion,
+    model_int,
 )
 from .forest import (
     PackedForest,
@@ -64,7 +65,7 @@ from .lenses import (
     search_lenses_random,
 )
 from .resample import SmoteReport, smote
-from .symbolic import McbTable, SaxBinning, binning_from_dict, check_binning, digitize, fit_lens, lens_words
+from .symbolic import McbTable, SaxBinning, binning_from_dict, check_binning, digitize, fit_lens, lens_words, word_fits
 
 MODEL_FORMAT_VERSION = 1
 
@@ -396,6 +397,9 @@ def load_model(path) -> CoEyeModel:
         class_labels = np.asarray(payload["class_labels"], dtype=np.int64)
         if class_labels.ndim != 1 or not class_labels.size or np.any(np.diff(class_labels) <= 0):
             raise ModelParseError("class_labels must be non-empty and strictly increasing")
+        n = model_int(payload, "n")
+        if n < 1:
+            raise ModelParseError(f"series length n must be at least 1, got {n}")
         eyes = [
             Eye(
                 Lens.from_dict(e["lens"]),
@@ -408,6 +412,9 @@ def load_model(path) -> CoEyeModel:
             if eye.forest.n_features != eye.lens.w or not np.array_equal(eye.forest.class_labels, class_labels):
                 raise ModelParseError(f"eye {i}: forest does not match its lens width or the class labels")
             check_binning(eye.lens, eye.binning)
+            if not word_fits(eye.lens.s, eye.lens.w, n):
+                raise ModelParseError(f"eye {i}: a {eye.lens.representation} lens of width {eye.lens.w} "
+                                      f"cannot be built from series of length {n}")
         # the vote reads the first sax_count eyes as the SAX block
         is_sax = [eye.lens.s == SAX for eye in eyes]
         if is_sax != sorted(is_sax, reverse=True):
@@ -415,7 +422,7 @@ def load_model(path) -> CoEyeModel:
         return CoEyeModel(
             eyes=eyes,
             class_labels=class_labels,
-            n=int(payload["n"]),
+            n=n,
             config=CoEyeConfig.from_dict(payload["config"]),
             dataset_name=payload["dataset_name"],
             smote_report=smote_report,

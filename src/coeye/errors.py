@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the library."""
+"""Exception and warning types shared across the library, and the model file's integer rule."""
 
 
 class CoEyeError(Exception):
@@ -83,3 +83,11 @@ class EqualDepthDegenerate(UserWarning):
 
 class DegenerateBinning(UserWarning):
     """Min/max binning saw a zero-width value range and fell back."""
+
+
+def model_int(payload: dict, key: str) -> int:
+    """``payload[key]`` of a parsed model file; a float, string or bool is refused, not cast by ``int()``."""
+    value = payload[key]
+    if type(value) is not int:
+        raise ModelParseError(f"{key} must be an integer, got {value!r}")
+    return value

@@ -16,10 +16,8 @@ the left. A split node's children take the next two node ids, left first.
 No ``Generator`` is made: ``coeye.stream`` computes these streams in one
 vectorised pass per batch, bit-identical to that generator's, and
 ``tests/test_stream.py`` pins them against the installed numpy. All
-bootstraps of a batch are drawn in one call; each tree's node subsets are
-drawn ahead, ``_NODE_CHUNK`` at a time, and a tree that runs out draws its
-next chunk. A stream is consumed only in the order above, so drawing ahead
-changes no tree.
+bootstraps of a batch are drawn in one call, and each growth round draws
+the subsets of the nodes it tries to split in one call.
 
 Growth. ``_grow`` grows the trees of several forests together, in rounds:
 every unfinished tree pops the next node of its own depth-first stack, and
@@ -54,7 +52,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import EmptyTrainingSet, FeatureMismatch, ModelParseError
+from .errors import EmptyTrainingSet, FeatureMismatch, ModelParseError, model_int
 from .stream import Streams
 
 _MIN_DECREASE = 1e-12
@@ -68,10 +66,6 @@ _ROUTE_PAIRS = 1 << 14
 # a few integer arrays over all slots, so this bounds its memory; a 5-fold
 # search of a few hundred rows still fits in one batch
 BATCH_SLOTS = 1 << 17
-# node feature subsets drawn ahead per tree, and the cap on (trees times
-# features times subsets) held ahead in one batch
-_NODE_CHUNK = 4
-_SUBSET_CELLS = 1 << 18
 
 
 @dataclass(eq=False)
@@ -83,7 +77,6 @@ class DecisionTree:
     left: np.ndarray
     right: np.ndarray
     counts: np.ndarray
-    bootstrap_unique: int = 0
 
     @property
     def n_nodes(self) -> int:
@@ -253,20 +246,12 @@ def _grow(X, specs: list[_ForestSpec], max_features: int) -> list[list[DecisionT
         slot = (starts[group, None] + np.arange(n)).ravel()
         sample_row[slot] = spec_rows[boot]
         sample_cls[slot] = spec_cls[boot]
-    tree_of_slot = np.repeat(np.arange(n_trees), sizes)
-    distinct = np.unique(tree_of_slot * X.shape[0] + sample_row) // X.shape[0]
-    bootstrap_unique = np.bincount(distinct, minlength=n_trees)
 
     # one depth-first stack of (start, end, node id) per tree
     stack = np.zeros((n_trees, 8, 3), dtype=np.int64)
     stack[:, 0] = np.column_stack([starts, starts + sizes, np.zeros(n_trees, dtype=np.int64)])
     depth = np.ones(n_trees, dtype=np.int64)
     n_nodes = np.ones(n_trees, dtype=np.int64)
-    # each tree's next node feature subsets, drawn ahead a chunk at a time;
-    # fewer per chunk when the trees are many, so the buffer stays bounded
-    chunk = int(np.clip(_SUBSET_CELLS // (n_trees * max_features), 1, _NODE_CHUNK))
-    subsets = np.empty((n_trees, chunk, max_features), dtype=np.int64)
-    next_subset = np.full(n_trees, chunk)
     record = []
     while True:
         live = np.flatnonzero(depth)
@@ -285,12 +270,7 @@ def _grow(X, specs: list[_ForestSpec], max_features: int) -> list[list[DecisionT
         cand = np.flatnonzero((size >= 2) & (np.count_nonzero(counts, axis=1) > 1))
         if cand.shape[0]:
             cand_trees = live[cand]
-            refill = cand_trees[next_subset[cand_trees] == chunk]
-            if refill.shape[0]:
-                subsets[refill] = streams.subsets(refill, d, max_features, chunk)
-                next_subset[refill] = 0
-            feats = subsets[cand_trees, next_subset[cand_trees]]
-            next_subset[cand_trees] += 1
+            feats = streams.subsets(cand_trees, d, max_features)
             slot, value, n_left = _best_splits(
                 X, sample_row, sample_cls, lo[cand], size[cand], counts[cand], feats, n_values,
                 tree_classes[cand_trees],
@@ -329,10 +309,8 @@ def _grow(X, specs: list[_ForestSpec], max_features: int) -> list[list[DecisionT
         trees = []
         for i in first.tolist():
             a, b = tree_start[i], tree_start[i] + n_nodes[i]
-            trees.append(DecisionTree(
-                feature[a:b], threshold[a:b], left[a:b], right[a:b],
-                spec_counts[a - base:b - base], int(bootstrap_unique[i]),
-            ))
+            trees.append(DecisionTree(feature[a:b], threshold[a:b], left[a:b], right[a:b],
+                                      spec_counts[a - base:b - base]))
         out.append(trees)
     return out
 
@@ -548,7 +526,7 @@ def forest_from_dict(payload: dict) -> RandomForestModel:
     model = RandomForestModel(
         trees,
         np.asarray(payload["class_labels"], dtype=np.int64),
-        int(payload["n_features"]),
+        model_int(payload, "n_features"),
         int(payload["seed"]),
     )
     _check_forest(model)

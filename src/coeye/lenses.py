@@ -26,7 +26,7 @@ from .config import CoEyeConfig
 from .data import Dataset
 from .errors import NoFeasibleLens
 from .forest import BATCH_SLOTS, fit_forests, predict
-from .symbolic import MAX_ALPHABET, SAX, SFA, Lens, fit_lens
+from .symbolic import MAX_ALPHABET, SAX, SFA, Lens, fit_lens, word_fits
 
 ACCURACY_MARGIN = 0.01
 _MARGIN_SLACK = 1e-12
@@ -72,7 +72,7 @@ class LensGrid:
         if self.sax_word_lengths is None:
             words = [min(n, 128)]
         else:
-            words = [w for w in self.sax_word_lengths if 1 <= w <= n]
+            words = [w for w in self.sax_word_lengths if word_fits(SAX, w, n)]
         return [(a, w) for a in sorted(self.sax_alphas) for w in sorted(words)]
 
     def sfa_pairs(self, n: int) -> list[tuple[int, int]]:
@@ -80,7 +80,7 @@ class LensGrid:
             words = list(range(10, min(130, n) + 1, 10))
         else:
             words = list(self.sfa_word_lengths)
-        words = [w for w in words if w % 2 == 0 and 2 <= w <= n]
+        words = [w for w in words if word_fits(SFA, w, n)]
         return [(a, w) for a in sorted(self.sfa_alphas) for w in sorted(words)]
 
     def pairs(self, representation: int, n: int) -> list[tuple[int, int]]:

@@ -226,9 +226,9 @@ class Streams:
             out.append(value)
         return out
 
-    def subsets(self, rows, d: int, m: int, count: int) -> np.ndarray:
-        """``count`` successive ``choice(d, m, replace=False)`` subsets of each of
-        ``rows``, each sorted: shape (rows, count, m).
+    def subsets(self, rows, d: int, m: int) -> np.ndarray:
+        """The next ``choice(d, m, replace=False)`` subset of each of ``rows``,
+        sorted: shape (rows, m).
 
         ``choice`` runs Floyd's algorithm: column ``c`` draws from [0, d - m + c]
         and takes d - m + c instead if the value is already taken. It then
@@ -239,8 +239,8 @@ class Streams:
             raise ValueError("choice draws such subsets by a partial shuffle, which is not reproduced")
         rows = np.asarray(rows, dtype=np.intp)
         pattern = np.concatenate([np.arange(d - m + 1, d + 1), np.arange(m, 1, -1)])
-        picks = self.draw(rows, np.tile(pattern, count)).reshape(rows.shape[0], count, -1)[:, :, :m]
+        picks = self.draw(rows, pattern)[:, :m]
         for c in range(1, m):
-            taken = (picks[:, :, :c] == picks[:, :, c, None]).any(axis=2)
-            picks[:, :, c][taken] = d - m + c
-        return np.sort(picks, axis=2)
+            taken = (picks[:, :c] == picks[:, c, None]).any(axis=1)
+            picks[taken, c] = d - m + c
+        return np.sort(picks, axis=1)

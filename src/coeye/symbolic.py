@@ -37,7 +37,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .data import Dataset, TimeSeries, znormalize_rows
-from .errors import DegenerateBinning, EqualDepthDegenerate, InvalidWordSize
+from .errors import DegenerateBinning, EqualDepthDegenerate, InvalidWordSize, model_int
 
 MAX_ALPHABET = 26
 
@@ -82,9 +82,9 @@ class Lens:
     @staticmethod
     def from_dict(payload: dict) -> "Lens":
         return Lens(
-            int(payload["s"]),
-            int(payload["alpha"]),
-            int(payload["w"]),
+            model_int(payload, "s"),
+            model_int(payload, "alpha"),
+            model_int(payload, "w"),
             bool(payload["drop_dc"]),
             float(payload["cv_accuracy"]),
         )
@@ -181,10 +181,17 @@ class McbTable:
 def binning_from_dict(payload: dict) -> SaxBinning | McbTable:
     """Rebuild a binning from its ``to_dict`` form."""
     if payload["kind"] == "sax":
-        return SaxBinning(payload["mode"], int(payload["alpha"]), payload["cuts"], bool(payload["degenerate"]))
+        return SaxBinning(payload["mode"], model_int(payload, "alpha"), payload["cuts"], bool(payload["degenerate"]))
     if payload["kind"] == "mcb":
-        return McbTable(int(payload["alpha"]), int(payload["w"]), bool(payload["drop_dc"]), payload["breakpoints"])
+        return McbTable(model_int(payload, "alpha"), model_int(payload, "w"), bool(payload["drop_dc"]),
+                        payload["breakpoints"])
     raise ValueError(f"unknown binning kind {payload['kind']!r}")
+
+
+def word_fits(s: int, w: int, n: int) -> bool:
+    """Whether representation ``s`` builds words of width ``w`` from series of
+    length ``n``: SAX needs 1 <= w <= n, SFA an even w with 2 <= w <= n."""
+    return 1 <= w <= n if s == SAX else w % 2 == 0 and 2 <= w <= n
 
 
 def check_binning(lens: Lens, binning) -> None:
@@ -214,7 +221,7 @@ def paa(values, w: int) -> np.ndarray:
     """
     values = np.asarray(values, dtype=np.float64)
     n = values.shape[-1]
-    if not 1 <= w <= n:
+    if not word_fits(SAX, w, n):
         raise InvalidWordSize(f"PAA needs 1 <= w <= n, got w={w}, n={n}")
     bounds = (np.arange(w + 1) * n) // w
     sums = np.add.reduceat(values, bounds[:-1], axis=-1)
@@ -267,7 +274,7 @@ def digitize(values, cuts) -> np.ndarray:
 def _lowpass(spectrum, w: int, drop_dc: bool) -> np.ndarray:
     """``dft_lowpass`` from the full DFT ``spectrum`` of the values."""
     n = spectrum.shape[-1]
-    if w % 2 != 0 or not 2 <= w <= n:
+    if not word_fits(SFA, w, n):
         raise InvalidWordSize(f"DFT low-pass needs even w with 2 <= w <= n, got w={w}, n={n}")
     start = 1 if drop_dc else 0
     coeffs = spectrum[..., start : start + w // 2]

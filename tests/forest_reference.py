@@ -88,7 +88,7 @@ def _fit_one_tree(X, y_enc, n_values, n_classes, max_features, seed, tree_index)
     rng = np.random.default_rng(np.random.SeedSequence([seed, tree_index]))
     boot = rng.integers(0, X.shape[0], size=X.shape[0])
     arrays = _grow_tree(X[boot], y_enc[boot], n_values, n_classes, max_features, rng)
-    return DecisionTree(*arrays, bootstrap_unique=np.unique(boot).shape[0])
+    return DecisionTree(*arrays)
 
 
 def reference_fit_forest(X, y, n_trees=100, seed=0) -> RandomForestModel:

@@ -627,6 +627,63 @@ def _sax_binning_on_sfa_lens(payload):
     sfa_eye["binning"] = dict(_first_binning(payload, "sax", sfa_eye["lens"]["alpha"]))
 
 
+def _float_n(payload):
+    payload["n"] += 0.9
+
+
+def _zero_n(payload):
+    payload["n"] = 0
+
+
+def _n_below_sax_width(payload):
+    # the fixture's SAX lenses are 32 wide, as wide as its series, so n = 10 cannot build them
+    payload["n"] = 10
+
+
+def _float_lens_alpha(payload):
+    payload["eyes"][0]["lens"]["alpha"] += 0.7
+
+
+def _string_lens_width(payload):
+    lens = payload["eyes"][0]["lens"]
+    lens["w"] = str(lens["w"])
+
+
+def _bool_lens_representation(payload):
+    next(e for e in payload["eyes"] if e["lens"]["s"] == SFA)["lens"]["s"] = True
+
+
+def _float_binning_alpha(payload):
+    binning = _first_binning(payload, "sax")
+    binning["alpha"] = float(binning["alpha"])
+
+
+def _float_mcb_width(payload):
+    binning = _first_binning(payload, "mcb")
+    binning["w"] = float(binning["w"])
+
+
+def _string_forest_width(payload):
+    forest = payload["eyes"][0]["forest"]
+    forest["n_features"] = str(forest["n_features"])
+
+
+def _widen_sfa_eye(payload, w):
+    """Give the first SFA eye width ``w``, with its binning and forest widened to match."""
+    eye = next(e for e in payload["eyes"] if e["lens"]["s"] == SFA)
+    eye["lens"]["w"] = eye["binning"]["w"] = eye["forest"]["n_features"] = w
+    rows = eye["binning"]["breakpoints"]
+    rows.extend(rows[-1:] * (w - len(rows)))
+
+
+def _odd_sfa_width(payload):
+    _widen_sfa_eye(payload, next(e["lens"]["w"] for e in payload["eyes"] if e["lens"]["s"] == SFA) + 1)
+
+
+def _sfa_wider_than_n(payload):
+    _widen_sfa_eye(payload, payload["n"] + 2)
+
+
 @contextlib.contextmanager
 def _deadline(seconds):
     """Fail instead of hanging: a corrupt tree used to make routing loop forever."""
@@ -680,6 +737,28 @@ class TestCorruptForests:
         bad.write_text(json.dumps(payload))
         with pytest.raises(ModelParseError):
             load_model(bad)
+
+    @pytest.mark.parametrize("mutate", [
+        _float_n, _zero_n, _n_below_sax_width, _float_lens_alpha, _string_lens_width, _bool_lens_representation,
+        _float_binning_alpha, _float_mcb_width, _string_forest_width, _odd_sfa_width, _sfa_wider_than_n,
+    ])
+    def test_sizes_must_be_integers_that_fit_the_series(self, saved, tmp_path, mutate):
+        payload = json.loads(saved.read_text())
+        mutate(payload)
+        bad = tmp_path / "sizes.json"
+        bad.write_text(json.dumps(payload))
+        with pytest.raises(ModelParseError):
+            load_model(bad)
+
+    def test_cli_blames_the_model_not_the_input(self, saved, tmp_path):
+        # the series has the length the model was trained on; the model's n is what is wrong
+        payload = json.loads(saved.read_text())
+        _n_below_sax_width(payload)
+        bad = tmp_path / "short.json"
+        bad.write_text(json.dumps(payload))
+        series = tmp_path / "series.tsv"
+        series.write_text("\t".join(["0.5"] * 32) + "\n")
+        assert main(["predict", "--model", str(bad), "--input", str(series)]) == 2
 
     def test_cli_exit_code_2(self, saved, tmp_path):
         bad = tmp_path / "loop.json"

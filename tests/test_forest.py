@@ -15,6 +15,7 @@ from coeye.forest import (
     predict,
     predict_proba,
 )
+from coeye.stream import Streams
 from tests.forest_reference import reference_fit_forest, reference_predict_proba
 
 
@@ -86,13 +87,6 @@ class TestFit:
             leaves = tree.feature < 0
             assert np.all(tree.counts[leaves].sum(axis=1) > 0)
 
-    def test_bootstrap_unique_fraction(self):
-        # n draws with replacement leave ~63.2% unique on average
-        X, y = separable_fixture(seed=1, rows_per_class=25)
-        model = fit_forest(X, y, n_trees=100, seed=13)
-        fraction = np.mean([t.bootstrap_unique / X.shape[0] for t in model.trees])
-        assert 0.58 <= fraction <= 0.68
-
 
 class TestPredict:
     def test_rows_sum_to_one(self):
@@ -138,7 +132,7 @@ class TestSerialization:
 
 
 def assert_same_forest(expected, got):
-    """Node arrays, their dtypes, bootstrap sizes and labels all equal."""
+    """Node arrays, their dtypes and labels all equal."""
     assert np.array_equal(expected.class_labels, got.class_labels)
     assert (expected.n_features, expected.seed) == (got.n_features, got.seed)
     assert len(expected.trees) == len(got.trees)
@@ -147,7 +141,6 @@ def assert_same_forest(expected, got):
             x, y = getattr(a, name), getattr(b, name)
             assert x.dtype == y.dtype and x.shape == y.shape, name
             assert np.array_equal(x, y), name
-        assert a.bootstrap_unique == b.bootstrap_unique
 
 
 def assert_same_proba(expected, got, probe):
@@ -232,10 +225,8 @@ class TestEngineMatchesReference:
             assert_same_forest(reference_fit_forest(X[rows], y[rows], 7, 3 + k), got)
 
     @pytest.mark.parametrize("rows, width", [(1, 5), (30, 1), (90, 12)])
-    def test_refills_and_small_batches(self, monkeypatch, rows, width):
-        # one subset drawn ahead per tree, so every candidate node after a
-        # tree's first draws a new chunk; a batch holds three full forests' rows
-        monkeypatch.setattr(forest, "_NODE_CHUNK", 1)
+    def test_small_batches_and_deep_trees(self, monkeypatch, rows, width):
+        # a batch holds three full forests' rows
         monkeypatch.setattr(forest, "BATCH_SLOTS", 3 * rows)
         rng = np.random.default_rng(rows)
         X = rng.integers(0, 9, size=(rows, width))
@@ -244,8 +235,31 @@ class TestEngineMatchesReference:
         models = fit_forests(X, y, row_sets, [6, 7], n_trees=8)
         for k, (rs, got) in enumerate(zip(row_sets, models)):
             assert_same_forest(reference_fit_forest(X[rs], y[rs], 8, 6 + k), got)
-        # random labels grow deep trees, which refill many times
+        # random labels grow deep trees, which draw subsets over many rounds
         assert rows < 90 or max(tree.n_nodes for tree in models[0].trees) > 40
+
+    def test_subsets_drawn_only_for_candidate_nodes(self, monkeypatch):
+        # every node with two or more rows of two or more classes draws one
+        # subset, whether it splits or stays an impure leaf; no other draws
+        drawn = []
+        subsets = Streams.subsets
+
+        def counting(self, rows, *args):
+            drawn.append(len(rows))
+            return subsets(self, rows, *args)
+
+        monkeypatch.setattr(Streams, "subsets", counting)
+        # binary columns and random labels: many nodes find no split in their subset
+        rng = np.random.default_rng(5)
+        X = rng.integers(0, 2, size=(40, 16))
+        y = rng.integers(0, 3, size=40)
+        row_sets = [np.arange(40), np.arange(0, 40, 2), np.arange(5, 35)]
+        models = fit_forests(X, y, row_sets, [1, 2, 3], n_trees=30)
+        trees = [tree for model in models for tree in model.trees]
+        leaf = np.concatenate([tree.feature < 0 for tree in trees])
+        impure = np.count_nonzero(np.concatenate([tree.counts for tree in trees]), axis=1) >= 2
+        assert np.count_nonzero(leaf & impure) > 10
+        assert sum(drawn) == np.count_nonzero(~leaf) + np.count_nonzero(leaf & impure)
 
     def test_all_columns_constant(self):
         X = np.full((10, 4), 2)

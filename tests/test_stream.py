@@ -114,19 +114,20 @@ class TestSubsets:
         m = math.ceil(math.sqrt(d))
         streams = Streams([(9, range(12))])
         rngs = [generator(9, t) for t in range(12)]
-        # a bootstrap first, then chunks of subsets, as the grower draws them
+        # a bootstrap first, then one subset per call for changing row sets, as
+        # the grower's rounds draw them
         streams.draw(np.arange(12), np.full(6, 6))
         for rng in rngs:
             rng.integers(0, 6, size=6)
-        for rows, count in ((np.arange(12), 3), (np.arange(0, 12, 5), 1), (np.arange(12), 2)):
-            got = streams.subsets(rows, d, m, count)
-            expected = [[np.sort(rngs[r].choice(d, m, replace=False)) for _ in range(count)] for r in rows]
-            assert np.array_equal(got, np.reshape(expected, (len(rows), count, m))), (d, count)
+        for rows in (np.arange(12), np.arange(0, 12, 5), np.arange(12), np.arange(11, 0, -3)):
+            got = streams.subsets(rows, d, m)
+            expected = [np.sort(rngs[r].choice(d, m, replace=False)) for r in rows]
+            assert np.array_equal(got, np.reshape(expected, (len(rows), m))), d
 
     def test_partial_shuffle_sizes_are_refused(self):
         # numpy shuffles a full range instead of running Floyd's algorithm here
         with pytest.raises(ValueError):
-            Streams([(0, [0])]).subsets([0], 10001, 201, 1)
+            Streams([(0, [0])]).subsets([0], 10001, 201)
 
 
 def test_import_builds_no_jump_table():
