@@ -4,7 +4,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import model_array, model_field
 
 
 @dataclass(frozen=True)
@@ -28,6 +32,8 @@ class CoEyeConfig:
             raise ValueError("need at least one tree")
         if self.folds < 2:
             raise ValueError("need at least two folds")
+        if self.smote_k < 1:
+            raise ValueError("smote_k must be at least 1")
         if self.threads is not None and self.threads < 1:
             raise ValueError("threads must be at least 1")
         if self.sax_mode not in ("minmax", "gaussian"):
@@ -49,18 +55,22 @@ class CoEyeConfig:
 
     @staticmethod
     def from_dict(payload: dict) -> "CoEyeConfig":
-        def tup(v):
-            return None if v is None else tuple(v)
+        """Read a model file's ``config``, each field by its JSON type; raises ModelParseError."""
+        def ints(key):
+            return tuple(model_array(payload[key], key, np.int64).tolist())
+
+        def word_lengths(key):
+            return None if payload[key] is None else ints(key)
 
         return CoEyeConfig(
-            seed=int(payload["seed"]),
-            trees=int(payload["trees"]),
-            folds=int(payload["folds"]),
-            sax_alphas=tuple(payload["sax_alphas"]),
-            sax_word_lengths=tup(payload["sax_word_lengths"]),
-            sfa_alphas=tuple(payload["sfa_alphas"]),
-            sfa_word_lengths=tup(payload["sfa_word_lengths"]),
+            seed=model_field(payload, "seed"),
+            trees=model_field(payload, "trees"),
+            folds=model_field(payload, "folds"),
+            sax_alphas=ints("sax_alphas"),
+            sax_word_lengths=word_lengths("sax_word_lengths"),
+            sfa_alphas=ints("sfa_alphas"),
+            sfa_word_lengths=word_lengths("sfa_word_lengths"),
             sax_mode=payload["sax_mode"],
-            smote=bool(payload["smote"]),
-            smote_k=int(payload["smote_k"]),
+            smote=model_field(payload, "smote", bool),
+            smote_k=model_field(payload, "smote_k"),
         )

@@ -40,7 +40,8 @@ from .errors import (
     NonFiniteSeries,
     SeriesLengthMismatch,
     UnsupportedModelVersion,
-    model_int,
+    model_array,
+    model_field,
 )
 from .forest import (
     PackedForest,
@@ -388,16 +389,17 @@ def load_model(path) -> CoEyeModel:
         report = payload["smote_report"]
         smote_report = None
         if report is not None:
+            original, added = report["original_counts"], report["added_counts"]
             smote_report = SmoteReport(
-                {int(k): int(v) for k, v in report["original_counts"].items()},
-                {int(k): int(v) for k, v in report["added_counts"].items()},
-                float(report["smote_percentage"]),
+                {int(label): model_field(original, label) for label in original},
+                {int(label): model_field(added, label) for label in added},
+                model_field(report, "smote_percentage", float),
             )
         # train writes np.unique output; a repeated label would split one class's votes
-        class_labels = np.asarray(payload["class_labels"], dtype=np.int64)
+        class_labels = model_array(payload["class_labels"], "class_labels", np.int64)
         if class_labels.ndim != 1 or not class_labels.size or np.any(np.diff(class_labels) <= 0):
             raise ModelParseError("class_labels must be non-empty and strictly increasing")
-        n = model_int(payload, "n")
+        n = model_field(payload, "n")
         if n < 1:
             raise ModelParseError(f"series length n must be at least 1, got {n}")
         eyes = [

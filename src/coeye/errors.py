@@ -1,4 +1,6 @@
-"""Exception and warning types shared across the library, and the model file's integer rule."""
+"""Exception and warning types shared across the library, and the model file's type rules."""
+
+import numpy as np
 
 
 class CoEyeError(Exception):
@@ -85,9 +87,37 @@ class DegenerateBinning(UserWarning):
     """Min/max binning saw a zero-width value range and fell back."""
 
 
-def model_int(payload: dict, key: str) -> int:
-    """``payload[key]`` of a parsed model file; a float, string or bool is refused, not cast by ``int()``."""
+# the JSON types a model file field may hold, by the type it is read as
+_JSON_TYPES = {int: ((int,), "an integer"), bool: ((bool,), "true or false"), float: ((int, float), "a number")}
+
+
+def model_field(payload: dict, key: str, kind: type = int):
+    """``payload[key]`` of a parsed model file, read as ``kind`` (int, bool or float) by its JSON type.
+
+    An int must be a JSON integer, a bool ``true`` or ``false`` and a float
+    any JSON number. Nothing else is cast: a string, a fraction or a bool
+    where it does not belong is refused.
+    """
     value = payload[key]
-    if type(value) is not int:
-        raise ModelParseError(f"{key} must be an integer, got {value!r}")
-    return value
+    types, name = _JSON_TYPES[kind]
+    if type(value) not in types:
+        raise ModelParseError(f"{key} must be {name}, got {value!r}")
+    return kind(value)
+
+
+def model_array(values, key: str, dtype) -> np.ndarray:
+    """A parsed model file's list ``values``, named ``key``, as an array of
+    ``dtype``: JSON integers for an integer dtype, JSON numbers for a float one.
+
+    The kind is checked once, on the dtype numpy infers for the whole list,
+    so a string, a null, a fraction among integers or a list of bools is
+    refused without a check per element; a bool among numbers reads as 0 or 1.
+    """
+    values = np.asarray(values)
+    integer = np.dtype(dtype).kind == "i"
+    if values.size and values.dtype.kind not in ("i" if integer else "if"):
+        raise ModelParseError(f"{key} must hold only JSON {'integers' if integer else 'numbers'}")
+    out = values.astype(dtype)
+    if integer and not np.array_equal(out, values):
+        raise ModelParseError(f"{key} holds an integer outside the range of {np.dtype(dtype)}")
+    return out

@@ -19,14 +19,15 @@ vectorised pass per batch, bit-identical to that generator's, and
 bootstraps of a batch are drawn in one call, and each growth round draws
 the subsets of the nodes it tries to split in one call.
 
-Growth. ``_grow`` grows the trees of several forests together, in rounds:
-every unfinished tree pops the next node of its own depth-first stack, and
-the round computes class counts, (node, feature, value, class) histograms,
-Gini decreases and row partitions for all popped nodes with a few NumPy
-calls. Rows live in one flat sample array per batch; a node owns a
-[start, end) range of it, partitioned in place when the node splits. A
-batch holds at most ``BATCH_SLOTS`` bootstrap rows (trees times rows), so
-a large forest grows as several tree ranges. Each tree still pops its own
+Growth. ``_grow`` grows the trees of several forests of one class count
+together, in rounds: every unfinished tree pops the next node of its own
+depth-first stack, and the round computes class counts, (node, feature,
+value, class) histograms, Gini decreases and row partitions for all popped
+nodes with a few NumPy calls. Rows live in one flat sample array per
+batch; a node owns a [start, end) range of it, partitioned in place when
+the node splits. A batch holds at most ``BATCH_SLOTS`` bootstrap rows
+(trees times rows), so a large forest grows as several tree ranges, and
+threads grow the same batches, cut smaller. Each tree still pops its own
 nodes in the order above, so its draws, and hence its bytes, are the same
 as when it grows alone.
 
@@ -49,10 +50,12 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import accumulate, chain
+from operator import itemgetter
 
 import numpy as np
 
-from .errors import EmptyTrainingSet, FeatureMismatch, ModelParseError, model_int
+from .errors import EmptyTrainingSet, FeatureMismatch, ModelParseError, model_array, model_field
 from .stream import Streams
 
 _MIN_DECREASE = 1e-12
@@ -144,7 +147,6 @@ class _ForestSpec:
 
     rows: np.ndarray
     y_enc: np.ndarray
-    n_values: int
     n_classes: int
     seed: int
     trees: range
@@ -160,74 +162,66 @@ def _segments(starts, sizes):
 def _best_splits(X, sample_row, sample_cls, starts, sizes, counts, feats, n_values, n_classes):
     """Best (feature slot, value) of each node, or slot -1 for a leaf.
 
-    Nodes are given by their sample ranges, class counts, sorted feature
-    subsets ``feats`` (nodes, m) and their forests' class counts. Rows of
-    each split node are partitioned in place, left rows first; returns
-    (slot, value, left row count) per node. ``n_values`` is the largest
-    alphabet of the batch: a boundary beyond a forest's own alphabet leaves
-    no row on the right, so it is never valid and never chosen.
+    Nodes are given by their sample ranges, class counts and sorted feature
+    subsets ``feats`` (nodes, m); all belong to forests of ``n_classes``
+    classes. Rows of each split node are partitioned in place, left rows
+    first; returns (slot, value, left row count) per node. ``n_values``
+    exceeds every value of ``X``: a boundary beyond a forest's own values
+    leaves no row on the right, so it is never valid and never chosen.
     """
-    m = feats.shape[1]
+    m, c = feats.shape[1], n_classes
     slot = np.full(sizes.shape[0], -1)
     value = np.zeros(sizes.shape[0], dtype=np.int64)
     n_left_rows = np.zeros(sizes.shape[0], dtype=np.int64)
     if n_values < 2:
         return slot, value, n_left_rows
-    # nodes of forests with different class counts are searched apart, so
-    # every Gini sum runs over exactly its forest's classes
-    for c in np.unique(n_classes):
-        group = np.flatnonzero(n_classes == c)
-        cost = m * n_values * c + sizes[group] * m
-        chunk = (np.cumsum(cost) - cost) // _CHUNK_CELLS
-        for nodes in np.split(group, np.flatnonzero(np.diff(chunk)) + 1):
-            q = nodes.shape[0]
-            n_node = sizes[nodes]
-            seg, pos = _segments(starts[nodes], n_node)
-            cls = sample_cls[pos]
-            vals = X[sample_row[pos][:, None], feats[nodes][seg]]
-            codes = ((seg[:, None] * m + np.arange(m)) * n_values + vals) * c + cls[:, None]
-            hist = np.bincount(codes.ravel(), minlength=q * m * n_values * c).reshape(q, m, n_values, c)
-            # candidate boundary after value v: left bin = values <= v, threshold v + 0.5
-            cum = hist.cumsum(axis=2)[:, :, :-1, :].astype(np.float64)
-            node_counts = counts[nodes, :c].astype(np.float64)
-            parent_gini = 1.0 - np.sum((node_counts / n_node[:, None]) ** 2, axis=1)
-            n_left = cum.sum(axis=3)
-            n_right = n_node[:, None, None] - n_left
-            valid = (n_left > 0) & (n_right > 0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                gini_l = 1.0 - np.sum((cum / n_left[..., None]) ** 2, axis=3)
-                gini_r = 1.0 - np.sum(((node_counts[:, None, None, :] - cum) / n_right[..., None]) ** 2, axis=3)
-                dec = parent_gini[:, None, None] - (n_left * gini_l + n_right * gini_r) / n_node[:, None, None]
-            dec[~valid] = -np.inf
-            dec = dec.reshape(q, -1)
-            # first maximum: lowest feature (subsets are sorted), then lowest threshold
-            flat = dec.argmax(axis=1)
-            best = dec[np.arange(q), flat]
-            split = np.isfinite(best) & (best > _MIN_DECREASE)
-            fi, v = np.divmod(flat, n_values - 1)
-            slot[nodes[split]] = fi[split]
-            value[nodes[split]] = v[split]
+    cost = m * n_values * c + sizes * m
+    chunk = (np.cumsum(cost) - cost) // _CHUNK_CELLS
+    for nodes in np.split(np.arange(sizes.shape[0]), np.flatnonzero(np.diff(chunk)) + 1):
+        q = nodes.shape[0]
+        n_node = sizes[nodes]
+        seg, pos = _segments(starts[nodes], n_node)
+        cls = sample_cls[pos]
+        vals = X[sample_row[pos][:, None], feats[nodes][seg]]
+        codes = ((seg[:, None] * m + np.arange(m)) * n_values + vals) * c + cls[:, None]
+        hist = np.bincount(codes.ravel(), minlength=q * m * n_values * c).reshape(q, m, n_values, c)
+        # candidate boundary after value v: left bin = values <= v, threshold v + 0.5
+        cum = hist.cumsum(axis=2)[:, :, :-1, :].astype(np.float64)
+        node_counts = counts[nodes].astype(np.float64)
+        parent_gini = 1.0 - np.sum((node_counts / n_node[:, None]) ** 2, axis=1)
+        n_left = cum.sum(axis=3)
+        n_right = n_node[:, None, None] - n_left
+        valid = (n_left > 0) & (n_right > 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gini_l = 1.0 - np.sum((cum / n_left[..., None]) ** 2, axis=3)
+            gini_r = 1.0 - np.sum(((node_counts[:, None, None, :] - cum) / n_right[..., None]) ** 2, axis=3)
+            dec = parent_gini[:, None, None] - (n_left * gini_l + n_right * gini_r) / n_node[:, None, None]
+        dec[~valid] = -np.inf
+        dec = dec.reshape(q, -1)
+        # first maximum: lowest feature (subsets are sorted), then lowest threshold
+        flat = dec.argmax(axis=1)
+        best = dec[np.arange(q), flat]
+        split = np.isfinite(best) & (best > _MIN_DECREASE)
+        fi, v = np.divmod(flat, n_values - 1)
+        slot[nodes[split]] = fi[split]
+        value[nodes[split]] = v[split]
 
-            moved = split[seg]
-            seg, pos = seg[moved], pos[moved]
-            go_left = vals[moved, fi[seg]] <= v[seg]
-            order = np.argsort(seg * 2 + ~go_left, kind="stable")
-            sample_row[pos] = sample_row[pos[order]]
-            sample_cls[pos] = sample_cls[pos[order]]
-            n_left_rows[nodes] = np.bincount(seg[go_left], minlength=q)
+        moved = split[seg]
+        seg, pos = seg[moved], pos[moved]
+        go_left = vals[moved, fi[seg]] <= v[seg]
+        order = np.argsort(seg * 2 + ~go_left, kind="stable")
+        sample_row[pos] = sample_row[pos[order]]
+        sample_cls[pos] = sample_cls[pos[order]]
+        n_left_rows[nodes] = np.bincount(seg[go_left], minlength=q)
     return slot, value, n_left_rows
 
 
-def _grow(X, specs: list[_ForestSpec], max_features: int) -> list[list[DecisionTree]]:
-    """Grow every tree of every spec together; returns each spec's trees in order."""
-    if not specs:
-        return []
+def _grow(X, specs: list[_ForestSpec], max_features: int, n_values: int) -> list[list[DecisionTree]]:
+    """Grow every tree of every spec, all of one class count, together; returns each spec's trees in order."""
     d = X.shape[1]
     tree_spec = np.repeat(np.arange(len(specs)), [len(s.trees) for s in specs])
     n_trees = tree_spec.shape[0]
-    tree_classes = np.array([s.n_classes for s in specs])[tree_spec]
-    n_classes = int(tree_classes.max())
-    n_values = max(s.n_values for s in specs)
+    n_classes = specs[0].n_classes
 
     # bootstraps, mapped to rows of X, laid out tree after tree; trees of one
     # bootstrap size draw together
@@ -272,8 +266,7 @@ def _grow(X, specs: list[_ForestSpec], max_features: int) -> list[list[DecisionT
             cand_trees = live[cand]
             feats = streams.subsets(cand_trees, d, max_features)
             slot, value, n_left = _best_splits(
-                X, sample_row, sample_cls, lo[cand], size[cand], counts[cand], feats, n_values,
-                tree_classes[cand_trees],
+                X, sample_row, sample_cls, lo[cand], size[cand], counts[cand], feats, n_values, n_classes,
             )
             split = slot >= 0
             at, trees = cand[split], live[cand[split]]
@@ -302,25 +295,25 @@ def _grow(X, specs: list[_ForestSpec], max_features: int) -> list[list[DecisionT
     right = np.where(left >= 0, left + 1, -1).astype(np.int32)
 
     out = []
-    for k, spec in enumerate(specs):
-        first = np.flatnonzero(tree_spec == k)
-        base, stop = tree_start[first[0]], tree_start[first[-1]] + n_nodes[first[-1]]
-        spec_counts = np.ascontiguousarray(counts[base:stop, :spec.n_classes])
+    for k in range(len(specs)):
         trees = []
-        for i in first.tolist():
+        for i in np.flatnonzero(tree_spec == k).tolist():
             a, b = tree_start[i], tree_start[i] + n_nodes[i]
-            trees.append(DecisionTree(feature[a:b], threshold[a:b], left[a:b], right[a:b],
-                                      spec_counts[a - base:b - base]))
+            trees.append(DecisionTree(feature[a:b], threshold[a:b], left[a:b], right[a:b], counts[a:b]))
         out.append(trees)
     return out
 
 
 def _batches(specs: list[_ForestSpec], max_slots: int):
-    """Split the trees of ``specs`` into consecutive batches of at most
-    ``max_slots`` bootstrap slots (at least one tree each); yields lists of
-    (spec index, spec restricted to a tree range)."""
+    """Split the trees of ``specs``, taken in stable class-count order, into
+    batches of one class count and at most ``max_slots`` bootstrap slots (at
+    least one tree each); yields lists of (spec index, spec restricted to a
+    tree range)."""
     batch, used = [], 0
-    for k, spec in enumerate(specs):
+    for k, spec in sorted(enumerate(specs), key=lambda item: item[1].n_classes):
+        if batch and batch[-1][1].n_classes != spec.n_classes:
+            yield batch
+            batch, used = [], 0
         n = spec.rows.shape[0]
         start = spec.trees.start
         while start < spec.trees.stop:
@@ -337,24 +330,15 @@ def _batches(specs: list[_ForestSpec], max_slots: int):
         yield batch
 
 
-def _grow_bounded(X, specs: list[_ForestSpec], max_features: int) -> list[list[DecisionTree]]:
-    """``_grow`` over batches of at most ``BATCH_SLOTS`` slots; the trees do not depend on the split."""
-    out = [[] for _ in specs]
-    for batch in _batches(specs, BATCH_SLOTS):
-        for (k, _), trees in zip(batch, _grow(X, [spec for _, spec in batch], max_features)):
-            out[k].extend(trees)
-    return out
-
-
 def fit_forests(X, y, row_sets, seeds, n_trees: int = 100, threads: int | None = None) -> list[RandomForestModel]:
     """Fit one forest per row set of (X, y), grown together in batches.
 
     Forest ``k`` is exactly ``fit_forest(X[row_sets[k]], y[row_sets[k]],
-    n_trees, seeds[k])``. A batch holds at most ``BATCH_SLOTS`` bootstrap
-    rows, which bounds the growth state; the returned forests are the
-    caller's to bound. With ``threads`` > 1 the trees are split into ranges
-    grown by the same engine on a thread pool; the forests do not depend on
-    either split.
+    n_trees, seeds[k])``; seeds lie in [0, 2**32). A batch holds forests of
+    one class count and at most ``BATCH_SLOTS`` bootstrap rows, which bounds
+    the growth state; the returned forests are the caller's to bound. With
+    ``threads`` > 1 batches of at most a thread's share of the rows grow on
+    a pool of that many threads. The forests do not depend on the batches.
     """
     X = np.ascontiguousarray(X, dtype=np.int64)
     y = np.asarray(y, dtype=np.int64)
@@ -366,9 +350,10 @@ def fit_forests(X, y, row_sets, seeds, n_trees: int = 100, threads: int | None =
         raise ValueError("need one seed per row set")
     if n_trees < 1:
         raise ValueError("need at least one tree")
-    if any(seed < 0 for seed in seeds):
-        raise ValueError("seed must be non-negative")
+    if any(not 0 <= seed < 1 << 32 for seed in seeds):
+        raise ValueError("seeds must lie in [0, 2**32)")
     max_features = max(1, math.ceil(math.sqrt(X.shape[1])))
+    n_values = int(X.max()) + 1
 
     labels, specs = [], []
     for rows, seed in zip(row_sets, seeds):
@@ -377,20 +362,25 @@ def fit_forests(X, y, row_sets, seeds, n_trees: int = 100, threads: int | None =
             raise EmptyTrainingSet("training set must contain at least one row")
         class_labels, y_enc = np.unique(y[rows], return_inverse=True)
         labels.append(class_labels)
-        specs.append(_ForestSpec(rows, y_enc, int(X[rows].max()) + 1, class_labels.shape[0], int(seed),
-                                 range(n_trees)))
+        specs.append(_ForestSpec(rows, y_enc, class_labels.shape[0], int(seed), range(n_trees)))
 
-    if threads is not None and threads > 1:
-        bounds = np.linspace(0, n_trees, threads + 1).astype(int)
-        jobs = [[replace(s, trees=range(a, b)) for s in specs] for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda job: _grow_bounded(X, job, max_features), jobs))
+    workers = max(threads or 1, 1)
+    slots = n_trees * sum(spec.rows.shape[0] for spec in specs)
+    batches = list(_batches(specs, min(BATCH_SLOTS, -(-slots // workers))))
+
+    def grow(batch):
+        return _grow(X, [spec for _, spec in batch], max_features, n_values)
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            grown = list(pool.map(grow, batches))
     else:
-        parts = [_grow_bounded(X, specs, max_features)]
-    return [
-        RandomForestModel([tree for part in parts for tree in part[k]], labels[k], X.shape[1], spec.seed)
-        for k, spec in enumerate(specs)
-    ]
+        grown = map(grow, batches)
+    trees = [[] for _ in specs]
+    for batch, parts in zip(batches, grown):
+        for (k, _), part in zip(batch, parts):
+            trees[k].extend(part)
+    return [RandomForestModel(trees[k], labels[k], X.shape[1], spec.seed) for k, spec in enumerate(specs)]
 
 
 def fit_forest(X, y, n_trees: int = 100, seed: int = 0, threads: int | None = None) -> RandomForestModel:
@@ -512,22 +502,24 @@ def _check_forest(model: RandomForestModel) -> None:
 
 
 def forest_from_dict(payload: dict) -> RandomForestModel:
-    """Rebuild a forest from ``forest_to_dict`` output; raises ModelParseError if malformed."""
-    trees = [
-        DecisionTree(
-            np.asarray(t["feature"], dtype=np.int32),
-            np.asarray(t["threshold"], dtype=np.float64),
-            np.asarray(t["left"], dtype=np.int32),
-            np.asarray(t["right"], dtype=np.int32),
-            np.asarray(t["counts"], dtype=np.float64),
-        )
-        for t in payload["trees"]
-    ]
+    """Rebuild a forest from ``forest_to_dict`` output; raises ModelParseError if malformed.
+
+    Each node array is read for all trees at once, so its JSON type is
+    checked once per forest, and each tree holds its own slice of it.
+    """
+    node_arrays = (("feature", np.int32), ("threshold", np.float64), ("left", np.int32), ("right", np.int32),
+                   ("counts", np.float64))
+    per_tree = zip(*map(itemgetter(*(name for name, _ in node_arrays)), payload["trees"]))
+    columns = []
+    for (name, dtype), parts in zip(node_arrays, per_tree):
+        ends = list(accumulate(map(len, parts)))
+        flat = model_array(list(chain.from_iterable(parts)), name, dtype)
+        columns.append([flat[a:b] for a, b in zip([0] + ends[:-1], ends)])
     model = RandomForestModel(
-        trees,
-        np.asarray(payload["class_labels"], dtype=np.int64),
-        model_int(payload, "n_features"),
-        int(payload["seed"]),
+        [DecisionTree(*arrays) for arrays in zip(*columns)],
+        model_array(payload["class_labels"], "class_labels", np.int64),
+        model_field(payload, "n_features"),
+        model_field(payload, "seed"),
     )
     _check_forest(model)
     return model

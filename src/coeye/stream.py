@@ -1,12 +1,13 @@
 """Keyed, vectorised random streams: numpy's per-tree draws, many trees at once.
 
 Tree ``t`` of a forest seeded ``s`` draws from
-``default_rng(SeedSequence([s, t]))``, a PCG64 generator. ``Streams``
-computes that generator's 32-bit word stream as a pure function of (seed,
-tree, word position), in NumPy, for every tree of a growth batch together:
+``default_rng(SeedSequence([s, t]))``, a PCG64 generator, where ``s`` and
+``t`` are one 32-bit word each. ``Streams`` computes that generator's word
+stream as a pure function of (seed, tree, word position), in NumPy, for
+every tree of a growth batch together:
 
-- SeedSequence's pool mixing and ``generate_state(4, uint64)``, in uint32
-  arithmetic;
+- SeedSequence's pool mixing of the two words and ``generate_state(4,
+  uint64)``, in uint32 arithmetic;
 - PCG64 seeding and its XSL-RR output (O'Neill, 2014), with the 128-bit
   state as (hi, lo) uint64 pairs. Word ``k`` is the low (even ``k``) or high
   half of output ``k // 2``, and output ``j`` is one jump of ``j + 1`` LCG
@@ -87,17 +88,9 @@ def _output(hi, lo):
     return (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
 
 
-def _uint32_words(value: int) -> list[int]:
-    """SeedSequence's uint32 words of a non-negative int, least significant first."""
-    words = [value & _M32]
-    while value := value >> 32:
-        words.append(value & _M32)
-    return words
-
-
-def _seed_states(entropy: list[np.ndarray]) -> list[np.ndarray]:
-    """PCG64 [state_hi, state_lo, inc_hi, inc_lo] of ``default_rng(SeedSequence(words))``
-    for rows of entropy words, given as uint32 columns."""
+def _seed_states(seeds: np.ndarray, trees: np.ndarray) -> list[np.ndarray]:
+    """PCG64 [state_hi, state_lo, inc_hi, inc_lo] of ``default_rng(SeedSequence([seed, tree]))``
+    for uint32 columns of seeds and trees."""
     const = _INIT_A
 
     def hashmix(value):
@@ -111,15 +104,13 @@ def _seed_states(entropy: list[np.ndarray]) -> list[np.ndarray]:
         value = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
         return value ^ (value >> np.uint32(16))
 
-    zero = np.zeros_like(entropy[0])
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
+    # two entropy words, the rest of the four-word pool zero
+    zero = np.zeros_like(seeds)
+    pool = [hashmix(word) for word in (seeds, trees, zero, zero)]
     for src in range(4):
         for dst in range(4):
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
 
     # generate_state(4, uint64): eight words from the cycled pool, paired low word first
     const, words = _INIT_B, []
@@ -138,28 +129,19 @@ def _seed_states(entropy: list[np.ndarray]) -> list[np.ndarray]:
 
 class Streams:
     """The word streams of ``default_rng(SeedSequence([seed, t]))``, one row per
-    (seed, tree) key, each with its position: the words it has consumed."""
+    (seed, tree) key, each with its position: the words it has consumed. A
+    seed, like a tree index, is one 32-bit word."""
 
     def __init__(self, keys):
         """``keys``: (seed, tree indices) pairs; rows follow them in order."""
         seeds, trees = [], []
         for seed, t in keys:
             t = np.asarray(t, dtype=np.int64)
-            if seed < 0 or (t.size and not 0 <= t.min() <= t.max() <= _M32):
-                raise ValueError("seeds must be non-negative and tree indices in [0, 2**32)")
-            seeds.append(_uint32_words(int(seed)))
-            trees.append(t)
-        sizes = np.array([t.shape[0] for t in trees], dtype=np.int64)
-        first = np.cumsum(sizes) - sizes
-        self._state = [np.empty(int(sizes.sum()), dtype=np.uint64) for _ in range(4)]
-        # keys whose seeds have as many words are seeded together
-        for length in {len(words) for words in seeds}:
-            group = [k for k, words in enumerate(seeds) if len(words) == length]
-            rows = np.concatenate([first[k] + np.arange(sizes[k]) for k in group])
-            seed_words = np.repeat(np.array([seeds[k] for k in group], dtype=np.uint32), sizes[group], axis=0)
-            entropy = list(seed_words.T) + [np.concatenate([trees[k] for k in group]).astype(np.uint32)]
-            for column, values in zip(self._state, _seed_states(entropy)):
-                column[rows] = values
+            if not 0 <= seed <= _M32 or (t.size and not 0 <= t.min() <= t.max() <= _M32):
+                raise ValueError("seeds and tree indices must lie in [0, 2**32)")
+            seeds.append(np.full(t.shape[0], seed, dtype=np.uint32))
+            trees.append(t.astype(np.uint32))
+        self._state = _seed_states(np.concatenate(seeds), np.concatenate(trees))
         self.pos = np.zeros(self._state[0].shape[0], dtype=np.int64)
 
     def words(self, rows, count: int) -> np.ndarray:

@@ -37,7 +37,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .data import Dataset, TimeSeries, znormalize_rows
-from .errors import DegenerateBinning, EqualDepthDegenerate, InvalidWordSize, model_int
+from .errors import DegenerateBinning, EqualDepthDegenerate, InvalidWordSize, model_array, model_field
 
 MAX_ALPHABET = 26
 
@@ -82,11 +82,11 @@ class Lens:
     @staticmethod
     def from_dict(payload: dict) -> "Lens":
         return Lens(
-            model_int(payload, "s"),
-            model_int(payload, "alpha"),
-            model_int(payload, "w"),
-            bool(payload["drop_dc"]),
-            float(payload["cv_accuracy"]),
+            model_field(payload, "s"),
+            model_field(payload, "alpha"),
+            model_field(payload, "w"),
+            model_field(payload, "drop_dc", bool),
+            model_field(payload, "cv_accuracy", float),
         )
 
 
@@ -181,10 +181,12 @@ class McbTable:
 def binning_from_dict(payload: dict) -> SaxBinning | McbTable:
     """Rebuild a binning from its ``to_dict`` form."""
     if payload["kind"] == "sax":
-        return SaxBinning(payload["mode"], model_int(payload, "alpha"), payload["cuts"], bool(payload["degenerate"]))
+        return SaxBinning(payload["mode"], model_field(payload, "alpha"),
+                          model_array(payload["cuts"], "cuts", np.float64), model_field(payload, "degenerate", bool))
     if payload["kind"] == "mcb":
-        return McbTable(model_int(payload, "alpha"), model_int(payload, "w"), bool(payload["drop_dc"]),
-                        payload["breakpoints"])
+        return McbTable(model_field(payload, "alpha"), model_field(payload, "w"),
+                        model_field(payload, "drop_dc", bool),
+                        model_array(payload["breakpoints"], "breakpoints", np.float64))
     raise ValueError(f"unknown binning kind {payload['kind']!r}")
 
 

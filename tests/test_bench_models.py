@@ -1,0 +1,43 @@
+"""The benchmark's three models keep their bytes.
+
+``perfbench/workloads.py`` trains each workload's grid at ``MODEL_SEED``,
+and the benchmark reports each model file's size as ``model_bytes``. This
+trains the same grids on the same data at one worker and pins every file's
+sha256 and size, so a change that moves them is seen in the suite. When a
+change to the tree draws moves them on purpose, the pins move with it, with
+the reason recorded.
+"""
+
+import hashlib
+import os
+
+import pytest
+
+from coeye import CoEyeConfig, Dataset, load_ucr, save_model, train
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
+
+PINNED = {
+    "beetlefly": ("6913e697e90e1f38c78e82a0e3d2e0fa69a6e112435a41107aacc8f5aa811104", 175_106),
+    "chinatown": ("a613d836a79e1b916894480e6be48c002e656b35baea294ecfe2e00dcc8756c7", 353_267),
+    "imbalanced": ("5d6f48807a569404b3adf4fc9a52e9fe0190f4bec03fbd695249057647299b71", 379_619),
+}
+
+
+@pytest.mark.filterwarnings("ignore::coeye.errors.EqualDepthDegenerate")
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_benchmark_model_bytes_pinned(monkeypatch, tmp_path, name):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import gen
+    import workloads
+
+    spec = workloads.WORKLOADS[name]
+    if spec.generated:
+        X, y = gen.make_split(gen.TRAIN_SEED, gen.TRAIN_COUNTS)
+        train_set = Dataset(X, y, name=spec.dataset)
+    else:
+        train_set = load_ucr(os.path.join(ROOT, "tests", "data", "ucr", f"{spec.dataset}_TRAIN.tsv"))
+    path = tmp_path / "model.json"
+    save_model(train(train_set, CoEyeConfig(seed=workloads.MODEL_SEED, threads=1, **spec.grid)), path)
+    assert (hashlib.sha256(path.read_bytes()).hexdigest(), path.stat().st_size) == PINNED[name]

@@ -34,7 +34,7 @@ from coeye.errors import (
     SeriesLengthMismatch,
     UnsupportedModelVersion,
 )
-from coeye.forest import RandomForestModel, fit_forest, predict_proba
+from coeye.forest import RandomForestModel, _grow, fit_forest, predict_proba
 from coeye.lenses import SAX, SFA, Lens, LensGrid, search_lenses
 from coeye.symbolic import fit_lens, fit_sax_binning, symbolize
 from tests.conftest import SMALL_CONFIG, synth_dataset
@@ -302,6 +302,12 @@ class TestTrain:
         config = CoEyeConfig(seed=1, smote=False, **SMALL_CONFIG)
         model = train(unbalanced, config)
         assert model.smote_report.smote_percentage == 0.0
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_smote_k_below_one_refused(self, k):
+        # numpy used to fail inside the neighbour draw, with its own message
+        with pytest.raises(ValueError, match="smote_k"):
+            CoEyeConfig(smote_k=k)
 
     def test_single_class_rejected(self):
         ds = Dataset(np.random.default_rng(0).normal(size=(6, 16)), np.ones(6, dtype=int))
@@ -684,6 +690,90 @@ def _sfa_wider_than_n(payload):
     _widen_sfa_eye(payload, payload["n"] + 2)
 
 
+def _string_drop_dc(payload):
+    # bool("false") is True, and lens and binning still agree, so every SFA eye would serve drop-DC words
+    for eye in payload["eyes"]:
+        if eye["lens"]["s"] == SFA:
+            eye["lens"]["drop_dc"] = eye["binning"]["drop_dc"] = "false"
+
+
+def _string_sax_degenerate(payload):
+    _first_binning(payload, "sax")["degenerate"] = "false"
+
+
+def _float_config_seed(payload):
+    payload["config"]["seed"] += 0.9
+
+
+def _float_config_trees(payload):
+    payload["config"]["trees"] += 0.7
+
+
+def _string_config_smote(payload):
+    payload["config"]["smote"] = "no"
+
+
+def _bool_config_smote_k(payload):
+    payload["config"]["smote_k"] = True
+
+
+def _float_config_alpha(payload):
+    payload["config"]["sfa_alphas"][0] += 0.5
+
+
+def _float_forest_seed(payload):
+    payload["eyes"][0]["forest"]["seed"] += 0.5
+
+
+def _float_smote_count(payload):
+    counts = payload["smote_report"]["original_counts"]
+    label = next(iter(counts))
+    counts[label] += 0.5
+
+
+def _string_smote_percentage(payload):
+    payload["smote_report"]["smote_percentage"] = str(payload["smote_report"]["smote_percentage"])
+
+
+def _float_split_feature(payload):
+    def mutate(tree, n_features):
+        tree["feature"][0] += 0.5
+
+    _corrupt_first_split(payload, mutate)
+
+
+def _string_threshold(payload):
+    def mutate(tree, n_features):
+        tree["threshold"][0] = str(tree["threshold"][0])
+
+    _corrupt_first_split(payload, mutate)
+
+
+def _string_count(payload):
+    def mutate(tree, n_features):
+        tree["counts"][0][0] = str(tree["counts"][0][0])
+
+    _corrupt_first_split(payload, mutate)
+
+
+def _float_class_label(payload):
+    payload["class_labels"][-1] += 0.5
+
+
+def _string_sax_cut(payload):
+    cuts = _first_binning(payload, "sax")["cuts"]
+    cuts[0] = str(cuts[0])
+
+
+def _string_cv_accuracy(payload):
+    lens = payload["eyes"][0]["lens"]
+    lens["cv_accuracy"] = str(lens["cv_accuracy"])
+
+
+def _bool_cv_accuracy(payload):
+    payload["eyes"][0]["lens"]["cv_accuracy"] = True
+
+
 @contextlib.contextmanager
 def _deadline(seconds):
     """Fail instead of hanging: a corrupt tree used to make routing loop forever."""
@@ -749,6 +839,30 @@ class TestCorruptForests:
         bad.write_text(json.dumps(payload))
         with pytest.raises(ModelParseError):
             load_model(bad)
+
+    @pytest.mark.parametrize("mutate", [
+        _string_drop_dc, _string_sax_degenerate, _float_config_seed, _float_config_trees, _string_config_smote,
+        _bool_config_smote_k, _float_config_alpha, _float_forest_seed, _float_smote_count,
+        _string_smote_percentage, _float_split_feature, _string_threshold, _string_count, _float_class_label,
+        _string_sax_cut, _string_cv_accuracy, _bool_cv_accuracy,
+    ])
+    def test_fields_are_read_by_their_json_type(self, saved, tmp_path, mutate):
+        # each of these was cast by int(), float(), bool() or np.asarray and served
+        payload = json.loads(saved.read_text())
+        mutate(payload)
+        bad = tmp_path / "types.json"
+        bad.write_text(json.dumps(payload))
+        with pytest.raises(ModelParseError):
+            load_model(bad)
+
+    def test_cli_refuses_a_string_flag(self, saved, tmp_path):
+        payload = json.loads(saved.read_text())
+        _string_drop_dc(payload)
+        bad = tmp_path / "flag.json"
+        bad.write_text(json.dumps(payload))
+        series = tmp_path / "series.tsv"
+        series.write_text("\t".join(["0.5"] * 32) + "\n")
+        assert main(["predict", "--model", str(bad), "--input", str(series)]) == 2
 
     def test_cli_blames_the_model_not_the_input(self, saved, tmp_path):
         # the series has the length the model was trained on; the model's n is what is wrong
@@ -843,6 +957,34 @@ def test_model_bytes_pinned_gaussian(tmp_path):
     path = tmp_path / "chinatown.json"
     save_model(model, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_CHINATOWN_GAUSSIAN_SHA256
+
+
+# sha256 of a leave-one-out train: class 9 has a single row, so the searches
+# grow 2-class and 3-class fold forests in the same calls
+PINNED_LEAVE_ONE_OUT_SHA256 = "afcef229de48290951ebca616e7b7ab10a7fda1de3f9fbc7b8d5a362e17ea02f"
+
+
+@pytest.mark.parametrize("threads", [None, 2])
+def test_leave_one_out_model_bytes_pinned(tmp_path, monkeypatch, threads):
+    data = synth_dataset("waves", seed=3)
+    y = data.y.copy()
+    y[0] = 9
+    batch_classes = []
+
+    def recording(X, specs, *args):
+        batch_classes.append({spec.n_classes for spec in specs})
+        return _grow(X, specs, *args)
+
+    monkeypatch.setattr("coeye.forest._grow", recording)
+    path = tmp_path / "singleton.json"
+    save_model(train(Dataset(data.X, y, name="waves_singleton"), CoEyeConfig(seed=1, threads=threads, **SMALL_CONFIG)),
+               path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_LEAVE_ONE_OUT_SHA256
+    assert path.stat().st_size == 63_932
+    if threads is None:
+        # every batch holds forests of one class count, and both counts are grown
+        assert all(len(classes) == 1 for classes in batch_classes)
+        assert set().union(*batch_classes) == {2, 3}
 
 
 def _recording_executor(made: list):

@@ -76,6 +76,14 @@ class TestFit:
         with pytest.raises(EmptyTrainingSet):
             fit_forest(np.empty((0, 4), dtype=int), np.empty(0, dtype=int))
 
+    def test_seeds_must_be_one_32_bit_word(self):
+        X, y = separable_fixture(rows_per_class=5)
+        with pytest.raises(ValueError):
+            fit_forest(X, y, n_trees=2, seed=2**32)
+        with pytest.raises(ValueError):
+            fit_forests(X, y, [np.arange(10)], seeds=[2**32], n_trees=2)
+        assert fit_forest(X, y, n_trees=2, seed=2**32 - 1).seed == 2**32 - 1
+
     def test_tree_count(self):
         X, y = separable_fixture(rows_per_class=5)
         assert len(fit_forest(X, y, n_trees=17, seed=0).trees) == 17
@@ -199,8 +207,9 @@ class TestEngineMatchesReference:
             assert_same_proba(expected, got, X)
 
     def test_leave_one_out_batch_mixes_class_and_value_counts(self):
-        # row 0 holds the only class-9 label and the only symbol 6, so the
-        # fold without it has one class fewer and a smaller alphabet
+        # row 0 holds the only class-9 label and the only symbol 6, so one
+        # call grows the fold without it, with one class fewer and a smaller
+        # alphabet, beside eleven folds with both
         rng = np.random.default_rng(4)
         X = rng.integers(0, 3, size=(12, 9))
         X[0, 4] = 6
@@ -285,8 +294,8 @@ class TestEngineMatchesReference:
         assert_same_proba(reference_fit_forest(X, y, 12, 4), clone, X)
 
 
-def _spec(rows, trees):
-    return _ForestSpec(np.arange(rows), np.zeros(rows, dtype=np.int64), 2, 1, 0, range(trees))
+def _spec(rows, trees, n_classes=1):
+    return _ForestSpec(np.arange(rows), np.zeros(rows, dtype=np.int64), n_classes, 0, range(trees))
 
 
 class TestBatches:
@@ -302,6 +311,20 @@ class TestBatches:
     def test_tree_larger_than_bound_grows_alone(self):
         batches = list(_batches([_spec(50, 3)], 10))
         assert [[list(part.trees) for _, part in batch] for batch in batches] == [[[0]], [[1]], [[2]]]
+
+    def test_batches_hold_one_class_count_in_class_count_order(self):
+        # a leave-one-out call: the fold without a singleton class has one class fewer
+        specs = [_spec(30, 10, 3), _spec(29, 10, 2), _spec(30, 10, 3)]
+        seen = {k: [] for k in range(len(specs))}
+        counts = []
+        for batch in _batches(specs, 500):
+            assert sum(len(part.trees) * part.rows.shape[0] for _, part in batch) <= 500
+            assert len({part.n_classes for _, part in batch}) == 1
+            counts.append(batch[0][1].n_classes)
+            for k, part in batch:
+                seen[k].extend(part.trees)
+        assert counts == sorted(counts) and set(counts) == {2, 3}
+        assert all(seen[k] == list(range(10)) for k in seen)
 
 
 class TestLeaveOneOutMemory:

@@ -15,7 +15,7 @@ import coeye
 from coeye import stream
 from coeye.stream import Streams
 
-SEEDS = [0, 2**32 - 1, 2**40 + 5, 2**130 + 3]  # one, one, two and five entropy words
+SEEDS = [0, 2**32 - 1]  # a seed is one 32-bit word
 TREES = [0, 1, 2, 17, 999, 65_536, 10**6]
 
 
@@ -44,8 +44,8 @@ class TestWords:
             expected = numpy_words(generator(7, row), start + 6)[start:]
             assert np.array_equal(streams.words([row], 6)[0], expected)
 
-    def test_keys_of_mixed_seed_lengths_keep_their_order(self):
-        keys = [(2**40 + 5, [3, 4]), (0, [0]), (2**130 + 3, [2]), (2**32 - 1, range(5, 8))]
+    def test_keys_keep_their_order(self):
+        keys = [(2**31 + 5, [3, 4]), (0, [0]), (2**32 - 1, [2]), (17, range(5, 8)), (0, [1])]
         streams = Streams(keys)
         rows = [(seed, tree) for seed, trees in keys for tree in trees]
         got = streams.words(np.arange(len(rows)), 5)
@@ -57,7 +57,7 @@ class TestWords:
 
 
 class TestDraw:
-    @pytest.mark.parametrize("seed", SEEDS[:3])
+    @pytest.mark.parametrize("seed", SEEDS)
     def test_chained_draws_across_calls(self, seed):
         # 2**31 + 1 rejects about half its words; a bound of 1 consumes nothing
         calls = [[16] * 16, [2**31 + 1] * 7, [1], [1, 3, 1, 2**32, 2**31 + 1, 130], [5, 2**31 + 1, 1, 1, 2]]
@@ -88,7 +88,7 @@ class TestDraw:
         got = streams.draw(np.arange(20), np.full(37, 37))
         assert np.array_equal(got, [generator(11, t).integers(0, 37, size=37) for t in range(20)])
 
-    @given(st.integers(0, 2**64), st.integers(0, 2**32 - 1),
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1),
            st.lists(st.lists(st.one_of(st.integers(1, 40), st.integers(2**31 - 3, 2**32)), max_size=12),
                     max_size=4))
     @settings(max_examples=60, deadline=None)
@@ -102,7 +102,7 @@ class TestDraw:
         with pytest.raises(ValueError):
             Streams([(0, [0])]).draw([0], bounds)
 
-    @pytest.mark.parametrize("seed, trees", [(-1, [0]), (0, [-1]), (0, [2**32])])
+    @pytest.mark.parametrize("seed, trees", [(-1, [0]), (0, [-1]), (0, [2**32]), (2**32, [0])])
     def test_keys_outside_the_domain_are_refused(self, seed, trees):
         with pytest.raises(ValueError):
             Streams([(seed, trees)])
