@@ -39,20 +39,6 @@ class CoEyeConfig:
         if self.sax_mode not in ("minmax", "gaussian"):
             raise ValueError(f"unknown sax_mode {self.sax_mode!r}")
 
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "trees": self.trees,
-            "folds": self.folds,
-            "sax_alphas": list(self.sax_alphas),
-            "sax_word_lengths": None if self.sax_word_lengths is None else list(self.sax_word_lengths),
-            "sfa_alphas": list(self.sfa_alphas),
-            "sfa_word_lengths": None if self.sfa_word_lengths is None else list(self.sfa_word_lengths),
-            "sax_mode": self.sax_mode,
-            "smote": self.smote,
-            "smote_k": self.smote_k,
-        }
-
     @staticmethod
     def from_dict(payload: dict) -> "CoEyeConfig":
         """Read a model file's ``config``, each field by its JSON type; raises ModelParseError."""

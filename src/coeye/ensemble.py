@@ -24,7 +24,7 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -48,7 +48,6 @@ from .forest import (
     RandomForestModel,
     fit_forest,
     forest_from_dict,
-    forest_to_dict,
     pack_forests,
     predict_packed,
 )
@@ -349,27 +348,53 @@ def predict_dataset(model: CoEyeModel, data, representation: str = "both") -> li
     return vote(sliced, sax_count, seed=model.config.seed, class_labels=model.class_labels)
 
 
+def _json_default(obj):
+    """How ``save_model`` writes what JSON has no type for: an array or a
+    numpy scalar as its ``tolist()``, a record as its dataclass fields."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def save_model(model: CoEyeModel, path) -> None:
-    """Serialize to versioned JSON; identical models produce identical bytes."""
+    """Serialize to versioned JSON; identical models produce identical bytes.
+
+    Every record is written as its fields, except that the config leaves out
+    ``threads`` (a run setting), a binning adds its ``kind``, and the SMOTE
+    report's labels become string keys before sorting, so they sort as text.
+    """
+    config = _json_default(model.config)
+    del config["threads"]
+    report = model.smote_report and {
+        key: {str(label): n for label, n in value.items()} if isinstance(value, dict) else value
+        for key, value in _json_default(model.smote_report).items()
+    }
     payload = {
         "format_version": MODEL_FORMAT_VERSION,
         "library_version": __version__,
         "dataset_name": model.dataset_name,
         "n": model.n,
-        "class_labels": [int(c) for c in model.class_labels],
-        "config": model.config.to_dict(),
-        "smote_report": None if model.smote_report is None else model.smote_report.to_dict(),
+        "class_labels": model.class_labels,
+        "config": config,
+        "smote_report": report,
         "eyes": [
-            {
-                "lens": eye.lens.to_dict(),
-                "binning": eye.binning.to_dict(),
-                "forest": forest_to_dict(eye.forest),
-            }
+            {"lens": eye.lens, "forest": eye.forest,
+             "binning": {"kind": "sax" if isinstance(eye.binning, SaxBinning) else "mcb", **_json_default(eye.binning)}}
             for eye in model.eyes
         ],
     }
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=_json_default)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
+        fh.write(text)
+
+
+def _label_counts(counts: dict) -> dict[int, int]:
+    """A SMOTE report's counts, keyed by class labels that ``save_model`` wrote as ``str(label)``."""
+    if any(str(int(label)) != label for label in counts):
+        raise ModelParseError(f"smote_report class labels must be written as integers, got {list(counts)}")
+    return {int(label): model_field(counts, label) for label in counts}
 
 
 def load_model(path) -> CoEyeModel:
@@ -381,18 +406,16 @@ def load_model(path) -> CoEyeModel:
         raise ModelParseError(f"{path}: not a valid model file ({exc})") from None
     if not isinstance(payload, dict) or "format_version" not in payload:
         raise ModelParseError(f"{path}: missing format_version")
-    if payload["format_version"] != MODEL_FORMAT_VERSION:
-        raise UnsupportedModelVersion(
-            f"{path}: format version {payload['format_version']!r}, expected {MODEL_FORMAT_VERSION}"
-        )
     try:
+        version = model_field(payload, "format_version")
+        if version != MODEL_FORMAT_VERSION:
+            raise UnsupportedModelVersion(f"{path}: format version {version}, expected {MODEL_FORMAT_VERSION}")
         report = payload["smote_report"]
         smote_report = None
         if report is not None:
-            original, added = report["original_counts"], report["added_counts"]
             smote_report = SmoteReport(
-                {int(label): model_field(original, label) for label in original},
-                {int(label): model_field(added, label) for label in added},
+                _label_counts(report["original_counts"]),
+                _label_counts(report["added_counts"]),
                 model_field(report, "smote_percentage", float),
             )
         # train writes np.unique output; a repeated label would split one class's votes
@@ -410,6 +433,8 @@ def load_model(path) -> CoEyeModel:
             )
             for e in payload["eyes"]
         ]
+        if not eyes:
+            raise ModelParseError("the model has no eyes")
         for i, eye in enumerate(eyes):
             if eye.forest.n_features != eye.lens.w or not np.array_equal(eye.forest.class_labels, class_labels):
                 raise ModelParseError(f"eye {i}: forest does not match its lens width or the class labels")
@@ -426,7 +451,7 @@ def load_model(path) -> CoEyeModel:
             class_labels=class_labels,
             n=n,
             config=CoEyeConfig.from_dict(payload["config"]),
-            dataset_name=payload["dataset_name"],
+            dataset_name=model_field(payload, "dataset_name", str),
             smote_report=smote_report,
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

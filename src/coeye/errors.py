@@ -1,5 +1,7 @@
 """Exception and warning types shared across the library, and the model file's type rules."""
 
+from itertools import chain
+
 import numpy as np
 
 
@@ -88,15 +90,16 @@ class DegenerateBinning(UserWarning):
 
 
 # the JSON types a model file field may hold, by the type it is read as
-_JSON_TYPES = {int: ((int,), "an integer"), bool: ((bool,), "true or false"), float: ((int, float), "a number")}
+_JSON_TYPES = {int: ((int,), "an integer"), bool: ((bool,), "true or false"), float: ((int, float), "a number"),
+               str: ((str,), "a string")}
 
 
 def model_field(payload: dict, key: str, kind: type = int):
-    """``payload[key]`` of a parsed model file, read as ``kind`` (int, bool or float) by its JSON type.
+    """``payload[key]`` of a parsed model file, read as ``kind`` (int, bool, float or str) by its JSON type.
 
-    An int must be a JSON integer, a bool ``true`` or ``false`` and a float
-    any JSON number. Nothing else is cast: a string, a fraction or a bool
-    where it does not belong is refused.
+    An int must be a JSON integer, a bool ``true`` or ``false``, a float
+    any JSON number and a str a JSON string. Nothing else is cast: a
+    string, a fraction or a bool where it does not belong is refused.
     """
     value = payload[key]
     types, name = _JSON_TYPES[kind]
@@ -109,15 +112,19 @@ def model_array(values, key: str, dtype) -> np.ndarray:
     """A parsed model file's list ``values``, named ``key``, as an array of
     ``dtype``: JSON integers for an integer dtype, JSON numbers for a float one.
 
-    The kind is checked once, on the dtype numpy infers for the whole list,
-    so a string, a null, a fraction among integers or a list of bools is
-    refused without a check per element; a bool among numbers reads as 0 or 1.
+    The kind is checked on the dtype numpy infers for the whole list, so a
+    string, a null, a fraction among integers or a list of bools is refused
+    without a check per element. numpy reads a bool among numbers as 0 or 1,
+    so one scan over the elements, nested rows included, refuses those.
     """
-    values = np.asarray(values)
+    array = np.asarray(values)
     integer = np.dtype(dtype).kind == "i"
-    if values.size and values.dtype.kind not in ("i" if integer else "if"):
+    elements = values
+    for _ in range(array.ndim - 1):
+        elements = chain.from_iterable(elements)
+    if array.size and (array.dtype.kind not in ("i" if integer else "if") or bool in map(type, elements)):
         raise ModelParseError(f"{key} must hold only JSON {'integers' if integer else 'numbers'}")
-    out = values.astype(dtype)
-    if integer and not np.array_equal(out, values):
+    out = array.astype(dtype)
+    if integer and not np.array_equal(out, array):
         raise ModelParseError(f"{key} holds an integer outside the range of {np.dtype(dtype)}")
     return out

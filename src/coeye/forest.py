@@ -447,24 +447,6 @@ def predict(model: RandomForestModel, X) -> np.ndarray:
     return model.class_labels[np.argmax(proba, axis=1)]
 
 
-def forest_to_dict(model: RandomForestModel) -> dict:
-    return {
-        "seed": model.seed,
-        "n_features": model.n_features,
-        "class_labels": [int(c) for c in model.class_labels],
-        "trees": [
-            {
-                "feature": tree.feature.tolist(),
-                "threshold": tree.threshold.tolist(),
-                "left": tree.left.tolist(),
-                "right": tree.right.tolist(),
-                "counts": tree.counts.tolist(),
-            }
-            for tree in model.trees
-        ],
-    }
-
-
 def _check_forest(model: RandomForestModel) -> None:
     """Raise ModelParseError unless every tree is a well-formed, finite routing graph.
 
@@ -502,7 +484,7 @@ def _check_forest(model: RandomForestModel) -> None:
 
 
 def forest_from_dict(payload: dict) -> RandomForestModel:
-    """Rebuild a forest from ``forest_to_dict`` output; raises ModelParseError if malformed.
+    """Rebuild a forest from its model-file fields; raises ModelParseError if malformed.
 
     Each node array is read for all trees at once, so its JSON type is
     checked once per forest, and each tree holds its own slice of it.

@@ -32,13 +32,6 @@ class SmoteReport:
     def empty(counts: dict[int, int]) -> "SmoteReport":
         return SmoteReport(dict(counts), {c: 0 for c in counts}, 0.0)
 
-    def to_dict(self) -> dict:
-        return {
-            "original_counts": {str(k): v for k, v in sorted(self.original_counts.items())},
-            "added_counts": {str(k): v for k, v in sorted(self.added_counts.items())},
-            "smote_percentage": self.smote_percentage,
-        }
-
 
 def _nearest_neighbors(points: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k nearest rows of each row (self excluded).

@@ -37,7 +37,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .data import Dataset, TimeSeries, znormalize_rows
-from .errors import DegenerateBinning, EqualDepthDegenerate, InvalidWordSize, model_array, model_field
+from .errors import DegenerateBinning, EqualDepthDegenerate, InvalidWordSize, ModelParseError, model_array, model_field
 
 MAX_ALPHABET = 26
 
@@ -70,24 +70,18 @@ class Lens:
     def representation(self) -> str:
         return "sax" if self.s == SAX else "sfa"
 
-    def to_dict(self) -> dict:
-        return {
-            "s": self.s,
-            "alpha": self.alpha,
-            "w": self.w,
-            "drop_dc": self.drop_dc,
-            "cv_accuracy": self.cv_accuracy,
-        }
-
     @staticmethod
     def from_dict(payload: dict) -> "Lens":
-        return Lens(
+        lens = Lens(
             model_field(payload, "s"),
             model_field(payload, "alpha"),
             model_field(payload, "w"),
             model_field(payload, "drop_dc", bool),
             model_field(payload, "cv_accuracy", float),
         )
+        if lens.drop_dc != payload["drop_dc"]:
+            raise ModelParseError("a SAX lens keeps the DC coefficient: drop_dc must be false")
+        return lens
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,15 +126,6 @@ class SaxBinning:
         cuts.flags.writeable = False
         object.__setattr__(self, "cuts", cuts)
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "sax",
-            "mode": self.mode,
-            "alpha": self.alpha,
-            "cuts": self.cuts.tolist(),
-            "degenerate": self.degenerate,
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class McbTable:
@@ -168,19 +153,12 @@ class McbTable:
         """The breakpoint table, in the form ``digitize`` takes."""
         return self.breakpoints
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "mcb",
-            "alpha": self.alpha,
-            "w": self.w,
-            "drop_dc": self.drop_dc,
-            "breakpoints": self.breakpoints.tolist(),
-        }
-
 
 def binning_from_dict(payload: dict) -> SaxBinning | McbTable:
-    """Rebuild a binning from its ``to_dict`` form."""
+    """Rebuild a binning from its model-file form: its fields plus ``kind``, ``sax`` or ``mcb``."""
     if payload["kind"] == "sax":
+        if model_field(payload, "mode", str) not in ("minmax", "gaussian"):
+            raise ModelParseError(f"unknown SAX binning mode {payload['mode']!r}")
         return SaxBinning(payload["mode"], model_field(payload, "alpha"),
                           model_array(payload["cuts"], "cuts", np.float64), model_field(payload, "degenerate", bool))
     if payload["kind"] == "mcb":

@@ -3,7 +3,8 @@
 ``perfbench/workloads.py`` trains each workload's grid at ``MODEL_SEED``,
 and the benchmark reports each model file's size as ``model_bytes``. This
 trains the same grids on the same data at one worker and pins every file's
-sha256 and size, so a change that moves them is seen in the suite. When a
+sha256 and size, so a change that moves them is seen in the suite, and
+checks that saving each file's loaded model writes the same bytes. When a
 change to the tree draws moves them on purpose, the pins move with it, with
 the reason recorded.
 """
@@ -13,10 +14,12 @@ import os
 
 import pytest
 
-from coeye import CoEyeConfig, Dataset, load_ucr, save_model, train
+from coeye import CoEyeConfig, Dataset, load_model, load_ucr, save_model, train
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
+
+pytestmark = pytest.mark.filterwarnings("ignore::coeye.errors.EqualDepthDegenerate")
 
 PINNED = {
     "beetlefly": ("6913e697e90e1f38c78e82a0e3d2e0fa69a6e112435a41107aacc8f5aa811104", 175_106),
@@ -25,19 +28,34 @@ PINNED = {
 }
 
 
-@pytest.mark.filterwarnings("ignore::coeye.errors.EqualDepthDegenerate")
-@pytest.mark.parametrize("name", sorted(PINNED))
-def test_benchmark_model_bytes_pinned(monkeypatch, tmp_path, name):
-    monkeypatch.syspath_prepend(PERFBENCH)
-    import gen
-    import workloads
+@pytest.fixture(scope="module", params=sorted(PINNED))
+def model_file(request, tmp_path_factory):
+    """(workload name, path of its model file), trained once per module."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.syspath_prepend(PERFBENCH)
+        import gen
+        import workloads
 
-    spec = workloads.WORKLOADS[name]
+    spec = workloads.WORKLOADS[request.param]
     if spec.generated:
         X, y = gen.make_split(gen.TRAIN_SEED, gen.TRAIN_COUNTS)
         train_set = Dataset(X, y, name=spec.dataset)
     else:
         train_set = load_ucr(os.path.join(ROOT, "tests", "data", "ucr", f"{spec.dataset}_TRAIN.tsv"))
-    path = tmp_path / "model.json"
+    path = tmp_path_factory.mktemp(request.param) / "model.json"
     save_model(train(train_set, CoEyeConfig(seed=workloads.MODEL_SEED, threads=1, **spec.grid)), path)
+    return request.param, path
+
+
+def test_benchmark_model_bytes_pinned(model_file):
+    name, path = model_file
     assert (hashlib.sha256(path.read_bytes()).hexdigest(), path.stat().st_size) == PINNED[name]
+
+
+def test_reloaded_model_saves_the_same_bytes(model_file, tmp_path):
+    # a loaded model holds the reader's types (int64 label arrays, tuples in
+    # the config), not the trainer's, and must still write the same file
+    _, path = model_file
+    resaved = tmp_path / "resaved.json"
+    save_model(load_model(path), resaved)
+    assert resaved.read_bytes() == path.read_bytes()

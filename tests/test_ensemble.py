@@ -774,6 +774,75 @@ def _bool_cv_accuracy(payload):
     payload["eyes"][0]["lens"]["cv_accuracy"] = True
 
 
+def _bool_split_feature(payload):
+    def mutate(tree, n_features):
+        tree["feature"][0] = True
+
+    _corrupt_first_split(payload, mutate)
+
+
+def _bool_left_child(payload):
+    # the root's left child is node 1, so true would route exactly as before
+    def mutate(tree, n_features):
+        tree["left"][0] = True
+
+    _corrupt_first_split(payload, mutate)
+
+
+def _bool_count(payload):
+    def mutate(tree, n_features):
+        tree["counts"][0][0] = True
+
+    _corrupt_first_split(payload, mutate)
+
+
+def _bool_class_label(payload):
+    # the fixture's labels are [1, 2], so [true, 2] would read as the same labels
+    payload["class_labels"][0] = True
+
+
+def _bool_forest_class_label(payload):
+    payload["eyes"][0]["forest"]["class_labels"][0] = True
+
+
+def _bool_format_version(payload):
+    payload["format_version"] = True
+
+
+def _float_format_version(payload):
+    payload["format_version"] = 1.0
+
+
+def _underscored_smote_label(payload):
+    # int("1_0") is 10
+    counts = payload["smote_report"]["original_counts"]
+    label = next(iter(counts))
+    counts[label + "_0"] = counts.pop(label)
+
+
+def _padded_smote_label(payload):
+    counts = payload["smote_report"]["added_counts"]
+    label = next(iter(counts))
+    counts[" " + label] = counts.pop(label)
+
+
+def _int_sax_mode(payload):
+    _first_binning(payload, "sax")["mode"] = 7
+
+
+def _unknown_sax_mode(payload):
+    _first_binning(payload, "sax")["mode"] = "uniform"
+
+
+def _int_dataset_name(payload):
+    payload["dataset_name"] = 5
+
+
+def _sax_lens_drops_dc(payload):
+    # a SAX lens records drop_dc false, so true would load as false and re-save differently
+    next(e for e in payload["eyes"] if e["lens"]["s"] == SAX)["lens"]["drop_dc"] = True
+
+
 @contextlib.contextmanager
 def _deadline(seconds):
     """Fail instead of hanging: a corrupt tree used to make routing loop forever."""
@@ -844,7 +913,10 @@ class TestCorruptForests:
         _string_drop_dc, _string_sax_degenerate, _float_config_seed, _float_config_trees, _string_config_smote,
         _bool_config_smote_k, _float_config_alpha, _float_forest_seed, _float_smote_count,
         _string_smote_percentage, _float_split_feature, _string_threshold, _string_count, _float_class_label,
-        _string_sax_cut, _string_cv_accuracy, _bool_cv_accuracy,
+        _string_sax_cut, _string_cv_accuracy, _bool_cv_accuracy, _bool_split_feature, _bool_left_child, _bool_count,
+        _bool_class_label, _bool_forest_class_label, _bool_format_version, _float_format_version,
+        _underscored_smote_label, _padded_smote_label, _int_sax_mode, _unknown_sax_mode, _int_dataset_name,
+        _sax_lens_drops_dc,
     ])
     def test_fields_are_read_by_their_json_type(self, saved, tmp_path, mutate):
         # each of these was cast by int(), float(), bool() or np.asarray and served
@@ -893,6 +965,18 @@ class TestCorruptForests:
         bad = tmp_path / "labels.json"
         bad.write_text(json.dumps(payload))
         with pytest.raises(ModelParseError, match="class_labels"):
+            load_model(bad)
+        series = tmp_path / "series.tsv"
+        series.write_text("\t".join(["0.5"] * 32) + "\n")
+        assert main(["predict", "--model", str(bad), "--input", str(series)]) == 2
+
+    def test_model_without_eyes_rejected(self, saved, tmp_path):
+        # it used to load and fail in serving with EmptyEnsemble, a training error (exit 3)
+        payload = json.loads(saved.read_text())
+        payload["eyes"] = []
+        bad = tmp_path / "no_eyes.json"
+        bad.write_text(json.dumps(payload))
+        with pytest.raises(ModelParseError, match="no eyes"):
             load_model(bad)
         series = tmp_path / "series.tsv"
         series.write_text("\t".join(["0.5"] * 32) + "\n")

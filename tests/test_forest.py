@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coeye import forest, lenses
+from coeye.ensemble import _json_default
 from coeye.errors import EmptyTrainingSet, FeatureMismatch
 from coeye.forest import (
     _batches,
@@ -11,12 +14,16 @@ from coeye.forest import (
     fit_forest,
     fit_forests,
     forest_from_dict,
-    forest_to_dict,
     predict,
     predict_proba,
 )
 from coeye.stream import Streams
 from tests.forest_reference import reference_fit_forest, reference_predict_proba
+
+
+def reloaded(model):
+    """``model`` written as the model file writes a forest, and read back."""
+    return forest_from_dict(json.loads(json.dumps(model, default=_json_default)))
 
 
 def separable_fixture(seed=0, rows_per_class=50, width=10):
@@ -134,7 +141,7 @@ class TestSerialization:
     def test_round_trip_predictions(self):
         X, y = separable_fixture(seed=6)
         model = fit_forest(X, y, n_trees=15, seed=2)
-        clone = forest_from_dict(forest_to_dict(model))
+        clone = reloaded(model)
         probe = np.random.default_rng(1).integers(0, 7, size=(30, 10))
         assert np.array_equal(predict_proba(model, probe), predict_proba(clone, probe))
 
@@ -290,7 +297,7 @@ class TestEngineMatchesReference:
 
     def test_loaded_forest_routes_like_reference(self):
         X, y = separable_fixture(seed=5, rows_per_class=20)
-        clone = forest_from_dict(forest_to_dict(fit_forest(X, y, n_trees=12, seed=4)))
+        clone = reloaded(fit_forest(X, y, n_trees=12, seed=4))
         assert_same_proba(reference_fit_forest(X, y, 12, 4), clone, X)
 
 
