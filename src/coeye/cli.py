@@ -29,7 +29,7 @@ from .errors import (
 )
 from .evaluate import BENCHMARK_MODES, find_split, run_benchmark
 from .lenses import _rep_flag
-from .symbolic import Lens, SymbolicWord, fit_lens
+from .symbolic import SAX_MODES, Lens, SymbolicWord, fit_lens
 
 # exit codes of the error types that do not exit with 2
 _EXIT_CODES = {
@@ -56,7 +56,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
                    help="comma list of SAX word lengths (default: one uniform word of min(n, 128))")
     p.add_argument("--sfa-w", type=_int_list, default=CoEyeConfig.sfa_word_lengths,
                    help="comma list of SFA word lengths (default: 10..min(130, n) step 10)")
-    p.add_argument("--sax-mode", choices=("minmax", "gaussian"), default=CoEyeConfig.sax_mode,
+    p.add_argument("--sax-mode", choices=SAX_MODES, default=CoEyeConfig.sax_mode,
                    help="SAX binning mode (default: %(default)s)")
     p.add_argument("--smote", choices=("on", "off"), default="on" if CoEyeConfig.smote else "off",
                    help="oversample imbalanced training data (default: %(default)s)")
@@ -252,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=int, required=True, help="alphabet size (2..26)")
     p.add_argument("--w", type=int, required=True, help="word size")
     p.add_argument("--drop-dc", action="store_true", help="drop the DC coefficient (sfa only)")
-    p.add_argument("--sax-mode", choices=("minmax", "gaussian"), default=CoEyeConfig.sax_mode)
+    p.add_argument("--sax-mode", choices=SAX_MODES, default=CoEyeConfig.sax_mode)
     p.add_argument("--index", type=int, default=0, help="series index (default: 0)")
     p.set_defaults(func=cmd_transform)
 

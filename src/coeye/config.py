@@ -6,9 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import model_array, model_field
+from .symbolic import SAX_MODES, check_alphabets
 
 
 @dataclass(frozen=True)
@@ -30,33 +28,12 @@ class CoEyeConfig:
             raise ValueError("seed must be non-negative")
         if self.trees < 1:
             raise ValueError("need at least one tree")
-        if self.folds < 2:
-            raise ValueError("need at least two folds")
+        if not 2 <= self.folds < 2**63:
+            raise ValueError("folds must be at least 2 and below 2**63")
         if self.smote_k < 1:
             raise ValueError("smote_k must be at least 1")
         if self.threads is not None and self.threads < 1:
             raise ValueError("threads must be at least 1")
-        if self.sax_mode not in ("minmax", "gaussian"):
+        if self.sax_mode not in SAX_MODES:
             raise ValueError(f"unknown sax_mode {self.sax_mode!r}")
-
-    @staticmethod
-    def from_dict(payload: dict) -> "CoEyeConfig":
-        """Read a model file's ``config``, each field by its JSON type; raises ModelParseError."""
-        def ints(key):
-            return tuple(model_array(payload[key], key, np.int64).tolist())
-
-        def word_lengths(key):
-            return None if payload[key] is None else ints(key)
-
-        return CoEyeConfig(
-            seed=model_field(payload, "seed"),
-            trees=model_field(payload, "trees"),
-            folds=model_field(payload, "folds"),
-            sax_alphas=ints("sax_alphas"),
-            sax_word_lengths=word_lengths("sax_word_lengths"),
-            sfa_alphas=ints("sfa_alphas"),
-            sfa_word_lengths=word_lengths("sfa_word_lengths"),
-            sax_mode=payload["sax_mode"],
-            smote=model_field(payload, "smote", bool),
-            smote_k=model_field(payload, "smote_k"),
-        )
+        check_alphabets(*self.sax_alphas, *self.sfa_alphas)

@@ -65,7 +65,7 @@ from .lenses import (
     search_lenses_random,
 )
 from .resample import SmoteReport, smote
-from .symbolic import McbTable, SaxBinning, binning_from_dict, check_binning, digitize, fit_lens, lens_words, word_fits
+from .symbolic import McbTable, SaxBinning, check_binning, digitize, fit_lens, lens_words, word_fits
 
 MODEL_FORMAT_VERSION = 1
 
@@ -390,11 +390,48 @@ def save_model(model: CoEyeModel, path) -> None:
         fh.write(text)
 
 
-def _label_counts(counts: dict) -> dict[int, int]:
-    """A SMOTE report's counts, keyed by class labels that ``save_model`` wrote as ``str(label)``."""
-    if any(str(int(label)) != label for label in counts):
-        raise ModelParseError(f"smote_report class labels must be written as integers, got {list(counts)}")
-    return {int(label): model_field(counts, label) for label in counts}
+# the record field annotations that ``_read`` reads through ``model_field``
+_SCALARS = {"int": int, "bool": bool, "float": float, "str": str}
+
+
+def _read(cls, payload: dict, **arrays):
+    """A record from its model-file form, the mirror of ``_json_default``.
+
+    Each field is read by its annotated type: a scalar through
+    ``model_field``, a grid as a list of JSON integers (``null`` only where
+    the annotation allows ``None``), a count table by the ``str(label)`` keys
+    that ``save_model`` wrote, and a field named in ``arrays`` through
+    ``model_array`` with the dtype given there. A missing field is refused,
+    never filled from its default; a key that is no field is ignored. The
+    record's own ``__post_init__`` checks the ranges.
+    """
+    values = {}
+    for f in fields(cls):
+        value, kind = payload[f.name], f.type.removesuffix(" | None")
+        if f.name in arrays:
+            values[f.name] = model_array(value, f.name, arrays[f.name])
+        elif value is None and kind != f.type:
+            values[f.name] = None
+        elif kind == "tuple[int, ...]":
+            grid = model_array(value, f.name, np.int64)
+            if grid.ndim != 1:
+                raise ModelParseError(f"{f.name} must be a list of integers")
+            values[f.name] = tuple(grid.tolist())
+        elif kind == "dict[int, int]":
+            if any(str(int(label)) != label for label in value):
+                raise ModelParseError(f"{f.name} class labels must be written as integers, got {list(value)}")
+            values[f.name] = {int(label): model_field(value, label) for label in value}
+        else:
+            values[f.name] = model_field(payload, f.name, _SCALARS[kind])
+    return cls(**values)
+
+
+def _read_binning(payload: dict) -> SaxBinning | McbTable:
+    if payload["kind"] == "sax":
+        return _read(SaxBinning, payload, cuts=np.float64)
+    if payload["kind"] == "mcb":
+        return _read(McbTable, payload, breakpoints=np.float64)
+    raise ModelParseError(f"unknown binning kind {payload['kind']!r}")
 
 
 def load_model(path) -> CoEyeModel:
@@ -411,13 +448,6 @@ def load_model(path) -> CoEyeModel:
         if version != MODEL_FORMAT_VERSION:
             raise UnsupportedModelVersion(f"{path}: format version {version}, expected {MODEL_FORMAT_VERSION}")
         report = payload["smote_report"]
-        smote_report = None
-        if report is not None:
-            smote_report = SmoteReport(
-                _label_counts(report["original_counts"]),
-                _label_counts(report["added_counts"]),
-                model_field(report, "smote_percentage", float),
-            )
         # train writes np.unique output; a repeated label would split one class's votes
         class_labels = model_array(payload["class_labels"], "class_labels", np.int64)
         if class_labels.ndim != 1 or not class_labels.size or np.any(np.diff(class_labels) <= 0):
@@ -425,14 +455,8 @@ def load_model(path) -> CoEyeModel:
         n = model_field(payload, "n")
         if n < 1:
             raise ModelParseError(f"series length n must be at least 1, got {n}")
-        eyes = [
-            Eye(
-                Lens.from_dict(e["lens"]),
-                binning_from_dict(e["binning"]),
-                forest_from_dict(e["forest"]),
-            )
-            for e in payload["eyes"]
-        ]
+        eyes = [Eye(_read(Lens, e["lens"]), _read_binning(e["binning"]), forest_from_dict(e["forest"]))
+                for e in payload["eyes"]]
         if not eyes:
             raise ModelParseError("the model has no eyes")
         for i, eye in enumerate(eyes):
@@ -450,9 +474,10 @@ def load_model(path) -> CoEyeModel:
             eyes=eyes,
             class_labels=class_labels,
             n=n,
-            config=CoEyeConfig.from_dict(payload["config"]),
+            # save_model leaves out the config's threads, a run setting
+            config=_read(CoEyeConfig, {**payload["config"], "threads": None}),
             dataset_name=model_field(payload, "dataset_name", str),
-            smote_report=smote_report,
+            smote_report=None if report is None else _read(SmoteReport, report),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelParseError(f"{path}: malformed model payload ({exc})") from None

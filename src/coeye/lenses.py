@@ -26,7 +26,7 @@ from .config import CoEyeConfig
 from .data import Dataset
 from .errors import NoFeasibleLens
 from .forest import BATCH_SLOTS, fit_forests, predict
-from .symbolic import MAX_ALPHABET, SAX, SFA, Lens, fit_lens, word_fits
+from .symbolic import SAX, SFA, Lens, check_alphabets, fit_lens, word_fits
 
 ACCURACY_MARGIN = 0.01
 _MARGIN_SLACK = 1e-12
@@ -54,9 +54,7 @@ class LensGrid:
     folds: int = CoEyeConfig.folds
 
     def __post_init__(self):
-        for alpha in tuple(self.sax_alphas) + tuple(self.sfa_alphas):
-            if not 2 <= alpha <= MAX_ALPHABET:
-                raise ValueError(f"alphabet size {alpha} outside [2, {MAX_ALPHABET}]")
+        check_alphabets(*self.sax_alphas, *self.sfa_alphas)
 
     @staticmethod
     def from_config(config: CoEyeConfig) -> "LensGrid":

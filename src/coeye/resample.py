@@ -9,6 +9,7 @@ instance are skipped.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,14 @@ class SmoteReport:
     original_counts: dict[int, int]
     added_counts: dict[int, int]
     smote_percentage: float
+
+    def __post_init__(self):
+        if self.original_counts.keys() != self.added_counts.keys():
+            raise ValueError("original_counts and added_counts must name the same classes")
+        if any(n < 0 for n in (*self.original_counts.values(), *self.added_counts.values())):
+            raise ValueError("class counts must be non-negative")
+        if not 0 <= self.smote_percentage < math.inf:
+            raise ValueError(f"smote_percentage must be finite and non-negative, got {self.smote_percentage}")
 
     @staticmethod
     def empty(counts: dict[int, int]) -> "SmoteReport":

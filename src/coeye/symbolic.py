@@ -37,9 +37,10 @@ from statistics import NormalDist
 import numpy as np
 
 from .data import Dataset, TimeSeries, znormalize_rows
-from .errors import DegenerateBinning, EqualDepthDegenerate, InvalidWordSize, ModelParseError, model_array, model_field
+from .errors import DegenerateBinning, EqualDepthDegenerate, InvalidWordSize
 
 MAX_ALPHABET = 26
+SAX_MODES = ("minmax", "gaussian")
 
 SAX = 0
 SFA = 1
@@ -49,7 +50,7 @@ SFA = 1
 class Lens:
     """One parameterised symbolic view: representation, alphabet, word size.
 
-    ``drop_dc`` applies to SFA only; a SAX lens always records False.
+    ``drop_dc`` applies to SFA only; a SAX lens must record False.
     """
 
     s: int
@@ -61,27 +62,13 @@ class Lens:
     def __post_init__(self):
         if self.s not in (SAX, SFA):
             raise ValueError("representation flag must be 0 (SAX) or 1 (SFA)")
-        if not 2 <= self.alpha <= MAX_ALPHABET:
-            raise ValueError(f"alphabet size must be in [2, {MAX_ALPHABET}]")
-        if self.s == SAX:
-            object.__setattr__(self, "drop_dc", False)
+        check_alphabets(self.alpha)
+        if self.s == SAX and self.drop_dc:
+            raise ValueError("a SAX lens keeps the DC coefficient: drop_dc must be false")
 
     @property
     def representation(self) -> str:
         return "sax" if self.s == SAX else "sfa"
-
-    @staticmethod
-    def from_dict(payload: dict) -> "Lens":
-        lens = Lens(
-            model_field(payload, "s"),
-            model_field(payload, "alpha"),
-            model_field(payload, "w"),
-            model_field(payload, "drop_dc", bool),
-            model_field(payload, "cv_accuracy", float),
-        )
-        if lens.drop_dc != payload["drop_dc"]:
-            raise ModelParseError("a SAX lens keeps the DC coefficient: drop_dc must be false")
-        return lens
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,6 +109,8 @@ class SaxBinning:
     degenerate: bool = False
 
     def __post_init__(self):
+        if self.mode not in SAX_MODES:
+            raise ValueError(f"unknown SAX binning mode {self.mode!r}")
         cuts = np.asarray(self.cuts, dtype=np.float64)
         cuts.flags.writeable = False
         object.__setattr__(self, "cuts", cuts)
@@ -154,18 +143,11 @@ class McbTable:
         return self.breakpoints
 
 
-def binning_from_dict(payload: dict) -> SaxBinning | McbTable:
-    """Rebuild a binning from its model-file form: its fields plus ``kind``, ``sax`` or ``mcb``."""
-    if payload["kind"] == "sax":
-        if model_field(payload, "mode", str) not in ("minmax", "gaussian"):
-            raise ModelParseError(f"unknown SAX binning mode {payload['mode']!r}")
-        return SaxBinning(payload["mode"], model_field(payload, "alpha"),
-                          model_array(payload["cuts"], "cuts", np.float64), model_field(payload, "degenerate", bool))
-    if payload["kind"] == "mcb":
-        return McbTable(model_field(payload, "alpha"), model_field(payload, "w"),
-                        model_field(payload, "drop_dc", bool),
-                        model_array(payload["breakpoints"], "breakpoints", np.float64))
-    raise ValueError(f"unknown binning kind {payload['kind']!r}")
+def check_alphabets(*alphas: int) -> None:
+    """Raise ValueError unless every alphabet size is in [2, MAX_ALPHABET]."""
+    for alpha in alphas:
+        if not 2 <= alpha <= MAX_ALPHABET:
+            raise ValueError(f"alphabet size {alpha} outside [2, {MAX_ALPHABET}]")
 
 
 def word_fits(s: int, w: int, n: int) -> bool:
@@ -210,8 +192,7 @@ def paa(values, w: int) -> np.ndarray:
 
 def gaussian_cuts(alpha: int) -> np.ndarray:
     """Standard-normal quantiles at k/alpha for k = 1..alpha-1."""
-    if alpha < 2:
-        raise ValueError("alphabet size must be at least 2")
+    check_alphabets(alpha)
     return np.array([NormalDist().inv_cdf(k / alpha) for k in range(1, alpha)])
 
 
@@ -222,12 +203,9 @@ def fit_sax_binning(paa_values, alpha: int, mode: str = "minmax") -> SaxBinning:
     (n_series, w) matrix); it is ignored in gaussian mode. A zero-width
     minmax range falls back to gaussian cuts with ``degenerate=True``.
     """
-    if alpha < 2:
-        raise ValueError("alphabet size must be at least 2")
+    check_alphabets(alpha)
     if mode == "gaussian":
         return SaxBinning("gaussian", alpha, gaussian_cuts(alpha))
-    if mode != "minmax":
-        raise ValueError(f"unknown SAX binning mode {mode!r}")
     values = np.asarray(paa_values, dtype=np.float64)
     lo, hi = values.min(), values.max()
     if lo == hi:
@@ -235,9 +213,9 @@ def fit_sax_binning(paa_values, alpha: int, mode: str = "minmax") -> SaxBinning:
             "zero-width value range in minmax binning, using gaussian cuts",
             DegenerateBinning,
         )
-        return SaxBinning("minmax", alpha, gaussian_cuts(alpha), degenerate=True)
+        return SaxBinning(mode, alpha, gaussian_cuts(alpha), degenerate=True)
     cuts = lo + (hi - lo) * np.arange(1, alpha) / alpha
-    return SaxBinning("minmax", alpha, cuts)
+    return SaxBinning(mode, alpha, cuts)
 
 
 def digitize(values, cuts) -> np.ndarray:
@@ -296,8 +274,7 @@ def equal_depth_breakpoints(values, alpha: int) -> np.ndarray:
     Duplicate breakpoints (too few distinct values) are perturbed upward by
     the smallest representable step so each row is strictly increasing.
     """
-    if alpha < 2:
-        raise ValueError("alphabet size must be at least 2")
+    check_alphabets(alpha)
     col = np.sort(np.asarray(values, dtype=np.float64), axis=0)
     s = col.shape[0]
     if s == 0:

@@ -77,6 +77,13 @@ class TestTrain:
         assert code == 2
         assert "threads must be at least 1" in capsys.readouterr().err
 
+    def test_folds_past_int64_exit_2(self, workdir, tmp_path, capsys):
+        # the fold assignment used to raise an OverflowError traceback
+        code = main(["train", "--data", str(workdir), "--dataset", "waves",
+                     "--out", str(tmp_path / "m.json"), *FAST, "--folds", str(10**30)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestPredict:
     def test_accuracy_printed_and_rows_match(self, workdir, trained, tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""The package depends on numpy and the standard library alone."""
+"""The package depends on numpy and the standard library alone, and only the
+model reader's modules know the model file's field types."""
 
 import ast
 import re
@@ -12,6 +13,8 @@ import coeye
 PACKAGE = Path(coeye.__file__).parent
 PYPROJECT = PACKAGE.parent.parent / "pyproject.toml"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "coeye"}
+# the modules that read the model file; ``forest.py`` reads the node arrays in bulk
+MODEL_READERS = {"ensemble.py", "errors.py", "forest.py"}
 
 
 def top_level_imports(path):
@@ -28,6 +31,25 @@ def top_level_imports(path):
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_imports_stdlib_and_numpy_only(path):
     assert sorted(top_level_imports(path) - ALLOWED) == []
+
+
+def referenced_names(path):
+    """Every name a source file imports, reads, defines or takes as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, (ast.alias, ast.FunctionDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_model_reader_reads_model_fields(path):
+    used = referenced_names(path) & {"model_field", "model_array"}
+    assert not used or path.name in MODEL_READERS
 
 
 def test_pyproject_declares_numpy_only():

@@ -843,6 +843,53 @@ def _sax_lens_drops_dc(payload):
     next(e for e in payload["eyes"] if e["lens"]["s"] == SAX)["lens"]["drop_dc"] = True
 
 
+# a missing field is refused even where its record has a default to fill it from
+def _missing_cv_accuracy(payload):
+    del payload["eyes"][0]["lens"]["cv_accuracy"]
+
+
+def _missing_sax_degenerate(payload):
+    del _first_binning(payload, "sax")["degenerate"]
+
+
+def _missing_config_smote_k(payload):
+    del payload["config"]["smote_k"]
+
+
+def _nested_config_grid(payload):
+    payload["config"]["sfa_word_lengths"] = [[10]]
+
+
+def _unknown_binning_kind(payload):
+    payload["eyes"][0]["binning"]["kind"] = "xyz"
+
+
+def _negative_smote_count(payload):
+    counts = payload["smote_report"]["original_counts"]
+    counts[next(iter(counts))] = -5
+
+
+def _negative_smote_percentage(payload):
+    payload["smote_report"]["smote_percentage"] = -3.0
+
+
+def _infinite_smote_percentage(payload):
+    # a JSON number of 1e309 parses as inf too
+    payload["smote_report"]["smote_percentage"] = float("1e309")
+
+
+def _smote_counts_of_another_class(payload):
+    payload["smote_report"]["added_counts"]["7"] = 3
+
+
+def _config_alpha_over_26(payload):
+    payload["config"]["sax_alphas"] = [30]
+
+
+def _config_folds_past_int64(payload):
+    payload["config"]["folds"] = 10**30
+
+
 @contextlib.contextmanager
 def _deadline(seconds):
     """Fail instead of hanging: a corrupt tree used to make routing loop forever."""
@@ -900,6 +947,8 @@ class TestCorruptForests:
     @pytest.mark.parametrize("mutate", [
         _float_n, _zero_n, _n_below_sax_width, _float_lens_alpha, _string_lens_width, _bool_lens_representation,
         _float_binning_alpha, _float_mcb_width, _string_forest_width, _odd_sfa_width, _sfa_wider_than_n,
+        _negative_smote_count, _negative_smote_percentage, _infinite_smote_percentage, _smote_counts_of_another_class,
+        _config_alpha_over_26, _config_folds_past_int64,
     ])
     def test_sizes_must_be_integers_that_fit_the_series(self, saved, tmp_path, mutate):
         payload = json.loads(saved.read_text())
@@ -916,10 +965,12 @@ class TestCorruptForests:
         _string_sax_cut, _string_cv_accuracy, _bool_cv_accuracy, _bool_split_feature, _bool_left_child, _bool_count,
         _bool_class_label, _bool_forest_class_label, _bool_format_version, _float_format_version,
         _underscored_smote_label, _padded_smote_label, _int_sax_mode, _unknown_sax_mode, _int_dataset_name,
-        _sax_lens_drops_dc,
+        _sax_lens_drops_dc, _missing_cv_accuracy, _missing_sax_degenerate, _missing_config_smote_k,
+        _unknown_binning_kind, _nested_config_grid,
     ])
     def test_fields_are_read_by_their_json_type(self, saved, tmp_path, mutate):
-        # each of these was cast by int(), float(), bool() or np.asarray and served
+        # most of these were cast by int(), float(), bool() or np.asarray and served; a missing
+        # field and an unknown binning kind are what a reader of dataclass fields could let through
         payload = json.loads(saved.read_text())
         mutate(payload)
         bad = tmp_path / "types.json"

@@ -90,6 +90,8 @@ class TestGrid:
             Lens(2, 4, 8)
         with pytest.raises(ValueError):
             Lens(SAX, 30, 8)
+        with pytest.raises(ValueError):
+            Lens(SAX, 4, 8, drop_dc=True)
 
 
 class TestFolds:
