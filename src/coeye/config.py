@@ -26,8 +26,8 @@ class CoEyeConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.trees < 1:
-            raise ValueError("need at least one tree")
+        if not 1 <= self.trees <= 2**32:
+            raise ValueError("trees must lie in [1, 2**32]: the forest stream keys a tree by one 32-bit word")
         if not 2 <= self.folds < 2**63:
             raise ValueError("folds must be at least 2 and below 2**63")
         if self.smote_k < 1:

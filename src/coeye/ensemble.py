@@ -350,9 +350,12 @@ def predict_dataset(model: CoEyeModel, data, representation: str = "both") -> li
 
 def _json_default(obj):
     """How ``save_model`` writes what JSON has no type for: an array or a
-    numpy scalar as its ``tolist()``, a record as its dataclass fields."""
+    numpy scalar as its ``tolist()``, a forest's node store as one record per
+    tree (the mirror of ``forest_from_dict``), a record as its dataclass fields."""
     if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
+    if isinstance(obj, RandomForestModel):
+        return {"class_labels": obj.class_labels, "n_features": obj.n_features, "seed": obj.seed, "trees": obj.trees}
     if is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: getattr(obj, f.name) for f in fields(obj)}
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
@@ -361,9 +364,9 @@ def _json_default(obj):
 def save_model(model: CoEyeModel, path) -> None:
     """Serialize to versioned JSON; identical models produce identical bytes.
 
-    Every record is written as its fields, except that the config leaves out
-    ``threads`` (a run setting), a binning adds its ``kind``, and the SMOTE
-    report's labels become string keys before sorting, so they sort as text.
+    Every record is written as its fields, except: the config leaves out
+    ``threads`` (a run setting), a binning adds its ``kind``, SMOTE labels
+    become string keys that sort as text, and a forest writes one record per tree.
     """
     config = _json_default(model.config)
     del config["threads"]
@@ -455,13 +458,17 @@ def load_model(path) -> CoEyeModel:
         n = model_field(payload, "n")
         if n < 1:
             raise ModelParseError(f"series length n must be at least 1, got {n}")
+        # save_model leaves out the config's threads, a run setting
+        config = _read(CoEyeConfig, {**payload["config"], "threads": None})
         eyes = [Eye(_read(Lens, e["lens"]), _read_binning(e["binning"]), forest_from_dict(e["forest"]))
                 for e in payload["eyes"]]
         if not eyes:
             raise ModelParseError("the model has no eyes")
         for i, eye in enumerate(eyes):
-            if eye.forest.n_features != eye.lens.w or not np.array_equal(eye.forest.class_labels, class_labels):
-                raise ModelParseError(f"eye {i}: forest does not match its lens width or the class labels")
+            # train grows config.trees trees per eye, and the model's pack needs one tree count
+            shape = (eye.forest.n_features, eye.forest.n_trees, eye.forest.class_labels.tolist())
+            if shape != (eye.lens.w, config.trees, class_labels.tolist()):
+                raise ModelParseError(f"eye {i}: forest (width, trees, class labels) {shape} does not fit the model")
             check_binning(eye.lens, eye.binning)
             if not word_fits(eye.lens.s, eye.lens.w, n):
                 raise ModelParseError(f"eye {i}: a {eye.lens.representation} lens of width {eye.lens.w} "
@@ -474,8 +481,7 @@ def load_model(path) -> CoEyeModel:
             eyes=eyes,
             class_labels=class_labels,
             n=n,
-            # save_model leaves out the config's threads, a run setting
-            config=_read(CoEyeConfig, {**payload["config"], "threads": None}),
+            config=config,
             dataset_name=model_field(payload, "dataset_name", str),
             smote_report=None if report is None else _read(SmoteReport, report),
         )

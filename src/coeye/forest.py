@@ -31,18 +31,18 @@ threads grow the same batches, cut smaller. Each tree still pops its own
 nodes in the order above, so its draws, and hence its bytes, are the same
 as when it grows alone.
 
-Packed layout. For routing, the trees of one or more forests are
-concatenated into flat node arrays (``feature``, ``threshold``, ``left``,
-``right``) whose child indices are global offsets into those arrays, plus
-per-node leaf class probabilities ``counts / counts.sum(1)``; ``roots``
-holds the first node of each tree. The forests read their feature columns
-side by side, so a split feature is offset by the widths of the forests
-before its own. ``tree_table[t, f]`` is the pack index of tree ``t`` of
-forest ``f``; a forest with fewer trees is padded with a tree whose leaf
-probabilities are zero. One ``_leaves`` walk routes every row through
-every tree of the pack, and each forest's probabilities are summed over
-its own trees in tree order, so they are bit-identical to routing that
-forest alone.
+Node store. A forest holds the nodes of all its trees, tree after tree, in
+five arrays (``feature``, -1 at a leaf, ``threshold``, ``left``, ``right``
+and class ``counts``) with tree-local child ids, and each tree's node
+count. Its ``trees`` view gives the per-tree records the model file writes.
+
+Packed layout. For routing, the stores of forests of one tree count are
+concatenated, with global child ids and leaf class probabilities ``counts /
+counts.sum(1)``: pack tree ``f * n_trees + t`` is tree ``t`` of forest
+``f``. The forests read their feature columns side by side, so a split
+feature is offset by the widths of the forests before its own. One
+``_leaves`` walk routes every row through every tree of the pack, and each
+forest sums its own trees in tree order, bit-identical to routing it alone.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import accumulate, chain
-from operator import itemgetter
 
 import numpy as np
 
@@ -71,9 +70,13 @@ _ROUTE_PAIRS = 1 << 14
 BATCH_SLOTS = 1 << 17
 
 
+# the node arrays of a forest's store, and of each tree's record in the model file, with their dtypes
+_NODE_ARRAYS = {"feature": np.int32, "threshold": np.float64, "left": np.int32, "right": np.int32, "counts": np.float64}
+
+
 @dataclass(eq=False)
 class DecisionTree:
-    """Flat-array tree: feature < 0 marks a leaf; counts holds per-node class counts."""
+    """One tree's slice of a forest's node store (see ``RandomForestModel.trees``)."""
 
     feature: np.ndarray
     threshold: np.ndarray
@@ -88,7 +91,7 @@ class DecisionTree:
 
 @dataclass(frozen=True, eq=False)
 class PackedForest:
-    """The trees of one or more forests as flat node arrays with global child
+    """Forests of ``n_trees`` trees each as flat node arrays with global child
     offsets, reading side-by-side feature columns (see the module docstring)."""
 
     feature: np.ndarray
@@ -97,14 +100,20 @@ class PackedForest:
     right: np.ndarray
     proba: np.ndarray
     roots: np.ndarray
-    tree_table: np.ndarray
-    tree_counts: np.ndarray
+    n_trees: int
     n_features: int
 
 
 @dataclass(eq=False)
 class RandomForestModel:
-    trees: list[DecisionTree]
+    """A forest as one node store (see the module docstring)."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    counts: np.ndarray
+    tree_sizes: np.ndarray
     class_labels: np.ndarray
     n_features: int
     seed: int
@@ -113,31 +122,34 @@ class RandomForestModel:
     def n_classes(self) -> int:
         return self.class_labels.shape[0]
 
+    @property
+    def n_trees(self) -> int:
+        return self.tree_sizes.shape[0]
+
+    @property
+    def trees(self) -> list[DecisionTree]:
+        """Each tree's slice of the store, in tree order: the per-tree records of the model file."""
+        cuts = np.cumsum(self.tree_sizes)[:-1]
+        return [DecisionTree(*arrays) for arrays in zip(*(np.split(getattr(self, a), cuts) for a in _NODE_ARRAYS))]
+
 
 def pack_forests(forests: list[RandomForestModel]) -> PackedForest:
-    """Pack the trees of ``forests``, which must share their class labels, for one routing walk."""
-    if not forests or any(not np.array_equal(f.class_labels, forests[0].class_labels) for f in forests):
-        raise ValueError("a pack needs at least one forest, and its forests must share their class labels")
-    trees = [t for f in forests for t in f.trees]
-    feature, threshold, left, right, counts = (
-        np.concatenate([getattr(t, name) for t in trees])
-        for name in ("feature", "threshold", "left", "right", "counts")
-    )
-    n_nodes = np.array([t.n_nodes for t in trees])
-    roots = np.cumsum(n_nodes) - n_nodes
-    offset = np.repeat(roots, n_nodes)
-    # one row per node, plus a last zero row that pads the short forests of tree_table
-    proba = np.zeros((counts.shape[0] + 1, counts.shape[1]))
-    np.divide(counts, counts.sum(axis=1, keepdims=True), out=proba[:-1], where=(feature < 0)[:, None])
+    """Pack ``forests``, which must share their class labels and their tree count, for one routing walk."""
+    first = forests[0] if forests else None
+    if first is None or any(f.n_trees != first.n_trees or not np.array_equal(f.class_labels, first.class_labels)
+                            for f in forests):
+        raise ValueError("a pack needs at least one forest, and its forests must share class labels and tree count")
+    feature, threshold, left, right, counts, sizes = (np.concatenate([getattr(f, name) for f in forests])
+                                                      for name in (*_NODE_ARRAYS, "tree_sizes"))
+    roots = np.cumsum(sizes) - sizes
+    offset = np.repeat(roots, sizes)
+    proba = np.zeros(counts.shape)
+    np.divide(counts, counts.sum(axis=1, keepdims=True), out=proba, where=(feature < 0)[:, None])
     widths = np.array([f.n_features for f in forests])
-    tree_counts = np.array([len(f.trees) for f in forests])
-    first_tree = np.cumsum(tree_counts) - tree_counts
-    t = np.arange(tree_counts.max())[:, None]
-    tree_table = np.where(t < tree_counts, first_tree + t, len(trees))
     # a split reads its own forest's columns, which sit after the earlier forests' columns
-    column = np.repeat(np.repeat(np.cumsum(widths) - widths, tree_counts), n_nodes)
+    column = np.repeat(np.cumsum(widths) - widths, [f.feature.shape[0] for f in forests])
     feature = np.where(feature >= 0, feature + column, feature).astype(np.intp)
-    return PackedForest(feature, threshold, left + offset, right + offset, proba, roots, tree_table, tree_counts,
+    return PackedForest(feature, threshold, left + offset, right + offset, proba, roots, first.n_trees,
                         int(widths.sum()))
 
 
@@ -216,8 +228,9 @@ def _best_splits(X, sample_row, sample_cls, starts, sizes, counts, feats, n_valu
     return slot, value, n_left_rows
 
 
-def _grow(X, specs: list[_ForestSpec], max_features: int, n_values: int) -> list[list[DecisionTree]]:
-    """Grow every tree of every spec, all of one class count, together; returns each spec's trees in order."""
+def _grow(X, specs: list[_ForestSpec], max_features: int, n_values: int) -> list[tuple[np.ndarray, ...]]:
+    """Grow every tree of every spec, all of one class count, together; returns
+    each spec's node store: its five node arrays and its trees' node counts."""
     d = X.shape[1]
     tree_spec = np.repeat(np.arange(len(specs)), [len(s.trees) for s in specs])
     n_trees = tree_spec.shape[0]
@@ -283,25 +296,17 @@ def _grow(X, specs: list[_ForestSpec], max_features: int, n_values: int) -> list
             depth[trees] += 2
         record.append((live, node, feature, threshold, left, counts))
 
-    tree_start = np.cumsum(n_nodes) - n_nodes
-    total = int(n_nodes.sum())
-    feature = np.empty(total, dtype=np.int32)
-    threshold = np.empty(total)
-    left = np.empty(total, dtype=np.int32)
-    counts = np.empty((total, n_classes))
-    for live, node, f, t, l, c in record:
-        at = tree_start[live] + node
-        feature[at], threshold[at], left[at], counts[at] = f, t, l, c
+    # the batch's store: tree t holds nodes bounds[t]:bounds[t + 1], in node id order
+    bounds = np.concatenate([[0], np.cumsum(n_nodes)])
+    live, node, feature, threshold, left, counts = map(np.concatenate, zip(*record))
+    order = np.argsort(bounds[live] + node)
+    feature, threshold, left, counts = feature[order], threshold[order], left[order], counts[order].astype(np.float64)
     right = np.where(left >= 0, left + 1, -1).astype(np.int32)
-
-    out = []
-    for k in range(len(specs)):
-        trees = []
-        for i in np.flatnonzero(tree_spec == k).tolist():
-            a, b = tree_start[i], tree_start[i] + n_nodes[i]
-            trees.append(DecisionTree(feature[a:b], threshold[a:b], left[a:b], right[a:b], counts[a:b]))
-        out.append(trees)
-    return out
+    # a spec's trees, and so its nodes, are contiguous
+    first_tree = [0, *accumulate(len(spec.trees) for spec in specs)]
+    first_node = bounds[first_tree].tolist()
+    return [(feature[a:b], threshold[a:b], left[a:b], right[a:b], counts[a:b], n_nodes[i:j])
+            for i, j, a, b in zip(first_tree, first_tree[1:], first_node, first_node[1:])]
 
 
 def _batches(specs: list[_ForestSpec], max_slots: int):
@@ -348,8 +353,8 @@ def fit_forests(X, y, row_sets, seeds, n_trees: int = 100, threads: int | None =
         raise ValueError("y length must match rows of X")
     if len(seeds) != len(row_sets):
         raise ValueError("need one seed per row set")
-    if n_trees < 1:
-        raise ValueError("need at least one tree")
+    if not 1 <= n_trees <= 1 << 32:
+        raise ValueError("need between 1 and 2**32 trees: the forest stream keys a tree by one 32-bit word")
     if any(not 0 <= seed < 1 << 32 for seed in seeds):
         raise ValueError("seeds must lie in [0, 2**32)")
     max_features = max(1, math.ceil(math.sqrt(X.shape[1])))
@@ -376,11 +381,13 @@ def fit_forests(X, y, row_sets, seeds, n_trees: int = 100, threads: int | None =
             grown = list(pool.map(grow, batches))
     else:
         grown = map(grow, batches)
-    trees = [[] for _ in specs]
+    stores = [[] for _ in specs]
     for batch, parts in zip(batches, grown):
         for (k, _), part in zip(batch, parts):
-            trees[k].extend(part)
-    return [RandomForestModel(trees[k], labels[k], X.shape[1], spec.seed) for k, spec in enumerate(specs)]
+            stores[k].append(part)
+    # a forest split across batches is the concatenation of its parts, in tree order
+    return [RandomForestModel(*map(np.concatenate, zip(*stores[k])), labels[k], X.shape[1], spec.seed)
+            for k, spec in enumerate(specs)]
 
 
 def fit_forest(X, y, n_trees: int = 100, seed: int = 0, threads: int | None = None) -> RandomForestModel:
@@ -418,21 +425,18 @@ def predict_packed(packed: PackedForest, X) -> np.ndarray:
     """
     X = np.ascontiguousarray(X, dtype=np.int64)
     if X.ndim != 2 or X.shape[1] != packed.n_features:
-        raise FeatureMismatch(
-            f"expected {packed.n_features} features, got {X.shape[1] if X.ndim == 2 else 'non-matrix'}"
-        )
-    n_trees = packed.roots.shape[0]
-    out = np.empty((X.shape[0], packed.tree_counts.shape[0], packed.proba.shape[1]))
-    step = max(1, _ROUTE_PAIRS // n_trees)
+        raise FeatureMismatch(f"expected {packed.n_features} features, "
+                              f"got {X.shape[1] if X.ndim == 2 else 'non-matrix'}")
+    n_forests = packed.roots.shape[0] // packed.n_trees
+    out = np.empty((X.shape[0], n_forests, packed.proba.shape[1]))
+    step = max(1, _ROUTE_PAIRS // packed.roots.shape[0])
     for lo in range(0, X.shape[0], step):
         chunk = X[lo:lo + step]
-        leaves = _leaves(packed, chunk).reshape(n_trees, chunk.shape[0])
-        # tree_table's padding row reaches the zero row of proba
-        leaves = np.vstack([leaves, np.full((1, chunk.shape[0]), packed.proba.shape[0] - 1)])
-        # (tree, forest, row, class): each forest summed over its own trees in
+        leaves = _leaves(packed, chunk).reshape(n_forests, packed.n_trees, chunk.shape[0])
+        # (forest, tree, row, class): each forest summed over its own trees in
         # tree order, as routing that forest alone would
-        sums = packed.proba[leaves[packed.tree_table]].sum(axis=0)
-        out[lo:lo + step] = (sums / packed.tree_counts[:, None, None]).transpose(1, 0, 2)
+        sums = packed.proba[leaves].sum(axis=1)
+        out[lo:lo + step] = (sums / packed.n_trees).transpose(1, 0, 2)
     return out
 
 
@@ -443,42 +447,31 @@ def predict_proba(model: RandomForestModel, X) -> np.ndarray:
 
 def predict(model: RandomForestModel, X) -> np.ndarray:
     """Argmax class labels (lowest label wins intra-row probability ties)."""
-    proba = predict_proba(model, X)
-    return model.class_labels[np.argmax(proba, axis=1)]
+    return model.class_labels[np.argmax(predict_proba(model, X), axis=1)]
 
 
 def _check_forest(model: RandomForestModel) -> None:
-    """Raise ModelParseError unless every tree is a well-formed, finite routing graph.
-
-    Array shapes are checked per tree, the rest on a pack of the forest
-    that is dropped afterwards: a loaded model routes through its own pack.
-    """
-    if not model.trees:
-        raise ModelParseError("forest has no trees")
-    for i, tree in enumerate(model.trees):
-        n = tree.feature.shape[0] if tree.feature.ndim == 1 else 0
-        if n == 0 or any(a.shape != (n,) for a in (tree.threshold, tree.left, tree.right)):
-            raise ModelParseError(f"tree {i}: node arrays are empty or differ in length")
-        if tree.counts.shape != (n, model.n_classes):
-            raise ModelParseError(f"tree {i}: counts shape {tree.counts.shape}, expected ({n}, {model.n_classes})")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        packed = pack_forests([model])
-    total = packed.feature.shape[0]
-    n_nodes = np.diff(np.append(packed.roots, total))
-    start = np.repeat(packed.roots, n_nodes)
-    end = start + np.repeat(n_nodes, n_nodes)
-    node = np.arange(total)
-    inner = packed.feature >= 0
+    """Raise ModelParseError unless the node store holds one well-formed,
+    finite routing graph per tree, checked on tree-local ids."""
+    sizes = model.tree_sizes
+    n = int(sizes.sum())
+    shapes = [a.shape for a in (model.feature, model.threshold, model.left, model.right, model.counts)]
+    if not sizes.size or np.any(sizes < 1) or shapes != [(n,)] * 4 + [(n, model.n_classes)]:
+        raise ModelParseError(f"a forest needs trees of at least one node each; node arrays of shapes {shapes} "
+                              f"do not hold {n} nodes of {model.n_classes} classes")
+    # each node's id within its tree, and its tree's node count
+    node, end = np.arange(n) - np.repeat(np.cumsum(sizes) - sizes, sizes), np.repeat(sizes, sizes)
+    inner = model.feature >= 0
     # children above their parent and inside the tree: routing always terminates
-    children_ok = all(np.all((c[inner] > node[inner]) & (c[inner] < end[inner])) for c in (packed.left, packed.right))
-    no_leaf_children = all(np.all(c[~inner] == start[~inner] - 1) for c in (packed.left, packed.right))
+    children_ok = all(np.all((c[inner] > node[inner]) & (c[inner] < end[inner])) for c in (model.left, model.right))
+    no_leaf_children = all(np.all(c[~inner] == -1) for c in (model.left, model.right))
     if not (children_ok and no_leaf_children):
         raise ModelParseError("tree child pointers must point forward within the tree, at inner nodes only")
-    if np.any(packed.feature[inner] >= model.n_features):
+    if np.any(model.feature[inner] >= model.n_features):
         raise ModelParseError(f"split feature outside [0, {model.n_features})")
-    if not np.all(np.isfinite(packed.threshold)):
+    if not np.all(np.isfinite(model.threshold)):
         raise ModelParseError("a split threshold is not finite")
-    counts = np.concatenate([t.counts for t in model.trees])
+    counts = model.counts
     if not (np.all(np.isfinite(counts)) and np.all(counts >= 0) and np.all(counts[~inner].sum(axis=1) > 0)):
         raise ModelParseError("class counts must be finite and non-negative, with rows at every leaf")
 
@@ -487,18 +480,16 @@ def forest_from_dict(payload: dict) -> RandomForestModel:
     """Rebuild a forest from its model-file fields; raises ModelParseError if malformed.
 
     Each node array is read for all trees at once, so its JSON type is
-    checked once per forest, and each tree holds its own slice of it.
+    checked once per forest. A tree's five lists must have one length, its
+    node count, so no node can pass from one tree to the next unnoticed.
     """
-    node_arrays = (("feature", np.int32), ("threshold", np.float64), ("left", np.int32), ("right", np.int32),
-                   ("counts", np.float64))
-    per_tree = zip(*map(itemgetter(*(name for name, _ in node_arrays)), payload["trees"]))
-    columns = []
-    for (name, dtype), parts in zip(node_arrays, per_tree):
-        ends = list(accumulate(map(len, parts)))
-        flat = model_array(list(chain.from_iterable(parts)), name, dtype)
-        columns.append([flat[a:b] for a, b in zip([0] + ends[:-1], ends)])
+    parts = {name: [tree[name] for tree in payload["trees"]] for name in _NODE_ARRAYS}
+    sizes = [list(map(len, column)) for column in parts.values()]
+    if any(size != sizes[0] for size in sizes):
+        raise ModelParseError("a tree's node arrays differ in length")
     model = RandomForestModel(
-        [DecisionTree(*arrays) for arrays in zip(*columns)],
+        *(model_array(list(chain.from_iterable(column)), name, _NODE_ARRAYS[name]) for name, column in parts.items()),
+        np.array(sizes[0], dtype=np.int64),
         model_array(payload["class_labels"], "class_labels", np.int64),
         model_field(payload, "n_features"),
         model_field(payload, "seed"),

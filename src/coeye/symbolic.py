@@ -65,6 +65,8 @@ class Lens:
         check_alphabets(self.alpha)
         if self.s == SAX and self.drop_dc:
             raise ValueError("a SAX lens keeps the DC coefficient: drop_dc must be false")
+        if not 0.0 <= self.cv_accuracy <= 1.0:
+            raise ValueError(f"cv_accuracy must lie in [0, 1], got {self.cv_accuracy}")
 
     @property
     def representation(self) -> str:

@@ -3,7 +3,8 @@
 This is the straightforward implementation that ``coeye.forest``'s batched
 engine must reproduce exactly: same nodes, same thresholds, same counts,
 and bit-identical probabilities. It grows one tree at a time, one node at a
-time, and routes one tree at a time.
+time, and routes one tree at a time. Its forest is built from the
+per-tree arrays it grows, laid end to end as the engine's node store.
 """
 
 from __future__ import annotations
@@ -87,8 +88,7 @@ def _grow_tree(Xb, yb, n_values, n_classes, max_features, rng):
 def _fit_one_tree(X, y_enc, n_values, n_classes, max_features, seed, tree_index):
     rng = np.random.default_rng(np.random.SeedSequence([seed, tree_index]))
     boot = rng.integers(0, X.shape[0], size=X.shape[0])
-    arrays = _grow_tree(X[boot], y_enc[boot], n_values, n_classes, max_features, rng)
-    return DecisionTree(*arrays)
+    return _grow_tree(X[boot], y_enc[boot], n_values, n_classes, max_features, rng)
 
 
 def reference_fit_forest(X, y, n_trees=100, seed=0) -> RandomForestModel:
@@ -102,7 +102,8 @@ def reference_fit_forest(X, y, n_trees=100, seed=0) -> RandomForestModel:
         _fit_one_tree(X, y_enc, n_values, class_labels.shape[0], max_features, seed, t)
         for t in range(n_trees)
     ]
-    return RandomForestModel(trees, class_labels, X.shape[1], int(seed))
+    sizes = np.array([feature.shape[0] for feature, *_ in trees], dtype=np.int64)
+    return RandomForestModel(*map(np.concatenate, zip(*trees)), sizes, class_labels, X.shape[1], int(seed))
 
 
 def _route(tree: DecisionTree, X: np.ndarray) -> np.ndarray:

@@ -2,6 +2,9 @@ import csv
 import inspect
 import io
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,6 +86,19 @@ class TestTrain:
                      "--out", str(tmp_path / "m.json"), *FAST, "--folds", str(10**30)])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_trees_past_the_stream_exit_2_promptly(self, tmp_path):
+        # a tree is keyed by one 32-bit word; this count used to run on silently past 20 s
+        src = Path(cli.__file__).parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "coeye.cli", "train", "--data", str(Path(__file__).parent / "data" / "ucr"),
+             "--dataset", "Chinatown", "--sax-alphas", "3", "--sfa-alphas", "3", "--threads", "1",
+             "--trees", str(10**30), "--out", str(tmp_path / "m.json")],
+            env=env, capture_output=True, text=True, timeout=10,
+        )
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: ")
 
 
 class TestPredict:

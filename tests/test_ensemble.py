@@ -455,10 +455,10 @@ class TestServingMatchesPerEye:
         # leaves, so the order in which tree probabilities are summed shows
         y = np.random.default_rng(5).permutation(data.y)
         eyes = []
-        for lens, trees in ((Lens(SAX, 2, 3), 40), (Lens(SFA, 3, 10), 12), (Lens(SAX, 5, 24), 3),
-                            (Lens(SFA, 2, 2, drop_dc=True), 30), (Lens(SFA, 4, 10), 1)):
+        for lens in (Lens(SAX, 2, 3), Lens(SFA, 3, 10), Lens(SAX, 5, 24), Lens(SFA, 2, 2, drop_dc=True),
+                     Lens(SFA, 4, 10)):
             binning, symbols = fit_lens(data.X, lens)
-            eyes.append(Eye(lens, binning, fit_forest(symbols, y, n_trees=trees, seed=lens.w)))
+            eyes.append(Eye(lens, binning, fit_forest(symbols, y, n_trees=20, seed=lens.w)))
         model = CoEyeModel(eyes=eyes, class_labels=np.array([1, 2]), n=24, config=CoEyeConfig(seed=0))
         probe = synth_dataset("waves", seed=4, n=24).X
         assert model.packed.n_features == 3 + 10 + 24 + 2 + 10
@@ -467,6 +467,10 @@ class TestServingMatchesPerEye:
         # and the per-tree reference router, which sums each forest's trees in order
         reference = [reference_predict_proba(eye.forest, symbolize(probe, eye.lens, eye.binning)) for eye in eyes]
         assert np.array_equal(got, np.stack(reference, axis=1))
+        # every forest of the pack is summed over one tree count, so an eye with another count is refused
+        eyes[-1].forest = fit_forest(symbols, y, n_trees=3, seed=10)
+        with pytest.raises(ValueError, match="tree count"):
+            CoEyeModel(eyes=eyes, class_labels=np.array([1, 2]), n=24, config=CoEyeConfig(seed=0)).packed
 
     def test_classify_equals_predict_dataset_on_every_row(self, ucr_models):
         model, test_set = ucr_models["Chinatown"]
@@ -555,52 +559,58 @@ class TestPersistence:
 
 
 def _corrupt_first_split(payload, mutate):
-    """Apply ``mutate(tree, n_features)`` to the first tree whose root splits."""
+    """Apply ``mutate(tree, forest)`` to the first tree whose root splits."""
     for eye in payload["eyes"]:
         for tree in eye["forest"]["trees"]:
             if tree["feature"][0] >= 0:
-                mutate(tree, eye["forest"]["n_features"])
+                mutate(tree, eye["forest"])
                 return payload
     raise AssertionError("no split tree in the model")
 
 
-def _self_loop(tree, n_features):
+def _self_loop(tree, forest):
     tree["left"][0] = 0
 
 
-def _child_out_of_range(tree, n_features):
+def _child_out_of_range(tree, forest):
     tree["right"][0] = len(tree["feature"]) + 5
 
 
-def _feature_out_of_range(tree, n_features):
-    tree["feature"][0] = n_features
+def _feature_out_of_range(tree, forest):
+    tree["feature"][0] = forest["n_features"]
 
 
-def _ragged_arrays(tree, n_features):
+def _ragged_arrays(tree, forest):
     tree["threshold"].pop()
 
 
-def _leaf_with_child(tree, n_features):
+def _ragged_across_trees(tree, forest):
+    # the forest's totals still match, so only a per-tree length check sees the moved node
+    following = forest["trees"][forest["trees"].index(tree) + 1]
+    following["threshold"].append(tree["threshold"].pop())
+
+
+def _leaf_with_child(tree, forest):
     leaf = tree["feature"].index(-1)
     tree["left"][leaf] = leaf + 1
 
 
-def _empty_leaf(tree, n_features):
+def _empty_leaf(tree, forest):
     leaf = tree["feature"].index(-1)
     tree["counts"][leaf] = [0.0] * len(tree["counts"][leaf])
 
 
-def _negative_count(tree, n_features):
+def _negative_count(tree, forest):
     leaf = tree["feature"].index(-1)
     tree["counts"][leaf][0] = -1.0
     tree["counts"][leaf][1] += 2.0
 
 
-def _infinite_count(tree, n_features):
+def _infinite_count(tree, forest):
     tree["counts"][tree["feature"].index(-1)][0] = float("inf")
 
 
-def _nan_threshold(tree, n_features):
+def _nan_threshold(tree, forest):
     tree["threshold"][0] = float("nan")
 
 
@@ -736,21 +746,21 @@ def _string_smote_percentage(payload):
 
 
 def _float_split_feature(payload):
-    def mutate(tree, n_features):
+    def mutate(tree, forest):
         tree["feature"][0] += 0.5
 
     _corrupt_first_split(payload, mutate)
 
 
 def _string_threshold(payload):
-    def mutate(tree, n_features):
+    def mutate(tree, forest):
         tree["threshold"][0] = str(tree["threshold"][0])
 
     _corrupt_first_split(payload, mutate)
 
 
 def _string_count(payload):
-    def mutate(tree, n_features):
+    def mutate(tree, forest):
         tree["counts"][0][0] = str(tree["counts"][0][0])
 
     _corrupt_first_split(payload, mutate)
@@ -775,7 +785,7 @@ def _bool_cv_accuracy(payload):
 
 
 def _bool_split_feature(payload):
-    def mutate(tree, n_features):
+    def mutate(tree, forest):
         tree["feature"][0] = True
 
     _corrupt_first_split(payload, mutate)
@@ -783,14 +793,14 @@ def _bool_split_feature(payload):
 
 def _bool_left_child(payload):
     # the root's left child is node 1, so true would route exactly as before
-    def mutate(tree, n_features):
+    def mutate(tree, forest):
         tree["left"][0] = True
 
     _corrupt_first_split(payload, mutate)
 
 
 def _bool_count(payload):
-    def mutate(tree, n_features):
+    def mutate(tree, forest):
         tree["counts"][0][0] = True
 
     _corrupt_first_split(payload, mutate)
@@ -890,6 +900,23 @@ def _config_folds_past_int64(payload):
     payload["config"]["folds"] = 10**30
 
 
+def _config_trees_past_the_stream(payload):
+    payload["config"]["trees"] = 10**30
+
+
+def _forest_short_of_a_tree(payload):
+    payload["eyes"][-1]["forest"]["trees"].pop()
+
+
+def _negative_cv_accuracy(payload):
+    payload["eyes"][0]["lens"]["cv_accuracy"] = -5.0
+
+
+def _infinite_cv_accuracy(payload):
+    # json.dumps writes inf as Infinity, and json.load reads it back as inf
+    payload["eyes"][0]["lens"]["cv_accuracy"] = float("inf")
+
+
 @contextlib.contextmanager
 def _deadline(seconds):
     """Fail instead of hanging: a corrupt tree used to make routing loop forever."""
@@ -916,8 +943,8 @@ class TestCorruptForests:
         return path
 
     @pytest.mark.parametrize("mutate", [
-        _self_loop, _child_out_of_range, _feature_out_of_range, _ragged_arrays, _leaf_with_child, _empty_leaf,
-        _negative_count, _infinite_count, _nan_threshold,
+        _self_loop, _child_out_of_range, _feature_out_of_range, _ragged_arrays, _ragged_across_trees,
+        _leaf_with_child, _empty_leaf, _negative_count, _infinite_count, _nan_threshold,
     ])
     def test_rejected_promptly(self, saved, tmp_path, mutate):
         bad = tmp_path / "bad.json"
@@ -948,7 +975,8 @@ class TestCorruptForests:
         _float_n, _zero_n, _n_below_sax_width, _float_lens_alpha, _string_lens_width, _bool_lens_representation,
         _float_binning_alpha, _float_mcb_width, _string_forest_width, _odd_sfa_width, _sfa_wider_than_n,
         _negative_smote_count, _negative_smote_percentage, _infinite_smote_percentage, _smote_counts_of_another_class,
-        _config_alpha_over_26, _config_folds_past_int64,
+        _config_alpha_over_26, _config_folds_past_int64, _config_trees_past_the_stream, _forest_short_of_a_tree,
+        _negative_cv_accuracy, _infinite_cv_accuracy,
     ])
     def test_sizes_must_be_integers_that_fit_the_series(self, saved, tmp_path, mutate):
         payload = json.loads(saved.read_text())
@@ -1060,7 +1088,7 @@ class TestCorruptForests:
         assert model.sax_count == (len(model.eyes) if kept == SAX else 0)
 
     def test_loaded_forests_keep_no_pack_of_their_own(self, saved):
-        # validation packs each forest and drops it; serving reads only the
+        # validation checks each node store without packing it; serving reads only the
         # model's pack, so a loaded forest holds its dataclass fields and nothing else
         model = load_model(saved)
         fields = {field.name for field in dataclasses.fields(RandomForestModel)}

@@ -95,6 +95,12 @@ class TestFit:
         X, y = separable_fixture(rows_per_class=5)
         assert len(fit_forest(X, y, n_trees=17, seed=0).trees) == 17
 
+    def test_tree_count_capped_at_what_the_stream_keys(self):
+        # refused before any growth: a tree is keyed by one 32-bit word
+        X, y = separable_fixture(rows_per_class=5)
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            fit_forests(X, y, [np.arange(10)], seeds=[0], n_trees=2**32 + 1)
+
     def test_leaf_counts_positive(self):
         X, y = separable_fixture(seed=8, rows_per_class=10)
         model = fit_forest(X, y, n_trees=20, seed=0)
@@ -142,20 +148,27 @@ class TestSerialization:
         X, y = separable_fixture(seed=6)
         model = fit_forest(X, y, n_trees=15, seed=2)
         clone = reloaded(model)
+        assert_same_forest(model, clone)
         probe = np.random.default_rng(1).integers(0, 7, size=(30, 10))
         assert np.array_equal(predict_proba(model, probe), predict_proba(clone, probe))
 
+    def test_trees_view_slices_the_store_in_tree_order(self):
+        X, y = separable_fixture(seed=2)
+        model = fit_forest(X, y, n_trees=6, seed=1)
+        trees = model.trees
+        assert [tree.n_nodes for tree in trees] == model.tree_sizes.tolist()
+        for name in ("feature", "threshold", "left", "right", "counts"):
+            assert np.array_equal(np.concatenate([getattr(tree, name) for tree in trees]), getattr(model, name))
+
 
 def assert_same_forest(expected, got):
-    """Node arrays, their dtypes and labels all equal."""
+    """Node stores, their dtypes and labels all equal."""
     assert np.array_equal(expected.class_labels, got.class_labels)
     assert (expected.n_features, expected.seed) == (got.n_features, got.seed)
-    assert len(expected.trees) == len(got.trees)
-    for a, b in zip(expected.trees, got.trees):
-        for name in ("feature", "threshold", "left", "right", "counts"):
-            x, y = getattr(a, name), getattr(b, name)
-            assert x.dtype == y.dtype and x.shape == y.shape, name
-            assert np.array_equal(x, y), name
+    for name in ("feature", "threshold", "left", "right", "counts", "tree_sizes"):
+        x, y = getattr(expected, name), getattr(got, name)
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        assert np.array_equal(x, y), name
 
 
 def assert_same_proba(expected, got, probe):
@@ -252,7 +265,7 @@ class TestEngineMatchesReference:
         for k, (rs, got) in enumerate(zip(row_sets, models)):
             assert_same_forest(reference_fit_forest(X[rs], y[rs], 8, 6 + k), got)
         # random labels grow deep trees, which draw subsets over many rounds
-        assert rows < 90 or max(tree.n_nodes for tree in models[0].trees) > 40
+        assert rows < 90 or models[0].tree_sizes.max() > 40
 
     def test_subsets_drawn_only_for_candidate_nodes(self, monkeypatch):
         # every node with two or more rows of two or more classes draws one
@@ -271,9 +284,8 @@ class TestEngineMatchesReference:
         y = rng.integers(0, 3, size=40)
         row_sets = [np.arange(40), np.arange(0, 40, 2), np.arange(5, 35)]
         models = fit_forests(X, y, row_sets, [1, 2, 3], n_trees=30)
-        trees = [tree for model in models for tree in model.trees]
-        leaf = np.concatenate([tree.feature < 0 for tree in trees])
-        impure = np.count_nonzero(np.concatenate([tree.counts for tree in trees]), axis=1) >= 2
+        leaf = np.concatenate([model.feature < 0 for model in models])
+        impure = np.count_nonzero(np.concatenate([model.counts for model in models]), axis=1) >= 2
         assert np.count_nonzero(leaf & impure) > 10
         assert sum(drawn) == np.count_nonzero(~leaf) + np.count_nonzero(leaf & impure)
 
@@ -283,7 +295,7 @@ class TestEngineMatchesReference:
         expected = reference_fit_forest(X, y, 8, 3)
         got = fit_forest(X, y, n_trees=8, seed=3)
         assert_same_forest(expected, got)
-        assert all(tree.n_nodes == 1 for tree in got.trees)
+        assert np.all(got.tree_sizes == 1)
         assert_same_proba(expected, got, X)
 
     def test_many_rows_many_trees(self):
