@@ -21,15 +21,15 @@ the subsets of the nodes it tries to split in one call.
 
 Growth. ``_grow`` grows the trees of several forests of one class count
 together, in rounds: every unfinished tree pops the next node of its own
-depth-first stack, and the round computes class counts, (node, feature,
-value, class) histograms, Gini decreases and row partitions for all popped
-nodes with a few NumPy calls. Rows live in one flat sample array per
-batch; a node owns a [start, end) range of it, partitioned in place when
-the node splits. A batch holds at most ``BATCH_SLOTS`` bootstrap rows
-(trees times rows), so a large forest grows as several tree ranges, and
-threads grow the same batches, cut smaller. Each tree still pops its own
-nodes in the order above, so its draws, and hence its bytes, are the same
-as when it grows alone.
+depth-first stack, and the round splits all popped nodes with a few NumPy
+calls. Class-major histograms give an exact integer score that ranks every
+split, and the float Gini decrease picks among the near-best (see
+``_best_splits``). Rows live in one flat sample array per batch; a node owns
+a [start, end) range of it, partitioned in place when the node splits. A
+batch holds at most ``BATCH_SLOTS`` bootstrap rows (trees times rows), so a
+large forest grows as several tree ranges, and threads grow the same
+batches, cut smaller. Each tree still pops its own nodes in the order above,
+so its draws, and hence its bytes, are the same as when it grows alone.
 
 Node store. A forest holds the nodes of all its trees, tree after tree, in
 five arrays (``feature``, -1 at a leaf, ``threshold``, ``left``, ``right``
@@ -58,8 +58,8 @@ from .errors import EmptyTrainingSet, FeatureMismatch, ModelParseError, model_ar
 from .stream import Streams
 
 _MIN_DECREASE = 1e-12
-# histogram cells plus gathered sample values per split-search chunk:
-# bounds the grower's transient memory
+# class-major histogram cells, score cells and gathered sample values per
+# split-search chunk: bounds the grower's transient memory
 _CHUNK_CELLS = 1 << 16
 # tree-row pairs per routing chunk: a model-wide pack routes many trees at
 # once, and each walk step holds about a dozen arrays of this length
@@ -180,6 +180,14 @@ def _best_splits(X, sample_row, sample_cls, starts, sizes, counts, feats, n_valu
     first; returns (slot, value, left row count) per node. ``n_values``
     exceeds every value of ``X``: a boundary beyond a forest's own values
     leaves no row on the right, so it is never valid and never chosen.
+
+    The boundary after value v (threshold v + 0.5) is ranked by S = (A n_r
+    + B n_l) / (n_l n_r), where A and B sum the squared integer class
+    counts left and right of it: the Gini decrease is parent_gini - 1 + S / n.
+    Only the boundaries after present values within a relative 1e-9 of the
+    node's best S get the float Gini decrease, whose first maximum wins, so
+    ties break as that float breaks them. S >= n / c, so any other boundary
+    trails the best decrease by over 1e-9 / c, far above the float's error.
     """
     m, c = feats.shape[1], n_classes
     slot = np.full(sizes.shape[0], -1)
@@ -187,7 +195,7 @@ def _best_splits(X, sample_row, sample_cls, starts, sizes, counts, feats, n_valu
     n_left_rows = np.zeros(sizes.shape[0], dtype=np.int64)
     if n_values < 2:
         return slot, value, n_left_rows
-    cost = m * n_values * c + sizes * m
+    cost = m * n_values * (c + 1) + sizes * m
     chunk = (np.cumsum(cost) - cost) // _CHUNK_CELLS
     for nodes in np.split(np.arange(sizes.shape[0]), np.flatnonzero(np.diff(chunk)) + 1):
         q = nodes.shape[0]
@@ -195,26 +203,31 @@ def _best_splits(X, sample_row, sample_cls, starts, sizes, counts, feats, n_valu
         seg, pos = _segments(starts[nodes], n_node)
         cls = sample_cls[pos]
         vals = X[sample_row[pos][:, None], feats[nodes][seg]]
-        codes = ((seg[:, None] * m + np.arange(m)) * n_values + vals) * c + cls[:, None]
-        hist = np.bincount(codes.ravel(), minlength=q * m * n_values * c).reshape(q, m, n_values, c)
-        # candidate boundary after value v: left bin = values <= v, threshold v + 0.5
-        cum = hist.cumsum(axis=2)[:, :, :-1, :].astype(np.float64)
+        # class-major (class, node, feature * value) cells: a class sum is a whole-array add
+        codes = ((cls[:, None] * q + seg[:, None]) * m + np.arange(m)) * n_values + vals
+        hist = np.bincount(codes.ravel(), minlength=c * q * m * n_values).reshape(c, q, m, n_values)
+        cum = hist.cumsum(axis=3).reshape(c, q, -1)
+        n_l = cum.sum(axis=0)
+        n_r = n_node[:, None] - n_l
+        a, b = np.square(cum).sum(axis=0), np.square(counts[nodes].T[:, :, None] - cum).sum(axis=0)
+        # an invalid boundary (n_l or n_r zero) has A * n_r + B * n_l = 0 and scores 0
+        score = (a * n_r.astype(np.float64) + b * n_l.astype(np.float64)) / np.maximum(n_l * n_r, 1)
+        near = np.flatnonzero(score > score.max(axis=1, keepdims=True) * (1 - 1e-9))
+        near = near[(near % n_values == 0) | (n_l.flat[near] > n_l.flat[near - 1])]
+        at = near // (m * n_values)
+        cum_near = np.ascontiguousarray(cum.reshape(c, -1)[:, near].T, dtype=np.float64)
         node_counts = counts[nodes].astype(np.float64)
         parent_gini = 1.0 - np.sum((node_counts / n_node[:, None]) ** 2, axis=1)
-        n_left = cum.sum(axis=3)
-        n_right = n_node[:, None, None] - n_left
-        valid = (n_left > 0) & (n_right > 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gini_l = 1.0 - np.sum((cum / n_left[..., None]) ** 2, axis=3)
-            gini_r = 1.0 - np.sum(((node_counts[:, None, None, :] - cum) / n_right[..., None]) ** 2, axis=3)
-            dec = parent_gini[:, None, None] - (n_left * gini_l + n_right * gini_r) / n_node[:, None, None]
-        dec[~valid] = -np.inf
-        dec = dec.reshape(q, -1)
+        n_left = cum_near.sum(axis=1)
+        n_right = n_node[at] - n_left
+        gini_l = 1.0 - np.sum((cum_near / n_left[:, None]) ** 2, axis=1)
+        gini_r = 1.0 - np.sum(((node_counts[at] - cum_near) / n_right[:, None]) ** 2, axis=1)
+        dec = np.full(score.shape, -np.inf)
+        dec.flat[near] = parent_gini[at] - (n_left * gini_l + n_right * gini_r) / n_node[at]
         # first maximum: lowest feature (subsets are sorted), then lowest threshold
         flat = dec.argmax(axis=1)
-        best = dec[np.arange(q), flat]
-        split = np.isfinite(best) & (best > _MIN_DECREASE)
-        fi, v = np.divmod(flat, n_values - 1)
+        split = dec[np.arange(q), flat] > _MIN_DECREASE
+        fi, v = np.divmod(flat, n_values)
         slot[nodes[split]] = fi[split]
         value[nodes[split]] = v[split]
 
@@ -357,6 +370,8 @@ def fit_forests(X, y, row_sets, seeds, n_trees: int = 100, threads: int | None =
         raise ValueError("need between 1 and 2**32 trees: the forest stream keys a tree by one 32-bit word")
     if any(not 0 <= seed < 1 << 32 for seed in seeds):
         raise ValueError("seeds must lie in [0, 2**32)")
+    if X.min() < 0:
+        raise ValueError("symbol values must be non-negative")
     max_features = max(1, math.ceil(math.sqrt(X.shape[1])))
     n_values = int(X.max()) + 1
 

@@ -14,6 +14,18 @@ from coeye.cli import _config_from_args, build_parser, main
 from tests.conftest import synth_dataset
 
 FAST = ["--trees", "10", "--sax-alphas", "3,4", "--sfa-alphas", "3,4", "--threads", "1"]
+UCR = Path(__file__).parent / "data" / "ucr"
+
+
+def _train_chinatown(out, *flags):
+    """``coeye train`` on Chinatown with one-alphabet grids and ``flags`` last, in a process that must end in 10 s."""
+    src = Path(cli.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-m", "coeye.cli", "train", "--data", str(UCR), "--dataset", "Chinatown",
+         "--sax-alphas", "3", "--sfa-alphas", "3", "--threads", "1", *flags, "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -89,16 +101,22 @@ class TestTrain:
 
     def test_trees_past_the_stream_exit_2_promptly(self, tmp_path):
         # a tree is keyed by one 32-bit word; this count used to run on silently past 20 s
-        src = Path(cli.__file__).parents[1]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
-        result = subprocess.run(
-            [sys.executable, "-m", "coeye.cli", "train", "--data", str(Path(__file__).parent / "data" / "ucr"),
-             "--dataset", "Chinatown", "--sax-alphas", "3", "--sfa-alphas", "3", "--threads", "1",
-             "--trees", str(10**30), "--out", str(tmp_path / "m.json")],
-            env=env, capture_output=True, text=True, timeout=10,
-        )
+        result = _train_chinatown(tmp_path / "m.json", "--trees", str(10**30))
         assert result.returncode == 2
         assert result.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize("flag, code", [("--seed", 0), ("--sax-w", 3), ("--sfa-w", 3),
+                                            ("--sax-alphas", 2), ("--sfa-alphas", 2)])
+    def test_huge_integer_flags_end_promptly(self, tmp_path, flag, code):
+        # a huge seed is harmless, a huge word length leaves no feasible lens
+        # (NoFeasibleLens) and a huge alphabet is refused
+        result = _train_chinatown(tmp_path / "m.json", flag, str(10**30))
+        assert result.returncode == code
+        if code:
+            assert result.stderr.startswith("error: ")
+        else:
+            assert main(["predict", "--model", str(tmp_path / "m.json"), "--data", str(UCR),
+                         "--dataset", "Chinatown", "--out", str(tmp_path / "p.csv")]) == 0
 
 
 class TestPredict:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,6 +105,20 @@ class TestFit:
         with pytest.raises(ValueError, match="2\\*\\*32"):
             fit_forests(X, y, [np.arange(10)], seeds=[0], n_trees=2**32 + 1)
 
+    @pytest.mark.parametrize("call", ["fit_forest(X, y, 3, 0)", "fit_forests(X, y, [np.arange(4)], [0], 3)"],
+                             ids=["fit_forest", "fit_forests"])
+    def test_negative_symbols_refused_promptly(self, call):
+        # a negative symbol lands in another feature's histogram cells; growth
+        # then chose a split that sent every row left, and the child chose it
+        # again, without end
+        src = Path(forest.__file__).parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+        code = ("import numpy as np\nfrom coeye.forest import fit_forest, fit_forests\n"
+                "X, y = np.array([[-1, 2], [3, -4], [0, 1], [2, 2]]), np.array([0, 1, 0, 1])\n" + call)
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=10)
+        assert result.returncode == 1
+        assert "ValueError: symbol values must be non-negative" in result.stderr
+
     def test_leaf_counts_positive(self):
         X, y = separable_fixture(seed=8, rows_per_class=10)
         model = fit_forest(X, y, n_trees=20, seed=0)
@@ -180,15 +198,18 @@ def assert_same_proba(expected, got, probe):
 
 
 @st.composite
-def symbol_problems(draw):
+def symbol_problems(draw, duplicated=False):
     rows = draw(st.integers(1, 40))
     width = draw(st.integers(1, 16))
     n_values = draw(st.integers(1, 7))
-    n_classes = draw(st.integers(2, 3))
+    n_classes = draw(st.integers(2, 10))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     X = rng.integers(0, n_values, size=(rows, width))
     constant = rng.random(width) < 0.3
     X[:, constant] = rng.integers(0, n_values)
+    if duplicated:
+        # columns drawn with replacement: equal columns tie exactly across features
+        X = X[:, rng.integers(0, width, size=width)]
     y = rng.integers(0, n_classes, size=rows) * 5 - 2
     return X, y, draw(st.integers(0, 10**6)), draw(st.integers(1, 12))
 
@@ -205,6 +226,21 @@ class TestEngineMatchesReference:
         assert_same_forest(expected, got)
         probe = np.random.default_rng(seed).integers(0, X.max() + 2, size=(9, X.shape[1]))
         assert_same_proba(expected, got, probe)
+
+    @given(symbol_problems(duplicated=True))
+    @settings(max_examples=40, deadline=None)
+    def test_duplicated_columns(self, problem):
+        # the first maximum goes to the lowest feature slot among exact ties
+        X, y, seed, trees = problem
+        assert_same_forest(reference_fit_forest(X, y, trees, seed), fit_forest(X, y, n_trees=trees, seed=seed))
+
+    def test_ten_classes_keep_the_float_sum_order(self):
+        # numpy sums a contiguous axis of eight or more in pairwise blocks, not
+        # left to right; with ten classes some exact ties between boundaries
+        # round apart, and the engine must break them as the reference does
+        rng = np.random.default_rng(2)
+        X, y = rng.integers(0, 4, size=(40, 3)), rng.integers(0, 10, size=40)
+        assert_same_forest(reference_fit_forest(X, y, 10, 2), fit_forest(X, y, n_trees=10, seed=2))
 
     @given(symbol_problems(), st.integers(2, 4))
     @settings(max_examples=20, deadline=None)
