@@ -20,16 +20,20 @@ bootstraps of a batch are drawn in one call, and each growth round draws
 the subsets of the nodes it tries to split in one call.
 
 Growth. ``_grow`` grows the trees of several forests of one class count
-together, in rounds: every unfinished tree pops the next node of its own
-depth-first stack, and the round splits all popped nodes with a few NumPy
-calls. Class-major histograms give an exact integer score that ranks every
-split, and the float Gini decrease picks among the near-best (see
-``_best_splits``). Rows live in one flat sample array per batch; a node owns
-a [start, end) range of it, partitioned in place when the node splits. A
-batch holds at most ``BATCH_SLOTS`` bootstrap rows (trees times rows), so a
-large forest grows as several tree ranges, and threads grow the same
-batches, cut smaller. Each tree still pops its own nodes in the order above,
-so its draws, and hence its bytes, are the same as when it grows alone.
+together, in rounds. Each tree's depth-first stack holds only its split
+candidates, with their class counts: a node is recorded when it is made,
+a root at set-up and a child when its parent splits, and one that cannot
+split is a leaf at once. Every unfinished tree pops its next candidate, so a
+batch runs as many rounds as its busiest tree has candidates, and the round
+searches all popped nodes with a few NumPy calls. Class-major histograms over
+value ranks give an exact integer score that ranks every split, and the
+float Gini decrease picks among the near-best (see ``_best_splits``). Rows
+live in one flat sample array per batch; a node owns a [start, end) range
+of it, partitioned in place when the node splits. A batch holds at most
+``BATCH_SLOTS`` bootstrap rows (trees times rows), so a large forest grows
+as several tree ranges, and threads grow the same batches, cut smaller.
+Each tree still pops its own candidates in the order above, so its draws,
+and hence its bytes, are the same as when it grows alone.
 
 Node store. A forest holds the nodes of all its trees, tree after tree, in
 five arrays (``feature``, -1 at a leaf, ``threshold``, ``left``, ``right``
@@ -164,24 +168,18 @@ class _ForestSpec:
     trees: range
 
 
-def _segments(starts, sizes):
-    """(segment id, position) of every slot of the ranges [start, start + size)."""
-    seg = np.repeat(np.arange(sizes.shape[0]), sizes)
-    pos = np.arange(seg.shape[0]) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
-    return seg, pos
-
-
 def _best_splits(X, sample_row, sample_cls, starts, sizes, counts, feats, n_values, n_classes):
     """Best (feature slot, value) of each node, or slot -1 for a leaf.
 
     Nodes are given by their sample ranges, class counts and sorted feature
     subsets ``feats`` (nodes, m); all belong to forests of ``n_classes``
     classes. Rows of each split node are partitioned in place, left rows
-    first; returns (slot, value, left row count) per node. ``n_values``
-    exceeds every value of ``X``: a boundary beyond a forest's own values
-    leaves no row on the right, so it is never valid and never chosen.
+    first; returns (slot, value, left class counts) per node. ``X`` holds
+    value ranks and ``n_values`` is the number of distinct values: a
+    boundary beyond a forest's own values leaves no row on the right, so it
+    is never valid and never chosen.
 
-    The boundary after value v (threshold v + 0.5) is ranked by S = (A n_r
+    The boundary after value (rank) v is ranked by S = (A n_r
     + B n_l) / (n_l n_r), where A and B sum the squared integer class
     counts left and right of it: the Gini decrease is parent_gini - 1 + S / n.
     Only the boundaries after present values within a relative 1e-9 of the
@@ -192,15 +190,17 @@ def _best_splits(X, sample_row, sample_cls, starts, sizes, counts, feats, n_valu
     m, c = feats.shape[1], n_classes
     slot = np.full(sizes.shape[0], -1)
     value = np.zeros(sizes.shape[0], dtype=np.int64)
-    n_left_rows = np.zeros(sizes.shape[0], dtype=np.int64)
+    left_counts = np.zeros_like(counts)
     if n_values < 2:
-        return slot, value, n_left_rows
+        return slot, value, left_counts
     cost = m * n_values * (c + 1) + sizes * m
     chunk = (np.cumsum(cost) - cost) // _CHUNK_CELLS
     for nodes in np.split(np.arange(sizes.shape[0]), np.flatnonzero(np.diff(chunk)) + 1):
         q = nodes.shape[0]
         n_node = sizes[nodes]
-        seg, pos = _segments(starts[nodes], n_node)
+        # (node, sample position) of every row of the chunk's nodes
+        seg = np.repeat(np.arange(q), n_node)
+        pos = np.arange(seg.shape[0]) + np.repeat(starts[nodes] - (np.cumsum(n_node) - n_node), n_node)
         cls = sample_cls[pos]
         vals = X[sample_row[pos][:, None], feats[nodes][seg]]
         # class-major (class, node, feature * value) cells: a class sum is a whole-array add
@@ -230,6 +230,7 @@ def _best_splits(X, sample_row, sample_cls, starts, sizes, counts, feats, n_valu
         fi, v = np.divmod(flat, n_values)
         slot[nodes[split]] = fi[split]
         value[nodes[split]] = v[split]
+        left_counts[nodes[split]] = cum[:, split, flat[split]].T
 
         moved = split[seg]
         seg, pos = seg[moved], pos[moved]
@@ -237,13 +238,13 @@ def _best_splits(X, sample_row, sample_cls, starts, sizes, counts, feats, n_valu
         order = np.argsort(seg * 2 + ~go_left, kind="stable")
         sample_row[pos] = sample_row[pos[order]]
         sample_cls[pos] = sample_cls[pos[order]]
-        n_left_rows[nodes] = np.bincount(seg[go_left], minlength=q)
-    return slot, value, n_left_rows
+    return slot, value, left_counts
 
 
-def _grow(X, specs: list[_ForestSpec], max_features: int, n_values: int) -> list[tuple[np.ndarray, ...]]:
-    """Grow every tree of every spec, all of one class count, together; returns
-    each spec's node store: its five node arrays and its trees' node counts."""
+def _grow(X, specs: list[_ForestSpec], max_features: int, values: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+    """Grow every tree of every spec, all of one class count, together, on
+    the value ranks ``X`` of the sorted distinct ``values``; returns each
+    spec's node store: its five node arrays and its trees' node counts."""
     d = X.shape[1]
     tree_spec = np.repeat(np.arange(len(specs)), [len(s.trees) for s in specs])
     n_trees = tree_spec.shape[0]
@@ -267,53 +268,55 @@ def _grow(X, specs: list[_ForestSpec], max_features: int, n_values: int) -> list
         sample_row[slot] = spec_rows[boot]
         sample_cls[slot] = spec_cls[boot]
 
-    # one depth-first stack of (start, end, node id) per tree
-    stack = np.zeros((n_trees, 8, 3), dtype=np.int64)
-    stack[:, 0] = np.column_stack([starts, starts + sizes, np.zeros(n_trees, dtype=np.int64)])
-    depth = np.ones(n_trees, dtype=np.int64)
+    # one depth-first stack of split candidates (start, end, node id, class counts) per tree, level-major;
+    # a tree's pending candidates own disjoint ranges of at least 2 rows each
+    stack = np.zeros((int(sizes.max()) // 2, n_trees, 3 + n_classes), dtype=np.int64)
+    depth = np.zeros(n_trees, dtype=np.int64)
     n_nodes = np.ones(n_trees, dtype=np.int64)
-    record = []
+    placed, splits = [], [(np.zeros(0, dtype=np.int64),) * 5]
+
+    def place(trees, lo, hi, node, counts):
+        """Record each node's class counts, and push the nodes that can split
+        (two classes, hence two rows) on their trees' stacks: the rest are leaves."""
+        placed.append((trees, node, counts))
+        cand = np.count_nonzero(counts, axis=1) > 1
+        trees = trees[cand]
+        stack[depth[trees], trees] = np.column_stack([lo[cand], hi[cand], node[cand], counts[cand]])
+        depth[trees] += 1
+
+    roots = np.arange(n_trees)
+    root_counts = np.bincount(np.repeat(roots, sizes) * n_classes + sample_cls, minlength=n_trees * n_classes)
+    place(roots, starts, starts + sizes, np.zeros(n_trees, dtype=np.int64), root_counts.reshape(n_trees, -1))
     while True:
         live = np.flatnonzero(depth)
         if live.shape[0] == 0:
             break
         depth[live] -= 1
-        lo, hi, node = stack[live, depth[live]].T
-        size = hi - lo
-        seg, pos = _segments(lo, size)
-        counts = np.bincount(seg * n_classes + sample_cls[pos], minlength=live.shape[0] * n_classes)
-        counts = counts.reshape(-1, n_classes)
-        feature = np.full(live.shape[0], -1, dtype=np.int32)
-        threshold = np.zeros(live.shape[0])
-        left = np.full(live.shape[0], -1, dtype=np.int32)
-
-        cand = np.flatnonzero((size >= 2) & (np.count_nonzero(counts, axis=1) > 1))
-        if cand.shape[0]:
-            cand_trees = live[cand]
-            feats = streams.subsets(cand_trees, d, max_features)
-            slot, value, n_left = _best_splits(
-                X, sample_row, sample_cls, lo[cand], size[cand], counts[cand], feats, n_values, n_classes,
-            )
-            split = slot >= 0
-            at, trees = cand[split], live[cand[split]]
-            feature[at] = feats[split, slot[split]]
-            threshold[at] = value[split] + 0.5
-            left[at] = n_nodes[trees]
-            n_nodes[trees] += 2
-            if depth.max() + 2 > stack.shape[1]:
-                stack = np.concatenate([stack, np.zeros_like(stack)], axis=1)
-            mid = lo[at] + n_left[split]
-            # push left, then right: the right child is grown first
-            stack[trees, depth[trees]] = np.column_stack([lo[at], mid, left[at]])
-            stack[trees, depth[trees] + 1] = np.column_stack([mid, hi[at], left[at] + 1])
-            depth[trees] += 2
-        record.append((live, node, feature, threshold, left, counts))
+        top = stack[depth[live], live]
+        lo, hi, node, counts = top[:, 0], top[:, 1], top[:, 2], top[:, 3:]
+        feats = streams.subsets(live, d, max_features)
+        slot, value, left_counts = _best_splits(
+            X, sample_row, sample_cls, lo, hi - lo, counts, feats, values.shape[0], n_classes,
+        )
+        split = slot >= 0
+        trees, lo, hi, counts, left_counts = live[split], lo[split], hi[split], counts[split], left_counts[split]
+        left = n_nodes[trees]
+        n_nodes[trees] += 2
+        splits.append((trees, node[split], feats[split, slot[split]], values[value[split]] + 0.5, left))
+        mid = lo + left_counts.sum(axis=1)
+        # push left, then right: the right child is grown first
+        place(trees, lo, mid, left, left_counts)
+        place(trees, mid, hi, left + 1, counts - left_counts)
 
     # the batch's store: tree t holds nodes bounds[t]:bounds[t + 1], in node id order
     bounds = np.concatenate([[0], np.cumsum(n_nodes)])
-    live, node, feature, threshold, left, counts = map(np.concatenate, zip(*record))
-    order = np.argsort(bounds[live] + node)
-    feature, threshold, left, counts = feature[order], threshold[order], left[order], counts[order].astype(np.float64)
+    trees, node, node_counts = map(np.concatenate, zip(*placed))
+    counts, threshold = np.empty((bounds[-1], n_classes)), np.zeros(bounds[-1])
+    counts[bounds[trees] + node] = node_counts
+    feature, left = np.full(bounds[-1], -1, dtype=np.int32), np.full(bounds[-1], -1, dtype=np.int32)
+    trees, node, split_feature, split_threshold, split_left = map(np.concatenate, zip(*splits))
+    at = bounds[trees] + node
+    feature[at], threshold[at], left[at] = split_feature, split_threshold, split_left
     right = np.where(left >= 0, left + 1, -1).astype(np.int32)
     # a spec's trees, and so its nodes, are contiguous
     first_tree = [0, *accumulate(len(spec.trees) for spec in specs)]
@@ -358,7 +361,7 @@ def fit_forests(X, y, row_sets, seeds, n_trees: int = 100, threads: int | None =
     ``threads`` > 1 batches of at most a thread's share of the rows grow on
     a pool of that many threads. The forests do not depend on the batches.
     """
-    X = np.ascontiguousarray(X, dtype=np.int64)
+    X = np.asarray(X)
     y = np.asarray(y, dtype=np.int64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise EmptyTrainingSet("training set must contain at least one row")
@@ -370,10 +373,13 @@ def fit_forests(X, y, row_sets, seeds, n_trees: int = 100, threads: int | None =
         raise ValueError("need between 1 and 2**32 trees: the forest stream keys a tree by one 32-bit word")
     if any(not 0 <= seed < 1 << 32 for seed in seeds):
         raise ValueError("seeds must lie in [0, 2**32)")
-    if X.min() < 0:
-        raise ValueError("symbol values must be non-negative")
+    # growth runs on value ranks, so its memory follows the distinct values;
+    # below 2**52 a threshold v + 0.5 is exact and separates v from v + 1
+    values, ranks = np.unique(X, return_inverse=True)
+    if not (values.size and values[0] >= 0 and values[-1] < 2**52 and np.all(values % 1 == 0)):
+        raise ValueError("symbol values must be non-negative integers below 2**52, in at least one column")
+    ranks = ranks.reshape(X.shape)
     max_features = max(1, math.ceil(math.sqrt(X.shape[1])))
-    n_values = int(X.max()) + 1
 
     labels, specs = [], []
     for rows, seed in zip(row_sets, seeds):
@@ -389,7 +395,7 @@ def fit_forests(X, y, row_sets, seeds, n_trees: int = 100, threads: int | None =
     batches = list(_batches(specs, min(BATCH_SLOTS, -(-slots // workers))))
 
     def grow(batch):
-        return _grow(X, [spec for _, spec in batch], max_features, n_values)
+        return _grow(ranks, [spec for _, spec in batch], max_features, values)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -30,6 +30,15 @@ def reloaded(model):
     return forest_from_dict(json.loads(json.dumps(model, default=_json_default)))
 
 
+def candidate_fixture():
+    """(X, y, row sets) of three 3-class forests that grow in one batch: binary
+    columns and random labels, so many nodes find no split in their subset."""
+    rng = np.random.default_rng(5)
+    X = rng.integers(0, 2, size=(40, 16))
+    y = rng.integers(0, 3, size=40)
+    return X, y, [np.arange(40), np.arange(0, 40, 2), np.arange(5, 35)]
+
+
 def separable_fixture(seed=0, rows_per_class=50, width=10):
     """Two symbol populations with disjoint value ranges."""
     rng = np.random.default_rng(seed)
@@ -118,6 +127,45 @@ class TestFit:
         result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=10)
         assert result.returncode == 1
         assert "ValueError: symbol values must be non-negative" in result.stderr
+
+    @pytest.mark.parametrize("X", [[[0.4], [0.6], [0.45], [0.7]], [[0, 1], [3, 0], [2.25, 1], [2, 0]],
+                                   [[0, 1], [np.nan, 0], [2, 1], [2, 0]], [[0, 1], [np.inf, 0], [2, 1], [2, 0]],
+                                   [[0, 1], [2.0**52, 0], [2, 1], [2, 0]], [[0, 1], [2**60, 0], [2, 1], [2, 0]]],
+                             ids=["fractions", "one_fraction", "nan", "inf", "float_2**52", "int_2**60"])
+    def test_non_integer_and_huge_symbols_refused(self, X):
+        # fractions were cast to integers: the separable first case became all
+        # zeros and grew one-leaf trees; from 2**52 on, v + 0.5 no longer
+        # separates v from v + 1
+        with pytest.raises(ValueError, match="symbol values must be non-negative integers below 2\\*\\*52"):
+            fit_forest(np.array(X), np.array([0, 1, 0, 1]), 3, 0)
+
+    def test_integral_float_and_largest_symbols_accepted(self):
+        X, y = separable_fixture(seed=4, rows_per_class=8)
+        assert_same_forest(fit_forest(X, y, 6, 2), fit_forest(X.astype(np.float64), y, 6, 2))
+        top = 2**52 - 1
+        got = fit_forest(np.array([[top], [top - 1], [top], [top - 1]]), np.array([0, 1, 0, 1]), 1, 0)
+        assert got.threshold[0] == top - 0.5
+
+    def test_split_search_memory_follows_distinct_values(self):
+        # the split histograms were dense over max(X) + 1 values: at 10**12
+        # times a small problem's values they asked for terabytes
+        src = Path(forest.__file__).parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+        code = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "import numpy as np\nfrom coeye.forest import fit_forest\n"
+            "rng = np.random.default_rng(3)\n"
+            "X, y = rng.integers(0, 4, size=(30, 5)), rng.integers(0, 3, size=30)\n"
+            "small, big = fit_forest(X, y, 10, 7), fit_forest(X * 10**12, y, 10, 7)\n"
+            "inner = small.feature >= 0\n"
+            "assert inner.any() and np.array_equal(small.feature, big.feature)\n"
+            "assert np.array_equal(small.counts, big.counts) and np.array_equal(small.tree_sizes, big.tree_sizes)\n"
+            "assert np.array_equal((small.threshold[inner] - 0.5) * 10**12 + 0.5, big.threshold[inner])\n"
+            "assert np.all(big.threshold[~inner] == 0)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
 
     def test_leaf_counts_positive(self):
         X, y = separable_fixture(seed=8, rows_per_class=10)
@@ -314,16 +362,25 @@ class TestEngineMatchesReference:
             return subsets(self, rows, *args)
 
         monkeypatch.setattr(Streams, "subsets", counting)
-        # binary columns and random labels: many nodes find no split in their subset
-        rng = np.random.default_rng(5)
-        X = rng.integers(0, 2, size=(40, 16))
-        y = rng.integers(0, 3, size=40)
-        row_sets = [np.arange(40), np.arange(0, 40, 2), np.arange(5, 35)]
-        models = fit_forests(X, y, row_sets, [1, 2, 3], n_trees=30)
+        models = fit_forests(*candidate_fixture(), [1, 2, 3], n_trees=30)
         leaf = np.concatenate([model.feature < 0 for model in models])
         impure = np.count_nonzero(np.concatenate([model.counts for model in models]), axis=1) >= 2
         assert np.count_nonzero(leaf & impure) > 10
         assert sum(drawn) == np.count_nonzero(~leaf) + np.count_nonzero(leaf & impure)
+
+    def test_one_round_per_split_candidate_of_the_busiest_tree(self, monkeypatch):
+        # leaves are recorded when their parent splits, so each round pops one
+        # split candidate (an inner node or an impure leaf) of every unfinished
+        # tree, and a batch runs as many rounds as its busiest tree has candidates
+        rounds, batches = [], []
+        best_splits, grow = forest._best_splits, forest._grow
+        monkeypatch.setattr(forest, "_best_splits", lambda *args: rounds.append(1) or best_splits(*args))
+        monkeypatch.setattr(forest, "_grow", lambda *args: batches.append(1) or grow(*args))
+        models = fit_forests(*candidate_fixture(), [1, 2, 3], n_trees=30)
+        candidates = [np.count_nonzero((tree.feature >= 0) | (np.count_nonzero(tree.counts, axis=1) >= 2))
+                      for model in models for tree in model.trees]
+        assert len(batches) == 1
+        assert len(rounds) == max(candidates)
 
     def test_all_columns_constant(self):
         X = np.full((10, 4), 2)
