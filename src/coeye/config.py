@@ -5,6 +5,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 from .symbolic import SAX_MODES, check_alphabets
 
@@ -24,6 +25,10 @@ class CoEyeConfig:
     threads: int | None = None
 
     def __post_init__(self):
+        ints = (self.seed, self.trees, self.folds, self.smote_k, *self.sax_alphas, *self.sfa_alphas,
+                *(self.sax_word_lengths or ()), *(self.sfa_word_lengths or ()), self.threads or 1)
+        if not isinstance(self.smote, bool) or any(isinstance(v, bool) or not isinstance(v, Integral) for v in ints):
+            raise TypeError("seed, counts, alphabets and word lengths must be integers, not bools; smote a bool")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if not 1 <= self.trees <= 2**32:

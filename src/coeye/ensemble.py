@@ -42,6 +42,7 @@ from .errors import (
     UnsupportedModelVersion,
     model_array,
     model_field,
+    model_record,
 )
 from .forest import (
     PackedForest,
@@ -67,7 +68,7 @@ from .lenses import (
 from .resample import SmoteReport, smote
 from .symbolic import McbTable, SaxBinning, check_binning, digitize, fit_lens, lens_words, word_fits
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 _NS_VOTE = 6
 
@@ -350,12 +351,10 @@ def predict_dataset(model: CoEyeModel, data, representation: str = "both") -> li
 
 def _json_default(obj):
     """How ``save_model`` writes what JSON has no type for: an array or a
-    numpy scalar as its ``tolist()``, a forest's node store as one record per
-    tree (the mirror of ``forest_from_dict``), a record as its dataclass fields."""
+    numpy scalar as its ``tolist()``, and a record, a forest's node store
+    included, as its dataclass fields (the mirror of ``model_record``)."""
     if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
-    if isinstance(obj, RandomForestModel):
-        return {"class_labels": obj.class_labels, "n_features": obj.n_features, "seed": obj.seed, "trees": obj.trees}
     if is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: getattr(obj, f.name) for f in fields(obj)}
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
@@ -365,8 +364,8 @@ def save_model(model: CoEyeModel, path) -> None:
     """Serialize to versioned JSON; identical models produce identical bytes.
 
     Every record is written as its fields, except: the config leaves out
-    ``threads`` (a run setting), a binning adds its ``kind``, SMOTE labels
-    become string keys that sort as text, and a forest writes one record per tree.
+    ``threads`` (a run setting), a binning adds its ``kind``, and SMOTE
+    labels become string keys that sort as text.
     """
     config = _json_default(model.config)
     del config["threads"]
@@ -393,47 +392,11 @@ def save_model(model: CoEyeModel, path) -> None:
         fh.write(text)
 
 
-# the record field annotations that ``_read`` reads through ``model_field``
-_SCALARS = {"int": int, "bool": bool, "float": float, "str": str}
-
-
-def _read(cls, payload: dict, **arrays):
-    """A record from its model-file form, the mirror of ``_json_default``.
-
-    Each field is read by its annotated type: a scalar through
-    ``model_field``, a grid as a list of JSON integers (``null`` only where
-    the annotation allows ``None``), a count table by the ``str(label)`` keys
-    that ``save_model`` wrote, and a field named in ``arrays`` through
-    ``model_array`` with the dtype given there. A missing field is refused,
-    never filled from its default; a key that is no field is ignored. The
-    record's own ``__post_init__`` checks the ranges.
-    """
-    values = {}
-    for f in fields(cls):
-        value, kind = payload[f.name], f.type.removesuffix(" | None")
-        if f.name in arrays:
-            values[f.name] = model_array(value, f.name, arrays[f.name])
-        elif value is None and kind != f.type:
-            values[f.name] = None
-        elif kind == "tuple[int, ...]":
-            grid = model_array(value, f.name, np.int64)
-            if grid.ndim != 1:
-                raise ModelParseError(f"{f.name} must be a list of integers")
-            values[f.name] = tuple(grid.tolist())
-        elif kind == "dict[int, int]":
-            if any(str(int(label)) != label for label in value):
-                raise ModelParseError(f"{f.name} class labels must be written as integers, got {list(value)}")
-            values[f.name] = {int(label): model_field(value, label) for label in value}
-        else:
-            values[f.name] = model_field(payload, f.name, _SCALARS[kind])
-    return cls(**values)
-
-
 def _read_binning(payload: dict) -> SaxBinning | McbTable:
     if payload["kind"] == "sax":
-        return _read(SaxBinning, payload, cuts=np.float64)
+        return model_record(SaxBinning, payload, cuts=np.float64)
     if payload["kind"] == "mcb":
-        return _read(McbTable, payload, breakpoints=np.float64)
+        return model_record(McbTable, payload, breakpoints=np.float64)
     raise ModelParseError(f"unknown binning kind {payload['kind']!r}")
 
 
@@ -459,8 +422,8 @@ def load_model(path) -> CoEyeModel:
         if n < 1:
             raise ModelParseError(f"series length n must be at least 1, got {n}")
         # save_model leaves out the config's threads, a run setting
-        config = _read(CoEyeConfig, {**payload["config"], "threads": None})
-        eyes = [Eye(_read(Lens, e["lens"]), _read_binning(e["binning"]), forest_from_dict(e["forest"]))
+        config = model_record(CoEyeConfig, {**payload["config"], "threads": None})
+        eyes = [Eye(model_record(Lens, e["lens"]), _read_binning(e["binning"]), forest_from_dict(e["forest"]))
                 for e in payload["eyes"]]
         if not eyes:
             raise ModelParseError("the model has no eyes")
@@ -483,7 +446,7 @@ def load_model(path) -> CoEyeModel:
             n=n,
             config=config,
             dataset_name=model_field(payload, "dataset_name", str),
-            smote_report=None if report is None else _read(SmoteReport, report),
+            smote_report=None if report is None else model_record(SmoteReport, report),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelParseError(f"{path}: malformed model payload ({exc})") from None

@@ -1,5 +1,6 @@
 """Exception and warning types shared across the library, and the model file's type rules."""
 
+from dataclasses import fields
 from itertools import chain
 
 import numpy as np
@@ -128,3 +129,37 @@ def model_array(values, key: str, dtype) -> np.ndarray:
     if integer and not np.array_equal(out, array):
         raise ModelParseError(f"{key} holds an integer outside the range of {np.dtype(dtype)}")
     return out
+
+
+# the record field annotations that ``model_record`` reads through ``model_field``
+_SCALARS = {"int": int, "bool": bool, "float": float, "str": str}
+
+
+def model_record(cls, payload: dict, **arrays):
+    """A record from its model-file form, the mirror of ``ensemble._json_default``.
+
+    Each field is read by its annotated type: a scalar through
+    ``model_field``, a grid as a list of JSON integers (``null`` only where
+    the annotation allows ``None``), a count table by the ``str(label)`` keys
+    that ``save_model`` wrote, and a field named in ``arrays`` through
+    ``model_array`` with the dtype given there. A missing field is refused,
+    never filled from its default; a key that is no field is ignored. The
+    record's own ``__post_init__`` checks the ranges.
+    """
+    values = {}
+    for f in fields(cls):
+        value, kind = payload[f.name], f.type.removesuffix(" | None")
+        if f.name in arrays:
+            values[f.name] = model_array(value, f.name, arrays[f.name])
+        elif value is None and kind != f.type:
+            values[f.name] = None
+        elif kind == "tuple[int, ...]":
+            # a nested list reads as a tuple of lists, which the record refuses
+            values[f.name] = tuple(model_array(value, f.name, np.int64).tolist())
+        elif kind == "dict[int, int]":
+            if any(str(int(label)) != label for label in value):
+                raise ModelParseError(f"{f.name} class labels must be written as integers, got {list(value)}")
+            values[f.name] = {int(label): model_field(value, label) for label in value}
+        else:
+            values[f.name] = model_field(payload, f.name, _SCALARS[kind])
+    return cls(**values)

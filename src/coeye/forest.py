@@ -38,7 +38,8 @@ and hence its bytes, are the same as when it grows alone.
 Node store. A forest holds the nodes of all its trees, tree after tree, in
 five arrays (``feature``, -1 at a leaf, ``threshold``, ``left``, ``right``
 and class ``counts``) with tree-local child ids, and each tree's node
-count. Its ``trees`` view gives the per-tree records the model file writes.
+count. The model file writes these fields as they are, and its reader
+checks the store once (see ``forest_from_dict``).
 
 Packed layout. For routing, the stores of forests of one tree count are
 concatenated, with global child ids and leaf class probabilities ``counts /
@@ -54,11 +55,11 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import accumulate, chain
+from itertools import accumulate
 
 import numpy as np
 
-from .errors import EmptyTrainingSet, FeatureMismatch, ModelParseError, model_array, model_field
+from .errors import EmptyTrainingSet, FeatureMismatch, ModelParseError, model_record
 from .stream import Streams
 
 _MIN_DECREASE = 1e-12
@@ -74,7 +75,7 @@ _ROUTE_PAIRS = 1 << 14
 BATCH_SLOTS = 1 << 17
 
 
-# the node arrays of a forest's store, and of each tree's record in the model file, with their dtypes
+# the node arrays of a forest's store, as the model file writes them, with their dtypes
 _NODE_ARRAYS = {"feature": np.int32, "threshold": np.float64, "left": np.int32, "right": np.int32, "counts": np.float64}
 
 
@@ -132,7 +133,7 @@ class RandomForestModel:
 
     @property
     def trees(self) -> list[DecisionTree]:
-        """Each tree's slice of the store, in tree order: the per-tree records of the model file."""
+        """Each tree's slice of the store, in tree order."""
         cuts = np.cumsum(self.tree_sizes)[:-1]
         return [DecisionTree(*arrays) for arrays in zip(*(np.split(getattr(self, a), cuts) for a in _NODE_ARRAYS))]
 
@@ -351,6 +352,13 @@ def _batches(specs: list[_ForestSpec], max_slots: int):
         yield batch
 
 
+def _check_symbols(values: np.ndarray) -> None:
+    """Raise ValueError unless every symbol is an integer in [0, 2**52): below
+    2**52 a threshold v + 0.5 is exact and separates v from v + 1. NaN fails."""
+    if not (np.all((values >= 0) & (values < 2**52)) and np.all(values % 1 == 0)):
+        raise ValueError("symbol values must be non-negative integers below 2**52")
+
+
 def fit_forests(X, y, row_sets, seeds, n_trees: int = 100, threads: int | None = None) -> list[RandomForestModel]:
     """Fit one forest per row set of (X, y), grown together in batches.
 
@@ -363,8 +371,8 @@ def fit_forests(X, y, row_sets, seeds, n_trees: int = 100, threads: int | None =
     """
     X = np.asarray(X)
     y = np.asarray(y, dtype=np.int64)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise EmptyTrainingSet("training set must contain at least one row")
+    if X.ndim != 2 or 0 in X.shape:
+        raise EmptyTrainingSet("training set must contain at least one row and one column")
     if y.shape != (X.shape[0],):
         raise ValueError("y length must match rows of X")
     if len(seeds) != len(row_sets):
@@ -373,11 +381,9 @@ def fit_forests(X, y, row_sets, seeds, n_trees: int = 100, threads: int | None =
         raise ValueError("need between 1 and 2**32 trees: the forest stream keys a tree by one 32-bit word")
     if any(not 0 <= seed < 1 << 32 for seed in seeds):
         raise ValueError("seeds must lie in [0, 2**32)")
-    # growth runs on value ranks, so its memory follows the distinct values;
-    # below 2**52 a threshold v + 0.5 is exact and separates v from v + 1
+    # growth runs on value ranks, so its memory follows the distinct values
     values, ranks = np.unique(X, return_inverse=True)
-    if not (values.size and values[0] >= 0 and values[-1] < 2**52 and np.all(values % 1 == 0)):
-        raise ValueError("symbol values must be non-negative integers below 2**52, in at least one column")
+    _check_symbols(values)
     ranks = ranks.reshape(X.shape)
     max_features = max(1, math.ceil(math.sqrt(X.shape[1])))
 
@@ -443,7 +449,11 @@ def predict_packed(packed: PackedForest, X) -> np.ndarray:
 
     ``X`` holds the forests' feature columns side by side. Each forest
     averages the leaf class frequencies of its own trees; rows sum to 1.
+    Symbols not of a signed integer dtype must be integers in [0, 2**52), as in growth.
     """
+    X = np.asarray(X)
+    if X.dtype.kind != "i":
+        _check_symbols(X)
     X = np.ascontiguousarray(X, dtype=np.int64)
     if X.ndim != 2 or X.shape[1] != packed.n_features:
         raise FeatureMismatch(f"expected {packed.n_features} features, "
@@ -474,12 +484,13 @@ def predict(model: RandomForestModel, X) -> np.ndarray:
 def _check_forest(model: RandomForestModel) -> None:
     """Raise ModelParseError unless the node store holds one well-formed,
     finite routing graph per tree, checked on tree-local ids."""
-    sizes = model.tree_sizes
-    n = int(sizes.sum())
+    sizes, n = model.tree_sizes, model.feature.size
+    # every size in [1, n] before anything sums or repeats the sizes: read from a file, they can wrap an int64 sum
+    sized = sizes.ndim == 1 and sizes.size and np.all((sizes >= 1) & (sizes <= n))
     shapes = [a.shape for a in (model.feature, model.threshold, model.left, model.right, model.counts)]
-    if not sizes.size or np.any(sizes < 1) or shapes != [(n,)] * 4 + [(n, model.n_classes)]:
-        raise ModelParseError(f"a forest needs trees of at least one node each; node arrays of shapes {shapes} "
-                              f"do not hold {n} nodes of {model.n_classes} classes")
+    if not sized or shapes != [(sizes.sum(),)] * 4 + [(n, model.n_classes)]:
+        raise ModelParseError(f"a forest needs tree sizes in [1, {n}] that sum to its node count; node arrays "
+                              f"of shapes {shapes} do not hold {n} nodes of {model.n_classes} classes")
     # each node's id within its tree, and its tree's node count
     node, end = np.arange(n) - np.repeat(np.cumsum(sizes) - sizes, sizes), np.repeat(sizes, sizes)
     inner = model.feature >= 0
@@ -498,22 +509,8 @@ def _check_forest(model: RandomForestModel) -> None:
 
 
 def forest_from_dict(payload: dict) -> RandomForestModel:
-    """Rebuild a forest from its model-file fields; raises ModelParseError if malformed.
-
-    Each node array is read for all trees at once, so its JSON type is
-    checked once per forest. A tree's five lists must have one length, its
-    node count, so no node can pass from one tree to the next unnoticed.
-    """
-    parts = {name: [tree[name] for tree in payload["trees"]] for name in _NODE_ARRAYS}
-    sizes = [list(map(len, column)) for column in parts.values()]
-    if any(size != sizes[0] for size in sizes):
-        raise ModelParseError("a tree's node arrays differ in length")
-    model = RandomForestModel(
-        *(model_array(list(chain.from_iterable(column)), name, _NODE_ARRAYS[name]) for name, column in parts.items()),
-        np.array(sizes[0], dtype=np.int64),
-        model_array(payload["class_labels"], "class_labels", np.int64),
-        model_field(payload, "n_features"),
-        model_field(payload, "seed"),
-    )
+    """Rebuild a forest from its model-file fields, read as every record is
+    read; raises ModelParseError if malformed."""
+    model = model_record(RandomForestModel, payload, **_NODE_ARRAYS, tree_sizes=np.int64, class_labels=np.int64)
     _check_forest(model)
     return model

@@ -5,8 +5,8 @@ and the benchmark reports each model file's size as ``model_bytes``. This
 trains the same grids on the same data at one worker and pins every file's
 sha256 and size, so a change that moves them is seen in the suite, and
 checks that saving each file's loaded model writes the same bytes. When a
-change to the tree draws moves them on purpose, the pins move with it, with
-the reason recorded.
+change to the tree draws or to the model file format moves them on purpose,
+the pins move with it, with the reason recorded.
 """
 
 import hashlib
@@ -22,9 +22,9 @@ PERFBENCH = os.path.join(ROOT, "perfbench")
 pytestmark = pytest.mark.filterwarnings("ignore::coeye.errors.EqualDepthDegenerate")
 
 PINNED = {
-    "beetlefly": ("6913e697e90e1f38c78e82a0e3d2e0fa69a6e112435a41107aacc8f5aa811104", 175_106),
-    "chinatown": ("a613d836a79e1b916894480e6be48c002e656b35baea294ecfe2e00dcc8756c7", 353_267),
-    "imbalanced": ("5d6f48807a569404b3adf4fc9a52e9fe0190f4bec03fbd695249057647299b71", 379_619),
+    "beetlefly": ("6d14b60e3333aabbae567d5c449e9a7bca327b17c5cd69ed7cd0a66fe7f436d3", 141_935),
+    "chinatown": ("4812f257df2c56b08ed9fa01719e06942e0c793103cfe91c1467eedbce04fb57", 259_189),
+    "imbalanced": ("45039b7cc6fa3d14bffa8708e6a3d9dadf197b57b9694a5b86ff763ae0d6d857", 357_863),
 }
 
 

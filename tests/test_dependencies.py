@@ -13,8 +13,8 @@ import coeye
 PACKAGE = Path(coeye.__file__).parent
 PYPROJECT = PACKAGE.parent.parent / "pyproject.toml"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "coeye"}
-# the modules that read the model file; ``forest.py`` reads the node arrays in bulk
-MODEL_READERS = {"ensemble.py", "errors.py", "forest.py"}
+# the modules that read the model file; ``forest.py`` reads a forest through ``errors.model_record``
+MODEL_READERS = {"ensemble.py", "errors.py"}
 
 
 def top_level_imports(path):

@@ -4,6 +4,8 @@ import hashlib
 import json
 import os
 import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,7 @@ from coeye import (
     train,
     vote,
 )
+import coeye
 from coeye import lenses, symbolic
 from coeye.cli import main
 from coeye.ensemble import CoEyeModel, Eye, _restrict, eye_probabilities
@@ -309,6 +312,17 @@ class TestTrain:
         with pytest.raises(ValueError, match="smote_k"):
             CoEyeConfig(smote_k=k)
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", True), ("trees", True), ("folds", 5.0), ("smote_k", False), ("threads", True), ("threads", 2.5),
+        ("sax_alphas", (3.0,)), ("sfa_alphas", (True, 4)), ("sax_word_lengths", (8.0,)),
+        ("sfa_word_lengths", ("10",)), ("smote", 1),
+    ])
+    def test_config_refuses_non_integer_and_bool_fields(self, field, value):
+        # seed=True trained and saved a file that load_model refused, and an
+        # alphabet of 3.0 failed inside the search with numpy's own TypeError
+        with pytest.raises(TypeError, match="must be integers"):
+            CoEyeConfig(**{field: value})
+
     def test_single_class_rejected(self):
         ds = Dataset(np.random.default_rng(0).normal(size=(6, 16)), np.ones(6, dtype=int))
         with pytest.raises(NoMinorityClass):
@@ -521,13 +535,33 @@ class TestPersistence:
         path = tmp_path / "model.json"
         save_model(model, path)
         payload = json.loads(path.read_text())
-        assert payload["format_version"] == 1
+        assert payload["format_version"] == 2
 
         payload["format_version"] = 999
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))
         with pytest.raises(UnsupportedModelVersion):
             load_model(bad)
+
+    def test_version_1_file_refused(self, waves, small_config, tmp_path):
+        # format 1 wrote each forest as one record per tree; no reader is kept for it
+        path = tmp_path / "model.json"
+        save_model(train(waves, small_config), path)
+        payload = json.loads(path.read_text())
+        payload["format_version"] = 1
+        for eye in payload["eyes"]:
+            forest = eye["forest"]
+            cuts = np.cumsum(forest.pop("tree_sizes"))[:-1]
+            columns = {name: np.split(np.array(forest.pop(name)), cuts)
+                       for name in ("feature", "threshold", "left", "right", "counts")}
+            forest["trees"] = [dict(zip(columns, arrays)) for arrays in zip(*columns.values())]
+        old = tmp_path / "v1.json"
+        old.write_text(json.dumps(payload, default=np.ndarray.tolist))
+        with pytest.raises(UnsupportedModelVersion):
+            load_model(old)
+        series = tmp_path / "series.tsv"
+        series.write_text("\t".join(["0.5"] * waves.n) + "\n")
+        assert main(["predict", "--model", str(old), "--input", str(series)]) == 2
 
     def test_truncated_file_rejected(self, waves, small_config, tmp_path):
         model = train(waves, small_config)
@@ -553,65 +587,90 @@ class TestPersistence:
 
     def test_malformed_payload_rejected(self, tmp_path):
         path = tmp_path / "partial.json"
-        path.write_text(json.dumps({"format_version": 1, "eyes": [{"lens": {}}]}))
+        path.write_text(json.dumps({"format_version": 2, "eyes": [{"lens": {}}]}))
         with pytest.raises(ModelParseError):
             load_model(path)
 
 
 def _corrupt_first_split(payload, mutate):
-    """Apply ``mutate(tree, forest)`` to the first tree whose root splits."""
+    """Apply ``mutate(forest, tree, root)`` to the first tree whose root splits:
+    ``root`` is that tree's first node in the forest's node arrays, and the
+    tree's child ids count from it."""
     for eye in payload["eyes"]:
-        for tree in eye["forest"]["trees"]:
-            if tree["feature"][0] >= 0:
-                mutate(tree, eye["forest"])
+        forest, root = eye["forest"], 0
+        for tree, size in enumerate(forest["tree_sizes"]):
+            if forest["feature"][root] >= 0:
+                mutate(forest, tree, root)
                 return payload
+            root += size
     raise AssertionError("no split tree in the model")
 
 
-def _self_loop(tree, forest):
-    tree["left"][0] = 0
+def _self_loop(forest, tree, root):
+    forest["left"][root] = 0
 
 
-def _child_out_of_range(tree, forest):
-    tree["right"][0] = len(tree["feature"]) + 5
+def _child_out_of_range(forest, tree, root):
+    forest["right"][root] = forest["tree_sizes"][tree] + 5
 
 
-def _feature_out_of_range(tree, forest):
-    tree["feature"][0] = forest["n_features"]
+def _feature_out_of_range(forest, tree, root):
+    forest["feature"][root] = forest["n_features"]
 
 
-def _ragged_arrays(tree, forest):
-    tree["threshold"].pop()
+def _ragged_arrays(forest, tree, root):
+    forest["threshold"].pop()
 
 
-def _ragged_across_trees(tree, forest):
-    # the forest's totals still match, so only a per-tree length check sees the moved node
-    following = forest["trees"][forest["trees"].index(tree) + 1]
-    following["threshold"].append(tree["threshold"].pop())
+def _node_shifted_between_trees(forest, tree, root):
+    # the sizes still sum to the node count, so only the per-tree checks see the moved node
+    forest["tree_sizes"][tree] -= 1
+    forest["tree_sizes"][tree + 1] += 1
 
 
-def _leaf_with_child(tree, forest):
-    leaf = tree["feature"].index(-1)
-    tree["left"][leaf] = leaf + 1
+def _zero_tree_size(forest, tree, root):
+    # the sizes still sum to the node count
+    forest["tree_sizes"][tree + 1] += forest["tree_sizes"][tree]
+    forest["tree_sizes"][tree] = 0
 
 
-def _empty_leaf(tree, forest):
-    leaf = tree["feature"].index(-1)
-    tree["counts"][leaf] = [0.0] * len(tree["counts"][leaf])
+def _tree_sizes_short_of_a_tree(forest, tree, root):
+    forest["tree_sizes"].pop()
 
 
-def _negative_count(tree, forest):
-    leaf = tree["feature"].index(-1)
-    tree["counts"][leaf][0] = -1.0
-    tree["counts"][leaf][1] += 2.0
+def _nested_tree_sizes(forest, tree, root):
+    forest["tree_sizes"] = [forest["tree_sizes"]]
 
 
-def _infinite_count(tree, forest):
-    tree["counts"][tree["feature"].index(-1)][0] = float("inf")
+def _wrapping_tree_sizes(forest, tree, root):
+    # four sizes of 2**62 wrap an int64 sum back to 0, so the sizes sum to the node count
+    sizes = forest["tree_sizes"]
+    ones = len(sizes) - 5
+    sizes[:] = [2**62] * 4 + [1] * ones + [len(forest["feature"]) - ones]
 
 
-def _nan_threshold(tree, forest):
-    tree["threshold"][0] = float("nan")
+def _leaf_with_child(forest, tree, root):
+    leaf = forest["feature"].index(-1, root)
+    forest["left"][leaf] = leaf - root + 1
+
+
+def _empty_leaf(forest, tree, root):
+    leaf = forest["feature"].index(-1, root)
+    forest["counts"][leaf] = [0.0] * len(forest["counts"][leaf])
+
+
+def _negative_count(forest, tree, root):
+    leaf = forest["feature"].index(-1, root)
+    forest["counts"][leaf][0] = -1.0
+    forest["counts"][leaf][1] += 2.0
+
+
+def _infinite_count(forest, tree, root):
+    forest["counts"][forest["feature"].index(-1, root)][0] = float("inf")
+
+
+def _nan_threshold(forest, tree, root):
+    forest["threshold"][root] = float("nan")
 
 
 def _first_binning(payload, kind, alpha=None):
@@ -746,24 +805,28 @@ def _string_smote_percentage(payload):
 
 
 def _float_split_feature(payload):
-    def mutate(tree, forest):
-        tree["feature"][0] += 0.5
+    def mutate(forest, tree, root):
+        forest["feature"][root] += 0.5
 
     _corrupt_first_split(payload, mutate)
 
 
 def _string_threshold(payload):
-    def mutate(tree, forest):
-        tree["threshold"][0] = str(tree["threshold"][0])
+    def mutate(forest, tree, root):
+        forest["threshold"][root] = str(forest["threshold"][root])
 
     _corrupt_first_split(payload, mutate)
 
 
 def _string_count(payload):
-    def mutate(tree, forest):
-        tree["counts"][0][0] = str(tree["counts"][0][0])
+    def mutate(forest, tree, root):
+        forest["counts"][root][0] = str(forest["counts"][root][0])
 
     _corrupt_first_split(payload, mutate)
+
+
+def _float_tree_size(payload):
+    payload["eyes"][0]["forest"]["tree_sizes"][0] += 0.5
 
 
 def _float_class_label(payload):
@@ -785,25 +848,30 @@ def _bool_cv_accuracy(payload):
 
 
 def _bool_split_feature(payload):
-    def mutate(tree, forest):
-        tree["feature"][0] = True
+    def mutate(forest, tree, root):
+        forest["feature"][root] = True
 
     _corrupt_first_split(payload, mutate)
 
 
 def _bool_left_child(payload):
     # the root's left child is node 1, so true would route exactly as before
-    def mutate(tree, forest):
-        tree["left"][0] = True
+    def mutate(forest, tree, root):
+        forest["left"][root] = True
 
     _corrupt_first_split(payload, mutate)
 
 
 def _bool_count(payload):
-    def mutate(tree, forest):
-        tree["counts"][0][0] = True
+    def mutate(forest, tree, root):
+        forest["counts"][root][0] = True
 
     _corrupt_first_split(payload, mutate)
+
+
+def _bool_tree_size(payload):
+    # the first tree has at least one node, so true would read as a size of 1
+    payload["eyes"][0]["forest"]["tree_sizes"][0] = True
 
 
 def _bool_class_label(payload):
@@ -905,7 +973,11 @@ def _config_trees_past_the_stream(payload):
 
 
 def _forest_short_of_a_tree(payload):
-    payload["eyes"][-1]["forest"]["trees"].pop()
+    # a well-formed forest of one tree fewer than the config grows
+    forest = payload["eyes"][-1]["forest"]
+    size = forest["tree_sizes"].pop()
+    for name in ("feature", "threshold", "left", "right", "counts"):
+        del forest[name][-size:]
 
 
 def _negative_cv_accuracy(payload):
@@ -943,14 +1015,31 @@ class TestCorruptForests:
         return path
 
     @pytest.mark.parametrize("mutate", [
-        _self_loop, _child_out_of_range, _feature_out_of_range, _ragged_arrays, _ragged_across_trees,
-        _leaf_with_child, _empty_leaf, _negative_count, _infinite_count, _nan_threshold,
+        _self_loop, _child_out_of_range, _feature_out_of_range, _ragged_arrays, _node_shifted_between_trees,
+        _zero_tree_size, _tree_sizes_short_of_a_tree, _nested_tree_sizes, _leaf_with_child, _empty_leaf,
+        _negative_count, _infinite_count, _nan_threshold,
     ])
     def test_rejected_promptly(self, saved, tmp_path, mutate):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(_corrupt_first_split(json.loads(saved.read_text()), mutate)))
         with _deadline(5), pytest.raises(ModelParseError):
             load_model(bad)
+
+    def test_wrapping_tree_sizes_refused_under_a_memory_cap(self, saved, tmp_path):
+        # sizes whose int64 sum wraps back to the node count made np.repeat
+        # crash with SIGSEGV under a 2 GB address-space cap
+        bad = tmp_path / "wrap.json"
+        bad.write_text(json.dumps(_corrupt_first_split(json.loads(saved.read_text()), _wrapping_tree_sizes)))
+        code = ("import resource, sys\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+                "from coeye import load_model\nfrom coeye.errors import ModelParseError\n"
+                "try:\n    load_model(sys.argv[1])\nexcept ModelParseError:\n    sys.exit(0)\nsys.exit(1)\n")
+        src = Path(coeye.__file__).parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]),
+                   OPENBLAS_NUM_THREADS="1")
+        result = subprocess.run([sys.executable, "-c", code, str(bad)], env=env, capture_output=True, text=True,
+                                timeout=60)
+        assert result.returncode == 0, result.stderr
 
     def test_forest_width_must_match_lens(self, saved, tmp_path):
         payload = json.loads(saved.read_text())
@@ -989,8 +1078,9 @@ class TestCorruptForests:
     @pytest.mark.parametrize("mutate", [
         _string_drop_dc, _string_sax_degenerate, _float_config_seed, _float_config_trees, _string_config_smote,
         _bool_config_smote_k, _float_config_alpha, _float_forest_seed, _float_smote_count,
-        _string_smote_percentage, _float_split_feature, _string_threshold, _string_count, _float_class_label,
-        _string_sax_cut, _string_cv_accuracy, _bool_cv_accuracy, _bool_split_feature, _bool_left_child, _bool_count,
+        _string_smote_percentage, _float_split_feature, _string_threshold, _string_count, _float_tree_size,
+        _float_class_label, _string_sax_cut, _string_cv_accuracy, _bool_cv_accuracy, _bool_split_feature,
+        _bool_left_child, _bool_count, _bool_tree_size,
         _bool_class_label, _bool_forest_class_label, _bool_format_version, _float_format_version,
         _underscored_smote_label, _padded_smote_label, _int_sax_mode, _unknown_sax_mode, _int_dataset_name,
         _sax_lens_drops_dc, _missing_cv_accuracy, _missing_sax_degenerate, _missing_config_smote_k,
@@ -1095,9 +1185,9 @@ class TestCorruptForests:
         assert all(set(vars(eye.forest)) == fields for eye in model.eyes)
 
 
-# sha256 of the model file below, as written before the forest engine was
-# batched; growth and serialisation changes must keep it
-PINNED_CHINATOWN_SHA256 = "2c80a7798b4fa07b739f813781ddbbc90ae679d8cb46f045a786eb11cf39decf"
+# sha256 of the model file below; growth changes must keep it. Re-based when
+# format 2 wrote each forest as its node store: the forests are unchanged
+PINNED_CHINATOWN_SHA256 = "1681770e9e8799be798c3847c94a44f6bf4aab5581ddb274863ecfc668164c6c"
 
 
 @pytest.mark.parametrize("threads", [None, 2])
@@ -1110,7 +1200,7 @@ def test_model_bytes_pinned(tmp_path, threads):
 
 # sha256 of the model file below: gaussian SAX cuts, which the pin above
 # (minmax cuts) does not cover
-PINNED_CHINATOWN_GAUSSIAN_SHA256 = "5226fc0a21a656a58e263d19c5c9a70cafc6fad0ff74b99b8e1757d746172f3b"
+PINNED_CHINATOWN_GAUSSIAN_SHA256 = "a6a13be7e581ac87941c143458f2ce01f85a21b6ecb6823242dca9226aff6ef2"
 
 
 def test_model_bytes_pinned_gaussian(tmp_path):
@@ -1124,7 +1214,7 @@ def test_model_bytes_pinned_gaussian(tmp_path):
 
 # sha256 of a leave-one-out train: class 9 has a single row, so the searches
 # grow 2-class and 3-class fold forests in the same calls
-PINNED_LEAVE_ONE_OUT_SHA256 = "afcef229de48290951ebca616e7b7ab10a7fda1de3f9fbc7b8d5a362e17ea02f"
+PINNED_LEAVE_ONE_OUT_SHA256 = "64009f67ec900687c4c1868f2897d4faa9ff27e55230e2a6e2193a5de08a330e"
 
 
 @pytest.mark.parametrize("threads", [None, 2])
@@ -1143,7 +1233,7 @@ def test_leave_one_out_model_bytes_pinned(tmp_path, monkeypatch, threads):
     save_model(train(Dataset(data.X, y, name="waves_singleton"), CoEyeConfig(seed=1, threads=threads, **SMALL_CONFIG)),
                path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_LEAVE_ONE_OUT_SHA256
-    assert path.stat().st_size == 63_932
+    assert path.stat().st_size == 51_901
     if threads is None:
         # every batch holds forests of one class count, and both counts are grown
         assert all(len(classes) == 1 for classes in batch_classes)

@@ -95,6 +95,8 @@ class TestFit:
     def test_empty_training_set(self):
         with pytest.raises(EmptyTrainingSet):
             fit_forest(np.empty((0, 4), dtype=int), np.empty(0, dtype=int))
+        with pytest.raises(EmptyTrainingSet):
+            fit_forest(np.empty((4, 0), dtype=int), np.array([0, 1, 0, 1]))
 
     def test_seeds_must_be_one_32_bit_word(self):
         X, y = separable_fixture(rows_per_class=5)
@@ -198,6 +200,16 @@ class TestPredict:
         with pytest.raises(FeatureMismatch):
             predict_proba(model, np.zeros((3, 4), dtype=int))
 
+    def test_non_integer_symbols_refused(self):
+        # routing cast to int64, so 0.9 went left of the 0.5 threshold, NaN
+        # became an arbitrary integer and the uint64 2**63 became -2**63
+        model = fit_forest(np.array([[0], [1], [0], [1]]), np.array([0, 1, 0, 1]), n_trees=3, seed=0)
+        for bad in (np.array([[0.9]]), np.array([[np.nan]]), np.array([[2**63]], dtype=np.uint64)):
+            with pytest.raises(ValueError, match="symbol values must be non-negative integers"):
+                predict(model, bad)
+        assert predict(model, np.array([[1.0], [0.0]])).tolist() == [1, 0]
+        assert predict(model, np.array([[1], [0]], dtype=np.uint8)).tolist() == [1, 0]
+
     @given(st.integers(0, 2**31 - 1), st.integers(2, 5))
     @settings(max_examples=25, deadline=None)
     def test_probability_rows_always_normalized(self, seed, n_classes):
@@ -217,6 +229,15 @@ class TestSerialization:
         assert_same_forest(model, clone)
         probe = np.random.default_rng(1).integers(0, 7, size=(30, 10))
         assert np.array_equal(predict_proba(model, probe), predict_proba(clone, probe))
+
+    def test_file_holds_the_node_store_as_it_is(self):
+        X, y = separable_fixture(seed=2)
+        model = fit_forest(X, y, n_trees=6, seed=1)
+        written = json.loads(json.dumps(model, default=_json_default))
+        assert set(written) == {"feature", "threshold", "left", "right", "counts", "tree_sizes", "class_labels",
+                                "n_features", "seed"}
+        assert written["tree_sizes"] == model.tree_sizes.tolist()
+        assert written["left"] == model.left.tolist()
 
     def test_trees_view_slices_the_store_in_tree_order(self):
         X, y = separable_fixture(seed=2)
