@@ -26,7 +26,7 @@ from .config import CoEyeConfig
 from .data import Dataset
 from .errors import NoFeasibleLens
 from .forest import BATCH_SLOTS, fit_forests, predict
-from .symbolic import SAX, SFA, Lens, check_alphabets, fit_lens, word_fits
+from .symbolic import SAX, SFA, Lens, check_alphabets, check_sizes, fit_lens, word_fits
 
 ACCURACY_MARGIN = 0.01
 _MARGIN_SLACK = 1e-12
@@ -54,6 +54,8 @@ class LensGrid:
     folds: int = CoEyeConfig.folds
 
     def __post_init__(self):
+        check_sizes(*self.sax_alphas, *self.sfa_alphas, *(self.sax_word_lengths or ()),
+                    *(self.sfa_word_lengths or ()), folds=self.folds)
         check_alphabets(*self.sax_alphas, *self.sfa_alphas)
 
     @staticmethod
@@ -118,11 +120,14 @@ def cross_val_accuracy(symbols, y, fold_ids, trees, seed) -> float:
     The forests of as many folds as fit ``BATCH_SLOTS`` bootstrap rows are
     grown in one batch, then scored and dropped: all folds of a 5-fold split
     of a few hundred rows, a few folds at a time under leave-one-out.
+    Raises ValueError unless ``fold_ids`` holds at least two distinct ids.
     """
     symbols = np.asarray(symbols)
     y = np.asarray(y)
-    folds = [int(f) for f in np.unique(fold_ids) if not np.all(fold_ids == f)]
-    train_rows = y.shape[0] - y.shape[0] // max(1, len(folds))
+    folds = [int(f) for f in np.unique(fold_ids)]
+    if len(folds) < 2:
+        raise ValueError("cross-validation needs at least two distinct fold ids: one fold leaves no training rows")
+    train_rows = y.shape[0] - y.shape[0] // len(folds)
     step = max(1, BATCH_SLOTS // max(1, trees * train_rows))
     correct = 0
     for lo in range(0, len(folds), step):

@@ -32,6 +32,7 @@ from __future__ import annotations
 import string
 import warnings
 from dataclasses import dataclass
+from numbers import Integral
 from statistics import NormalDist
 
 import numpy as np
@@ -60,6 +61,7 @@ class Lens:
     cv_accuracy: float = 0.0
 
     def __post_init__(self):
+        check_sizes(self.s, self.alpha, self.w)
         if self.s not in (SAX, SFA):
             raise ValueError("representation flag must be 0 (SAX) or 1 (SFA)")
         check_alphabets(self.alpha)
@@ -150,6 +152,17 @@ def check_alphabets(*alphas: int) -> None:
     for alpha in alphas:
         if not 2 <= alpha <= MAX_ALPHABET:
             raise ValueError(f"alphabet size {alpha} outside [2, {MAX_ALPHABET}]")
+
+
+def check_sizes(*sizes: int, folds: int | None = None) -> None:
+    """Raise TypeError unless every size, seed or count, and ``folds`` when
+    given, is an integer and not a bool; raise ValueError unless ``folds``
+    lies in [2, 2**63): a single fold holds no row out, and fold ids are int64."""
+    values = sizes if folds is None else (*sizes, folds)
+    if any(isinstance(v, bool) or not isinstance(v, Integral) for v in values):
+        raise TypeError("seeds, counts, representation flags, alphabets and word lengths must be integers, not bools")
+    if folds is not None and not 2 <= folds < 2**63:
+        raise ValueError("folds must be at least 2 and below 2**63")
 
 
 def word_fits(s: int, w: int, n: int) -> bool:

@@ -1,9 +1,13 @@
-"""The package depends on numpy and the standard library alone, and only the
-model reader's modules know the model file's field types."""
+"""The package depends on numpy and the standard library alone, only the
+model reader's modules know the model file's field types, and ``import
+coeye`` loads a public name's home module only when the name is first used."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -12,6 +16,7 @@ import coeye
 
 PACKAGE = Path(coeye.__file__).parent
 PYPROJECT = PACKAGE.parent.parent / "pyproject.toml"
+CHINATOWN_TRAIN = Path(__file__).parent / "data" / "ucr" / "Chinatown_TRAIN.tsv"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "coeye"}
 # the modules that read the model file; ``forest.py`` reads a forest through ``errors.model_record``
 MODEL_READERS = {"ensemble.py", "errors.py"}
@@ -57,3 +62,35 @@ def test_pyproject_declares_numpy_only():
     with open(PYPROJECT, "rb") as fh:
         dependencies = tomllib.load(fh)["project"]["dependencies"]
     assert [re.match(r"[\w.-]+", dep).group() for dep in dependencies] == ["numpy"]
+
+
+def test_reading_a_data_file_loads_only_the_parser():
+    # the forest engine, the lens search and their process pool load with
+    # ``coeye.train``, not with the package
+    code = ("import sys, coeye; coeye.load_ucr(sys.argv[1]); "
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] in ('coeye', 'multiprocessing')"
+            " or m == 'concurrent.futures.process'))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run([sys.executable, "-c", code, str(CHINATOWN_TRAIN)], env=env, capture_output=True,
+                            text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["coeye", "coeye.data", "coeye.errors"]
+
+
+class TestNamespace:
+    @pytest.mark.parametrize("name", [n for n in coeye.__all__ if n != "__version__"])
+    def test_public_name_is_its_home_modules_object(self, name):
+        value = getattr(coeye, name)
+        assert value is getattr(import_module(value.__module__), name)
+
+    def test_dir_lists_every_public_name(self):
+        assert set(coeye.__all__) <= set(dir(coeye))
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            coeye.no_such_name
+
+    def test_star_import_binds_every_public_name(self):
+        namespace = {}
+        exec("from coeye import *", namespace)
+        assert set(coeye.__all__) <= set(namespace)

@@ -10,6 +10,7 @@ from coeye.lenses import (
     SFA,
     Lens,
     LensGrid,
+    cross_val_accuracy,
     select_per_alpha,
     select_within_margin,
     stratified_fold_assignment,
@@ -93,6 +94,28 @@ class TestGrid:
         with pytest.raises(ValueError):
             Lens(SAX, 4, 8, drop_dc=True)
 
+    @pytest.mark.parametrize("record, fields, error", [
+        # one fold grew no forest and scored every grid point 0.0
+        (LensGrid, dict(sax_alphas=(4,), folds=1), ValueError),
+        (LensGrid, dict(folds=0), ValueError),
+        (LensGrid, dict(folds=-3), ValueError),
+        (LensGrid, dict(folds=2**63), ValueError),
+        (LensGrid, dict(folds=2.5), TypeError),
+        (LensGrid, dict(folds=True), TypeError),
+        # these failed mid-search with numpy's own TypeErrors
+        (LensGrid, dict(sax_alphas=(3.0,)), TypeError),
+        (LensGrid, dict(sfa_alphas=(True, 4)), TypeError),
+        (LensGrid, dict(sfa_word_lengths=(10.0,)), TypeError),
+        (LensGrid, dict(sax_word_lengths=(8.0,)), TypeError),
+        # load_model refuses these lenses, so the record does too
+        (Lens, dict(s=0, alpha=4.0, w=8), TypeError),
+        (Lens, dict(s=1, alpha=4, w=8.0), TypeError),
+        (Lens, dict(s=True, alpha=4, w=8), TypeError),
+    ], ids=lambda v: v.__name__ if isinstance(v, type) else ",".join(f"{k}={x}" for k, x in v.items()))
+    def test_grid_and_lens_refuse_what_the_config_refuses(self, record, fields, error):
+        with pytest.raises(error, match="folds must be|must be integers"):
+            record(**fields)
+
 
 class TestFolds:
     @given(
@@ -118,6 +141,16 @@ class TestFolds:
         y = np.array([0] * 10 + [1] * 10)
         fold = stratified_fold_assignment(y, 5, 1)
         assert set(fold.tolist()) == {0, 1, 2, 3, 4}
+
+
+class TestCrossValidation:
+    @pytest.mark.parametrize("fold_ids", [np.zeros(10, dtype=np.int64), np.full(10, 3), np.array([], dtype=np.int64)])
+    def test_fewer_than_two_folds_refused(self, fold_ids):
+        # a single fold held no row out, and the score read 0.0
+        rows = fold_ids.shape[0]
+        symbols, y = np.zeros((rows, 4), dtype=np.int64), np.arange(rows) % 2
+        with pytest.raises(ValueError, match="two distinct fold ids"):
+            cross_val_accuracy(symbols, y, fold_ids, trees=5, seed=0)
 
 
 class TestSearch:
