@@ -68,7 +68,7 @@ from .lenses import (
 from .resample import SmoteReport, smote
 from .symbolic import McbTable, SaxBinning, check_binning, digitize, fit_lens, lens_words, word_fits
 
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
 _NS_VOTE = 6
 

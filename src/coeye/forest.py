@@ -1,11 +1,11 @@
 """CART decision trees and random forests over symbolic feature vectors.
 
-Features are symbol indices, i.e. small ordered integers, so split search
-uses threshold tests with candidate thresholds at midpoints between
-consecutive values present at a node. Determinism contract: a forest is a
-pure function of (X, y, n_trees, seed) — each tree draws from its own RNG
-stream derived from (seed, tree_index), so results do not depend on the
-worker count, on scheduling, or on which other trees grow beside it.
+Features are symbol indices, i.e. small ordered integers, so a split sends
+a row left when its symbol is at most the split's threshold, a symbol
+present at the node. Determinism contract: a forest is a pure function
+of (X, y, n_trees, seed) — each tree draws from its own RNG stream derived
+from (seed, tree_index), so results do not depend on the worker count, on
+scheduling, or on which other trees grow beside it.
 
 Draw order. Tree ``t`` of a forest seeded ``s`` draws from
 ``default_rng(SeedSequence([s, t]))``: first its bootstrap,
@@ -36,18 +36,20 @@ Each tree still pops its own candidates in the order above, so its draws,
 and hence its bytes, are the same as when it grows alone.
 
 Node store. A forest holds the nodes of all its trees, tree after tree, in
-five arrays (``feature``, -1 at a leaf, ``threshold``, ``left``, ``right``
-and class ``counts``) with tree-local child ids, and each tree's node
-count. The model file writes these fields as they are, and its reader
-checks the store once (see ``forest_from_dict``).
+four integer arrays (``feature``, -1 at a leaf, ``threshold``, 0 at a leaf,
+``left`` and class ``counts``) with tree-local child ids, and each tree's
+node count. A split's children are made together, so the right child is
+``left + 1`` and is not stored. The model file writes these fields as they
+are, and its reader checks the store once (see ``forest_from_dict``).
 
 Packed layout. For routing, the stores of forests of one tree count are
-concatenated, with global child ids and leaf class probabilities ``counts /
+concatenated, with global left-child ids and leaf class probabilities ``counts /
 counts.sum(1)``: pack tree ``f * n_trees + t`` is tree ``t`` of forest
 ``f``. The forests read their feature columns side by side, so a split
 feature is offset by the widths of the forests before its own. One
-``_leaves`` walk routes every row through every tree of the pack, and each
-forest sums its own trees in tree order, bit-identical to routing it alone.
+``_leaves`` walk routes every row through every tree of the pack, from node
+``i`` to ``left[i] + (x > threshold[i])``, and each forest sums its own
+trees in tree order, bit-identical to routing it alone.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ BATCH_SLOTS = 1 << 17
 
 
 # the node arrays of a forest's store, as the model file writes them, with their dtypes
-_NODE_ARRAYS = {"feature": np.int32, "threshold": np.float64, "left": np.int32, "right": np.int32, "counts": np.float64}
+_NODE_ARRAYS = {"feature": np.int32, "threshold": np.int64, "left": np.int32, "counts": np.int64}
 
 
 @dataclass(eq=False)
@@ -86,7 +88,6 @@ class DecisionTree:
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
-    right: np.ndarray
     counts: np.ndarray
 
     @property
@@ -102,7 +103,6 @@ class PackedForest:
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
-    right: np.ndarray
     proba: np.ndarray
     roots: np.ndarray
     n_trees: int
@@ -116,7 +116,6 @@ class RandomForestModel:
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
-    right: np.ndarray
     counts: np.ndarray
     tree_sizes: np.ndarray
     class_labels: np.ndarray
@@ -144,8 +143,8 @@ def pack_forests(forests: list[RandomForestModel]) -> PackedForest:
     if first is None or any(f.n_trees != first.n_trees or not np.array_equal(f.class_labels, first.class_labels)
                             for f in forests):
         raise ValueError("a pack needs at least one forest, and its forests must share class labels and tree count")
-    feature, threshold, left, right, counts, sizes = (np.concatenate([getattr(f, name) for f in forests])
-                                                      for name in (*_NODE_ARRAYS, "tree_sizes"))
+    feature, threshold, left, counts, sizes = (np.concatenate([getattr(f, name) for f in forests])
+                                               for name in (*_NODE_ARRAYS, "tree_sizes"))
     roots = np.cumsum(sizes) - sizes
     offset = np.repeat(roots, sizes)
     proba = np.zeros(counts.shape)
@@ -154,8 +153,7 @@ def pack_forests(forests: list[RandomForestModel]) -> PackedForest:
     # a split reads its own forest's columns, which sit after the earlier forests' columns
     column = np.repeat(np.cumsum(widths) - widths, [f.feature.shape[0] for f in forests])
     feature = np.where(feature >= 0, feature + column, feature).astype(np.intp)
-    return PackedForest(feature, threshold, left + offset, right + offset, proba, roots, first.n_trees,
-                        int(widths.sum()))
+    return PackedForest(feature, threshold, left + offset, proba, roots, first.n_trees, int(widths.sum()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,7 +243,7 @@ def _best_splits(X, sample_row, sample_cls, starts, sizes, counts, feats, n_valu
 def _grow(X, specs: list[_ForestSpec], max_features: int, values: np.ndarray) -> list[tuple[np.ndarray, ...]]:
     """Grow every tree of every spec, all of one class count, together, on
     the value ranks ``X`` of the sorted distinct ``values``; returns each
-    spec's node store: its five node arrays and its trees' node counts."""
+    spec's node store: its four node arrays and its trees' node counts."""
     d = X.shape[1]
     tree_spec = np.repeat(np.arange(len(specs)), [len(s.trees) for s in specs])
     n_trees = tree_spec.shape[0]
@@ -303,7 +301,7 @@ def _grow(X, specs: list[_ForestSpec], max_features: int, values: np.ndarray) ->
         trees, lo, hi, counts, left_counts = live[split], lo[split], hi[split], counts[split], left_counts[split]
         left = n_nodes[trees]
         n_nodes[trees] += 2
-        splits.append((trees, node[split], feats[split, slot[split]], values[value[split]] + 0.5, left))
+        splits.append((trees, node[split], feats[split, slot[split]], values[value[split]], left))
         mid = lo + left_counts.sum(axis=1)
         # push left, then right: the right child is grown first
         place(trees, lo, mid, left, left_counts)
@@ -312,17 +310,16 @@ def _grow(X, specs: list[_ForestSpec], max_features: int, values: np.ndarray) ->
     # the batch's store: tree t holds nodes bounds[t]:bounds[t + 1], in node id order
     bounds = np.concatenate([[0], np.cumsum(n_nodes)])
     trees, node, node_counts = map(np.concatenate, zip(*placed))
-    counts, threshold = np.empty((bounds[-1], n_classes)), np.zeros(bounds[-1])
+    counts, threshold = np.empty((bounds[-1], n_classes), dtype=np.int64), np.zeros(bounds[-1], dtype=np.int64)
     counts[bounds[trees] + node] = node_counts
     feature, left = np.full(bounds[-1], -1, dtype=np.int32), np.full(bounds[-1], -1, dtype=np.int32)
     trees, node, split_feature, split_threshold, split_left = map(np.concatenate, zip(*splits))
     at = bounds[trees] + node
     feature[at], threshold[at], left[at] = split_feature, split_threshold, split_left
-    right = np.where(left >= 0, left + 1, -1).astype(np.int32)
     # a spec's trees, and so its nodes, are contiguous
     first_tree = [0, *accumulate(len(spec.trees) for spec in specs)]
     first_node = bounds[first_tree].tolist()
-    return [(feature[a:b], threshold[a:b], left[a:b], right[a:b], counts[a:b], n_nodes[i:j])
+    return [(feature[a:b], threshold[a:b], left[a:b], counts[a:b], n_nodes[i:j])
             for i, j, a, b in zip(first_tree, first_tree[1:], first_node, first_node[1:])]
 
 
@@ -353,8 +350,8 @@ def _batches(specs: list[_ForestSpec], max_slots: int):
 
 
 def _check_symbols(values: np.ndarray) -> None:
-    """Raise ValueError unless every symbol is an integer in [0, 2**52): below
-    2**52 a threshold v + 0.5 is exact and separates v from v + 1. NaN fails."""
+    """Raise ValueError unless every symbol is an integer in [0, 2**52), which casts to
+    one exact int64 from an int or a float and so compares exactly with the thresholds. NaN fails."""
     if not (np.all((values >= 0) & (values < 2**52)) and np.all(values % 1 == 0)):
         raise ValueError("symbol values must be non-negative integers below 2**52")
 
@@ -384,6 +381,7 @@ def fit_forests(X, y, row_sets, seeds, n_trees: int = 100, threads: int | None =
     # growth runs on value ranks, so its memory follows the distinct values
     values, ranks = np.unique(X, return_inverse=True)
     _check_symbols(values)
+    values = values.astype(np.int64)
     ranks = ranks.reshape(X.shape)
     max_features = max(1, math.ceil(math.sqrt(X.shape[1])))
 
@@ -437,8 +435,7 @@ def _leaves(packed: PackedForest, X: np.ndarray) -> np.ndarray:
     active = np.flatnonzero(packed.feature[node] >= 0)
     while active.shape[0]:
         at = node[active]
-        go_left = flat[(active % rows) * width + packed.feature[at]] <= packed.threshold[at]
-        nxt = np.where(go_left, packed.left[at], packed.right[at])
+        nxt = packed.left[at] + (flat[(active % rows) * width + packed.feature[at]] > packed.threshold[at])
         node[active] = nxt
         active = active[packed.feature[nxt] >= 0]
     return node
@@ -482,30 +479,28 @@ def predict(model: RandomForestModel, X) -> np.ndarray:
 
 
 def _check_forest(model: RandomForestModel) -> None:
-    """Raise ModelParseError unless the node store holds one well-formed,
-    finite routing graph per tree, checked on tree-local ids."""
+    """Raise ModelParseError unless the node store holds one well-formed routing
+    graph per tree, checked on tree-local ids, and leaf counts of exact probabilities."""
     sizes, n = model.tree_sizes, model.feature.size
     # every size in [1, n] before anything sums or repeats the sizes: read from a file, they can wrap an int64 sum
     sized = sizes.ndim == 1 and sizes.size and np.all((sizes >= 1) & (sizes <= n))
-    shapes = [a.shape for a in (model.feature, model.threshold, model.left, model.right, model.counts)]
-    if not sized or shapes != [(sizes.sum(),)] * 4 + [(n, model.n_classes)]:
+    shapes = [a.shape for a in (model.feature, model.threshold, model.left, model.counts)]
+    if not sized or shapes != [(sizes.sum(),)] * 3 + [(n, model.n_classes)]:
         raise ModelParseError(f"a forest needs tree sizes in [1, {n}] that sum to its node count; node arrays "
                               f"of shapes {shapes} do not hold {n} nodes of {model.n_classes} classes")
     # each node's id within its tree, and its tree's node count
     node, end = np.arange(n) - np.repeat(np.cumsum(sizes) - sizes, sizes), np.repeat(sizes, sizes)
     inner = model.feature >= 0
-    # children above their parent and inside the tree: routing always terminates
-    children_ok = all(np.all((c[inner] > node[inner]) & (c[inner] < end[inner])) for c in (model.left, model.right))
-    no_leaf_children = all(np.all(c[~inner] == -1) for c in (model.left, model.right))
-    if not (children_ok and no_leaf_children):
+    # both children, left and left + 1, above their parent and inside the tree: routing always terminates
+    left = model.left
+    if not (np.all((left[inner] > node[inner]) & (left[inner] < end[inner] - 1)) and np.all(left[~inner] == -1)):
         raise ModelParseError("tree child pointers must point forward within the tree, at inner nodes only")
     if np.any(model.feature[inner] >= model.n_features):
         raise ModelParseError(f"split feature outside [0, {model.n_features})")
-    if not np.all(np.isfinite(model.threshold)):
-        raise ModelParseError("a split threshold is not finite")
-    counts = model.counts
-    if not (np.all(np.isfinite(counts)) and np.all(counts >= 0) and np.all(counts[~inner].sum(axis=1) > 0)):
-        raise ModelParseError("class counts must be finite and non-negative, with rows at every leaf")
+    # below 2**52 a leaf's int64 count sum cannot wrap, and the float64 division into probabilities is exact
+    counts, total = model.counts, model.counts[~inner].sum(axis=1, dtype=np.float64)
+    if not (np.all((counts >= 0) & (counts < 2**52)) and np.all((total > 0) & (total < 2**52))):
+        raise ModelParseError("class counts must lie in [0, 2**52), with rows at every leaf, below 2**52 in all")
 
 
 def forest_from_dict(payload: dict) -> RandomForestModel:

@@ -32,7 +32,7 @@ from __future__ import annotations
 import string
 import warnings
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 from statistics import NormalDist
 
 import numpy as np
@@ -51,7 +51,8 @@ SFA = 1
 class Lens:
     """One parameterised symbolic view: representation, alphabet, word size.
 
-    ``drop_dc`` applies to SFA only; a SAX lens must record False.
+    ``drop_dc`` is a bool, for SFA only: a SAX lens must record False.
+    ``cv_accuracy`` is a real number in [0, 1], not a bool.
     """
 
     s: int
@@ -62,6 +63,9 @@ class Lens:
 
     def __post_init__(self):
         check_sizes(self.s, self.alpha, self.w)
+        # the model file's reader refuses any other type, so the record does too
+        if type(self.drop_dc) is not bool or type(self.cv_accuracy) is bool or not isinstance(self.cv_accuracy, Real):
+            raise TypeError("drop_dc must be a bool, and cv_accuracy a real number that is not a bool")
         if self.s not in (SAX, SFA):
             raise ValueError("representation flag must be 0 (SAX) or 1 (SFA)")
         check_alphabets(self.alpha)

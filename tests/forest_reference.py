@@ -4,7 +4,9 @@ This is the straightforward implementation that ``coeye.forest``'s batched
 engine must reproduce exactly: same nodes, same thresholds, same counts,
 and bit-identical probabilities. It grows one tree at a time, one node at a
 time, and routes one tree at a time. Its forest is built from the
-per-tree arrays it grows, laid end to end as the engine's node store.
+per-tree arrays it grows, laid end to end as the engine's node store: a
+split's threshold is the largest symbol it sends left, and its right
+child, made right after its left, is ``left + 1``.
 """
 
 from __future__ import annotations
@@ -24,13 +26,12 @@ def _gini_from_counts(counts, n):
 
 def _grow_tree(Xb, yb, n_values, n_classes, max_features, rng):
     """Grow one unpruned CART tree on a bootstrap sample."""
-    feature, threshold, left, right, counts = [], [], [], [], []
+    feature, threshold, left, counts = [], [], [], []
 
     def alloc():
         feature.append(-1)
-        threshold.append(0.0)
+        threshold.append(0)
         left.append(-1)
-        right.append(-1)
         counts.append(None)
         return len(feature) - 1
 
@@ -38,7 +39,7 @@ def _grow_tree(Xb, yb, n_values, n_classes, max_features, rng):
     stack = [(np.arange(Xb.shape[0]), root)]
     while stack:
         rows, idx = stack.pop()
-        node_counts = np.bincount(yb[rows], minlength=n_classes).astype(np.float64)
+        node_counts = np.bincount(yb[rows], minlength=n_classes)
         counts[idx] = node_counts
         n_node = rows.shape[0]
         nonzero = np.count_nonzero(node_counts)
@@ -67,21 +68,20 @@ def _grow_tree(Xb, yb, n_values, n_classes, max_features, rng):
         if not np.isfinite(dec[fi, v]) or dec[fi, v] <= _MIN_DECREASE:
             continue
         best_f = int(feats[fi])
-        best_t = v + 0.5
+        best_t = v
         best_mask = cols[:, fi] <= best_t
         feature[idx] = best_f
         threshold[idx] = best_t
         li, ri = alloc(), alloc()
-        left[idx], right[idx] = li, ri
+        left[idx] = li
         stack.append((rows[best_mask], li))
         stack.append((rows[~best_mask], ri))
 
     return (
         np.asarray(feature, dtype=np.int32),
-        np.asarray(threshold, dtype=np.float64),
+        np.asarray(threshold, dtype=np.int64),
         np.asarray(left, dtype=np.int32),
-        np.asarray(right, dtype=np.int32),
-        np.vstack(counts),
+        np.vstack(counts).astype(np.int64),
     )
 
 
@@ -114,7 +114,7 @@ def _route(tree: DecisionTree, X: np.ndarray) -> np.ndarray:
         rows = np.nonzero(active)[0]
         nd = idx[rows]
         go_left = X[rows, tree.feature[nd]] <= tree.threshold[nd]
-        idx[rows] = np.where(go_left, tree.left[nd], tree.right[nd])
+        idx[rows] = np.where(go_left, tree.left[nd], tree.left[nd] + 1)
         active[rows] = tree.feature[idx[rows]] >= 0
     return idx
 

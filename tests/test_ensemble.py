@@ -535,7 +535,7 @@ class TestPersistence:
         path = tmp_path / "model.json"
         save_model(model, path)
         payload = json.loads(path.read_text())
-        assert payload["format_version"] == 2
+        assert payload["format_version"] == 3
 
         payload["format_version"] = 999
         bad = tmp_path / "bad.json"
@@ -551,6 +551,7 @@ class TestPersistence:
         payload["format_version"] = 1
         for eye in payload["eyes"]:
             forest = eye["forest"]
+            forest["right"] = [child + 1 if child >= 0 else -1 for child in forest["left"]]
             cuts = np.cumsum(forest.pop("tree_sizes"))[:-1]
             columns = {name: np.split(np.array(forest.pop(name)), cuts)
                        for name in ("feature", "threshold", "left", "right", "counts")}
@@ -558,6 +559,25 @@ class TestPersistence:
         old = tmp_path / "v1.json"
         old.write_text(json.dumps(payload, default=np.ndarray.tolist))
         with pytest.raises(UnsupportedModelVersion):
+            load_model(old)
+        series = tmp_path / "series.tsv"
+        series.write_text("\t".join(["0.5"] * waves.n) + "\n")
+        assert main(["predict", "--model", str(old), "--input", str(series)]) == 2
+
+    def test_version_2_file_refused(self, waves, small_config, tmp_path):
+        # format 2 wrote a right child array, thresholds as symbol + 0.5 and float class counts
+        path = tmp_path / "model.json"
+        save_model(train(waves, small_config), path)
+        payload = json.loads(path.read_text())
+        payload["format_version"] = 2
+        for eye in payload["eyes"]:
+            forest = eye["forest"]
+            forest["right"] = [child + 1 if child >= 0 else -1 for child in forest["left"]]
+            forest["threshold"] = [t + 0.5 if f >= 0 else 0.0 for f, t in zip(forest["feature"], forest["threshold"])]
+            forest["counts"] = [[float(c) for c in row] for row in forest["counts"]]
+        old = tmp_path / "v2.json"
+        old.write_text(json.dumps(payload))
+        with pytest.raises(UnsupportedModelVersion, match="format version 2, expected 3"):
             load_model(old)
         series = tmp_path / "series.tsv"
         series.write_text("\t".join(["0.5"] * waves.n) + "\n")
@@ -587,7 +607,7 @@ class TestPersistence:
 
     def test_malformed_payload_rejected(self, tmp_path):
         path = tmp_path / "partial.json"
-        path.write_text(json.dumps({"format_version": 2, "eyes": [{"lens": {}}]}))
+        path.write_text(json.dumps({"format_version": 3, "eyes": [{"lens": {}}]}))
         with pytest.raises(ModelParseError):
             load_model(path)
 
@@ -611,7 +631,12 @@ def _self_loop(forest, tree, root):
 
 
 def _child_out_of_range(forest, tree, root):
-    forest["right"][root] = forest["tree_sizes"][tree] + 5
+    forest["left"][root] = forest["tree_sizes"][tree] + 5
+
+
+def _right_child_out_of_tree(forest, tree, root):
+    # the left child is the tree's last node, so the right child, left + 1, lies past the tree
+    forest["left"][root] = forest["tree_sizes"][tree] - 1
 
 
 def _feature_out_of_range(forest, tree, root):
@@ -656,21 +681,31 @@ def _leaf_with_child(forest, tree, root):
 
 def _empty_leaf(forest, tree, root):
     leaf = forest["feature"].index(-1, root)
-    forest["counts"][leaf] = [0.0] * len(forest["counts"][leaf])
+    forest["counts"][leaf] = [0] * len(forest["counts"][leaf])
 
 
 def _negative_count(forest, tree, root):
     leaf = forest["feature"].index(-1, root)
-    forest["counts"][leaf][0] = -1.0
-    forest["counts"][leaf][1] += 2.0
+    forest["counts"][leaf][0] = -1
+    forest["counts"][leaf][1] += 2
 
 
 def _infinite_count(forest, tree, root):
     forest["counts"][forest["feature"].index(-1, root)][0] = float("inf")
 
 
+def _huge_counts(forest, tree, root):
+    # unbounded, their int64 sum wraps to -2**63 and routing gives the leaf probabilities of -0.5
+    leaf = forest["feature"].index(-1, root)
+    forest["counts"][leaf] = [2**62] * len(forest["counts"][leaf])
+
+
 def _nan_threshold(forest, tree, root):
     forest["threshold"][root] = float("nan")
+
+
+def _fractional_threshold(forest, tree, root):
+    forest["threshold"][root] = 1.5
 
 
 def _first_binning(payload, kind, alpha=None):
@@ -976,7 +1011,7 @@ def _forest_short_of_a_tree(payload):
     # a well-formed forest of one tree fewer than the config grows
     forest = payload["eyes"][-1]["forest"]
     size = forest["tree_sizes"].pop()
-    for name in ("feature", "threshold", "left", "right", "counts"):
+    for name in ("feature", "threshold", "left", "counts"):
         del forest[name][-size:]
 
 
@@ -1015,9 +1050,10 @@ class TestCorruptForests:
         return path
 
     @pytest.mark.parametrize("mutate", [
-        _self_loop, _child_out_of_range, _feature_out_of_range, _ragged_arrays, _node_shifted_between_trees,
-        _zero_tree_size, _tree_sizes_short_of_a_tree, _nested_tree_sizes, _leaf_with_child, _empty_leaf,
-        _negative_count, _infinite_count, _nan_threshold,
+        _self_loop, _child_out_of_range, _right_child_out_of_tree, _feature_out_of_range, _ragged_arrays,
+        _node_shifted_between_trees, _zero_tree_size, _tree_sizes_short_of_a_tree, _nested_tree_sizes,
+        _leaf_with_child, _empty_leaf, _negative_count, _huge_counts, _infinite_count, _nan_threshold,
+        _fractional_threshold,
     ])
     def test_rejected_promptly(self, saved, tmp_path, mutate):
         bad = tmp_path / "bad.json"
@@ -1186,8 +1222,9 @@ class TestCorruptForests:
 
 
 # sha256 of the model file below; growth changes must keep it. Re-based when
-# format 2 wrote each forest as its node store: the forests are unchanged
-PINNED_CHINATOWN_SHA256 = "1681770e9e8799be798c3847c94a44f6bf4aab5581ddb274863ecfc668164c6c"
+# format 2 wrote each forest as its node store, and when format 3 wrote it as
+# four integer arrays: the forests are unchanged
+PINNED_CHINATOWN_SHA256 = "8f3931bca0c9df2d6363bd995f266ba6920b2353f80cb708fe6f94a4069b31e6"
 
 
 @pytest.mark.parametrize("threads", [None, 2])
@@ -1199,8 +1236,8 @@ def test_model_bytes_pinned(tmp_path, threads):
 
 
 # sha256 of the model file below: gaussian SAX cuts, which the pin above
-# (minmax cuts) does not cover
-PINNED_CHINATOWN_GAUSSIAN_SHA256 = "a6a13be7e581ac87941c143458f2ce01f85a21b6ecb6823242dca9226aff6ef2"
+# (minmax cuts) does not cover; re-based for format 3 as the pin above
+PINNED_CHINATOWN_GAUSSIAN_SHA256 = "4238d6c25a469ad4944d11887d6e4c699dd38852becdc0313216a81921aa23ba"
 
 
 def test_model_bytes_pinned_gaussian(tmp_path):
@@ -1213,8 +1250,8 @@ def test_model_bytes_pinned_gaussian(tmp_path):
 
 
 # sha256 of a leave-one-out train: class 9 has a single row, so the searches
-# grow 2-class and 3-class fold forests in the same calls
-PINNED_LEAVE_ONE_OUT_SHA256 = "64009f67ec900687c4c1868f2897d4faa9ff27e55230e2a6e2193a5de08a330e"
+# grow 2-class and 3-class fold forests in the same calls; re-based for format 3 as the pins above
+PINNED_LEAVE_ONE_OUT_SHA256 = "6f4d46e2feb830d6c3b7622d9c5543ebd54b1b3307e6b23ee593ddfd3833e625"
 
 
 @pytest.mark.parametrize("threads", [None, 2])
@@ -1233,7 +1270,7 @@ def test_leave_one_out_model_bytes_pinned(tmp_path, monkeypatch, threads):
     save_model(train(Dataset(data.X, y, name="waves_singleton"), CoEyeConfig(seed=1, threads=threads, **SMALL_CONFIG)),
                path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_LEAVE_ONE_OUT_SHA256
-    assert path.stat().st_size == 51_901
+    assert path.stat().st_size == 35_110
     if threads is None:
         # every batch holds forests of one class count, and both counts are grown
         assert all(len(classes) == 1 for classes in batch_classes)

@@ -136,8 +136,8 @@ class TestFit:
                              ids=["fractions", "one_fraction", "nan", "inf", "float_2**52", "int_2**60"])
     def test_non_integer_and_huge_symbols_refused(self, X):
         # fractions were cast to integers: the separable first case became all
-        # zeros and grew one-leaf trees; from 2**52 on, v + 0.5 no longer
-        # separates v from v + 1
+        # zeros and grew one-leaf trees; below 2**52 every accepted symbol,
+        # float or int, is one exact int64 and compares exactly with the thresholds
         with pytest.raises(ValueError, match="symbol values must be non-negative integers below 2\\*\\*52"):
             fit_forest(np.array(X), np.array([0, 1, 0, 1]), 3, 0)
 
@@ -146,7 +146,7 @@ class TestFit:
         assert_same_forest(fit_forest(X, y, 6, 2), fit_forest(X.astype(np.float64), y, 6, 2))
         top = 2**52 - 1
         got = fit_forest(np.array([[top], [top - 1], [top], [top - 1]]), np.array([0, 1, 0, 1]), 1, 0)
-        assert got.threshold[0] == top - 0.5
+        assert got.threshold[0] == top - 1
 
     def test_split_search_memory_follows_distinct_values(self):
         # the split histograms were dense over max(X) + 1 values: at 10**12
@@ -163,7 +163,7 @@ class TestFit:
             "inner = small.feature >= 0\n"
             "assert inner.any() and np.array_equal(small.feature, big.feature)\n"
             "assert np.array_equal(small.counts, big.counts) and np.array_equal(small.tree_sizes, big.tree_sizes)\n"
-            "assert np.array_equal((small.threshold[inner] - 0.5) * 10**12 + 0.5, big.threshold[inner])\n"
+            "assert np.array_equal(small.threshold[inner] * 10**12, big.threshold[inner])\n"
             "assert np.all(big.threshold[~inner] == 0)\n"
         )
         result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
@@ -201,7 +201,7 @@ class TestPredict:
             predict_proba(model, np.zeros((3, 4), dtype=int))
 
     def test_non_integer_symbols_refused(self):
-        # routing cast to int64, so 0.9 went left of the 0.5 threshold, NaN
+        # routing cast to int64, so 0.9 was routed as 0, NaN
         # became an arbitrary integer and the uint64 2**63 became -2**63
         model = fit_forest(np.array([[0], [1], [0], [1]]), np.array([0, 1, 0, 1]), n_trees=3, seed=0)
         for bad in (np.array([[0.9]]), np.array([[np.nan]]), np.array([[2**63]], dtype=np.uint64)):
@@ -234,17 +234,19 @@ class TestSerialization:
         X, y = separable_fixture(seed=2)
         model = fit_forest(X, y, n_trees=6, seed=1)
         written = json.loads(json.dumps(model, default=_json_default))
-        assert set(written) == {"feature", "threshold", "left", "right", "counts", "tree_sizes", "class_labels",
-                                "n_features", "seed"}
+        assert set(written) == {"feature", "threshold", "left", "counts", "tree_sizes", "class_labels", "n_features",
+                                "seed"}
         assert written["tree_sizes"] == model.tree_sizes.tolist()
         assert written["left"] == model.left.tolist()
+        # thresholds and class counts are whole numbers, written as JSON integers
+        assert {type(v) for v in written["threshold"]} == {type(c) for row in written["counts"] for c in row} == {int}
 
     def test_trees_view_slices_the_store_in_tree_order(self):
         X, y = separable_fixture(seed=2)
         model = fit_forest(X, y, n_trees=6, seed=1)
         trees = model.trees
         assert [tree.n_nodes for tree in trees] == model.tree_sizes.tolist()
-        for name in ("feature", "threshold", "left", "right", "counts"):
+        for name in ("feature", "threshold", "left", "counts"):
             assert np.array_equal(np.concatenate([getattr(tree, name) for tree in trees]), getattr(model, name))
 
 
@@ -252,7 +254,7 @@ def assert_same_forest(expected, got):
     """Node stores, their dtypes and labels all equal."""
     assert np.array_equal(expected.class_labels, got.class_labels)
     assert (expected.n_features, expected.seed) == (got.n_features, got.seed)
-    for name in ("feature", "threshold", "left", "right", "counts", "tree_sizes"):
+    for name in ("feature", "threshold", "left", "counts", "tree_sizes"):
         x, y = getattr(expected, name), getattr(got, name)
         assert x.dtype == y.dtype and x.shape == y.shape, name
         assert np.array_equal(x, y), name

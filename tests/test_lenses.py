@@ -94,6 +94,10 @@ class TestGrid:
         with pytest.raises(ValueError):
             Lens(SAX, 4, 8, drop_dc=True)
 
+    def test_lens_takes_bools_and_real_scores(self):
+        assert Lens(SFA, 4, 8, drop_dc=True, cv_accuracy=np.float64(0.5)).cv_accuracy == 0.5
+        assert Lens(SAX, 4, 8, cv_accuracy=1).cv_accuracy == 1
+
     @pytest.mark.parametrize("record, fields, error", [
         # one fold grew no forest and scored every grid point 0.0
         (LensGrid, dict(sax_alphas=(4,), folds=1), ValueError),
@@ -111,9 +115,17 @@ class TestGrid:
         (Lens, dict(s=0, alpha=4.0, w=8), TypeError),
         (Lens, dict(s=1, alpha=4, w=8.0), TypeError),
         (Lens, dict(s=True, alpha=4, w=8), TypeError),
+        # these were accepted, so save_model wrote a file that load_model refused
+        (Lens, dict(s=1, alpha=4, w=8, drop_dc=1), TypeError),
+        (Lens, dict(s=1, alpha=4, w=8, drop_dc="yes"), TypeError),
+        (Lens, dict(s=1, alpha=4, w=8, drop_dc=None), TypeError),
+        (Lens, dict(s=1, alpha=4, w=8, drop_dc=1.0), TypeError),
+        (Lens, dict(s=1, alpha=4, w=8, cv_accuracy=True), TypeError),
+        (Lens, dict(s=1, alpha=4, w=8, cv_accuracy="0.5"), TypeError),
+        (Lens, dict(s=1, alpha=4, w=8, cv_accuracy=None), TypeError),
     ], ids=lambda v: v.__name__ if isinstance(v, type) else ",".join(f"{k}={x}" for k, x in v.items()))
     def test_grid_and_lens_refuse_what_the_config_refuses(self, record, fields, error):
-        with pytest.raises(error, match="folds must be|must be integers"):
+        with pytest.raises(error, match="folds must be|must be integers|drop_dc must be a bool"):
             record(**fields)
 
 
