@@ -6,7 +6,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .symbolic import SAX_MODES, check_alphabets, check_sizes
+from .errors import check_record
+from .symbolic import SAX_MODES, check_alphabets
 
 
 @dataclass(frozen=True)
@@ -24,14 +25,13 @@ class CoEyeConfig:
     threads: int | None = None
 
     def __post_init__(self):
-        check_sizes(self.seed, self.trees, self.smote_k, self.threads or 1, *self.sax_alphas, *self.sfa_alphas,
-                    *(self.sax_word_lengths or ()), *(self.sfa_word_lengths or ()), folds=self.folds)
-        if not isinstance(self.smote, bool):
-            raise TypeError("smote must be a bool")
+        check_record(self)
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if not 1 <= self.trees <= 2**32:
             raise ValueError("trees must lie in [1, 2**32]: the forest stream keys a tree by one 32-bit word")
+        if not 2 <= self.folds < 2**63:
+            raise ValueError("folds must be at least 2 and below 2**63: one fold holds no row out, ids are int64")
         if self.smote_k < 1:
             raise ValueError("smote_k must be at least 1")
         if self.threads is not None and self.threads < 1:

@@ -40,8 +40,8 @@ from .errors import (
     NonFiniteSeries,
     SeriesLengthMismatch,
     UnsupportedModelVersion,
+    check_field,
     model_array,
-    model_field,
     model_record,
 )
 from .forest import (
@@ -410,7 +410,7 @@ def load_model(path) -> CoEyeModel:
     if not isinstance(payload, dict) or "format_version" not in payload:
         raise ModelParseError(f"{path}: missing format_version")
     try:
-        version = model_field(payload, "format_version")
+        version = check_field("format_version", payload["format_version"], "int")
         if version != MODEL_FORMAT_VERSION:
             raise UnsupportedModelVersion(f"{path}: format version {version}, expected {MODEL_FORMAT_VERSION}")
         report = payload["smote_report"]
@@ -418,7 +418,7 @@ def load_model(path) -> CoEyeModel:
         class_labels = model_array(payload["class_labels"], "class_labels", np.int64)
         if class_labels.ndim != 1 or not class_labels.size or np.any(np.diff(class_labels) <= 0):
             raise ModelParseError("class_labels must be non-empty and strictly increasing")
-        n = model_field(payload, "n")
+        n = check_field("n", payload["n"], "int")
         if n < 1:
             raise ModelParseError(f"series length n must be at least 1, got {n}")
         # save_model leaves out the config's threads, a run setting
@@ -445,7 +445,7 @@ def load_model(path) -> CoEyeModel:
             class_labels=class_labels,
             n=n,
             config=config,
-            dataset_name=model_field(payload, "dataset_name", str),
+            dataset_name=check_field("dataset_name", payload["dataset_name"], "str"),
             smote_report=None if report is None else model_record(SmoteReport, report),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

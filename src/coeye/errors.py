@@ -1,7 +1,8 @@
-"""Exception and warning types shared across the library, and the model file's type rules."""
+"""Exception and warning types shared across the library, the records' field type rule, and the model file's reader."""
 
 from dataclasses import fields
 from itertools import chain
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -90,76 +91,82 @@ class DegenerateBinning(UserWarning):
     """Min/max binning saw a zero-width value range and fell back."""
 
 
-# the JSON types a model file field may hold, by the type it is read as
-_JSON_TYPES = {int: ((int,), "an integer"), bool: ((bool,), "true or false"), float: ((int, float), "a number"),
-               str: ((str,), "a string")}
+def _is_int(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
-def model_field(payload: dict, key: str, kind: type = int):
-    """``payload[key]`` of a parsed model file, read as ``kind`` (int, bool, float or str) by its JSON type.
+# what a record field of each annotation holds, beside the ``None`` that
+# ``| None`` allows: a bool counts as no number; an array field is left to its record
+_FIELD_RULES = {
+    "int": _is_int,
+    "bool": lambda v: isinstance(v, bool),
+    "float": lambda v: isinstance(v, Real) and not isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+    "tuple[int, ...]": lambda v: isinstance(v, tuple) and all(map(_is_int, v)),
+    "dict[int, int]": lambda v: isinstance(v, dict) and all(map(_is_int, (*v, *v.values()))),
+    "np.ndarray": lambda v: True,
+}
 
-    An int must be a JSON integer, a bool ``true`` or ``false``, a float
-    any JSON number and a str a JSON string. Nothing else is cast: a
-    string, a fraction or a bool where it does not belong is refused.
-    """
-    value = payload[key]
-    types, name = _JSON_TYPES[kind]
-    if type(value) not in types:
-        raise ModelParseError(f"{key} must be {name}, got {value!r}")
-    return kind(value)
+
+def check_field(name: str, value, annotation: str):
+    """``value``, if it holds what ``_FIELD_RULES`` allows for ``annotation``; raise TypeError if not."""
+    kind = annotation.removesuffix(" | None")
+    if not (value is None and kind != annotation or _FIELD_RULES[kind](value)):
+        raise TypeError(f"{name} must be {annotation}, got {value!r}")
+    return value
+
+
+def check_record(record) -> None:
+    """Check each field of ``record`` against its annotation by ``check_field``'s
+    rule. Every record calls this first, whether it is built in memory or read
+    from a model file, so both refuse the same values."""
+    for f in fields(record):
+        check_field(f"{type(record).__name__}.{f.name}", getattr(record, f.name), f.type)
 
 
 def model_array(values, key: str, dtype) -> np.ndarray:
     """A parsed model file's list ``values``, named ``key``, as an array of
     ``dtype``: JSON integers for an integer dtype, JSON numbers for a float one.
 
-    The kind is checked on the dtype numpy infers for the whole list, so a
-    string, a null, a fraction among integers or a list of bools is refused
-    without a check per element. numpy reads a bool among numbers as 0 or 1,
-    so one scan over the elements, nested rows included, refuses those.
+    One scan over the elements, nested rows included, takes their types:
+    numpy reads a bool among numbers as 0 or 1, and infers a float, an
+    unsigned or an object dtype for integers beyond int64, so only the types
+    tell a JSON integer from the rest.
     """
     array = np.asarray(values)
     integer = np.dtype(dtype).kind == "i"
     elements = values
     for _ in range(array.ndim - 1):
         elements = chain.from_iterable(elements)
-    if array.size and (array.dtype.kind not in ("i" if integer else "if") or bool in map(type, elements)):
+    if not set(map(type, elements)) <= ({int} if integer else {int, float}):
         raise ModelParseError(f"{key} must hold only JSON {'integers' if integer else 'numbers'}")
-    out = array.astype(dtype)
-    if integer and not np.array_equal(out, array):
+    # a list of JSON integers that does not fit int64 is inferred as float64, uint64 or object
+    if integer and array.size and (array.dtype.kind != "i" or not np.array_equal(array.astype(dtype), array)):
         raise ModelParseError(f"{key} holds an integer outside the range of {np.dtype(dtype)}")
-    return out
-
-
-# the record field annotations that ``model_record`` reads through ``model_field``
-_SCALARS = {"int": int, "bool": bool, "float": float, "str": str}
+    return array.astype(dtype)
 
 
 def model_record(cls, payload: dict, **arrays):
     """A record from its model-file form, the mirror of ``ensemble._json_default``.
 
-    Each field is read by its annotated type: a scalar through
-    ``model_field``, a grid as a list of JSON integers (``null`` only where
-    the annotation allows ``None``), a count table by the ``str(label)`` keys
-    that ``save_model`` wrote, and a field named in ``arrays`` through
-    ``model_array`` with the dtype given there. A missing field is refused,
-    never filled from its default; a key that is no field is ignored. The
-    record's own ``__post_init__`` checks the ranges.
+    Each field gets the Python value of its JSON: a field named in
+    ``arrays`` is read through ``model_array`` with the dtype given there,
+    any other list becomes a tuple, and a count table's ``str(label)`` keys,
+    as ``save_model`` wrote them, become ints. The record itself then checks
+    every type and range, as it does when built in memory. A missing field
+    is refused, never filled from its default; a key that is no field is
+    ignored.
     """
     values = {}
     for f in fields(cls):
-        value, kind = payload[f.name], f.type.removesuffix(" | None")
+        value = payload[f.name]
         if f.name in arrays:
-            values[f.name] = model_array(value, f.name, arrays[f.name])
-        elif value is None and kind != f.type:
-            values[f.name] = None
-        elif kind == "tuple[int, ...]":
-            # a nested list reads as a tuple of lists, which the record refuses
-            values[f.name] = tuple(model_array(value, f.name, np.int64).tolist())
-        elif kind == "dict[int, int]":
+            value = model_array(value, f.name, arrays[f.name])
+        elif isinstance(value, list):
+            value = tuple(value)
+        elif isinstance(value, dict):
             if any(str(int(label)) != label for label in value):
                 raise ModelParseError(f"{f.name} class labels must be written as integers, got {list(value)}")
-            values[f.name] = {int(label): model_field(value, label) for label in value}
-        else:
-            values[f.name] = model_field(payload, f.name, _SCALARS[kind])
+            value = {int(label): n for label, n in value.items()}
+        values[f.name] = value
     return cls(**values)

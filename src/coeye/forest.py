@@ -61,7 +61,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import EmptyTrainingSet, FeatureMismatch, ModelParseError, model_record
+from .errors import EmptyTrainingSet, FeatureMismatch, ModelParseError, check_record, model_record
 from .stream import Streams
 
 _MIN_DECREASE = 1e-12
@@ -121,6 +121,9 @@ class RandomForestModel:
     class_labels: np.ndarray
     n_features: int
     seed: int
+
+    def __post_init__(self):
+        check_record(self)
 
     @property
     def n_classes(self) -> int:

@@ -24,9 +24,9 @@ import numpy as np
 
 from .config import CoEyeConfig
 from .data import Dataset
-from .errors import NoFeasibleLens
+from .errors import NoFeasibleLens, check_record
 from .forest import BATCH_SLOTS, fit_forests, predict
-from .symbolic import SAX, SFA, Lens, check_alphabets, check_sizes, fit_lens, word_fits
+from .symbolic import SAX, SFA, Lens, check_alphabets, fit_lens, word_fits
 
 ACCURACY_MARGIN = 0.01
 _MARGIN_SLACK = 1e-12
@@ -54,8 +54,9 @@ class LensGrid:
     folds: int = CoEyeConfig.folds
 
     def __post_init__(self):
-        check_sizes(*self.sax_alphas, *self.sfa_alphas, *(self.sax_word_lengths or ()),
-                    *(self.sfa_word_lengths or ()), folds=self.folds)
+        check_record(self)
+        if not 2 <= self.folds < 2**63:
+            raise ValueError("folds must be at least 2 and below 2**63: one fold holds no row out, ids are int64")
         check_alphabets(*self.sax_alphas, *self.sfa_alphas)
 
     @staticmethod

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import NoMinorityClass
+from .errors import NoMinorityClass, check_record
 
 # float64 elements of the difference tensor held at once by the neighbour search
 NEIGHBOR_BLOCK = 1 << 22
@@ -30,6 +30,7 @@ class SmoteReport:
     smote_percentage: float
 
     def __post_init__(self):
+        check_record(self)
         if self.original_counts.keys() != self.added_counts.keys():
             raise ValueError("original_counts and added_counts must name the same classes")
         if any(n < 0 for n in (*self.original_counts.values(), *self.added_counts.values())):

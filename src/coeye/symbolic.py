@@ -32,13 +32,12 @@ from __future__ import annotations
 import string
 import warnings
 from dataclasses import dataclass
-from numbers import Integral, Real
 from statistics import NormalDist
 
 import numpy as np
 
 from .data import Dataset, TimeSeries, znormalize_rows
-from .errors import DegenerateBinning, EqualDepthDegenerate, InvalidWordSize
+from .errors import DegenerateBinning, EqualDepthDegenerate, InvalidWordSize, check_record
 
 MAX_ALPHABET = 26
 SAX_MODES = ("minmax", "gaussian")
@@ -51,8 +50,8 @@ SFA = 1
 class Lens:
     """One parameterised symbolic view: representation, alphabet, word size.
 
-    ``drop_dc`` is a bool, for SFA only: a SAX lens must record False.
-    ``cv_accuracy`` is a real number in [0, 1], not a bool.
+    ``drop_dc`` is for SFA only: a SAX lens must record False.
+    ``cv_accuracy`` lies in [0, 1].
     """
 
     s: int
@@ -62,10 +61,7 @@ class Lens:
     cv_accuracy: float = 0.0
 
     def __post_init__(self):
-        check_sizes(self.s, self.alpha, self.w)
-        # the model file's reader refuses any other type, so the record does too
-        if type(self.drop_dc) is not bool or type(self.cv_accuracy) is bool or not isinstance(self.cv_accuracy, Real):
-            raise TypeError("drop_dc must be a bool, and cv_accuracy a real number that is not a bool")
+        check_record(self)
         if self.s not in (SAX, SFA):
             raise ValueError("representation flag must be 0 (SAX) or 1 (SFA)")
         check_alphabets(self.alpha)
@@ -117,6 +113,7 @@ class SaxBinning:
     degenerate: bool = False
 
     def __post_init__(self):
+        check_record(self)
         if self.mode not in SAX_MODES:
             raise ValueError(f"unknown SAX binning mode {self.mode!r}")
         cuts = np.asarray(self.cuts, dtype=np.float64)
@@ -139,6 +136,7 @@ class McbTable:
     breakpoints: np.ndarray
 
     def __post_init__(self):
+        check_record(self)
         bp = np.asarray(self.breakpoints, dtype=np.float64)
         if bp.shape != (self.w, self.alpha - 1):
             raise ValueError("breakpoints must have shape (w, alpha - 1)")
@@ -156,17 +154,6 @@ def check_alphabets(*alphas: int) -> None:
     for alpha in alphas:
         if not 2 <= alpha <= MAX_ALPHABET:
             raise ValueError(f"alphabet size {alpha} outside [2, {MAX_ALPHABET}]")
-
-
-def check_sizes(*sizes: int, folds: int | None = None) -> None:
-    """Raise TypeError unless every size, seed or count, and ``folds`` when
-    given, is an integer and not a bool; raise ValueError unless ``folds``
-    lies in [2, 2**63): a single fold holds no row out, and fold ids are int64."""
-    values = sizes if folds is None else (*sizes, folds)
-    if any(isinstance(v, bool) or not isinstance(v, Integral) for v in values):
-        raise TypeError("seeds, counts, representation flags, alphabets and word lengths must be integers, not bools")
-    if folds is not None and not 2 <= folds < 2**63:
-        raise ValueError("folds must be at least 2 and below 2**63")
 
 
 def word_fits(s: int, w: int, n: int) -> bool:

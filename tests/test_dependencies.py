@@ -53,7 +53,7 @@ def referenced_names(path):
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_only_the_model_reader_reads_model_fields(path):
-    used = referenced_names(path) & {"model_field", "model_array"}
+    used = referenced_names(path) & {"check_field", "model_array"}
     assert not used or path.name in MODEL_READERS
 
 

@@ -316,11 +316,13 @@ class TestTrain:
         ("seed", True), ("trees", True), ("folds", 5.0), ("smote_k", False), ("threads", True), ("threads", 2.5),
         ("sax_alphas", (3.0,)), ("sfa_alphas", (True, 4)), ("sax_word_lengths", (8.0,)),
         ("sfa_word_lengths", ("10",)), ("smote", 1),
+        # folds=None trained until the fold assignment divided by it; threads=False read as 1
+        ("folds", None), ("threads", False),
     ])
     def test_config_refuses_non_integer_and_bool_fields(self, field, value):
         # seed=True trained and saved a file that load_model refused, and an
         # alphabet of 3.0 failed inside the search with numpy's own TypeError
-        with pytest.raises(TypeError, match="must be integers|smote must be a bool"):
+        with pytest.raises(TypeError, match=r"must be integers|smote must be a bool|CoEyeConfig\.\w+ must be"):
             CoEyeConfig(**{field: value})
 
     def test_single_class_rejected(self):
@@ -860,6 +862,13 @@ def _string_count(payload):
     _corrupt_first_split(payload, mutate)
 
 
+def _threshold_past_int64(payload):
+    def mutate(forest, tree, root):
+        forest["threshold"][root] = 2**63
+
+    _corrupt_first_split(payload, mutate)
+
+
 def _float_tree_size(payload):
     payload["eyes"][0]["forest"]["tree_sizes"][0] += 0.5
 
@@ -1120,7 +1129,7 @@ class TestCorruptForests:
         _bool_class_label, _bool_forest_class_label, _bool_format_version, _float_format_version,
         _underscored_smote_label, _padded_smote_label, _int_sax_mode, _unknown_sax_mode, _int_dataset_name,
         _sax_lens_drops_dc, _missing_cv_accuracy, _missing_sax_degenerate, _missing_config_smote_k,
-        _unknown_binning_kind, _nested_config_grid,
+        _unknown_binning_kind, _nested_config_grid, _threshold_past_int64,
     ])
     def test_fields_are_read_by_their_json_type(self, saved, tmp_path, mutate):
         # most of these were cast by int(), float(), bool() or np.asarray and served; a missing
@@ -1130,6 +1139,16 @@ class TestCorruptForests:
         bad = tmp_path / "types.json"
         bad.write_text(json.dumps(payload))
         with pytest.raises(ModelParseError):
+            load_model(bad)
+
+    @pytest.mark.parametrize("labels", [[1, 2**63], [1, 2**70], [-1, 2**64]])
+    def test_integers_past_int64_are_named_so(self, saved, tmp_path, labels):
+        # numpy infers float64 or object for these lists, which read as "must hold only JSON integers"
+        payload = json.loads(saved.read_text())
+        payload["class_labels"] = labels
+        bad = tmp_path / "int64.json"
+        bad.write_text(json.dumps(payload))
+        with pytest.raises(ModelParseError, match="class_labels holds an integer outside the range of int64"):
             load_model(bad)
 
     def test_cli_refuses_a_string_flag(self, saved, tmp_path):

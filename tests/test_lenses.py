@@ -106,6 +106,8 @@ class TestGrid:
         (LensGrid, dict(folds=2**63), ValueError),
         (LensGrid, dict(folds=2.5), TypeError),
         (LensGrid, dict(folds=True), TypeError),
+        # a search ran until the fold assignment divided by it
+        (LensGrid, dict(folds=None), TypeError),
         # these failed mid-search with numpy's own TypeErrors
         (LensGrid, dict(sax_alphas=(3.0,)), TypeError),
         (LensGrid, dict(sfa_alphas=(True, 4)), TypeError),
@@ -125,7 +127,8 @@ class TestGrid:
         (Lens, dict(s=1, alpha=4, w=8, cv_accuracy=None), TypeError),
     ], ids=lambda v: v.__name__ if isinstance(v, type) else ",".join(f"{k}={x}" for k, x in v.items()))
     def test_grid_and_lens_refuse_what_the_config_refuses(self, record, fields, error):
-        with pytest.raises(error, match="folds must be|must be integers|drop_dc must be a bool"):
+        with pytest.raises(error, match=r"folds must be|must be integers|drop_dc must be a bool"
+                                        r"|Lens(Grid)?\.\w+ must be"):
             record(**fields)
 
 
