@@ -16,6 +16,7 @@ import numpy as np
 from .errors import EmptyDataset, ParseError, RaggedData
 
 DATA_EXTENSIONS = (".tsv", ".txt", ".csv")
+_SEPARATORS = {"tab": "\t", "comma": ","}
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,8 +75,11 @@ class Dataset:
         return TimeSeries(self.X[i], int(self.y[i]))
 
 
-def _sniff_delimiter(first_line: str) -> str:
-    return "\t" if "\t" in first_line else ","
+def _separator(delimiter: str) -> str:
+    """The character a ``tab`` or ``comma`` delimiter names; raise ValueError for any other name."""
+    if delimiter not in _SEPARATORS:
+        raise ValueError(f"unknown delimiter {delimiter!r}")
+    return _SEPARATORS[delimiter]
 
 
 def load_ucr(path, delimiter: str = "auto", labeled: bool = True) -> Dataset:
@@ -94,14 +98,7 @@ def load_ucr(path, delimiter: str = "auto", labeled: bool = True) -> Dataset:
     if not lines:
         raise EmptyDataset(f"{path}: no series found")
 
-    if delimiter == "auto":
-        sep = _sniff_delimiter(lines[0][1])
-    elif delimiter == "tab":
-        sep = "\t"
-    elif delimiter == "comma":
-        sep = ","
-    else:
-        raise ValueError(f"unknown delimiter {delimiter!r}")
+    sep = ("\t" if "\t" in lines[0][1] else ",") if delimiter == "auto" else _separator(delimiter)
 
     first = 1 if labeled else 0
     rows = []
@@ -160,8 +157,8 @@ def _parse_label(path, line_no, cell):
 
 
 def write_ucr(dataset: Dataset, path, delimiter: str = "tab") -> None:
-    """Write a dataset in the flat-file format (17 significant digits)."""
-    sep = "\t" if delimiter == "tab" else ","
+    """Write a dataset in the flat-file format (17 significant digits), ``delimiter`` ``tab`` or ``comma``."""
+    sep = _separator(delimiter)
     with open(path, "w", encoding="utf-8") as fh:
         for i in range(len(dataset)):
             cells = [str(int(dataset.y[i]))]

@@ -47,6 +47,7 @@ from .errors import (
 from .forest import (
     PackedForest,
     RandomForestModel,
+    check_labels,
     fit_forest,
     forest_from_dict,
     pack_forests,
@@ -66,7 +67,7 @@ from .lenses import (
     search_lenses_random,
 )
 from .resample import SmoteReport, smote
-from .symbolic import McbTable, SaxBinning, check_binning, digitize, fit_lens, lens_words, word_fits
+from .symbolic import McbTable, SaxBinning, digitize, fit_lens, lens_words, word_fits
 
 MODEL_FORMAT_VERSION = 3
 
@@ -79,15 +80,31 @@ ROUND_FALLBACK = "fallback"
 
 @dataclass(eq=False)
 class Eye:
-    """One lens, its fitted quantisation, and its forest."""
+    """One lens, its fitted quantisation of the lens's kind, alphabet, width
+    and DC convention, and its forest, which reads ``lens.w`` features."""
 
     lens: Lens
     binning: SaxBinning | McbTable
     forest: RandomForestModel
 
+    def __post_init__(self):
+        lens, binning = self.lens, self.binning
+        fits = (isinstance(binning, SaxBinning) if lens.s == SAX else
+                isinstance(binning, McbTable) and (binning.w, binning.drop_dc) == (lens.w, lens.drop_dc))
+        if not fits or binning.alpha != lens.alpha:
+            raise ValueError(f"binning does not fit its {lens.representation} lens (alpha={lens.alpha}, w={lens.w})")
+        if self.forest.n_features != lens.w:
+            raise ValueError(f"a forest of width {self.forest.n_features} does not fit a lens of width {lens.w}")
+        # checked here rather than in the forest: the search's fold forests never reach a file
+        self.forest.check_store()
+
 
 @dataclass(eq=False)
 class CoEyeModel:
+    """Eyes, SAX eyes first, whose forests all hold ``config.trees`` trees over
+    ``class_labels``, on series of length ``n``: the vote reads the first
+    ``sax_count`` eyes as the SAX block, and the pack sums every forest over one tree count."""
+
     eyes: list[Eye]
     class_labels: np.ndarray
     n: int
@@ -95,6 +112,27 @@ class CoEyeModel:
     dataset_name: str = ""
     smote_report: SmoteReport | None = None
     timings: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        check_field("CoEyeModel.n", self.n, "int")
+        check_field("CoEyeModel.dataset_name", self.dataset_name, "str")
+        check_labels(self.class_labels)
+        if self.n < 1:
+            raise ValueError(f"series length n must be at least 1, got {self.n}")
+        if not self.eyes:
+            raise ValueError("the model has no eyes")
+        labels = np.asarray(self.class_labels).tolist()
+        for i, eye in enumerate(self.eyes):
+            trees, forest_labels = eye.forest.n_trees, eye.forest.class_labels.tolist()
+            if (trees, forest_labels) != (self.config.trees, labels):
+                raise ValueError(f"eye {i}: a forest of {trees} trees over {forest_labels} where the config's "
+                                 f"tree count is {self.config.trees} and the labels {labels}")
+            if not word_fits(eye.lens.s, eye.lens.w, self.n):
+                raise ValueError(f"eye {i}: a {eye.lens.representation} lens of width {eye.lens.w} "
+                                 f"cannot be built from series of length {self.n}")
+        is_sax = [eye.lens.s == SAX for eye in self.eyes]
+        if is_sax != sorted(is_sax, reverse=True):
+            raise ValueError("every SAX eye must come before the first SFA eye")
 
     @property
     def sax_count(self) -> int:
@@ -145,8 +183,6 @@ def eye_probabilities(model: CoEyeModel, X) -> np.ndarray:
     if X.ndim != 2 or X.shape[1] != model.n:
         raise SeriesLengthMismatch(f"expected series of length {model.n}, got an array of shape {X.shape}")
     _require_finite(X)
-    if not model.eyes:
-        raise EmptyEnsemble("the model has no eyes")
     packed = model.packed
     symbols = np.empty((X.shape[0], packed.n_features), dtype=np.int64)
     col = 0
@@ -208,7 +244,8 @@ def vote(pred, sax_count: int, seed: int = 0, class_labels=None) -> Prediction |
     A (rows, k, c) stack of matrices is voted in one pass and gives a list
     of Predictions. Every row that needs a tie draw draws from its own
     stream seeded by ``seed``: SAX's labels first, then SFA's, then the
-    fallback's pick.
+    fallback's pick. ``class_labels``, if given, names each of the c
+    classes, in class index order.
     """
     pred = np.asarray(pred, dtype=np.float64)
     if pred.ndim not in (2, 3) or pred.shape[-2] == 0:
@@ -216,6 +253,9 @@ def vote(pred, sax_count: int, seed: int = 0, class_labels=None) -> Prediction |
     k = pred.shape[-2]
     if not 0 <= sax_count <= k:
         raise ValueError("sax_count outside the matrix")
+    names = None if class_labels is None else np.asarray(class_labels)
+    if names is not None and (names.shape != pred.shape[-1:] or names.dtype.kind not in "iu"):
+        raise ValueError(f"class_labels must be {pred.shape[-1]} integers, one per class, got {class_labels!r}")
     stack = pred if pred.ndim == 3 else pred[None]
     rows = stack.shape[0]
 
@@ -242,8 +282,6 @@ def vote(pred, sax_count: int, seed: int = 0, class_labels=None) -> Prediction |
         # the fallback settles an exact confidence tie by a seeded draw
         for i in np.flatnonzero((rnd == 2) & (sax_conf == sfa_conf)).tolist():
             label[i] = (sax_first[i], sfa_first[i])[rng_of(i).integers(2)]
-
-    names = None if class_labels is None else np.asarray(class_labels).astype(np.int64)
 
     def named(idx):
         return (idx if names is None else names[idx]).tolist()
@@ -401,7 +439,10 @@ def _read_binning(payload: dict) -> SaxBinning | McbTable:
 
 
 def load_model(path) -> CoEyeModel:
-    """Read a model file back; raises on corrupt files or unknown versions."""
+    """Read a model file back; raises on corrupt files or unknown versions.
+
+    JSON becomes records, which check themselves as in memory; a record's
+    TypeError or ValueError becomes a ModelParseError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -414,38 +455,14 @@ def load_model(path) -> CoEyeModel:
         if version != MODEL_FORMAT_VERSION:
             raise UnsupportedModelVersion(f"{path}: format version {version}, expected {MODEL_FORMAT_VERSION}")
         report = payload["smote_report"]
-        # train writes np.unique output; a repeated label would split one class's votes
-        class_labels = model_array(payload["class_labels"], "class_labels", np.int64)
-        if class_labels.ndim != 1 or not class_labels.size or np.any(np.diff(class_labels) <= 0):
-            raise ModelParseError("class_labels must be non-empty and strictly increasing")
-        n = check_field("n", payload["n"], "int")
-        if n < 1:
-            raise ModelParseError(f"series length n must be at least 1, got {n}")
-        # save_model leaves out the config's threads, a run setting
-        config = model_record(CoEyeConfig, {**payload["config"], "threads": None})
-        eyes = [Eye(model_record(Lens, e["lens"]), _read_binning(e["binning"]), forest_from_dict(e["forest"]))
-                for e in payload["eyes"]]
-        if not eyes:
-            raise ModelParseError("the model has no eyes")
-        for i, eye in enumerate(eyes):
-            # train grows config.trees trees per eye, and the model's pack needs one tree count
-            shape = (eye.forest.n_features, eye.forest.n_trees, eye.forest.class_labels.tolist())
-            if shape != (eye.lens.w, config.trees, class_labels.tolist()):
-                raise ModelParseError(f"eye {i}: forest (width, trees, class labels) {shape} does not fit the model")
-            check_binning(eye.lens, eye.binning)
-            if not word_fits(eye.lens.s, eye.lens.w, n):
-                raise ModelParseError(f"eye {i}: a {eye.lens.representation} lens of width {eye.lens.w} "
-                                      f"cannot be built from series of length {n}")
-        # the vote reads the first sax_count eyes as the SAX block
-        is_sax = [eye.lens.s == SAX for eye in eyes]
-        if is_sax != sorted(is_sax, reverse=True):
-            raise ModelParseError("every SAX eye must come before the first SFA eye")
         return CoEyeModel(
-            eyes=eyes,
-            class_labels=class_labels,
-            n=n,
-            config=config,
-            dataset_name=check_field("dataset_name", payload["dataset_name"], "str"),
+            eyes=[Eye(model_record(Lens, e["lens"]), _read_binning(e["binning"]), forest_from_dict(e["forest"]))
+                  for e in payload["eyes"]],
+            class_labels=model_array(payload["class_labels"], "class_labels", np.int64),
+            n=payload["n"],
+            # save_model leaves out the config's threads, a run setting
+            config=model_record(CoEyeConfig, {**payload["config"], "threads": None}),
+            dataset_name=payload["dataset_name"],
             smote_report=None if report is None else model_record(SmoteReport, report),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

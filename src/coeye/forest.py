@@ -40,7 +40,7 @@ four integer arrays (``feature``, -1 at a leaf, ``threshold``, 0 at a leaf,
 ``left`` and class ``counts``) with tree-local child ids, and each tree's
 node count. A split's children are made together, so the right child is
 ``left + 1`` and is not stored. The model file writes these fields as they
-are, and its reader checks the store once (see ``forest_from_dict``).
+are, and each ``Eye`` checks that its forest's store routes (``check_store``).
 
 Packed layout. For routing, the stores of forests of one tree count are
 concatenated, with global left-child ids and leaf class probabilities ``counts /
@@ -61,7 +61,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import EmptyTrainingSet, FeatureMismatch, ModelParseError, check_record, model_record
+from .errors import EmptyTrainingSet, FeatureMismatch, check_record, model_record
 from .stream import Streams
 
 _MIN_DECREASE = 1e-12
@@ -79,6 +79,13 @@ BATCH_SLOTS = 1 << 17
 
 # the node arrays of a forest's store, as the model file writes them, with their dtypes
 _NODE_ARRAYS = {"feature": np.int32, "threshold": np.int64, "left": np.int32, "counts": np.int64}
+
+
+def check_labels(labels) -> None:
+    """Raise ValueError unless ``labels`` is a non-empty, strictly increasing row of integers, as np.unique gives."""
+    labels = np.asarray(labels)
+    if labels.ndim != 1 or not labels.size or labels.dtype.kind != "i" or np.any(np.diff(labels) <= 0):
+        raise ValueError("class_labels must be non-empty and strictly increasing integers")
 
 
 @dataclass(eq=False)
@@ -124,6 +131,9 @@ class RandomForestModel:
 
     def __post_init__(self):
         check_record(self)
+        check_labels(self.class_labels)
+        if self.n_features < 1:
+            raise ValueError(f"a forest reads at least one feature, got n_features={self.n_features}")
 
     @property
     def n_classes(self) -> int:
@@ -139,13 +149,33 @@ class RandomForestModel:
         cuts = np.cumsum(self.tree_sizes)[:-1]
         return [DecisionTree(*arrays) for arrays in zip(*(np.split(getattr(self, a), cuts) for a in _NODE_ARRAYS))]
 
+    def check_store(self) -> None:
+        """Raise ValueError unless the node store holds one well-formed routing
+        graph per tree, checked on tree-local ids, and leaf counts of exact probabilities."""
+        sizes, n = self.tree_sizes, self.feature.size
+        # every size in [1, n] before anything sums or repeats the sizes: read from a file, they can wrap an int64 sum
+        sized = sizes.ndim == 1 and sizes.size and np.all((sizes >= 1) & (sizes <= n))
+        shapes = [a.shape for a in (self.feature, self.threshold, self.left, self.counts)]
+        if not sized or shapes != [(sizes.sum(),)] * 3 + [(n, self.n_classes)]:
+            raise ValueError(f"a forest needs tree sizes in [1, {n}] that sum to its node count; node arrays "
+                             f"of shapes {shapes} do not hold {n} nodes of {self.n_classes} classes")
+        # each node's id within its tree, and its tree's node count
+        node, end = np.arange(n) - np.repeat(np.cumsum(sizes) - sizes, sizes), np.repeat(sizes, sizes)
+        inner = self.feature >= 0
+        # both children, left and left + 1, above their parent and inside the tree: routing always terminates
+        left = self.left
+        if not (np.all((left[inner] > node[inner]) & (left[inner] < end[inner] - 1)) and np.all(left[~inner] == -1)):
+            raise ValueError("tree child pointers must point forward within the tree, at inner nodes only")
+        if np.any(self.feature[inner] >= self.n_features):
+            raise ValueError(f"split feature outside [0, {self.n_features})")
+        # below 2**52 a leaf's int64 count sum cannot wrap, and the float64 division into probabilities is exact
+        counts, total = self.counts, self.counts[~inner].sum(axis=1, dtype=np.float64)
+        if not (np.all((counts >= 0) & (counts < 2**52)) and np.all((total > 0) & (total < 2**52))):
+            raise ValueError("class counts must lie in [0, 2**52), with rows at every leaf, below 2**52 in all")
+
 
 def pack_forests(forests: list[RandomForestModel]) -> PackedForest:
-    """Pack ``forests``, which must share their class labels and their tree count, for one routing walk."""
-    first = forests[0] if forests else None
-    if first is None or any(f.n_trees != first.n_trees or not np.array_equal(f.class_labels, first.class_labels)
-                            for f in forests):
-        raise ValueError("a pack needs at least one forest, and its forests must share class labels and tree count")
+    """Pack ``forests``, at least one, of one tree count and class labels (as a model's are), for one routing walk."""
     feature, threshold, left, counts, sizes = (np.concatenate([getattr(f, name) for f in forests])
                                                for name in (*_NODE_ARRAYS, "tree_sizes"))
     roots = np.cumsum(sizes) - sizes
@@ -156,7 +186,7 @@ def pack_forests(forests: list[RandomForestModel]) -> PackedForest:
     # a split reads its own forest's columns, which sit after the earlier forests' columns
     column = np.repeat(np.cumsum(widths) - widths, [f.feature.shape[0] for f in forests])
     feature = np.where(feature >= 0, feature + column, feature).astype(np.intp)
-    return PackedForest(feature, threshold, left + offset, proba, roots, first.n_trees, int(widths.sum()))
+    return PackedForest(feature, threshold, left + offset, proba, roots, forests[0].n_trees, int(widths.sum()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -481,34 +511,6 @@ def predict(model: RandomForestModel, X) -> np.ndarray:
     return model.class_labels[np.argmax(predict_proba(model, X), axis=1)]
 
 
-def _check_forest(model: RandomForestModel) -> None:
-    """Raise ModelParseError unless the node store holds one well-formed routing
-    graph per tree, checked on tree-local ids, and leaf counts of exact probabilities."""
-    sizes, n = model.tree_sizes, model.feature.size
-    # every size in [1, n] before anything sums or repeats the sizes: read from a file, they can wrap an int64 sum
-    sized = sizes.ndim == 1 and sizes.size and np.all((sizes >= 1) & (sizes <= n))
-    shapes = [a.shape for a in (model.feature, model.threshold, model.left, model.counts)]
-    if not sized or shapes != [(sizes.sum(),)] * 3 + [(n, model.n_classes)]:
-        raise ModelParseError(f"a forest needs tree sizes in [1, {n}] that sum to its node count; node arrays "
-                              f"of shapes {shapes} do not hold {n} nodes of {model.n_classes} classes")
-    # each node's id within its tree, and its tree's node count
-    node, end = np.arange(n) - np.repeat(np.cumsum(sizes) - sizes, sizes), np.repeat(sizes, sizes)
-    inner = model.feature >= 0
-    # both children, left and left + 1, above their parent and inside the tree: routing always terminates
-    left = model.left
-    if not (np.all((left[inner] > node[inner]) & (left[inner] < end[inner] - 1)) and np.all(left[~inner] == -1)):
-        raise ModelParseError("tree child pointers must point forward within the tree, at inner nodes only")
-    if np.any(model.feature[inner] >= model.n_features):
-        raise ModelParseError(f"split feature outside [0, {model.n_features})")
-    # below 2**52 a leaf's int64 count sum cannot wrap, and the float64 division into probabilities is exact
-    counts, total = model.counts, model.counts[~inner].sum(axis=1, dtype=np.float64)
-    if not (np.all((counts >= 0) & (counts < 2**52)) and np.all((total > 0) & (total < 2**52))):
-        raise ModelParseError("class counts must lie in [0, 2**52), with rows at every leaf, below 2**52 in all")
-
-
 def forest_from_dict(payload: dict) -> RandomForestModel:
-    """Rebuild a forest from its model-file fields, read as every record is
-    read; raises ModelParseError if malformed."""
-    model = model_record(RandomForestModel, payload, **_NODE_ARRAYS, tree_sizes=np.int64, class_labels=np.int64)
-    _check_forest(model)
-    return model
+    """Rebuild a forest from its model-file fields; the ``Eye`` that holds it checks its store."""
+    return model_record(RandomForestModel, payload, **_NODE_ARRAYS, tree_sizes=np.int64, class_labels=np.int64)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -61,13 +61,7 @@ class LensGrid:
 
     @staticmethod
     def from_config(config: CoEyeConfig) -> "LensGrid":
-        return LensGrid(
-            sax_alphas=config.sax_alphas,
-            sax_word_lengths=config.sax_word_lengths,
-            sfa_alphas=config.sfa_alphas,
-            sfa_word_lengths=config.sfa_word_lengths,
-            folds=config.folds,
-        )
+        return LensGrid(**{f.name: getattr(config, f.name) for f in fields(LensGrid)})
 
     def sax_pairs(self, n: int) -> list[tuple[int, int]]:
         if self.sax_word_lengths is None:

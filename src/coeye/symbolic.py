@@ -99,7 +99,7 @@ class SymbolicWord:
 
 @dataclass(frozen=True, eq=False)
 class SaxBinning:
-    """Fitted SAX cuts: ``alpha - 1`` strictly increasing breakpoints.
+    """Fitted SAX cuts: ``alpha - 1`` finite, non-decreasing breakpoints.
 
     ``mode`` is ``gaussian`` (standard-normal quantiles, data independent)
     or ``minmax`` (equal-width bins spanning the training PAA range).
@@ -116,18 +116,16 @@ class SaxBinning:
         check_record(self)
         if self.mode not in SAX_MODES:
             raise ValueError(f"unknown SAX binning mode {self.mode!r}")
-        cuts = np.asarray(self.cuts, dtype=np.float64)
-        cuts.flags.writeable = False
-        object.__setattr__(self, "cuts", cuts)
+        object.__setattr__(self, "cuts", _cuts(self.cuts, (self.alpha - 1,)))
 
 
 @dataclass(frozen=True, eq=False)
 class McbTable:
     """Per-column breakpoints for SFA quantisation.
 
-    ``breakpoints`` has shape (w, alpha - 1); row j digitizes Fourier value
-    column j. ``drop_dc`` records whether the DC coefficient was discarded
-    when the table was fitted.
+    ``breakpoints`` has shape (w, alpha - 1), finite and non-decreasing by
+    row; row j digitizes Fourier value column j. ``drop_dc`` records whether
+    the DC coefficient was discarded when the table was fitted.
     """
 
     alpha: int
@@ -137,16 +135,22 @@ class McbTable:
 
     def __post_init__(self):
         check_record(self)
-        bp = np.asarray(self.breakpoints, dtype=np.float64)
-        if bp.shape != (self.w, self.alpha - 1):
-            raise ValueError("breakpoints must have shape (w, alpha - 1)")
-        bp.flags.writeable = False
-        object.__setattr__(self, "breakpoints", bp)
+        object.__setattr__(self, "breakpoints", _cuts(self.breakpoints, (self.w, self.alpha - 1)))
 
     @property
     def cuts(self) -> np.ndarray:
         """The breakpoint table, in the form ``digitize`` takes."""
         return self.breakpoints
+
+
+def _cuts(values, shape: tuple) -> np.ndarray:
+    """``values`` as a read-only float array of ``shape``, every cut finite and
+    each row non-decreasing, as ``digitize`` needs; raise ValueError if not."""
+    cuts = np.asarray(values, dtype=np.float64)
+    if cuts.shape != shape or not np.isfinite(cuts).all() or (np.diff(cuts, axis=-1) < 0).any():
+        raise ValueError(f"binning cuts must be finite and non-decreasing, of shape {shape}, got shape {cuts.shape}")
+    cuts.flags.writeable = False
+    return cuts
 
 
 def check_alphabets(*alphas: int) -> None:
@@ -160,24 +164,6 @@ def word_fits(s: int, w: int, n: int) -> bool:
     """Whether representation ``s`` builds words of width ``w`` from series of
     length ``n``: SAX needs 1 <= w <= n, SFA an even w with 2 <= w <= n."""
     return 1 <= w <= n if s == SAX else w % 2 == 0 and 2 <= w <= n
-
-
-def check_binning(lens: Lens, binning) -> None:
-    """Raise ValueError unless ``binning`` is a well-formed fit for ``lens``.
-
-    The kind must match the representation and the alphabet must be equal.
-    SAX needs ``alpha - 1`` cuts; an MCB table needs the lens's ``w`` and
-    DC convention. Every cut must be finite and each row non-decreasing.
-    """
-    if lens.s == SAX:
-        fits, shape = isinstance(binning, SaxBinning), (lens.alpha - 1,)
-    else:
-        fits = isinstance(binning, McbTable) and binning.drop_dc == lens.drop_dc
-        shape = (lens.w, lens.alpha - 1)
-    if not fits or binning.alpha != lens.alpha or binning.cuts.shape != shape:
-        raise ValueError(f"binning does not fit its {lens.representation} lens (alpha={lens.alpha}, w={lens.w})")
-    if not np.isfinite(binning.cuts).all() or (np.diff(binning.cuts, axis=-1) < 0).any():
-        raise ValueError("binning cuts must be finite and non-decreasing")
 
 
 def paa(values, w: int) -> np.ndarray:

@@ -125,6 +125,14 @@ class TestRoundTrip:
         assert np.array_equal(back.y, ds.y)
 
 
+    @pytest.mark.parametrize("delimiter", ["auto", "Tab", "csv", ","])
+    def test_write_refuses_an_unknown_delimiter(self, delimiter, tmp_path):
+        # any name but "tab" used to write commas
+        with pytest.raises(ValueError, match="unknown delimiter"):
+            write_ucr(Dataset(np.zeros((1, 3)), [1]), tmp_path / "x.tsv", delimiter=delimiter)
+        assert not (tmp_path / "x.tsv").exists()
+
+
 class TestZnormalize:
     def test_constant_maps_to_zeros(self):
         assert np.array_equal(znormalize(np.array([5.0, 5, 5, 5])), np.zeros(4))

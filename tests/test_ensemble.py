@@ -157,6 +157,13 @@ class TestVote:
         with pytest.raises(EmptyEnsemble):
             vote(np.empty((0, 2)), sax_count=0, seed=0)
 
+    @pytest.mark.parametrize("class_labels", [[5], [5, 9, 11], [[5, 9]], [1.5, 2.7]])
+    def test_class_labels_must_name_each_class(self, class_labels):
+        # one label too few used to raise an untyped IndexError, one too many was ignored,
+        # and a fraction was truncated, so 2.7 was served as 2
+        with pytest.raises(ValueError, match="class_labels"):
+            vote([[0.2, 0.8], [0.3, 0.7]], 1, class_labels=class_labels)
+
     def test_class_labels_mapped(self):
         matrix = two_class_rows((0, 0.9), (0, 0.8))
         result = vote(matrix, sax_count=1, seed=0, class_labels=[5, 9])
@@ -405,7 +412,7 @@ class TestClassify:
             eyes=[Eye(lens, binning, forest)],
             class_labels=np.array([0, 1]),
             n=4,
-            config=CoEyeConfig(seed=0),
+            config=CoEyeConfig(seed=0, trees=10),
         )
         probe = np.array([5.0, -1.0, 2.0, 0.5])
         pred = classify(model, probe, include_per_eye=True)
@@ -471,22 +478,24 @@ class TestServingMatchesPerEye:
         # leaves, so the order in which tree probabilities are summed shows
         y = np.random.default_rng(5).permutation(data.y)
         eyes = []
-        for lens in (Lens(SAX, 2, 3), Lens(SFA, 3, 10), Lens(SAX, 5, 24), Lens(SFA, 2, 2, drop_dc=True),
+        # a model holds its SAX eyes first and config.trees trees per eye
+        for lens in (Lens(SAX, 2, 3), Lens(SAX, 5, 24), Lens(SFA, 3, 10), Lens(SFA, 2, 2, drop_dc=True),
                      Lens(SFA, 4, 10)):
             binning, symbols = fit_lens(data.X, lens)
             eyes.append(Eye(lens, binning, fit_forest(symbols, y, n_trees=20, seed=lens.w)))
-        model = CoEyeModel(eyes=eyes, class_labels=np.array([1, 2]), n=24, config=CoEyeConfig(seed=0))
+        config = CoEyeConfig(seed=0, trees=20)
+        model = CoEyeModel(eyes=eyes, class_labels=np.array([1, 2]), n=24, config=config)
         probe = synth_dataset("waves", seed=4, n=24).X
-        assert model.packed.n_features == 3 + 10 + 24 + 2 + 10
+        assert model.packed.n_features == 3 + 24 + 10 + 2 + 10
         got = eye_probabilities(model, probe)
         assert np.array_equal(got, _per_eye(model, probe))
         # and the per-tree reference router, which sums each forest's trees in order
         reference = [reference_predict_proba(eye.forest, symbolize(probe, eye.lens, eye.binning)) for eye in eyes]
         assert np.array_equal(got, np.stack(reference, axis=1))
         # every forest of the pack is summed over one tree count, so an eye with another count is refused
-        eyes[-1].forest = fit_forest(symbols, y, n_trees=3, seed=10)
+        eyes[-1] = dataclasses.replace(eyes[-1], forest=fit_forest(symbols, y, n_trees=3, seed=10))
         with pytest.raises(ValueError, match="tree count"):
-            CoEyeModel(eyes=eyes, class_labels=np.array([1, 2]), n=24, config=CoEyeConfig(seed=0)).packed
+            CoEyeModel(eyes=eyes, class_labels=np.array([1, 2]), n=24, config=config)
 
     def test_classify_equals_predict_dataset_on_every_row(self, ucr_models):
         model, test_set = ucr_models["Chinatown"]

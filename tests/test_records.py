@@ -1,19 +1,25 @@
-"""Every record decides each field's type by its annotation, alike when it is
-built in memory and when ``load_model`` reads it from a model file."""
+"""Every record decides each field's type by its annotation, and a model its
+rules across records, alike when built in memory and when ``load_model``
+reads them from a model file."""
 
 import json
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from coeye.config import CoEyeConfig
-from coeye.ensemble import _json_default, _read_binning
+from coeye.data import load_ucr
+from coeye.ensemble import _json_default, _read_binning, load_model, save_model, train
 from coeye.errors import ModelParseError, model_record
 from coeye.forest import RandomForestModel, fit_forest, forest_from_dict
 from coeye.lenses import LensGrid
 from coeye.resample import SmoteReport
 from coeye.symbolic import SFA, Lens, McbTable, SaxBinning
+from tests.conftest import SMALL_CONFIG
+
+CHINATOWN_TRAIN = Path(__file__).parent / "data" / "ucr" / "Chinatown_TRAIN.tsv"
 
 # a value of every kind a field may be handed
 VALUES = [True, 1, 1.0, 1.5, "1", None, 2**70, np.int64(1), np.float64(0.5), [1, 2], {1: 1}]
@@ -89,3 +95,53 @@ def test_a_record_refuses_in_memory_what_the_file_refuses(base, field):
         if not agree:
             disagreements.append((value, record, loaded))
     assert disagreements == []
+
+
+def _with_eye(model, i, **changes):
+    """``model``'s eyes with eye ``i`` rebuilt with ``changes``."""
+    return [replace(eye, **changes) if j == i else eye for j, eye in enumerate(model.eyes)]
+
+
+# one edit of a model across its records, made to the model and to its file alike
+MODEL_EDITS = [
+    pytest.param(lambda m: replace(m, n=0), lambda m, p: p.update(n=0), id="n=0"),
+    pytest.param(lambda m: replace(m, n=max(e.lens.w for e in m.eyes) - 1),
+                 lambda m, p: p.update(n=max(e.lens.w for e in m.eyes) - 1), id="n below a lens width"),
+    pytest.param(lambda m: replace(m, eyes=[]), lambda m, p: p.update(eyes=[]), id="no eyes"),
+    pytest.param(lambda m: replace(m, eyes=m.eyes[::-1]), lambda m, p: p["eyes"].reverse(), id="SFA eye first"),
+    pytest.param(lambda m: replace(m, class_labels=m.class_labels[::-1]), lambda m, p: p["class_labels"].reverse(),
+                 id="decreasing labels"),
+    pytest.param(lambda m: replace(m, config=replace(m.config, trees=m.config.trees + 1)),
+                 lambda m, p: p["config"].update(trees=m.config.trees + 1), id="forests of another tree count"),
+    pytest.param(lambda m: replace(m, eyes=_with_eye(m, 0, forest=replace(m.eyes[0].forest, n_features=0))),
+                 lambda m, p: p["eyes"][0]["forest"].update(n_features=0), id="forest of no features"),
+    pytest.param(lambda m: replace(m, eyes=_with_eye(m, 0, binning=m.eyes[1].binning)),
+                 lambda m, p: p["eyes"][0].update(binning=p["eyes"][1]["binning"]), id="binning of another lens"),
+]
+
+
+@pytest.fixture(scope="module")
+def small_model(tmp_path_factory):
+    """A trained Chinatown model, with SAX eyes of several alphabets and SFA eyes, and its file."""
+    model = train(load_ucr(CHINATOWN_TRAIN), CoEyeConfig(seed=1, **SMALL_CONFIG))
+    assert model.sax_count > 1 and model.sfa_count > 0
+    assert model.eyes[0].lens.alpha != model.eyes[1].lens.alpha
+    # so a width of 0 is the only thing wrong with its first forest
+    assert np.any(model.eyes[0].forest.feature == 0)
+    path = tmp_path_factory.mktemp("parity") / "model.json"
+    save_model(model, path)
+    return model, path
+
+
+@pytest.mark.parametrize("edit_model, edit_file", MODEL_EDITS)
+def test_a_model_refuses_in_memory_what_its_file_refuses(small_model, tmp_path, edit_model, edit_file):
+    model, path = small_model
+    assert load_model(path).eyes
+    with pytest.raises((TypeError, ValueError)):
+        edit_model(model)
+    payload = json.loads(path.read_text())
+    edit_file(model, payload)
+    bad = tmp_path / "edited.json"
+    bad.write_text(json.dumps(payload))
+    with pytest.raises(ModelParseError):
+        load_model(bad)
