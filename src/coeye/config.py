@@ -6,12 +6,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import check_record
+from .errors import Record, check_record
 from .symbolic import SAX_MODES, check_alphabets
 
 
 @dataclass(frozen=True)
-class CoEyeConfig:
+class CoEyeConfig(Record):
     seed: int = 42
     trees: int = 100
     folds: int = 5

@@ -13,47 +13,39 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyDataset, ParseError, RaggedData
+from .errors import EmptyDataset, ParseError, RaggedData, Record, check_record
 
 DATA_EXTENSIONS = (".tsv", ".txt", ".csv")
 _SEPARATORS = {"tab": "\t", "comma": ","}
 
 
 @dataclass(frozen=True, eq=False)
-class TimeSeries:
+class TimeSeries(Record):
     """A fixed-length real-valued sequence with an optional class label."""
 
-    values: np.ndarray
+    values: np.ndarray = field(metadata={"dtype": np.float64})
     label: int | None = None
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
 
     def __len__(self):
         return self.values.shape[0]
 
 
-class Dataset:
-    """An immutable collection of equal-length labeled series.
-
-    Internally a (n_series, n) float matrix plus an integer label vector;
-    safe to share across concurrent workers.
+@dataclass(frozen=True, eq=False)
+class Dataset(Record):
+    """An immutable collection of equal-length labeled series: a (n_series, n)
+    float matrix plus an integer label vector; safe to share across concurrent workers.
     """
 
-    def __init__(self, X, y, name: str = ""):
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.int64)
-        if X.ndim != 2:
+    X: np.ndarray = field(metadata={"dtype": np.float64})
+    y: np.ndarray = field(metadata={"dtype": np.int64})
+    name: str = ""
+
+    def __post_init__(self):
+        check_record(self)
+        if self.X.ndim != 2:
             raise ValueError("X must be a 2-D (n_series, n) array")
-        if y.shape != (X.shape[0],):
+        if self.y.shape != (self.X.shape[0],):
             raise ValueError("y length must match the number of series")
-        X.flags.writeable = False
-        y.flags.writeable = False
-        self.X = X
-        self.y = y
-        self.name = name
 
     @property
     def n(self) -> int:

@@ -24,7 +24,7 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -38,10 +38,11 @@ from .errors import (
     ModelParseError,
     NoMinorityClass,
     NonFiniteSeries,
+    Record,
     SeriesLengthMismatch,
     UnsupportedModelVersion,
     check_field,
-    model_array,
+    check_record,
     model_record,
 )
 from .forest import (
@@ -49,7 +50,6 @@ from .forest import (
     RandomForestModel,
     check_labels,
     fit_forest,
-    forest_from_dict,
     pack_forests,
     predict_packed,
 )
@@ -78,8 +78,8 @@ ROUND_SECOND = "second"
 ROUND_FALLBACK = "fallback"
 
 
-@dataclass(eq=False)
-class Eye:
+@dataclass(frozen=True, eq=False)
+class Eye(Record):
     """One lens, its fitted quantisation of the lens's kind, alphabet, width
     and DC convention, and its forest, which reads ``lens.w`` features."""
 
@@ -99,14 +99,14 @@ class Eye:
         self.forest.check_store()
 
 
-@dataclass(eq=False)
-class CoEyeModel:
+@dataclass(frozen=True, eq=False)
+class CoEyeModel(Record):
     """Eyes, SAX eyes first, whose forests all hold ``config.trees`` trees over
     ``class_labels``, on series of length ``n``: the vote reads the first
     ``sax_count`` eyes as the SAX block, and the pack sums every forest over one tree count."""
 
-    eyes: list[Eye]
-    class_labels: np.ndarray
+    eyes: tuple[Eye, ...]
+    class_labels: np.ndarray = field(metadata={"dtype": np.int64})
     n: int
     config: CoEyeConfig
     dataset_name: str = ""
@@ -114,14 +114,14 @@ class CoEyeModel:
     timings: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        check_field("CoEyeModel.n", self.n, "int")
-        check_field("CoEyeModel.dataset_name", self.dataset_name, "str")
+        check_record(self, "class_labels", "n", "dataset_name", "timings")  # the rest are records
+        object.__setattr__(self, "eyes", tuple(self.eyes))
         check_labels(self.class_labels)
         if self.n < 1:
             raise ValueError(f"series length n must be at least 1, got {self.n}")
         if not self.eyes:
             raise ValueError("the model has no eyes")
-        labels = np.asarray(self.class_labels).tolist()
+        labels = self.class_labels.tolist()
         for i, eye in enumerate(self.eyes):
             trees, forest_labels = eye.forest.n_trees, eye.forest.class_labels.tolist()
             if (trees, forest_labels) != (self.config.trees, labels):
@@ -149,11 +149,11 @@ class CoEyeModel:
 
 
 @dataclass(frozen=True)
-class Prediction:
+class Prediction(Record):
     label: int
     confidence: float
     round: str
-    per_eye: np.ndarray | None = None
+    per_eye: np.ndarray | None = field(default=None, metadata={"dtype": np.float64})
     sax_label: int | None = None
     sfa_label: int | None = None
 
@@ -393,7 +393,7 @@ def _json_default(obj):
     included, as its dataclass fields (the mirror of ``model_record``)."""
     if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
-    if is_dataclass(obj) and not isinstance(obj, type):
+    if isinstance(obj, Record):
         return {f.name: getattr(obj, f.name) for f in fields(obj)}
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
@@ -431,11 +431,9 @@ def save_model(model: CoEyeModel, path) -> None:
 
 
 def _read_binning(payload: dict) -> SaxBinning | McbTable:
-    if payload["kind"] == "sax":
-        return model_record(SaxBinning, payload, cuts=np.float64)
-    if payload["kind"] == "mcb":
-        return model_record(McbTable, payload, breakpoints=np.float64)
-    raise ModelParseError(f"unknown binning kind {payload['kind']!r}")
+    if payload["kind"] not in ("sax", "mcb"):
+        raise ModelParseError(f"unknown binning kind {payload['kind']!r}")
+    return model_record(SaxBinning if payload["kind"] == "sax" else McbTable, payload)
 
 
 def load_model(path) -> CoEyeModel:
@@ -456,9 +454,9 @@ def load_model(path) -> CoEyeModel:
             raise UnsupportedModelVersion(f"{path}: format version {version}, expected {MODEL_FORMAT_VERSION}")
         report = payload["smote_report"]
         return CoEyeModel(
-            eyes=[Eye(model_record(Lens, e["lens"]), _read_binning(e["binning"]), forest_from_dict(e["forest"]))
-                  for e in payload["eyes"]],
-            class_labels=model_array(payload["class_labels"], "class_labels", np.int64),
+            eyes=[Eye(model_record(Lens, e["lens"]), _read_binning(e["binning"]),
+                      model_record(RandomForestModel, e["forest"])) for e in payload["eyes"]],
+            class_labels=payload["class_labels"],
             n=payload["n"],
             # save_model leaves out the config's threads, a run setting
             config=model_record(CoEyeConfig, {**payload["config"], "threads": None}),

@@ -23,7 +23,7 @@ from . import __version__
 from .config import CoEyeConfig
 from .data import DATA_EXTENSIONS, Dataset, load_ucr
 from .ensemble import predict_dataset, train
-from .errors import SeriesLengthMismatch, UnknownLabel
+from .errors import Record, SeriesLengthMismatch, UnknownLabel
 
 BENCHMARK_MODES = ("coeye", "sax_only", "sfa_only", "random_lenses", "ed1nn")
 
@@ -36,8 +36,8 @@ CSV_COLUMNS = [
 ]
 
 
-@dataclass
-class EvalReport:
+@dataclass(frozen=True, eq=False)
+class EvalReport(Record):
     dataset: str = ""
     mode: str = ""
     seed: int = 0
@@ -47,7 +47,7 @@ class EvalReport:
     macro_recall: float = 0.0
     macro_f1: float = 0.0
     micro_f1: float = 0.0
-    confusion: np.ndarray | None = None
+    confusion: np.ndarray | None = field(default=None, metadata={"dtype": np.int64})
     smote_pct: float = 0.0
     n_sax_lenses: int = 0
     n_sfa_lenses: int = 0
@@ -141,7 +141,7 @@ def metrics(y_true, y_pred, classes) -> EvalReport:
     total = confusion.sum()
     tp_total = np.trace(confusion)
     micro_p = tp_total / total
-    report = EvalReport(
+    return EvalReport(
         accuracy=tp_total / total,
         per_class=per_class,
         macro_precision=float(np.mean(precisions)),
@@ -150,7 +150,6 @@ def metrics(y_true, y_pred, classes) -> EvalReport:
         micro_f1=float(micro_p),  # single-label multiclass: micro P = R = F1
         confusion=confusion,
     )
-    return report
 
 
 def nn1_euclidean(train: Dataset, ts) -> int:

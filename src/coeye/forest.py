@@ -39,8 +39,10 @@ Node store. A forest holds the nodes of all its trees, tree after tree, in
 four integer arrays (``feature``, -1 at a leaf, ``threshold``, 0 at a leaf,
 ``left`` and class ``counts``) with tree-local child ids, and each tree's
 node count. A split's children are made together, so the right child is
-``left + 1`` and is not stored. The model file writes these fields as they
-are, and each ``Eye`` checks that its forest's store routes (``check_store``).
+``left + 1`` and is not stored. The forest record declares each array's
+dtype, and, like every record, holds its arrays read-only. The model file
+writes these fields as they are, and each ``Eye`` checks that its forest's
+store routes (``check_store``).
 
 Packed layout. For routing, the stores of forests of one tree count are
 concatenated, with global left-child ids and leaf class probabilities ``counts /
@@ -56,12 +58,12 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import accumulate
 
 import numpy as np
 
-from .errors import EmptyTrainingSet, FeatureMismatch, check_record, model_record
+from .errors import EmptyTrainingSet, FeatureMismatch, Record, check_record
 from .stream import Streams
 
 _MIN_DECREASE = 1e-12
@@ -77,25 +79,20 @@ _ROUTE_PAIRS = 1 << 14
 BATCH_SLOTS = 1 << 17
 
 
-# the node arrays of a forest's store, as the model file writes them, with their dtypes
-_NODE_ARRAYS = {"feature": np.int32, "threshold": np.int64, "left": np.int32, "counts": np.int64}
-
-
-def check_labels(labels) -> None:
-    """Raise ValueError unless ``labels`` is a non-empty, strictly increasing row of integers, as np.unique gives."""
-    labels = np.asarray(labels)
-    if labels.ndim != 1 or not labels.size or labels.dtype.kind != "i" or np.any(np.diff(labels) <= 0):
+def check_labels(labels: np.ndarray) -> None:
+    """Raise ValueError unless the integer ``labels`` are a non-empty, strictly increasing row, as np.unique gives."""
+    if labels.ndim != 1 or not labels.size or np.any(np.diff(labels) <= 0):
         raise ValueError("class_labels must be non-empty and strictly increasing integers")
 
 
-@dataclass(eq=False)
-class DecisionTree:
+@dataclass(frozen=True, eq=False)
+class DecisionTree(Record):
     """One tree's slice of a forest's node store (see ``RandomForestModel.trees``)."""
 
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    counts: np.ndarray
+    feature: np.ndarray = field(metadata={"dtype": np.int32})
+    threshold: np.ndarray = field(metadata={"dtype": np.int64})
+    left: np.ndarray = field(metadata={"dtype": np.int32})
+    counts: np.ndarray = field(metadata={"dtype": np.int64})
 
     @property
     def n_nodes(self) -> int:
@@ -103,29 +100,29 @@ class DecisionTree:
 
 
 @dataclass(frozen=True, eq=False)
-class PackedForest:
+class PackedForest(Record):
     """Forests of ``n_trees`` trees each as flat node arrays with global child
     offsets, reading side-by-side feature columns (see the module docstring)."""
 
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    proba: np.ndarray
-    roots: np.ndarray
+    feature: np.ndarray = field(metadata={"dtype": np.intp})
+    threshold: np.ndarray = field(metadata={"dtype": np.int64})
+    left: np.ndarray = field(metadata={"dtype": np.int64})
+    proba: np.ndarray = field(metadata={"dtype": np.float64})
+    roots: np.ndarray = field(metadata={"dtype": np.int64})
     n_trees: int
     n_features: int
 
 
-@dataclass(eq=False)
-class RandomForestModel:
+@dataclass(frozen=True, eq=False)
+class RandomForestModel(Record):
     """A forest as one node store (see the module docstring)."""
 
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    counts: np.ndarray
-    tree_sizes: np.ndarray
-    class_labels: np.ndarray
+    feature: np.ndarray = field(metadata={"dtype": np.int32})
+    threshold: np.ndarray = field(metadata={"dtype": np.int64})
+    left: np.ndarray = field(metadata={"dtype": np.int32})
+    counts: np.ndarray = field(metadata={"dtype": np.int64})
+    tree_sizes: np.ndarray = field(metadata={"dtype": np.int64})
+    class_labels: np.ndarray = field(metadata={"dtype": np.int64})
     n_features: int
     seed: int
 
@@ -147,7 +144,8 @@ class RandomForestModel:
     def trees(self) -> list[DecisionTree]:
         """Each tree's slice of the store, in tree order."""
         cuts = np.cumsum(self.tree_sizes)[:-1]
-        return [DecisionTree(*arrays) for arrays in zip(*(np.split(getattr(self, a), cuts) for a in _NODE_ARRAYS))]
+        splits = (np.split(getattr(self, f.name), cuts) for f in fields(DecisionTree))
+        return [DecisionTree(*arrays) for arrays in zip(*splits)]
 
     def check_store(self) -> None:
         """Raise ValueError unless the node store holds one well-formed routing
@@ -177,7 +175,7 @@ class RandomForestModel:
 def pack_forests(forests: list[RandomForestModel]) -> PackedForest:
     """Pack ``forests``, at least one, of one tree count and class labels (as a model's are), for one routing walk."""
     feature, threshold, left, counts, sizes = (np.concatenate([getattr(f, name) for f in forests])
-                                               for name in (*_NODE_ARRAYS, "tree_sizes"))
+                                               for name in ("feature", "threshold", "left", "counts", "tree_sizes"))
     roots = np.cumsum(sizes) - sizes
     offset = np.repeat(roots, sizes)
     proba = np.zeros(counts.shape)
@@ -185,16 +183,16 @@ def pack_forests(forests: list[RandomForestModel]) -> PackedForest:
     widths = np.array([f.n_features for f in forests])
     # a split reads its own forest's columns, which sit after the earlier forests' columns
     column = np.repeat(np.cumsum(widths) - widths, [f.feature.shape[0] for f in forests])
-    feature = np.where(feature >= 0, feature + column, feature).astype(np.intp)
+    feature = np.where(feature >= 0, feature + column, feature)
     return PackedForest(feature, threshold, left + offset, proba, roots, forests[0].n_trees, int(widths.sum()))
 
 
 @dataclass(frozen=True, eq=False)
-class _ForestSpec:
+class _ForestSpec(Record):
     """One forest of a growth batch: its training rows of X and its trees."""
 
-    rows: np.ndarray
-    y_enc: np.ndarray
+    rows: np.ndarray = field(metadata={"dtype": np.intp})
+    y_enc: np.ndarray = field(metadata={"dtype": np.intp})
     n_classes: int
     seed: int
     trees: range
@@ -510,7 +508,3 @@ def predict(model: RandomForestModel, X) -> np.ndarray:
     """Argmax class labels (lowest label wins intra-row probability ties)."""
     return model.class_labels[np.argmax(predict_proba(model, X), axis=1)]
 
-
-def forest_from_dict(payload: dict) -> RandomForestModel:
-    """Rebuild a forest from its model-file fields; the ``Eye`` that holds it checks its store."""
-    return model_record(RandomForestModel, payload, **_NODE_ARRAYS, tree_sizes=np.int64, class_labels=np.int64)

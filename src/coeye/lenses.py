@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import CoEyeConfig
 from .data import Dataset
-from .errors import NoFeasibleLens, check_record
+from .errors import NoFeasibleLens, Record, check_record
 from .forest import BATCH_SLOTS, fit_forests, predict
 from .symbolic import SAX, SFA, Lens, check_alphabets, fit_lens, word_fits
 
@@ -40,7 +40,7 @@ _NS_RANDOM_LENSES = 5
 
 
 @dataclass(frozen=True)
-class LensGrid:
+class LensGrid(Record):
     """Candidate (alpha, w) pairs per representation, before feasibility filtering.
 
     ``None`` word lengths mean the defaults: a single uniform SAX word of

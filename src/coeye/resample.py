@@ -15,14 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import NoMinorityClass, check_record
+from .errors import NoMinorityClass, Record, check_record
 
 # float64 elements of the difference tensor held at once by the neighbour search
 NEIGHBOR_BLOCK = 1 << 22
 
 
 @dataclass(frozen=True)
-class SmoteReport:
+class SmoteReport(Record):
     """Per-class original and synthetic counts plus the oversampling ratio."""
 
     original_counts: dict[int, int]

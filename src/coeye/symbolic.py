@@ -31,13 +31,13 @@ from __future__ import annotations
 
 import string
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from statistics import NormalDist
 
 import numpy as np
 
 from .data import Dataset, TimeSeries, znormalize_rows
-from .errors import DegenerateBinning, EqualDepthDegenerate, InvalidWordSize, check_record
+from .errors import DegenerateBinning, EqualDepthDegenerate, InvalidWordSize, Record, check_record
 
 MAX_ALPHABET = 26
 SAX_MODES = ("minmax", "gaussian")
@@ -47,7 +47,7 @@ SFA = 1
 
 
 @dataclass(frozen=True)
-class Lens:
+class Lens(Record):
     """One parameterised symbolic view: representation, alphabet, word size.
 
     ``drop_dc`` is for SFA only: a SAX lens must record False.
@@ -76,29 +76,23 @@ class Lens:
 
 
 @dataclass(frozen=True, eq=False)
-class SymbolicWord:
+class SymbolicWord(Record):
     """A length-w string of symbol indices over an alpha-letter alphabet."""
 
-    symbols: np.ndarray
+    symbols: np.ndarray = field(metadata={"dtype": np.int64})
     alpha: int
     w: int
-
-    def __post_init__(self):
-        symbols = np.asarray(self.symbols, dtype=np.int64)
-        symbols.flags.writeable = False
-        object.__setattr__(self, "symbols", symbols)
 
     def to_text(self) -> str:
         if self.alpha > MAX_ALPHABET:
             raise ValueError("text rendering needs alpha <= 26")
         return "".join(string.ascii_lowercase[s] for s in self.symbols)
 
-    def __str__(self):
-        return self.to_text()
+    __str__ = to_text
 
 
 @dataclass(frozen=True, eq=False)
-class SaxBinning:
+class SaxBinning(Record):
     """Fitted SAX cuts: ``alpha - 1`` finite, non-decreasing breakpoints.
 
     ``mode`` is ``gaussian`` (standard-normal quantiles, data independent)
@@ -109,18 +103,18 @@ class SaxBinning:
 
     mode: str
     alpha: int
-    cuts: np.ndarray
+    cuts: np.ndarray = field(metadata={"dtype": np.float64})
     degenerate: bool = False
 
     def __post_init__(self):
         check_record(self)
         if self.mode not in SAX_MODES:
             raise ValueError(f"unknown SAX binning mode {self.mode!r}")
-        object.__setattr__(self, "cuts", _cuts(self.cuts, (self.alpha - 1,)))
+        _check_cuts(self.cuts, (self.alpha - 1,))
 
 
 @dataclass(frozen=True, eq=False)
-class McbTable:
+class McbTable(Record):
     """Per-column breakpoints for SFA quantisation.
 
     ``breakpoints`` has shape (w, alpha - 1), finite and non-decreasing by
@@ -131,11 +125,11 @@ class McbTable:
     alpha: int
     w: int
     drop_dc: bool
-    breakpoints: np.ndarray
+    breakpoints: np.ndarray = field(metadata={"dtype": np.float64})
 
     def __post_init__(self):
         check_record(self)
-        object.__setattr__(self, "breakpoints", _cuts(self.breakpoints, (self.w, self.alpha - 1)))
+        _check_cuts(self.breakpoints, (self.w, self.alpha - 1))
 
     @property
     def cuts(self) -> np.ndarray:
@@ -143,14 +137,11 @@ class McbTable:
         return self.breakpoints
 
 
-def _cuts(values, shape: tuple) -> np.ndarray:
-    """``values`` as a read-only float array of ``shape``, every cut finite and
-    each row non-decreasing, as ``digitize`` needs; raise ValueError if not."""
-    cuts = np.asarray(values, dtype=np.float64)
+def _check_cuts(cuts: np.ndarray, shape: tuple) -> None:
+    """Raise ValueError unless ``cuts`` has ``shape``, every cut finite and
+    each row non-decreasing, as ``digitize`` needs."""
     if cuts.shape != shape or not np.isfinite(cuts).all() or (np.diff(cuts, axis=-1) < 0).any():
         raise ValueError(f"binning cuts must be finite and non-decreasing, of shape {shape}, got shape {cuts.shape}")
-    cuts.flags.writeable = False
-    return cuts
 
 
 def check_alphabets(*alphas: int) -> None:

@@ -18,7 +18,8 @@ PACKAGE = Path(coeye.__file__).parent
 PYPROJECT = PACKAGE.parent.parent / "pyproject.toml"
 CHINATOWN_TRAIN = Path(__file__).parent / "data" / "ucr" / "Chinatown_TRAIN.tsv"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "coeye"}
-# the modules that read the model file; ``forest.py`` reads a forest through ``errors.model_record``
+# the modules that read the model file's fields: ``ensemble.py`` maps the file to records through
+# ``errors.model_record``, and every record, the forest included, checks its fields through ``errors.check_record``
 MODEL_READERS = {"ensemble.py", "errors.py"}
 
 

@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 
 from coeye import forest, lenses
 from coeye.ensemble import _json_default
-from coeye.errors import EmptyTrainingSet, FeatureMismatch
+from coeye.errors import EmptyTrainingSet, FeatureMismatch, model_record
 from coeye.forest import (
+    RandomForestModel,
     _batches,
     _ForestSpec,
     fit_forest,
     fit_forests,
-    forest_from_dict,
     predict,
     predict_proba,
 )
@@ -27,7 +27,7 @@ from tests.forest_reference import reference_fit_forest, reference_predict_proba
 
 def reloaded(model):
     """``model`` written as the model file writes a forest, and read back."""
-    return forest_from_dict(json.loads(json.dumps(model, default=_json_default)))
+    return model_record(RandomForestModel, json.loads(json.dumps(model, default=_json_default)))
 
 
 def candidate_fixture():

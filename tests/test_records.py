@@ -1,28 +1,35 @@
-"""Every record decides each field's type by its annotation, and a model its
-rules across records, alike when built in memory and when ``load_model``
-reads them from a model file."""
+"""Every record decides each field's type by its annotation, and each array
+field's dtype by its declaration, and a model its rules across records,
+alike when built in memory and when ``load_model`` reads them from a model
+file. Every record is frozen, and so are its arrays."""
 
+import importlib
 import json
-from dataclasses import fields, replace
+import os
+import pickle
+import pkgutil
+from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import coeye
 from coeye.config import CoEyeConfig
-from coeye.data import load_ucr
+from coeye.data import Dataset, TimeSeries, load_ucr
 from coeye.ensemble import _json_default, _read_binning, load_model, save_model, train
-from coeye.errors import ModelParseError, model_record
-from coeye.forest import RandomForestModel, fit_forest, forest_from_dict
+from coeye.errors import ModelParseError, Record, model_record
+from coeye.forest import RandomForestModel, fit_forest
 from coeye.lenses import LensGrid
 from coeye.resample import SmoteReport
-from coeye.symbolic import SFA, Lens, McbTable, SaxBinning
+from coeye.symbolic import SFA, Lens, McbTable, SaxBinning, SymbolicWord
 from tests.conftest import SMALL_CONFIG
 
 CHINATOWN_TRAIN = Path(__file__).parent / "data" / "ucr" / "Chinatown_TRAIN.tsv"
 
-# a value of every kind a field may be handed
-VALUES = [True, 1, 1.0, 1.5, "1", None, 2**70, np.int64(1), np.float64(0.5), [1, 2], {1: 1}]
+# a value of every kind a field may be handed, arrays and nested lists included
+VALUES = [True, 1, 1.0, 1.5, "1", None, 2**70, np.int64(1), np.float64(0.5), [1, 2], {1: 1},
+          np.array([0.5, 1.5, 2.5]), np.array([False, True, True]), [0, 1, True], [1, 2**63], [[0, 1, 2], [3, 4, 5]]]
 
 # one record of each type; the forest reads a single feature, so every width
 # a record accepts fits its splits
@@ -43,13 +50,11 @@ READERS = {
     SaxBinning: lambda payload: _read_binning({**payload, "kind": "sax"}),
     McbTable: lambda payload: _read_binning({**payload, "kind": "mcb"}),
     SmoteReport: lambda payload: model_record(SmoteReport, payload),
-    RandomForestModel: forest_from_dict,
+    RandomForestModel: lambda payload: model_record(RandomForestModel, payload),
 }
 
-# every field but the arrays, which their records convert, and the config's
-# threads, a run setting that save_model leaves out
-FIELDS = [(base, f.name) for base in BASES for f in fields(base)
-          if f.type != "np.ndarray" and f.name != "threads"]
+# every field but the config's threads, a run setting that save_model leaves out
+FIELDS = [(base, f.name) for base in BASES for f in fields(base) if f.name != "threads"]
 
 
 def _as_json(value):
@@ -145,3 +150,99 @@ def test_a_model_refuses_in_memory_what_its_file_refuses(small_model, tmp_path, 
     bad.write_text(json.dumps(payload))
     with pytest.raises(ModelParseError):
         load_model(bad)
+
+
+def _arrays(model):
+    """Every array ``model`` holds: its labels, each binning's cuts, and every array of its pack and its forests."""
+    records = [model.packed, *(eye.forest for eye in model.eyes)]
+    return [model.class_labels, *(eye.binning.cuts for eye in model.eyes),
+            *(getattr(record, f.name) for record in records for f in fields(record) if f.type == "np.ndarray")]
+
+
+@pytest.fixture(scope="module", params=["1 worker", "2 workers", "loaded"])
+def any_model(request, small_model):
+    """The trained model at 1 worker, trained again on a real 2-worker pool, and read back from its file."""
+    model, path = small_model
+    if request.param == "2 workers":
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(os, "cpu_count", lambda: 2)
+            model = train(load_ucr(CHINATOWN_TRAIN), CoEyeConfig(seed=1, threads=2, **SMALL_CONFIG))
+    elif request.param == "loaded":
+        model = load_model(path)
+    return model
+
+
+def test_a_model_and_its_records_cannot_be_rebound(any_model):
+    model = any_model
+    for record in (model, *model.eyes, *(eye.forest for eye in model.eyes)):
+        for f in fields(record):
+            with pytest.raises(FrozenInstanceError):
+                setattr(record, f.name, getattr(record, f.name))
+    with pytest.raises(FrozenInstanceError):
+        model.packed = model.packed
+    with pytest.raises(AttributeError):
+        model.eyes.reverse()
+
+
+def test_no_array_of_a_model_can_be_written(any_model):
+    model = any_model
+    arrays = _arrays(model)
+    # the labels, 5 pack arrays, and per eye its cuts and 6 forest arrays
+    assert len(arrays) == 6 + 7 * len(model.eyes)
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = array[(0,) * array.ndim]
+    # the write that, accepted, sends routing round a loop for ever
+    left = model.eyes[0].forest.left
+    i = int(np.flatnonzero(left >= 0)[0])
+    with pytest.raises(ValueError, match="read-only"):
+        left[i] = i - 1
+
+
+@pytest.mark.parametrize("base", [*BASES, Dataset(np.zeros((2, 3)), [1, 2], "d"), TimeSeries([0.5, 1.0], 1),
+                                  SymbolicWord([0, 2, 1], 3, 3)], ids=lambda base: type(base).__name__)
+def test_an_unpickled_record_is_built_again(base):
+    # pickle restores arrays writeable unless the record rebuilds through its constructor
+    clone = pickle.loads(pickle.dumps(base))
+    for f in fields(base):
+        if f.type == "np.ndarray":
+            assert not getattr(clone, f.name).flags.writeable
+            assert np.array_equal(getattr(clone, f.name), getattr(base, f.name))
+        else:
+            assert getattr(clone, f.name) == getattr(base, f.name)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: Dataset(np.zeros((2, 3)), [0.5, 1.7]), id="fractional labels"),
+    pytest.param(lambda: Dataset(np.zeros((2, 3)), [True, False]), id="bool labels"),
+    pytest.param(lambda: Dataset(np.zeros((2, 3)), np.array([1.0, 2.0])), id="float label array"),
+    pytest.param(lambda: Dataset(np.zeros((2, 3)), [2**63, 1]), id="label past int64"),
+    pytest.param(lambda: Dataset(np.zeros((2, 3), dtype=bool), [1, 2]), id="bool series"),
+    pytest.param(lambda: TimeSeries([0.5, 1.0], label=1.5), id="fractional series label"),
+    pytest.param(lambda: TimeSeries([0.5, True]), id="bool in a series"),
+    pytest.param(lambda: SymbolicWord([0, 1.7, 2], 3, 3), id="fractional symbol"),
+    pytest.param(lambda: SymbolicWord(np.array([True, False, True]), 2, 3), id="bool symbols"),
+    pytest.param(lambda: SaxBinning("minmax", 3, [True, True]), id="bool cuts"),
+])
+def test_a_record_refuses_what_it_would_truncate(build):
+    with pytest.raises((TypeError, ValueError)):
+        build()
+
+
+def _records():
+    """Every dataclass defined under ``coeye``."""
+    for info in pkgutil.iter_modules(coeye.__path__):
+        module = importlib.import_module(f"coeye.{info.name}")
+        for value in vars(module).values():
+            if isinstance(value, type) and is_dataclass(value) and value.__module__ == module.__name__:
+                yield value
+
+
+def test_every_record_is_frozen_and_declares_its_array_dtypes():
+    records = list(_records())
+    assert {RandomForestModel, Dataset, TimeSeries, SymbolicWord} <= set(records)
+    for cls in records:
+        assert cls.__dataclass_params__.frozen and issubclass(cls, Record), cls.__name__
+        for f in fields(cls):
+            assert ("np.ndarray" in f.type) == ("dtype" in f.metadata), f"{cls.__name__}.{f.name}"
