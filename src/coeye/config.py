@@ -4,9 +4,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .errors import Record, check_record
+from .errors import Record
 from .symbolic import SAX_MODES, check_alphabets
 
 
@@ -22,10 +22,9 @@ class CoEyeConfig(Record):
     sax_mode: str = "minmax"
     smote: bool = True
     smote_k: int = 5
-    threads: int | None = None
+    threads: int | None = field(default=None, metadata={"saved": False})  # a run setting, not part of the model
 
-    def __post_init__(self):
-        check_record(self)
+    def check(self):
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if not 1 <= self.trees <= 2**32:

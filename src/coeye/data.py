@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyDataset, ParseError, RaggedData, Record, check_record
+from .errors import EmptyDataset, ParseError, RaggedData, Record
 
 DATA_EXTENSIONS = (".tsv", ".txt", ".csv")
 _SEPARATORS = {"tab": "\t", "comma": ","}
@@ -40,8 +40,7 @@ class Dataset(Record):
     y: np.ndarray = field(metadata={"dtype": np.int64})
     name: str = ""
 
-    def __post_init__(self):
-        check_record(self)
+    def check(self):
         if self.X.ndim != 2:
             raise ValueError("X must be a 2-D (n_series, n) array")
         if self.y.shape != (self.X.shape[0],):

@@ -24,7 +24,7 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -41,8 +41,7 @@ from .errors import (
     Record,
     SeriesLengthMismatch,
     UnsupportedModelVersion,
-    check_field,
-    check_record,
+    file_fields,
     model_record,
 )
 from .forest import (
@@ -87,7 +86,7 @@ class Eye(Record):
     binning: SaxBinning | McbTable
     forest: RandomForestModel
 
-    def __post_init__(self):
+    def check(self):
         lens, binning = self.lens, self.binning
         fits = (isinstance(binning, SaxBinning) if lens.s == SAX else
                 isinstance(binning, McbTable) and (binning.w, binning.drop_dc) == (lens.w, lens.drop_dc))
@@ -111,11 +110,9 @@ class CoEyeModel(Record):
     config: CoEyeConfig
     dataset_name: str = ""
     smote_report: SmoteReport | None = None
-    timings: dict = field(default_factory=dict)
+    timings: dict = field(default_factory=dict, metadata={"saved": False})  # never saved: same model, same bytes
 
-    def __post_init__(self):
-        check_record(self, "class_labels", "n", "dataset_name", "timings")  # the rest are records
-        object.__setattr__(self, "eyes", tuple(self.eyes))
+    def check(self):
         check_labels(self.class_labels)
         if self.n < 1:
             raise ValueError(f"series length n must be at least 1, got {self.n}")
@@ -387,53 +384,13 @@ def predict_dataset(model: CoEyeModel, data, representation: str = "both") -> li
     return vote(sliced, sax_count, seed=model.config.seed, class_labels=model.class_labels)
 
 
-def _json_default(obj):
-    """How ``save_model`` writes what JSON has no type for: an array or a
-    numpy scalar as its ``tolist()``, and a record, a forest's node store
-    included, as its dataclass fields (the mirror of ``model_record``)."""
-    if isinstance(obj, (np.ndarray, np.generic)):
-        return obj.tolist()
-    if isinstance(obj, Record):
-        return {f.name: getattr(obj, f.name) for f in fields(obj)}
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
 def save_model(model: CoEyeModel, path) -> None:
-    """Serialize to versioned JSON; identical models produce identical bytes.
-
-    Every record is written as its fields, except: the config leaves out
-    ``threads`` (a run setting), a binning adds its ``kind``, and SMOTE
-    labels become string keys that sort as text.
-    """
-    config = _json_default(model.config)
-    del config["threads"]
-    report = model.smote_report and {
-        key: {str(label): n for label, n in value.items()} if isinstance(value, dict) else value
-        for key, value in _json_default(model.smote_report).items()
-    }
-    payload = {
-        "format_version": MODEL_FORMAT_VERSION,
-        "library_version": __version__,
-        "dataset_name": model.dataset_name,
-        "n": model.n,
-        "class_labels": model.class_labels,
-        "config": config,
-        "smote_report": report,
-        "eyes": [
-            {"lens": eye.lens, "forest": eye.forest,
-             "binning": {"kind": "sax" if isinstance(eye.binning, SaxBinning) else "mcb", **_json_default(eye.binning)}}
-            for eye in model.eyes
-        ],
-    }
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=_json_default)
+    """Serialize to versioned JSON, each record as ``errors.file_fields``
+    writes it; identical models produce identical bytes."""
+    payload = {"format_version": MODEL_FORMAT_VERSION, "library_version": __version__, **file_fields(model)}
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=np.ndarray.tolist)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
-
-
-def _read_binning(payload: dict) -> SaxBinning | McbTable:
-    if payload["kind"] not in ("sax", "mcb"):
-        raise ModelParseError(f"unknown binning kind {payload['kind']!r}")
-    return model_record(SaxBinning if payload["kind"] == "sax" else McbTable, payload)
 
 
 def load_model(path) -> CoEyeModel:
@@ -444,25 +401,17 @@ def load_model(path) -> CoEyeModel:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ModelParseError(f"{path}: not a valid model file ({exc})") from None
     if not isinstance(payload, dict) or "format_version" not in payload:
         raise ModelParseError(f"{path}: missing format_version")
     try:
-        version = check_field("format_version", payload["format_version"], "int")
+        version = payload["format_version"]
+        if type(version) is not int:
+            raise ModelParseError(f"format_version must be an integer, got {version!r}")
         if version != MODEL_FORMAT_VERSION:
             raise UnsupportedModelVersion(f"{path}: format version {version}, expected {MODEL_FORMAT_VERSION}")
-        report = payload["smote_report"]
-        return CoEyeModel(
-            eyes=[Eye(model_record(Lens, e["lens"]), _read_binning(e["binning"]),
-                      model_record(RandomForestModel, e["forest"])) for e in payload["eyes"]],
-            class_labels=payload["class_labels"],
-            n=payload["n"],
-            # save_model leaves out the config's threads, a run setting
-            config=model_record(CoEyeConfig, {**payload["config"], "threads": None}),
-            dataset_name=payload["dataset_name"],
-            smote_report=None if report is None else model_record(SmoteReport, report),
-        )
+        return model_record(CoEyeModel, payload)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelParseError(f"{path}: malformed model payload ({exc})") from None
     except ModelParseError as exc:

@@ -1,9 +1,11 @@
-"""Exception and warning types, the records' base and field rule, and the model file's reader."""
+"""Exception and warning types, the records' base and field rule, and the mapping between records and the model file."""
 
 from dataclasses import fields
 from functools import cache
 from itertools import chain
 from numbers import Integral, Real
+from types import MappingProxyType, NoneType, UnionType
+from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -96,59 +98,94 @@ def _is_int(value) -> bool:
     return type(value) is int or isinstance(value, Integral) and not isinstance(value, bool)
 
 
-# what a record field of each annotation holds, beside the ``None`` that
-# ``| None`` allows: a bool counts as no number; a plain int or float skips the slow ABC isinstance
-_FIELD_RULES = {
-    "int": _is_int,
-    "bool": lambda v: isinstance(v, bool),
-    "float": lambda v: type(v) is float or isinstance(v, Real) and not isinstance(v, bool),
-    "str": lambda v: isinstance(v, str),
-    "tuple[int, ...]": lambda v: isinstance(v, tuple) and all(map(_is_int, v)),
-    "dict[int, int]": lambda v: isinstance(v, dict) and all(map(_is_int, (*v, *v.values()))),
-    "dict": lambda v: isinstance(v, dict),
-    "range": lambda v: isinstance(v, range),
-    # an ndarray, list or tuple, which ``model_array`` makes an array of the dtype the field declares
-    "np.ndarray": lambda v: isinstance(v, (np.ndarray, list, tuple)),
+# the classes whose values ``isinstance`` alone misjudges: a bool counts as no number,
+# and a plain int or float skips the slow ABC isinstance
+_TYPE_RULES = {
+    int: _is_int,
+    float: lambda v: type(v) is float or isinstance(v, Real) and not isinstance(v, bool),
 }
 
 
-def check_field(name: str, value, annotation: str):
-    """``value``, if it holds what ``_FIELD_RULES`` allows for ``annotation``; raise TypeError if not."""
-    kind = annotation.removesuffix(" | None")
-    if not (value is None and kind != annotation or _FIELD_RULES[kind](value)):
-        raise TypeError(f"{name} must be {annotation}, got {value!r}")
-    return value
+def _accepts(*types):
+    """Whether a value, not None, is of one of ``types``: by ``_TYPE_RULES``, or else by ``isinstance``."""
+    rules = [_TYPE_RULES.get(t) or (lambda v, t=t: isinstance(v, t)) for t in types]
+    return rules[0] if len(rules) == 1 else lambda v: any(rule(v) for rule in rules)
+
+
+class _Field(NamedTuple):
+    """How records check one field, and how the model file holds it."""
+
+    name: str
+    label: str  # ``Class.field``
+    annotation: str
+    optional: bool  # None is allowed
+    accepts: Callable  # whether a value other than None is of the field's type
+    convert: Callable | None  # what the record holds for an accepted value, if not the value itself
+    records: tuple  # the record classes the field holds, alone or in a tuple
+    saved: bool  # whether the model file holds the field; if not, it reads as its default
+
+
+def _field(cls, f, hint) -> _Field:
+    label, convert = f"{cls.__name__}.{f.name}", None
+    types = tuple(t for t in (get_args(hint) if isinstance(hint, UnionType) else (hint,)) if t is not NoneType)
+    origin, args = get_origin(types[0]), get_args(types[0])
+    if "dtype" in f.metadata:  # an ndarray, list or tuple, held as an array of the declared dtype
+        accepts = lambda v: isinstance(v, (np.ndarray, list, tuple))
+        convert = lambda v: model_array(v, label, f.metadata["dtype"])
+    elif origin is tuple:  # tuple[int, ...] or tuple[Eye, ...]: a list is held as a tuple
+        types, convert, item = args[:1], tuple, _accepts(args[0])
+        accepts = lambda v: isinstance(v, (tuple, list)) and all(map(item, v))
+    elif dict in (origin, types[0]):  # dict or dict[int, int], held as a read-only copy
+        key, value = map(_accepts, args or (object, object))
+        accepts = lambda v: isinstance(v, (dict, MappingProxyType)) and all(map(key, v)) and all(map(value, v.values()))
+        convert = lambda v: MappingProxyType(dict(v))
+    else:
+        accepts = _accepts(*types)
+    records = tuple(t for t in types if isinstance(t, type) and issubclass(t, Record))
+    return _Field(f.name, label, f.type, NoneType in get_args(hint), accepts, convert, records,
+                  f.metadata.get("saved", True))
 
 
 @cache
-def _fields(cls, names: tuple) -> list:
-    """The fields of record class ``cls``, or those ``names``, with qualified names, worked out once per class."""
-    return [(f, f"{cls.__name__}.{f.name}") for f in fields(cls) if not names or f.name in names]
+def _fields(cls) -> tuple[_Field, ...]:
+    """Each field of record class ``cls``, worked out once from its resolved annotations."""
+    hints = get_type_hints(cls)
+    return tuple(_field(cls, f, hints[f.name]) for f in fields(cls))
 
 
-def check_record(record, *names: str) -> None:
-    """Check each field of ``record``, or each one named, against its annotation
-    by ``check_field``'s rule, and make each array field ``model_array``'s new
-    read-only array of the dtype in the field's ``metadata``. Every record calls
-    this first, whether it is built in memory or read from a model file, so both
-    refuse the same values."""
-    for f, name in _fields(type(record), names):
+def check_record(record) -> None:
+    """Check each field of ``record`` against its annotation, and hold an array
+    field as ``model_array``'s read-only array of its declared dtype, a tuple
+    field as a tuple and a dict field as a read-only copy. Every record runs
+    this when built, in memory or from a model file, so both refuse alike."""
+    for f in _fields(type(record)):
         value = getattr(record, f.name)
-        check_field(name, value, f.type)
-        if value is not None and "dtype" in f.metadata:
-            object.__setattr__(record, f.name, model_array(value, name, f.metadata["dtype"]))
+        if value is None and f.optional:
+            continue
+        if not f.accepts(value):
+            raise TypeError(f"{f.label} must be {f.annotation}, got {value!r}")
+        if f.convert is not None:
+            object.__setattr__(record, f.name, f.convert(value))
 
 
 class Record:
-    """Base of every record: a frozen dataclass, checked by ``check_record`` when
-    built unless its ``__post_init__`` says otherwise, and built again when copied
-    or unpickled, as pickle would restore its arrays writeable and unchecked."""
+    """Base of every record: a frozen dataclass, checked by ``check_record`` and
+    then by its own ``check`` when built, and built again when copied or
+    unpickled, as pickle would restore its arrays writeable and unchecked."""
+
+    # the name the model file gives a record of a field that holds records of several classes
+    kind = None
 
     def __post_init__(self):
         check_record(self)
+        self.check()
+
+    def check(self) -> None:
+        """Raise ValueError unless the fields, each of its type, hold together."""
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+        values = (getattr(self, f.name) for f in fields(self))
+        return type(self), tuple(dict(v) if isinstance(v, MappingProxyType) else v for v in values)
 
 
 def model_array(values, key: str, dtype: type) -> np.ndarray:
@@ -175,24 +212,44 @@ def model_array(values, key: str, dtype: type) -> np.ndarray:
     return converted
 
 
-def model_record(cls, payload: dict):
-    """A record from its model-file form, the mirror of ``ensemble._json_default``.
+def file_fields(record) -> dict:
+    """``record``'s saved fields in model-file form, the mirror of ``model_record``,
+    and its ``kind`` if it has one: a record as its fields, a tuple as a list, a
+    dict with text labels; arrays stay, for ``save_model``'s encoder to list one by one."""
+    payload = {f.name: _written(getattr(record, f.name)) for f in _fields(type(record)) if f.saved}
+    return payload if record.kind is None else {**payload, "kind": record.kind}
 
-    Each field gets the Python value of its JSON: a list becomes a tuple,
-    and a count table's ``str(label)`` keys, as ``save_model`` wrote them,
-    become ints. The record itself then checks every type and range, and
-    makes each array field an array of the dtype it declares, as it does
-    when built in memory. A missing field is refused, never filled from its
-    default; a key that is no field is ignored.
-    """
-    values = {}
-    for f in fields(cls):
-        value = payload[f.name]
-        if isinstance(value, list):
-            value = tuple(value)
-        elif isinstance(value, dict):
-            if any(str(int(label)) != label for label in value):
-                raise ModelParseError(f"{f.name} class labels must be written as integers, got {list(value)}")
-            value = {int(label): n for label, n in value.items()}
-        values[f.name] = value
-    return cls(**values)
+
+def _written(value):
+    if isinstance(value, Record):
+        return file_fields(value)
+    if isinstance(value, tuple):
+        return [_written(v) for v in value]
+    if isinstance(value, MappingProxyType):
+        return {str(label): _written(v) for label, v in value.items()}
+    return value.tolist() if isinstance(value, np.generic) else value
+
+
+def model_record(cls, payload: dict):
+    """A record of class ``cls`` from its model-file form, the mirror of
+    ``file_fields``: a field of records reads each object as its record class,
+    by the object's ``kind`` where the field holds several, and a dict's text
+    labels become ints; the record then checks itself as in memory. A missing
+    field is refused, but one never saved takes its default."""
+    return cls(**{f.name: _read(f, payload[f.name]) for f in _fields(cls) if f.saved})
+
+
+def _read(f: _Field, value):
+    if f.records and isinstance(value, list):
+        return [_read(f, item) if isinstance(item, dict) else item for item in value]
+    if f.records and isinstance(value, dict):
+        kinds = {record.kind: record for record in f.records}
+        kind = value.get("kind") if len(kinds) > 1 else f.records[0].kind
+        if kind not in kinds:
+            raise ModelParseError(f"{f.label}: unknown kind {kind!r}, expected one of {list(kinds)}")
+        return model_record(kinds[kind], value)
+    if isinstance(value, dict):
+        if any(str(int(label)) != label for label in value):
+            raise ModelParseError(f"{f.name} class labels must be written as integers, got {list(value)}")
+        return {int(label): n for label, n in value.items()}
+    return value

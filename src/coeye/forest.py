@@ -63,7 +63,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import EmptyTrainingSet, FeatureMismatch, Record, check_record
+from .errors import EmptyTrainingSet, FeatureMismatch, Record
 from .stream import Streams
 
 _MIN_DECREASE = 1e-12
@@ -126,8 +126,7 @@ class RandomForestModel(Record):
     n_features: int
     seed: int
 
-    def __post_init__(self):
-        check_record(self)
+    def check(self):
         check_labels(self.class_labels)
         if self.n_features < 1:
             raise ValueError(f"a forest reads at least one feature, got n_features={self.n_features}")

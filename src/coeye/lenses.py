@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import CoEyeConfig
 from .data import Dataset
-from .errors import NoFeasibleLens, Record, check_record
+from .errors import NoFeasibleLens, Record
 from .forest import BATCH_SLOTS, fit_forests, predict
 from .symbolic import SAX, SFA, Lens, check_alphabets, fit_lens, word_fits
 
@@ -53,8 +53,7 @@ class LensGrid(Record):
     sfa_word_lengths: tuple[int, ...] | None = CoEyeConfig.sfa_word_lengths
     folds: int = CoEyeConfig.folds
 
-    def __post_init__(self):
-        check_record(self)
+    def check(self):
         if not 2 <= self.folds < 2**63:
             raise ValueError("folds must be at least 2 and below 2**63: one fold holds no row out, ids are int64")
         check_alphabets(*self.sax_alphas, *self.sfa_alphas)
@@ -64,22 +63,21 @@ class LensGrid(Record):
         return LensGrid(**{f.name: getattr(config, f.name) for f in fields(LensGrid)})
 
     def sax_pairs(self, n: int) -> list[tuple[int, int]]:
-        if self.sax_word_lengths is None:
-            words = [min(n, 128)]
-        else:
-            words = [w for w in self.sax_word_lengths if word_fits(SAX, w, n)]
-        return [(a, w) for a in sorted(self.sax_alphas) for w in sorted(words)]
+        words = [min(n, 128)] if self.sax_word_lengths is None else self.sax_word_lengths
+        return _feasible_pairs(SAX, self.sax_alphas, words, n)
 
     def sfa_pairs(self, n: int) -> list[tuple[int, int]]:
-        if self.sfa_word_lengths is None:
-            words = list(range(10, min(130, n) + 1, 10))
-        else:
-            words = list(self.sfa_word_lengths)
-        words = [w for w in words if word_fits(SFA, w, n)]
-        return [(a, w) for a in sorted(self.sfa_alphas) for w in sorted(words)]
+        words = range(10, min(130, n) + 1, 10) if self.sfa_word_lengths is None else self.sfa_word_lengths
+        return _feasible_pairs(SFA, self.sfa_alphas, words, n)
 
     def pairs(self, representation: int, n: int) -> list[tuple[int, int]]:
         return self.sax_pairs(n) if representation == SAX else self.sfa_pairs(n)
+
+
+def _feasible_pairs(s: int, alphas, words, n: int) -> list[tuple[int, int]]:
+    """Each (alpha, w) pair once, in sorted order, whose word fits series of length ``n``."""
+    fitting = sorted({w for w in words if word_fits(s, w, n)})
+    return [(a, w) for a in sorted(set(alphas)) for w in fitting]
 
 
 def _rep_flag(representation) -> int:

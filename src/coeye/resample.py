@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import NoMinorityClass, Record, check_record
+from .errors import NoMinorityClass, Record
 
 # float64 elements of the difference tensor held at once by the neighbour search
 NEIGHBOR_BLOCK = 1 << 22
@@ -29,8 +29,7 @@ class SmoteReport(Record):
     added_counts: dict[int, int]
     smote_percentage: float
 
-    def __post_init__(self):
-        check_record(self)
+    def check(self):
         if self.original_counts.keys() != self.added_counts.keys():
             raise ValueError("original_counts and added_counts must name the same classes")
         if any(n < 0 for n in (*self.original_counts.values(), *self.added_counts.values())):
@@ -40,7 +39,7 @@ class SmoteReport(Record):
 
     @staticmethod
     def empty(counts: dict[int, int]) -> "SmoteReport":
-        return SmoteReport(dict(counts), {c: 0 for c in counts}, 0.0)
+        return SmoteReport(counts, {c: 0 for c in counts}, 0.0)
 
 
 def _nearest_neighbors(points: np.ndarray, k: int) -> np.ndarray:
@@ -102,5 +101,5 @@ def smote(train: Dataset, k: int = 5, seed: int = 0) -> tuple[Dataset, SmoteRepo
     X = np.vstack([train.X] + synth_rows)
     y = np.concatenate([train.y, np.asarray(synth_labels, dtype=np.int64)])
     total_added = sum(added.values())
-    report = SmoteReport(dict(counts), added, total_added / len(train))
+    report = SmoteReport(counts, added, total_added / len(train))
     return Dataset(X, y, name=train.name), report

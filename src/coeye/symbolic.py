@@ -37,7 +37,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .data import Dataset, TimeSeries, znormalize_rows
-from .errors import DegenerateBinning, EqualDepthDegenerate, InvalidWordSize, Record, check_record
+from .errors import DegenerateBinning, EqualDepthDegenerate, InvalidWordSize, Record
 
 MAX_ALPHABET = 26
 SAX_MODES = ("minmax", "gaussian")
@@ -60,8 +60,7 @@ class Lens(Record):
     drop_dc: bool = False
     cv_accuracy: float = 0.0
 
-    def __post_init__(self):
-        check_record(self)
+    def check(self):
         if self.s not in (SAX, SFA):
             raise ValueError("representation flag must be 0 (SAX) or 1 (SFA)")
         check_alphabets(self.alpha)
@@ -105,9 +104,9 @@ class SaxBinning(Record):
     alpha: int
     cuts: np.ndarray = field(metadata={"dtype": np.float64})
     degenerate: bool = False
+    kind = "sax"
 
-    def __post_init__(self):
-        check_record(self)
+    def check(self):
         if self.mode not in SAX_MODES:
             raise ValueError(f"unknown SAX binning mode {self.mode!r}")
         _check_cuts(self.cuts, (self.alpha - 1,))
@@ -126,9 +125,9 @@ class McbTable(Record):
     w: int
     drop_dc: bool
     breakpoints: np.ndarray = field(metadata={"dtype": np.float64})
+    kind = "mcb"
 
-    def __post_init__(self):
-        check_record(self)
+    def check(self):
         _check_cuts(self.breakpoints, (self.w, self.alpha - 1))
 
     @property

@@ -167,6 +167,15 @@ class TestPredict:
         code = main(["predict", "--model", str(trained), "--input", str(path)])
         assert code == 4
 
+    def test_deeply_nested_model_exit_2(self, trained, tmp_path, capsys):
+        # it exited 1 with a RecursionError traceback
+        model = tmp_path / "nested.json"
+        model.write_text("[" * 100_000 + "]" * 100_000)
+        series = tmp_path / "series.tsv"
+        series.write_text("\t".join(["0.5"] * 32) + "\n")
+        assert main(["predict", "--model", str(model), "--input", str(series)]) == 2
+        assert "not a valid model file" in capsys.readouterr().err
+
     def test_no_input_exit_2(self, trained, capsys, monkeypatch):
         monkeypatch.delenv("COEYE_DATA_DIR", raising=False)
         code = main(["predict", "--model", str(trained)])

@@ -18,8 +18,8 @@ PACKAGE = Path(coeye.__file__).parent
 PYPROJECT = PACKAGE.parent.parent / "pyproject.toml"
 CHINATOWN_TRAIN = Path(__file__).parent / "data" / "ucr" / "Chinatown_TRAIN.tsv"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "coeye"}
-# the modules that read the model file's fields: ``ensemble.py`` maps the file to records through
-# ``errors.model_record``, and every record, the forest included, checks its fields through ``errors.check_record``
+# the modules that know the model file's fields: ``ensemble.py`` maps records to the file and back through
+# ``errors.file_fields`` and ``errors.model_record``, and every record checks its fields through ``errors.check_record``
 MODEL_READERS = {"ensemble.py", "errors.py"}
 
 
@@ -54,7 +54,7 @@ def referenced_names(path):
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_only_the_model_reader_reads_model_fields(path):
-    used = referenced_names(path) & {"check_field", "model_array"}
+    used = referenced_names(path) & {"model_array", "model_record", "file_fields"}
     assert not used or path.name in MODEL_READERS
 
 

@@ -610,6 +610,13 @@ class TestPersistence:
         with pytest.raises(ModelParseError):
             load_model(path)
 
+    def test_deeply_nested_file_rejected(self, tmp_path):
+        # json.load gave up with RecursionError, an untyped error
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(ModelParseError, match="not a valid model file"):
+            load_model(path)
+
     def test_missing_version_rejected(self, tmp_path):
         path = tmp_path / "noversion.json"
         path.write_text(json.dumps({"eyes": []}))

@@ -10,8 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coeye import forest, lenses
-from coeye.ensemble import _json_default
-from coeye.errors import EmptyTrainingSet, FeatureMismatch, model_record
+from coeye.errors import EmptyTrainingSet, FeatureMismatch, file_fields, model_record
 from coeye.forest import (
     RandomForestModel,
     _batches,
@@ -27,7 +26,7 @@ from tests.forest_reference import reference_fit_forest, reference_predict_proba
 
 def reloaded(model):
     """``model`` written as the model file writes a forest, and read back."""
-    return model_record(RandomForestModel, json.loads(json.dumps(model, default=_json_default)))
+    return model_record(RandomForestModel, json.loads(json.dumps(file_fields(model), default=np.ndarray.tolist)))
 
 
 def candidate_fixture():
@@ -233,7 +232,7 @@ class TestSerialization:
     def test_file_holds_the_node_store_as_it_is(self):
         X, y = separable_fixture(seed=2)
         model = fit_forest(X, y, n_trees=6, seed=1)
-        written = json.loads(json.dumps(model, default=_json_default))
+        written = json.loads(json.dumps(file_fields(model), default=np.ndarray.tolist))
         assert set(written) == {"feature", "threshold", "left", "counts", "tree_sizes", "class_labels", "n_features",
                                 "seed"}
         assert written["tree_sizes"] == model.tree_sizes.tolist()

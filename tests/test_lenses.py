@@ -1,10 +1,13 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coeye import CoEyeConfig, Dataset, search_lenses, search_lenses_random
-from coeye.errors import NoFeasibleLens
+from coeye import CoEyeConfig, Dataset, load_ucr, search_lenses, search_lenses_random, train
+from coeye.errors import NoFeasibleLens, file_fields
 from coeye.lenses import (
     SAX,
     SFA,
@@ -76,6 +79,21 @@ class TestGrid:
     def test_sax_words_filtered_to_feasible(self):
         grid = LensGrid(sax_alphas=(3,), sax_word_lengths=(4, 99))
         assert grid.sax_pairs(8) == [(3, 4)]
+
+    def test_repeated_entries_give_each_pair_once(self):
+        grid = LensGrid(sax_alphas=(4, 3, 4), sax_word_lengths=(8, 4, 8), sfa_alphas=(3, 3), sfa_word_lengths=(6, 6))
+        assert grid.sax_pairs(8) == [(3, 4), (3, 8), (4, 4), (4, 8)]
+        assert grid.sfa_pairs(8) == [(3, 6)]
+
+    def test_a_grid_with_repeats_trains_the_eyes_of_the_grid_without(self):
+        # the repeats trained each of their eyes twice, so the vote counted those lenses twice
+        chinatown = load_ucr(Path(__file__).parent / "data" / "ucr" / "Chinatown_TRAIN.tsv")
+        eyes = [
+            [json.dumps(file_fields(eye), default=np.ndarray.tolist) for eye in train(chinatown, CoEyeConfig(
+                seed=1, trees=10, threads=1, sax_alphas=alphas, sfa_word_lengths=words, sfa_alphas=(4,))).eyes]
+            for alphas, words in [((3, 3), (10, 10)), ((3,), (10,))]
+        ]
+        assert len(eyes[0]) == 2 and eyes[0] == eyes[1]
 
     def test_defaults_are_the_config_defaults(self):
         assert LensGrid() == LensGrid.from_config(CoEyeConfig())

@@ -1,7 +1,7 @@
 """Every record decides each field's type by its annotation, and each array
 field's dtype by its declaration, and a model its rules across records,
 alike when built in memory and when ``load_model`` reads them from a model
-file. Every record is frozen, and so are its arrays."""
+file. Every record is frozen, and so are its arrays and its dicts."""
 
 import importlib
 import json
@@ -17,8 +17,8 @@ import pytest
 import coeye
 from coeye.config import CoEyeConfig
 from coeye.data import Dataset, TimeSeries, load_ucr
-from coeye.ensemble import _json_default, _read_binning, load_model, save_model, train
-from coeye.errors import ModelParseError, Record, model_record
+from coeye.ensemble import Eye, load_model, save_model, train
+from coeye.errors import ModelParseError, Record, file_fields, model_record
 from coeye.forest import RandomForestModel, fit_forest
 from coeye.lenses import LensGrid
 from coeye.resample import SmoteReport
@@ -43,23 +43,14 @@ BASES = [
     fit_forest(np.array([[0], [1], [0], [1]]), np.array([1, 2, 1, 2]), n_trees=2, seed=0),
 ]
 
-# how load_model reads each model-file record from its fields
-READERS = {
-    CoEyeConfig: lambda payload: model_record(CoEyeConfig, {**payload, "threads": None}),
-    Lens: lambda payload: model_record(Lens, payload),
-    SaxBinning: lambda payload: _read_binning({**payload, "kind": "sax"}),
-    McbTable: lambda payload: _read_binning({**payload, "kind": "mcb"}),
-    SmoteReport: lambda payload: model_record(SmoteReport, payload),
-    RandomForestModel: lambda payload: model_record(RandomForestModel, payload),
-}
-
-# every field but the config's threads, a run setting that save_model leaves out
-FIELDS = [(base, f.name) for base in BASES for f in fields(base) if f.name != "threads"]
+# every field the model file holds: not the config's threads, a run setting
+FIELDS = [(base, f.name) for base in BASES for f in fields(base) if f.metadata.get("saved", True)]
 
 
 def _as_json(value):
-    """``value`` as ``save_model`` writes it and ``json`` parses it back."""
-    return json.loads(json.dumps(value, default=_json_default))
+    """``value`` as ``save_model`` writes it and ``json`` parses it back: a record by ``file_fields``."""
+    return json.loads(json.dumps(file_fields(value) if isinstance(value, Record) else value,
+                                 default=lambda v: v.tolist()))
 
 
 def _built(record, **changes):
@@ -75,7 +66,6 @@ def test_a_record_refuses_in_memory_what_the_file_refuses(base, field):
     # load_model's checks across records (a lens against its binning and its
     # forest, the config's trees against each forest) are no single record's
     # to make, so each record is written and read back on its own
-    annotation = {f.name: f.type for f in fields(base)}[field]
     disagreements = []
     for value in VALUES:
         record = _built(base, **{field: value})
@@ -87,16 +77,12 @@ def test_a_record_refuses_in_memory_what_the_file_refuses(base, field):
         payload = _as_json(base)
         payload[field] = _as_json(value)
         try:
-            loaded = READERS[type(base)](payload)
+            loaded = model_record(type(base), payload)
         except (TypeError, ValueError, ModelParseError):
             loaded = None
-        if record is None:
-            # the file writes a tuple as a list, so there a list reads as a tuple
-            agree = loaded is None or isinstance(value, list) and annotation.startswith("tuple")
-        else:
-            # read back equal: written again, it gives the same bytes
-            agree = loaded is not None and json.dumps(loaded, default=_json_default) == json.dumps(
-                record, default=_json_default)
+        # read back equal: written again, it gives the same bytes
+        agree = loaded is None if record is None else loaded is not None and json.dumps(
+            _as_json(loaded)) == json.dumps(_as_json(record))
         if not agree:
             disagreements.append((value, record, loaded))
     assert disagreements == []
@@ -200,6 +186,55 @@ def test_no_array_of_a_model_can_be_written(any_model):
         left[i] = i - 1
 
 
+def test_no_dict_of_a_model_can_be_written(any_model, tmp_path):
+    # an edited count was saved into a file that load_model refused
+    model = any_model
+    with pytest.raises(TypeError):
+        model.smote_report.original_counts[1] = -5
+    with pytest.raises(AttributeError):
+        model.smote_report.added_counts.clear()
+    with pytest.raises(TypeError):
+        model.timings["total"] = 0.0
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    assert load_model(path).smote_report == model.smote_report
+
+
+# a field that holds records given something else, in memory and in the model file
+RECORD_FIELD_EDITS = [
+    pytest.param(lambda m: Eye("x", m.eyes[0].binning, m.eyes[0].forest),
+                 lambda p: p["eyes"][0].update(lens="x"), id="lens"),
+    pytest.param(lambda m: replace(m.eyes[0], binning=m.eyes[0].lens),
+                 lambda p: p["eyes"][0].update(binning=[1, 2]), id="binning"),
+    pytest.param(lambda m: replace(m.eyes[0], forest=None),
+                 lambda p: p["eyes"][0].update(forest=None), id="forest"),
+    pytest.param(lambda m: replace(m, eyes=m.eyes[0]), lambda p: p.update(eyes=p["eyes"][0]), id="eyes, one eye"),
+    pytest.param(lambda m: replace(m, eyes=[*m.eyes, m.eyes[0].lens]), lambda p: p["eyes"].append(5),
+                 id="eyes, one no eye"),
+    pytest.param(lambda m: replace(m, config=dict(m.config.__dict__)), lambda p: p.update(config=7), id="config"),
+    pytest.param(lambda m: replace(m, smote_report={}), lambda p: p.update(smote_report=[]), id="smote_report"),
+]
+
+
+@pytest.mark.parametrize("edit_model, edit_file", RECORD_FIELD_EDITS)
+def test_a_field_of_records_refuses_any_other_value(small_model, tmp_path, edit_model, edit_file):
+    model, path = small_model
+    with pytest.raises(TypeError, match="must be"):
+        edit_model(model)
+    payload = json.loads(path.read_text())
+    edit_file(payload)
+    bad = tmp_path / "edited.json"
+    bad.write_text(json.dumps(payload))
+    with pytest.raises(ModelParseError):
+        load_model(bad)
+
+
+def test_a_list_for_a_tuple_field_is_held_as_a_tuple(small_model):
+    model, _ = small_model
+    assert replace(model, eyes=list(model.eyes)).eyes == model.eyes
+    assert CoEyeConfig(sax_alphas=[3, 4]).sax_alphas == (3, 4)
+
+
 @pytest.mark.parametrize("base", [*BASES, Dataset(np.zeros((2, 3)), [1, 2], "d"), TimeSeries([0.5, 1.0], 1),
                                   SymbolicWord([0, 2, 1], 3, 3)], ids=lambda base: type(base).__name__)
 def test_an_unpickled_record_is_built_again(base):
@@ -211,6 +246,7 @@ def test_an_unpickled_record_is_built_again(base):
             assert np.array_equal(getattr(clone, f.name), getattr(base, f.name))
         else:
             assert getattr(clone, f.name) == getattr(base, f.name)
+            assert type(getattr(clone, f.name)) is type(getattr(base, f.name))
 
 
 @pytest.mark.parametrize("build", [
@@ -244,5 +280,7 @@ def test_every_record_is_frozen_and_declares_its_array_dtypes():
     assert {RandomForestModel, Dataset, TimeSeries, SymbolicWord} <= set(records)
     for cls in records:
         assert cls.__dataclass_params__.frozen and issubclass(cls, Record), cls.__name__
+        # its own rules go in ``check``, which ``Record.__post_init__`` runs after the field rule
+        assert "__post_init__" not in vars(cls), cls.__name__
         for f in fields(cls):
             assert ("np.ndarray" in f.type) == ("dtype" in f.metadata), f"{cls.__name__}.{f.name}"
