@@ -29,7 +29,7 @@ from .errors import (
 )
 from .evaluate import BENCHMARK_MODES, find_split, run_benchmark
 from .lenses import _rep_flag
-from .symbolic import SAX_MODES, Lens, SymbolicWord, fit_lens
+from .symbolic import SAX_MODES, Lens, SymbolicWord, fit_lenses
 
 # exit codes of the error types that do not exit with 2
 _EXIT_CODES = {
@@ -184,7 +184,7 @@ def cmd_transform(args) -> int:
     if not 0 <= args.index < len(train_set):
         raise ValueError(f"--index {args.index} outside dataset with {len(train_set)} series")
     lens = Lens(_rep_flag(args.rep), args.alpha, args.w, args.drop_dc)
-    _, symbols = fit_lens(train_set.X, lens, args.sax_mode)
+    ((_, symbols),) = fit_lenses(train_set.X, [lens], args.sax_mode)
     print(SymbolicWord(symbols[args.index], lens.alpha, lens.w).to_text())
     return 0
 

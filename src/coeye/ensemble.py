@@ -1,13 +1,13 @@
 """The compound-eye classifier: one forest per selected lens.
 
 Training balances the data, picks the lens sets by cross-validated search
-(SFA lenses keep the DC window), then fits one binning + forest pair per
-lens (SAX eyes first), all on one worker pool. Training and
-serving reject NaN and infinite values. Serving is one pass over the
-whole model: the rows are znormalized once, each distinct word is built
-once and digitized per eye, the trees of all eyes are routed together,
-and the per-eye class-probability rows of each series, a (k, c) matrix,
-go to a two-round vote that handles all rows at once:
+(SFA lenses keep the DC window), fits the kept lenses with one
+``fit_lenses`` call, then grows one forest per lens (SAX eyes first), all
+on one worker pool. Training and serving reject NaN and infinite values.
+Serving is one pass over the whole model: ``symbolize`` sets every eye's
+symbols side by side, the trees of all eyes are routed together, and the
+per-eye class-probability rows of each series, a (k, c) matrix, go to a
+two-round vote that handles all rows at once:
 
 * round 1 — each representation nominates the label of its most confident
   row (most frequent on ties at that confidence); agreement decides.
@@ -26,6 +26,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -66,7 +67,7 @@ from .lenses import (
     search_lenses_random,
 )
 from .resample import SmoteReport, smote
-from .symbolic import McbTable, SaxBinning, digitize, fit_lens, lens_words, word_fits
+from .symbolic import McbTable, SaxBinning, fit_lenses, symbolize, word_fits
 
 MODEL_FORMAT_VERSION = 3
 
@@ -161,18 +162,12 @@ def _require_finite(X: np.ndarray) -> None:
         raise NonFiniteSeries(f"series {int(np.argmax(bad))} holds NaN or infinite values")
 
 
-def _fit_eye(task) -> Eye:
-    """Fit one lens's forest; module-level so worker processes can pickle it."""
-    lens, binning, symbols, y, trees, seed = task
-    return Eye(lens, binning, fit_forest(symbols, y, n_trees=trees, seed=seed))
-
-
 def eye_probabilities(model: CoEyeModel, X) -> np.ndarray:
     """Per-eye class probabilities for each row: shape (rows, k, c).
 
-    A 1-D ``X`` is one row. The rows are znormalized once, each distinct
-    word is built once and digitized against each eye's binning, and the
-    trees of every eye are routed in one walk over the model's pack.
+    A 1-D ``X`` is one row. ``symbolize`` sets every eye's symbols side by
+    side, as the model's pack reads them, and the trees of every eye are
+    routed in one walk over the pack.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:
@@ -180,13 +175,8 @@ def eye_probabilities(model: CoEyeModel, X) -> np.ndarray:
     if X.ndim != 2 or X.shape[1] != model.n:
         raise SeriesLengthMismatch(f"expected series of length {model.n}, got an array of shape {X.shape}")
     _require_finite(X)
-    packed = model.packed
-    symbols = np.empty((X.shape[0], packed.n_features), dtype=np.int64)
-    col = 0
-    for eye, words in zip(model.eyes, lens_words(X, [eye.lens for eye in model.eyes])):
-        symbols[:, col:col + eye.forest.n_features] = digitize(words, eye.binning.cuts)
-        col += eye.forest.n_features
-    return predict_packed(packed, symbols)
+    symbols = symbolize(X, [eye.lens for eye in model.eyes], [eye.binning for eye in model.eyes])
+    return predict_packed(model.packed, symbols)
 
 
 def _draw(candidates: np.ndarray, rng) -> int:
@@ -329,16 +319,14 @@ def train(train_raw: Dataset, config: CoEyeConfig | None = None, lens_strategy: 
             t_sfa = time.perf_counter()
             sfa_lenses = search_lenses_random(balanced, SFA, seed=config.seed, grid=grid)
         t_fit = time.perf_counter()
-        tasks = []
-        for lens in sax_lenses + sfa_lenses:
-            binning, symbols = fit_lens(balanced.X, lens, config.sax_mode)
-            seed = _derived_seed(config.seed, _NS_TRAIN, lens.s, lens.alpha, lens.w, int(lens.drop_dc))
-            tasks.append((lens, binning, symbols, balanced.y, config.trees, seed))
-        eyes = _pool_map(pool, _fit_eye, tasks)
+        kept = sax_lenses + sfa_lenses
+        binnings, symbols = zip(*fit_lenses(balanced.X, kept, config.sax_mode))
+        seeds = [_derived_seed(config.seed, _NS_TRAIN, lens.s, lens.alpha, lens.w, int(lens.drop_dc)) for lens in kept]
+        forests = _pool_map(pool, fit_forest, symbols, repeat(balanced.y), repeat(config.trees), seeds)
         t_end = time.perf_counter()
 
     return CoEyeModel(
-        eyes=eyes,
+        eyes=[Eye(lens, binning, forest) for lens, binning, forest in zip(kept, binnings, forests)],
         class_labels=np.unique(balanced.y),
         n=balanced.n,
         config=config,

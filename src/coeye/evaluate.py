@@ -14,7 +14,7 @@ import csv
 import os
 import subprocess
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cache
 
 import numpy as np
@@ -36,13 +36,25 @@ CSV_COLUMNS = [
 ]
 
 
+@dataclass(frozen=True)
+class ClassScores(Record):
+    """One class's precision, recall and F1, also read by name: ``scores["f1"]``."""
+
+    precision: float
+    recall: float
+    f1: float
+
+    def __getitem__(self, name: str) -> float:
+        return asdict(self)[name]
+
+
 @dataclass(frozen=True, eq=False)
 class EvalReport(Record):
     dataset: str = ""
     mode: str = ""
     seed: int = 0
     accuracy: float = 0.0
-    per_class: dict = field(default_factory=dict)
+    per_class: dict[int, ClassScores] = field(default_factory=dict)
     macro_precision: float = 0.0
     macro_recall: float = 0.0
     macro_f1: float = 0.0
@@ -124,29 +136,23 @@ def metrics(y_true, y_pred, classes) -> EvalReport:
     for t, p in zip(y_true, y_pred):
         confusion[index[int(t)], index[int(p)]] += 1
 
-    per_class = {}
-    precisions, recalls, f1s = [], [], []
-    for i, label in enumerate(classes):
-        tp = confusion[i, i]
-        fp = confusion[:, i].sum() - tp
-        fn = confusion[i, :].sum() - tp
-        precision = tp / (tp + fp) if tp + fp > 0 else 0.0
-        recall = tp / (tp + fn) if tp + fn > 0 else 0.0
-        f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-        per_class[int(label)] = {"precision": precision, "recall": recall, "f1": f1}
-        precisions.append(precision)
-        recalls.append(recall)
-        f1s.append(f1)
+    tp, predicted, actual = np.diag(confusion), confusion.sum(axis=0), confusion.sum(axis=1)
+    precision = np.divide(tp, predicted, out=np.zeros(c), where=predicted > 0)
+    recall = np.divide(tp, actual, out=np.zeros(c), where=actual > 0)
+    both = precision + recall
+    f1 = np.divide(2 * precision * recall, both, out=np.zeros(c), where=both > 0)
+    scores = np.column_stack([precision, recall, f1]).tolist()
+    per_class = {label: ClassScores(*row) for label, row in zip(classes.tolist(), scores)}
 
     total = confusion.sum()
     tp_total = np.trace(confusion)
     micro_p = tp_total / total
     return EvalReport(
-        accuracy=tp_total / total,
+        accuracy=float(tp_total / total),
         per_class=per_class,
-        macro_precision=float(np.mean(precisions)),
-        macro_recall=float(np.mean(recalls)),
-        macro_f1=float(np.mean(f1s)),
+        macro_precision=float(np.mean(precision)),
+        macro_recall=float(np.mean(recall)),
+        macro_f1=float(np.mean(f1)),
         micro_f1=float(micro_p),  # single-label multiclass: micro P = R = F1
         confusion=confusion,
     )

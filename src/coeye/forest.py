@@ -58,8 +58,9 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -186,12 +187,11 @@ def pack_forests(forests: list[RandomForestModel]) -> PackedForest:
     return PackedForest(feature, threshold, left + offset, proba, roots, forests[0].n_trees, int(widths.sum()))
 
 
-@dataclass(frozen=True, eq=False)
-class _ForestSpec(Record):
-    """One forest of a growth batch: its training rows of X and its trees."""
+class _ForestSpec(NamedTuple):
+    """One forest of a growth batch: its training rows of X and their class ids (intp arrays), and its trees."""
 
-    rows: np.ndarray = field(metadata={"dtype": np.intp})
-    y_enc: np.ndarray = field(metadata={"dtype": np.intp})
+    rows: np.ndarray
+    y_enc: np.ndarray
     n_classes: int
     seed: int
     trees: range
@@ -372,7 +372,7 @@ def _batches(specs: list[_ForestSpec], max_slots: int):
                 batch, used = [], 0
                 continue
             stop = min(spec.trees.stop, start + max(room, 1))
-            batch.append((k, replace(spec, trees=range(start, stop))))
+            batch.append((k, spec._replace(trees=range(start, stop))))
             used += (stop - start) * n
             start = stop
     if batch:

@@ -9,8 +9,10 @@ assignment is fixed once per search and reused across the grid. SFA lenses
 keep the DC window: a znormalized series has a zero DC term, so the
 drop-DC window of width w is the keep-DC window shifted by one
 coefficient pair and scoring both would score nearly the same features
-twice. A grid is mapped on the caller's process pool, and results come
-back in task order, so scheduling changes nothing.
+twice. A grid is fitted in the calling process by one ``fit_lenses`` call
+(each SFA alphabet once, at its widest word), and each point's symbols are
+scored as one task on the caller's process pool. Results come back in task
+order, so scheduling changes nothing.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -26,7 +29,7 @@ from .config import CoEyeConfig
 from .data import Dataset
 from .errors import NoFeasibleLens, Record
 from .forest import BATCH_SLOTS, fit_forests, predict
-from .symbolic import SAX, SFA, Lens, check_alphabets, fit_lens, word_fits
+from .symbolic import SAX, SFA, Lens, check_alphabets, fit_lenses, word_fits
 
 ACCURACY_MARGIN = 0.01
 _MARGIN_SLACK = 1e-12
@@ -135,15 +138,6 @@ def cross_val_accuracy(symbols, y, fold_ids, trees, seed) -> float:
     return correct / y.shape[0]
 
 
-def _eval_grid_point(args) -> float:
-    """Score one candidate lens; module-level so worker processes can pickle it."""
-    (lens, X, y, fold_ids, trees, seed, sax_mode) = args
-    _, symbols = fit_lens(X, lens, sax_mode)
-    # the stream omits drop_dc: the pinned model bytes were written with
-    # this seed, so adding the flag would move every model
-    return cross_val_accuracy(symbols, y, fold_ids, trees, _derived_seed(seed, _NS_SEARCH, lens.s, lens.alpha, lens.w))
-
-
 def select_within_margin(accuracies):
     """Indices of all grid points scoring >= max - ACCURACY_MARGIN."""
     accs = np.asarray(accuracies, dtype=np.float64)
@@ -179,19 +173,13 @@ def _pool_workers(threads: int | None) -> int:
     return min(threads or 1, os.cpu_count() or 1)
 
 
-def _open_pool(workers: int | None):
-    """A process pool of ``_pool_workers(workers)``, or a null context (``None``) for one."""
-    size = _pool_workers(workers)
-    return ProcessPoolExecutor(max_workers=size) if size > 1 else nullcontext()
-
-
-def _pool_map(pool, fn, tasks) -> list:
-    """``fn`` over ``tasks`` in order, on ``pool`` or, when it is ``None``, in this process."""
-    return list(map(fn, tasks) if pool is None else pool.map(fn, tasks, chunksize=1))
+def _pool_map(pool, fn, *args) -> list:
+    """``fn`` over the zipped argument lists in order, on ``pool`` or, when it is ``None``, in this process."""
+    return list(map(fn, *args) if pool is None else pool.map(fn, *args, chunksize=1))
 
 
 def _score_grid(train, representation, grid, seed, trees, sax_mode, pool) -> list[Lens]:
-    """Score the grid as one task list on ``pool``; the kept lenses.
+    """Fit the grid here and score each point's symbols as one task on ``pool``; the kept lenses.
 
     Fold ids are drawn once, and results come back in task order, so the
     lenses do not depend on the pool or its size.
@@ -202,8 +190,11 @@ def _score_grid(train, representation, grid, seed, trees, sax_mode, pool) -> lis
         raise NoFeasibleLens(f"no feasible (alpha, w) pairs for series length {train.n}")
     fold_ids = _fold_ids_for(train, grid.folds, seed)
     lenses = [Lens(rep, alpha, w) for alpha, w in pairs]
-    tasks = [(lens, train.X, train.y, fold_ids, trees, seed, sax_mode) for lens in lenses]
-    accs = _pool_map(pool, _eval_grid_point, tasks)
+    symbols = [fitted[1] for fitted in fit_lenses(train.X, lenses, sax_mode)]
+    # the stream omits drop_dc: the pinned model bytes were written with
+    # this seed, so adding the flag would move every model
+    seeds = [_derived_seed(seed, _NS_SEARCH, rep, alpha, w) for alpha, w in pairs]
+    accs = _pool_map(pool, cross_val_accuracy, symbols, repeat(train.y), repeat(fold_ids), repeat(trees), seeds)
     return [replace(lenses[i], cv_accuracy=float(accs[i])) for i in select_per_alpha(pairs, accs)]
 
 
@@ -224,7 +215,8 @@ def search_lenses(
     cv_accuracy. Raises NoFeasibleLens when feasibility filtering empties
     the grid.
     """
-    with _open_pool(workers) as pool:
+    size = _pool_workers(workers)
+    with ProcessPoolExecutor(max_workers=size) if size > 1 else nullcontext() as pool:
         return _score_grid(train, representation, grid or LensGrid(), seed, trees, sax_mode, pool)
 
 

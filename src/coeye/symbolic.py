@@ -2,20 +2,20 @@
 
 A lens is one symbolic view of a series: a representation, an alphabet
 size ``alpha`` and a word length ``w``. The lens search, the eye fits,
-serving and ``coeye transform`` all build lens words by the same two
-steps: ``fit_lens`` makes the real-valued word of each training series,
-fits the binning on those words and digitizes them; ``symbolize``
-digitizes the words of new series against a fitted binning. Both make
-their words with ``lens_words``, which serving also calls once for all
-eyes of a model, so each distinct word is built once per call. The words
-are
+serving and ``coeye transform`` all take a set of lenses through the same
+two steps: ``fit_lenses`` fits each lens's binning on the words of the
+training series and digitizes them; ``symbolize`` digitizes the words of
+new series against fitted binnings, the lenses' symbols side by side. Each
+builds its words in one ``lens_words`` pass, each distinct word once. The
+words are
 
 * time domain (SAX) — znormalize, compress to ``w`` segment means (PAA);
   the binning is one row of ``alpha - 1`` cuts shared by every position;
 * frequency domain (SFA) — znormalize, keep the first ``w/2`` complex DFT
   coefficients as ``w`` interleaved real/imaginary values; the binning is
   a (w, alpha - 1) table of equal-depth breakpoints, row j for value
-  column j (multiple coefficient binning, MCB).
+  column j (multiple coefficient binning, MCB). Columns are fitted apart,
+  so the table and symbols of (alpha, w) are the first w of (alpha, w_max)'s.
 
 SFA's DC convention: with ``drop_dc`` the coefficient window starts at
 index 1. Without it the window starts at the DC term, which for a
@@ -255,12 +255,15 @@ def equal_depth_breakpoints(values, alpha: int) -> np.ndarray:
     midpoint of the two sorted values straddling each bin boundary.
     Duplicate breakpoints (too few distinct values) are perturbed upward by
     the smallest representable step so each row is strictly increasing.
+    Warns EqualDepthDegenerate when there are fewer values than bins.
     """
     check_alphabets(alpha)
     col = np.sort(np.asarray(values, dtype=np.float64), axis=0)
     s = col.shape[0]
     if s == 0:
         raise ValueError("cannot fit breakpoints on an empty column")
+    if s < alpha:
+        warnings.warn(f"equal-depth binning with {s} series and {alpha} bins is degenerate", EqualDepthDegenerate)
     positions = (np.arange(1, alpha) * s) // alpha
     bps = (col[np.clip(positions - 1, 0, s - 1)] + col[np.clip(positions, 0, s - 1)]) / 2.0
     for j in range(1, alpha - 1):
@@ -294,35 +297,46 @@ def lens_words(X, lenses) -> list[np.ndarray]:
     return [built[(lens.s, lens.w, lens.drop_dc)] for lens in lenses]
 
 
-def fit_lens(X, lens: Lens, sax_mode: str = "minmax") -> tuple[SaxBinning | McbTable, np.ndarray]:
-    """Fit a lens's binning on a raw (n_series, n) training matrix.
+def fit_lenses(X, lenses, sax_mode: str = "minmax") -> list[tuple[SaxBinning | McbTable, np.ndarray]]:
+    """(binning, symbols of the training rows) of each lens, fitted on a raw
+    (n_series, n) matrix with all words built in one ``lens_words`` pass.
 
-    Returns (binning, symbols of the training rows). SAX fits one row of
-    cuts in ``sax_mode``; SFA fits an equal-depth table and warns
-    EqualDepthDegenerate when there are fewer training series than bins.
+    SAX fits one row of cuts per lens in ``sax_mode``. SFA fits each
+    (alpha, drop_dc) once, at its widest word, and gives a narrower lens the
+    prefix of that table and symbols, so a degenerate table warns once.
     """
-    (words,) = lens_words(X, [lens])
-    if lens.s == SAX:
-        binning = fit_sax_binning(words, lens.alpha, sax_mode)
-    else:
-        if words.shape[0] < lens.alpha:
-            warnings.warn(
-                f"equal-depth binning with {words.shape[0]} series and {lens.alpha} bins is degenerate",
-                EqualDepthDegenerate,
-            )
-        binning = McbTable(lens.alpha, lens.w, lens.drop_dc, equal_depth_breakpoints(words, lens.alpha))
-    return binning, digitize(words, binning.cuts)
+    def group(lens):  # a PAA word is no prefix of a wider one: SAX fits per lens
+        return lens.s, lens.alpha, lens.drop_dc, lens.w if lens.s == SAX else 0
+
+    widest = {}
+    for lens in lenses:
+        widest[group(lens)] = max(lens.w, widest.get(group(lens), 0))
+    fitted = [Lens(s, alpha, w, drop_dc) for (s, alpha, drop_dc, _), w in widest.items()]
+    fits = {}
+    for key, lens, words in zip(widest, fitted, lens_words(X, fitted)):
+        binning = (fit_sax_binning(words, lens.alpha, sax_mode) if lens.s == SAX else
+                   McbTable(lens.alpha, lens.w, lens.drop_dc, equal_depth_breakpoints(words, lens.alpha)))
+        fits[key] = binning, digitize(words, binning.cuts)
+    out = []
+    for lens in lenses:
+        binning, symbols = fits[group(lens)]
+        if symbols.shape[1] > lens.w:
+            binning = McbTable(lens.alpha, lens.w, lens.drop_dc, binning.breakpoints[:lens.w])
+            symbols = symbols[:, :lens.w]
+        out.append((binning, symbols))
+    return out
 
 
-def symbolize(X, lens: Lens, binning) -> np.ndarray:
-    """Symbols of each row of a raw (n_series, n) matrix under a fitted lens."""
-    (words,) = lens_words(X, [lens])
-    return digitize(words, binning.cuts)
+def symbolize(X, lenses, binnings) -> np.ndarray:
+    """Symbols of each row of a raw (n_series, n) matrix under fitted lenses,
+    side by side: lens after lens, ``w`` columns each."""
+    words = lens_words(X, lenses)
+    return np.concatenate([digitize(v, binning.cuts) for v, binning in zip(words, binnings)], axis=1)
 
 
 def _word(ts, lens: Lens, binning) -> SymbolicWord:
     values = ts.values if isinstance(ts, TimeSeries) else np.asarray(ts)
-    return SymbolicWord(symbolize(values.reshape(1, -1), lens, binning)[0], lens.alpha, lens.w)
+    return SymbolicWord(symbolize(values.reshape(1, -1), [lens], [binning])[0], lens.alpha, lens.w)
 
 
 def sax(ts, w: int, binning: SaxBinning) -> SymbolicWord:
@@ -338,7 +352,7 @@ def fit_mcb(train, alpha: int, w: int, drop_dc: bool = False) -> McbTable:
     fewer training series than bins.
     """
     X = train.X if isinstance(train, Dataset) else train
-    return fit_lens(X, Lens(SFA, alpha, w, drop_dc))[0]
+    return fit_lenses(X, [Lens(SFA, alpha, w, drop_dc)])[0][0]
 
 
 def sfa(ts, table: McbTable) -> SymbolicWord:

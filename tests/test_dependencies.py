@@ -1,6 +1,7 @@
 """The package depends on numpy and the standard library alone, only the
-model reader's modules know the model file's field types, and ``import
-coeye`` loads a public name's home module only when the name is first used."""
+model reader's modules know the model file's field types, only the symbolic
+module builds lens words and binnings, and ``import coeye`` loads a public
+name's home module only when the name is first used."""
 
 import ast
 import os
@@ -56,6 +57,17 @@ def referenced_names(path):
 def test_only_the_model_reader_reads_model_fields(path):
     used = referenced_names(path) & {"model_array", "model_record", "file_fields"}
     assert not used or path.name in MODEL_READERS
+
+
+# the steps of the one lens pipeline: every other module fits and symbolizes lenses through
+# ``symbolic.fit_lenses`` and ``symbolic.symbolize``, so no second fitting path can return
+PIPELINE_STEPS = {"lens_words", "digitize", "equal_depth_breakpoints", "fit_sax_binning"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_symbolic_module_runs_the_pipeline_steps(path):
+    used = referenced_names(path) & PIPELINE_STEPS
+    assert not used or path.name == "symbolic.py"
 
 
 def test_pyproject_declares_numpy_only():

@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from coeye.cli import main
 from coeye.ensemble import CoEyeModel, Eye, _restrict, eye_probabilities
 from coeye.errors import (
     EmptyEnsemble,
+    EqualDepthDegenerate,
     ModelParseError,
     NoMinorityClass,
     NonFiniteSeries,
@@ -39,7 +41,7 @@ from coeye.errors import (
 )
 from coeye.forest import RandomForestModel, _grow, fit_forest, predict_proba
 from coeye.lenses import SAX, SFA, Lens, LensGrid, search_lenses
-from coeye.symbolic import fit_lens, fit_sax_binning, symbolize
+from coeye.symbolic import fit_lenses, fit_sax_binning, symbolize
 from tests.conftest import SMALL_CONFIG, synth_dataset
 from tests.forest_reference import reference_predict_proba
 from tests.vote_reference import vote_reference
@@ -345,22 +347,46 @@ class TestTrain:
             train(Dataset(X, waves.y), small_config)
 
     def test_each_grid_point_scored_once_and_sfa_lenses_keep_dc(self, waves, small_config, monkeypatch):
-        score = lenses._eval_grid_point
-        scored = []
+        score, fit = lenses.cross_val_accuracy, symbolic.fit_lenses
+        scored, fitted = [], []
 
-        def counted(task):
-            scored.append(task[0])
-            return score(task)
+        def counted(symbols, *args):
+            scored.append(symbols.shape)
+            return score(symbols, *args)
 
-        monkeypatch.setattr(lenses, "_eval_grid_point", counted)
-        model = train(waves, small_config)
+        def counted_fit(X, lens_set, *args):
+            fitted.append(len(lens_set))
+            return fit(X, lens_set, *args)
+
+        monkeypatch.setattr(lenses, "cross_val_accuracy", counted)
+        for module in (lenses, coeye.ensemble):
+            monkeypatch.setattr(module, "fit_lenses", counted_fit)
+        model = train(waves, dataclasses.replace(small_config, threads=1))
         monkeypatch.undo()
         grid = LensGrid.from_config(small_config)
         assert model.smote_report.smote_percentage == 0.0  # the search saw waves itself
         assert len(scored) == len(grid.sax_pairs(waves.n)) + len(grid.sfa_pairs(waves.n))
+        # one fit for the SAX grid, one for the SFA grid and one for the kept eyes
+        assert fitted == [len(grid.sax_pairs(waves.n)), len(grid.sfa_pairs(waves.n)), len(model.eyes)]
         sfa_lenses = [e.lens for e in model.eyes if e.lens.s == SFA]
         assert sfa_lenses and not any(lens.drop_dc for lens in sfa_lenses)
         assert sfa_lenses == search_lenses(waves, "sfa", grid, small_config.seed, small_config.trees)
+
+    def test_warnings_do_not_depend_on_the_worker_count(self):
+        # the search used to fit each grid point in a worker, whose warnings reached only its own stderr
+        train_set = load_ucr(UCR_DIR / "BeetleFly_TRAIN.tsv")
+        grid = dict(sax_alphas=(4, 22), sfa_alphas=(4, 21, 22), sfa_word_lengths=(10, 50, 90))
+        seen = {}
+        for threads in (1, 2):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                train(train_set, CoEyeConfig(seed=0, threads=threads, **grid))
+            seen[threads] = [(w.category, str(w.message)) for w in caught]
+        assert seen[1] == seen[2]
+        # 20 rows: each SFA alphabet above 20 warns once in the search and once in the eye fits
+        assert [message for _, message in seen[1]] == [
+            f"equal-depth binning with 20 series and {alpha} bins is degenerate" for alpha in (21, 22, 21, 22)]
+        assert {category for category, _ in seen[1]} == {EqualDepthDegenerate}
 
     def test_random_strategy_trains(self, waves):
         config = CoEyeConfig(seed=2, **SMALL_CONFIG)
@@ -461,7 +487,8 @@ def ucr_models():
 
 def _per_eye(model, X):
     """Per-eye probabilities the slow way: each eye symbolizes the rows and routes its own forest."""
-    return np.stack([predict_proba(eye.forest, symbolize(X, eye.lens, eye.binning)) for eye in model.eyes], axis=1)
+    return np.stack([predict_proba(eye.forest, symbolize(X, [eye.lens], [eye.binning])) for eye in model.eyes],
+                    axis=1)
 
 
 class TestServingMatchesPerEye:
@@ -481,7 +508,7 @@ class TestServingMatchesPerEye:
         # a model holds its SAX eyes first and config.trees trees per eye
         for lens in (Lens(SAX, 2, 3), Lens(SAX, 5, 24), Lens(SFA, 3, 10), Lens(SFA, 2, 2, drop_dc=True),
                      Lens(SFA, 4, 10)):
-            binning, symbols = fit_lens(data.X, lens)
+            ((binning, symbols),) = fit_lenses(data.X, [lens])
             eyes.append(Eye(lens, binning, fit_forest(symbols, y, n_trees=20, seed=lens.w)))
         config = CoEyeConfig(seed=0, trees=20)
         model = CoEyeModel(eyes=eyes, class_labels=np.array([1, 2]), n=24, config=config)
@@ -490,7 +517,7 @@ class TestServingMatchesPerEye:
         got = eye_probabilities(model, probe)
         assert np.array_equal(got, _per_eye(model, probe))
         # and the per-tree reference router, which sums each forest's trees in order
-        reference = [reference_predict_proba(eye.forest, symbolize(probe, eye.lens, eye.binning)) for eye in eyes]
+        reference = [reference_predict_proba(eye.forest, symbolize(probe, [eye.lens], [eye.binning])) for eye in eyes]
         assert np.array_equal(got, np.stack(reference, axis=1))
         # every forest of the pack is summed over one tree count, so an eye with another count is refused
         eyes[-1] = dataclasses.replace(eyes[-1], forest=fit_forest(symbols, y, n_trees=3, seed=10))

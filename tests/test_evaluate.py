@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import pickle
 import subprocess
 
 import numpy as np
@@ -42,6 +44,23 @@ class TestMetrics:
         assert report.per_class[2]["recall"] == 0.0
         assert report.per_class[2]["precision"] == 0.0
         assert report.per_class[2]["f1"] == 0.0
+
+    def test_per_class_scores_are_frozen_python_floats(self):
+        report = metrics([1, 1, 2, 2], [1, 2, 2, 2], classes=[1, 2])
+        # each class's scores used to be a plain dict of numpy floats that took any assignment
+        with pytest.raises(TypeError):
+            report.per_class[1]["precision"] = 7.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.per_class[1].precision = 7.0
+        with pytest.raises(KeyError):
+            report.per_class[1]["accuracy"]
+        scores = [(s.precision, s.recall, s.f1) for s in report.per_class.values()]
+        assert scores == [(1.0, 0.5, 2 / 3), (2 / 3, 1.0, 0.8)]
+        assert {type(v) for row in scores for v in row} | {type(report.accuracy)} == {float}
+        clone = pickle.loads(pickle.dumps(report))
+        assert clone.per_class == report.per_class
+        with pytest.raises(TypeError):
+            clone.per_class[2]["f1"] = 0.0
 
     def test_unknown_label_rejected(self):
         with pytest.raises(UnknownLabel):

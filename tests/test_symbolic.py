@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -15,12 +16,16 @@ from coeye import Dataset, dft_lowpass, fit_mcb, fit_sax_binning, paa, sax, sfa
 from coeye.errors import DegenerateBinning, EqualDepthDegenerate, InvalidWordSize
 from coeye.symbolic import (
     SAX,
+    SAX_MODES,
     SFA,
     Lens,
+    McbTable,
     SymbolicWord,
     digitize,
     equal_depth_breakpoints,
+    fit_lenses,
     gaussian_cuts,
+    lens_words,
     sfa_coefficients,
     symbolize,
 )
@@ -191,7 +196,7 @@ class TestSax:
 
     def test_batch_matches_single(self, waves):
         b = fit_sax_binning(np.array([-2.0, 2.0]), 4, "minmax")
-        batch = symbolize(waves.X, Lens(SAX, 4, 8), b)
+        batch = symbolize(waves.X, [Lens(SAX, 4, 8)], [b])
         for i in range(len(waves)):
             assert np.array_equal(batch[i], sax(waves.X[i], 8, b).symbols)
 
@@ -345,7 +350,7 @@ class TestMcbAndSfa:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", EqualDepthDegenerate)
             table = fit_mcb(X, alpha, w, drop_dc=False)
-        symbols = symbolize(X, Lens(SFA, alpha, w), table)
+        symbols = symbolize(X, [Lens(SFA, alpha, w)], [table])
         assert np.all(symbols[:, :2] == symbols[0, :2])
 
     def test_word_shape_and_alphabet(self):
@@ -354,6 +359,68 @@ class TestMcbAndSfa:
         word = sfa(train.X[0], table)
         assert word.symbols.shape == (8,)
         assert word.symbols.max() < 4
+
+
+def fit_alone(X, lens, sax_mode):
+    """One lens fitted on its own, step by step: its words, its binning, its symbols."""
+    (words,) = lens_words(X, [lens])
+    if lens.s == SAX:
+        binning = fit_sax_binning(words, lens.alpha, sax_mode)
+    else:
+        binning = McbTable(lens.alpha, lens.w, lens.drop_dc, equal_depth_breakpoints(words, lens.alpha))
+    return binning, digitize(words, binning.cuts)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestFitLenses:
+    """A lens set is fitted in one call, each SFA alphabet at its widest word, to the same bits as each lens alone."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_each_lens_as_fitted_alone(self, data):
+        X = data.draw(hnp.arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(2, 40)),
+                                 elements=st.floats(-1e4, 1e4, allow_nan=False, width=64)))
+        n = X.shape[1]
+        # few alphabets, so SFA lenses share one; alphabets above the row count fit degenerate tables
+        alphas = st.sampled_from((2, 3, 7, 13, 26))
+        sax = st.builds(lambda a, w: Lens(SAX, a, w), alphas, st.integers(1, n))
+        sfa = st.builds(lambda a, half, dc: Lens(SFA, a, 2 * half, dc), alphas, st.integers(1, n // 2), st.booleans())
+        lenses = data.draw(st.lists(st.one_of(sax, sfa), min_size=1, max_size=10))
+        sax_mode = data.draw(st.sampled_from(SAX_MODES))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            together = fit_lenses(X, lenses, sax_mode)
+            alone = [fit_alone(X, lens, sax_mode) for lens in lenses]
+        assert len(together) == len(lenses)
+        for (binning, symbols), (binning_alone, symbols_alone) in zip(together, alone):
+            assert type(binning) is type(binning_alone)
+            for f in dataclasses.fields(binning):
+                assert same_bits(getattr(binning, f.name), getattr(binning_alone, f.name)), f.name
+            assert same_bits(symbols, symbols_alone)
+
+    def test_one_table_per_sfa_alphabet_and_one_warning(self):
+        X = np.random.default_rng(0).normal(size=(3, 16))
+        lenses = [Lens(SFA, 5, 4), Lens(SFA, 5, 8), Lens(SFA, 5, 8, drop_dc=True), Lens(SAX, 5, 8)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fitted = fit_lenses(X, lenses)
+        # 3 rows and 5 bins: the two SFA tables of alphabet 5, one per DC convention, warn once each
+        assert [w.category for w in caught] == [EqualDepthDegenerate] * 2
+        assert [b.breakpoints.shape for b, _ in fitted[:3]] == [(4, 4), (8, 4), (8, 4)]
+        assert np.array_equal(fitted[0][0].breakpoints, fitted[1][0].breakpoints[:4])
+        assert np.array_equal(fitted[0][1], fitted[1][1][:, :4])
+
+    def test_symbolize_sets_lenses_side_by_side(self, waves):
+        lenses = [Lens(SAX, 4, 8), Lens(SFA, 3, 6), Lens(SFA, 3, 4, drop_dc=True)]
+        binnings = [binning for binning, _ in fit_lenses(waves.X, lenses)]
+        side_by_side = symbolize(waves.X[:5], lenses, binnings)
+        assert side_by_side.shape == (5, 8 + 6 + 4)
+        one_by_one = [symbolize(waves.X[:5], [lens], [binning]) for lens, binning in zip(lenses, binnings)]
+        assert np.array_equal(side_by_side, np.hstack(one_by_one))
 
 
 class TestSymbolicWord:
