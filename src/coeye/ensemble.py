@@ -3,7 +3,8 @@
 Training balances the data, picks the lens sets by cross-validated search
 (SFA lenses keep the DC window), fits the kept lenses with one
 ``fit_lenses`` call, then grows one forest per lens (SAX eyes first), all
-on one worker pool. Training and serving reject NaN and infinite values.
+on one worker pool. Training rejects NaN and infinite values before it
+balances the data; serving rejects them where ``symbolize`` builds words.
 Serving is one pass over the whole model: ``symbolize`` sets every eye's
 symbols side by side, the trees of all eyes are routed together, and the
 per-eye class-probability rows of each series, a (k, c) matrix, go to a
@@ -174,7 +175,6 @@ def eye_probabilities(model: CoEyeModel, X) -> np.ndarray:
         X = X.reshape(1, -1)
     if X.ndim != 2 or X.shape[1] != model.n:
         raise SeriesLengthMismatch(f"expected series of length {model.n}, got an array of shape {X.shape}")
-    _require_finite(X)
     symbols = symbolize(X, [eye.lens for eye in model.eyes], [eye.binning for eye in model.eyes])
     return predict_packed(model.packed, symbols)
 

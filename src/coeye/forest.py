@@ -51,7 +51,13 @@ counts.sum(1)``: pack tree ``f * n_trees + t`` is tree ``t`` of forest
 feature is offset by the widths of the forests before its own. One
 ``_leaves`` walk routes every row through every tree of the pack, from node
 ``i`` to ``left[i] + (x > threshold[i])``, and each forest sums its own
-trees in tree order, bit-identical to routing it alone.
+trees in tree order, bit-identical to routing it alone. The walk moves a
+chunk's (tree, row) pairs a level at a time (Asadi, Lin & de Vries, IEEE
+TKDE 2014): the root level reads whole columns of X, then level steps move
+every pair at once, a pair at a leaf keeping its node, while at least half
+of the pairs still sit at a split node. The pairs left at a split then walk
+on alone, compacted each step. Both read X through one extra array per
+chunk, each pair's row offset.
 """
 
 from __future__ import annotations
@@ -72,7 +78,8 @@ _MIN_DECREASE = 1e-12
 # split-search chunk: bounds the grower's transient memory
 _CHUNK_CELLS = 1 << 16
 # tree-row pairs per routing chunk: a model-wide pack routes many trees at
-# once, and each walk step holds about a dozen arrays of this length
+# once, and each walk step holds about a dozen arrays of this length, the
+# pairs' row offsets among them
 _ROUTE_PAIRS = 1 << 14
 # bootstrap slots (trees times rows) grown in one batch: the batch state is
 # a few integer arrays over all slots, so this bounds its memory; a 5-fold
@@ -458,16 +465,37 @@ def fit_forest(X, y, n_trees: int = 100, seed: int = 0, threads: int | None = No
 
 
 def _leaves(packed: PackedForest, X: np.ndarray) -> np.ndarray:
-    """Global leaf index reached by each (tree, row), tree-major."""
+    """Global leaf index reached by each (tree, row), tree-major.
+
+    The root level takes every pair's root split at once from whole columns
+    of ``X``; a root that is a leaf keeps its node. While at least half of the
+    pairs sit at a split node, a level step moves every pair one level down,
+    a pair at a leaf keeping its node. Once fewer do, the walk moves only the
+    pairs still at a split, dropping each pair that reaches a leaf.
+    """
     rows, width = X.shape
-    node = np.repeat(packed.roots, rows)
+    roots = packed.roots
+    feature, left, threshold = packed.feature, packed.left, packed.threshold
+    root_feature = feature[roots]
+    # a leaf root reads column -1 here, and keeps its node
+    down = left[roots, None] + (X.T[root_feature] > threshold[roots, None])
+    node = np.where((root_feature >= 0)[:, None], down, roots[:, None]).ravel()
+    # each pair's offset of its row in the flat X
+    offset = np.tile(np.arange(0, rows * width, width), roots.shape[0])
     flat = X.ravel()
-    active = np.flatnonzero(packed.feature[node] >= 0)
+    at = feature[node]
+    inner = at >= 0
+    while 2 * np.count_nonzero(inner) >= node.shape[0]:
+        # a pair at a leaf reads some cell of X, and keeps its node
+        node = np.where(inner, left[node] + (flat[offset + at] > threshold[node]), node)
+        at = feature[node]
+        inner = at >= 0
+    active = np.flatnonzero(inner)
     while active.shape[0]:
         at = node[active]
-        nxt = packed.left[at] + (flat[(active % rows) * width + packed.feature[at]] > packed.threshold[at])
+        nxt = left[at] + (flat[offset[active] + feature[at]] > threshold[at])
         node[active] = nxt
-        active = active[packed.feature[nxt] >= 0]
+        active = active[feature[nxt] >= 0]
     return node
 
 

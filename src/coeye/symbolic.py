@@ -37,7 +37,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .data import Dataset, TimeSeries, znormalize_rows
-from .errors import DegenerateBinning, EqualDepthDegenerate, InvalidWordSize, Record
+from .errors import DegenerateBinning, EqualDepthDegenerate, InvalidWordSize, NonFiniteSeries, Record
 
 MAX_ALPHABET = 26
 SAX_MODES = ("minmax", "gaussian")
@@ -203,12 +203,17 @@ def fit_sax_binning(paa_values, alpha: int, mode: str = "minmax") -> SaxBinning:
 def digitize(values, cuts) -> np.ndarray:
     """Symbol index = number of cuts strictly below the value (ties go low).
 
-    ``cuts`` is one row shared by every value (SAX), or a (w, alpha - 1)
-    table whose row j digitizes the values of the last axis's column j
-    (SFA). Cuts must be non-decreasing along each row.
+    ``cuts`` is one row shared by every value (SAX), found by one binary
+    search, or a (w, alpha - 1) table whose row j digitizes the values of the
+    last axis's column j (SFA), compared cut by cut. Cuts must be
+    non-decreasing along each row, and values finite: a binary search puts
+    NaN above every cut.
     """
     values = np.asarray(values, dtype=np.float64)
-    return np.count_nonzero(np.asarray(cuts) < values[..., None], axis=-1)
+    cuts = np.asarray(cuts)
+    if cuts.ndim == 1:
+        return np.searchsorted(cuts, values, side="left")
+    return np.count_nonzero(cuts < values[..., None], axis=-1)
 
 
 def _lowpass(spectrum, w: int, drop_dc: bool) -> np.ndarray:
@@ -277,9 +282,16 @@ def lens_words(X, lenses) -> list[np.ndarray]:
     The rows are znormalized once and each distinct (representation, w,
     drop_dc) word is built once: one PAA per SAX word length, and one DFT
     shared by every SFA word, sliced per (w, drop_dc). Lenses that differ
-    only in their alphabet share one array.
+    only in their alphabet share one array. A row that holds NaN or an
+    infinity, or whose values overflow its znormalization, raises
+    NonFiniteSeries: its words would have no bin.
     """
-    Z = znormalize_rows(X)
+    with np.errstate(over="ignore", invalid="ignore"):
+        Z = znormalize_rows(X)
+    bad = ~np.isfinite(Z).all(axis=1)
+    if bad.any():
+        raise NonFiniteSeries(f"series {int(np.argmax(bad))} holds NaN or infinite values, "
+                              "or values too large to znormalize")
     spectrum = None
     built = {}
     for lens in lenses:

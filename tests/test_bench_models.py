@@ -7,6 +7,11 @@ sha256 and size, so a change that moves them is seen in the suite, and
 checks that saving each file's loaded model writes the same bytes. When a
 change to the tree draws or to the model file format moves them on purpose,
 the pins move with it, with the reason recorded.
+
+Serving is pinned the same way: each model's per-eye probabilities and its
+(label, confidence, round) predictions on its workload's test split, hashed
+bit for bit. A change to routing, digitizing or the vote that moves one bit
+of either fails here.
 """
 
 import hashlib
@@ -14,7 +19,8 @@ import os
 
 import pytest
 
-from coeye import CoEyeConfig, Dataset, load_model, load_ucr, save_model, train
+from coeye import CoEyeConfig, Dataset, load_model, load_ucr, predict_dataset, save_model, train
+from coeye.ensemble import eye_probabilities
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
@@ -29,23 +35,47 @@ PINNED = {
     "imbalanced": ("09ee3a32814d910cef695043b22c4d8c811eca61283c420636dc8e7e6ce1022e", 216_731),
 }
 
+# sha256 of each model's eye_probabilities bytes and of its predict_dataset
+# (label, confidence, round) list, on the test split the benchmark draws at
+# its default seed
+SERVING = {
+    "beetlefly": ("5c328635cb9f9900901519689a8bf8ca52141abd25adc00df26c4c13f19393e3",
+                  "f11dcc27c2f3eca8edd7751fbc553d2efd03e9fe7569d0be30528ffea14b6e81"),
+    "chinatown": ("a254970c71cde9949231dc6d8c7953d7bdff3852a9d707bb29ee5157937a3d7e",
+                  "32ea5fa150766859fcb372dcb2c1a373d91595fbc6e9336c7150c3f2d0e706c3"),
+    "imbalanced": ("24895739892eb2c063a9aa1cca71f1b25e2d00315e6f0cd0c26b248594364063",
+                   "25bf64e81e36c32a575f70ac738008cf06d2e5b9e35595ef5037506d3071a45b"),
+}
+TEST_SEED = 0
 
-@pytest.fixture(scope="module", params=sorted(PINNED))
-def model_file(request, tmp_path_factory):
-    """(workload name, path of its model file), trained once per module."""
+
+def perfbench():
+    """The benchmark's ``gen`` and ``workloads`` modules."""
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.syspath_prepend(PERFBENCH)
         import gen
         import workloads
+    return gen, workloads
 
-    spec = workloads.WORKLOADS[request.param]
+
+def splits(name):
+    """(train, test) Datasets of the benchmark workload ``name``."""
+    gen, workloads = perfbench()
+    spec = workloads.WORKLOADS[name]
     if spec.generated:
-        X, y = gen.make_split(gen.TRAIN_SEED, gen.TRAIN_COUNTS)
-        train_set = Dataset(X, y, name=spec.dataset)
-    else:
-        train_set = load_ucr(os.path.join(ROOT, "tests", "data", "ucr", f"{spec.dataset}_TRAIN.tsv"))
+        return (Dataset(*gen.make_split(gen.TRAIN_SEED, gen.TRAIN_COUNTS), name=spec.dataset),
+                Dataset(*gen.make_split(TEST_SEED, gen.TEST_COUNTS, gen.TEST_STREAM), name=spec.dataset))
+    return tuple(load_ucr(os.path.join(ROOT, "tests", "data", "ucr", f"{spec.dataset}_{split}.tsv"))
+                 for split in ("TRAIN", "TEST"))
+
+
+@pytest.fixture(scope="module", params=sorted(PINNED))
+def model_file(request, tmp_path_factory):
+    """(workload name, path of its model file), trained once per module."""
+    _, workloads = perfbench()
+    spec = workloads.WORKLOADS[request.param]
     path = tmp_path_factory.mktemp(request.param) / "model.json"
-    save_model(train(train_set, CoEyeConfig(seed=workloads.MODEL_SEED, threads=1, **spec.grid)), path)
+    save_model(train(splits(request.param)[0], CoEyeConfig(seed=workloads.MODEL_SEED, threads=1, **spec.grid)), path)
     return request.param, path
 
 
@@ -61,3 +91,12 @@ def test_reloaded_model_saves_the_same_bytes(model_file, tmp_path):
     resaved = tmp_path / "resaved.json"
     save_model(load_model(path), resaved)
     assert resaved.read_bytes() == path.read_bytes()
+
+
+def test_benchmark_serving_pinned(model_file):
+    name, path = model_file
+    model, test_set = load_model(path), splits(name)[1]
+    proba = eye_probabilities(model, test_set.X)
+    votes = [(p.label, p.confidence, p.round) for p in predict_dataset(model, test_set)]
+    assert (hashlib.sha256(proba.tobytes()).hexdigest(),
+            hashlib.sha256(repr(votes).encode()).hexdigest()) == SERVING[name]

@@ -17,7 +17,9 @@ from coeye.forest import (
     _ForestSpec,
     fit_forest,
     fit_forests,
+    pack_forests,
     predict,
+    predict_packed,
     predict_proba,
 )
 from coeye.stream import Streams
@@ -426,6 +428,94 @@ class TestEngineMatchesReference:
         X, y = separable_fixture(seed=5, rows_per_class=20)
         clone = reloaded(fit_forest(X, y, n_trees=12, seed=4))
         assert_same_proba(reference_fit_forest(X, y, 12, 4), clone, X)
+
+
+def random_tree(rng, shape, width, n_values, n_classes, depth):
+    """One tree's node arrays, each split's children made together, left first.
+
+    ``stump``: the root is a leaf; ``chain``: only left children split, down
+    to ``depth``; ``complete``: every node above ``depth`` splits; ``random``:
+    a node above ``depth`` splits with probability 0.6.
+    """
+    feature, threshold, left, level = [-1], [0], [-1], [0]
+    node = 0
+    while node < len(feature):
+        d = level[node]
+        # left children take odd ids
+        splits = d < depth and (
+            shape == "complete" or (shape == "chain" and (node == 0 or node % 2 == 1))
+            or (shape == "random" and rng.random() < 0.6))
+        if splits:
+            feature[node], threshold[node], left[node] = int(rng.integers(width)), int(rng.integers(n_values)), len(feature)
+            feature += [-1, -1]
+            threshold += [0, 0]
+            left += [-1, -1]
+            level += [d + 1, d + 1]
+        node += 1
+    counts = rng.integers(0, 4, size=(len(feature), n_classes))
+    counts[np.arange(len(feature)), rng.integers(n_classes, size=len(feature))] += 1
+    counts[np.array(feature) >= 0] = 0
+    return (np.array(feature, dtype=np.int32), np.array(threshold, dtype=np.int64),
+            np.array(left, dtype=np.int32), counts.astype(np.int64))
+
+
+def random_forest(rng, shapes, width, n_values, n_classes, depth):
+    """A forest of one tree per entry of ``shapes``, its store checked as a model file's is."""
+    trees = [random_tree(rng, shape, width, n_values, n_classes, depth) for shape in shapes]
+    sizes = np.array([tree[0].shape[0] for tree in trees], dtype=np.int64)
+    model = RandomForestModel(*map(np.concatenate, zip(*trees)), sizes, np.arange(n_classes), width, 0)
+    model.check_store()
+    return model
+
+
+class TestPackedRouting:
+    """Routing a pack of forests, root level, level steps and compacted walk,
+    gives each forest the reference router's probabilities bit for bit."""
+
+    @staticmethod
+    def assert_routes_like_reference(forests, X, route_pairs):
+        widths = np.cumsum([0] + [f.n_features for f in forests])
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(forest, "_ROUTE_PAIRS", route_pairs)
+            got = predict_packed(pack_forests(forests), X)
+        for k, model in enumerate(forests):
+            assert np.array_equal(got[:, k], reference_predict_proba(model, X[:, widths[k]:widths[k + 1]]))
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_random_packs(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n_trees = data.draw(st.integers(1, 5))
+        n_classes = data.draw(st.integers(2, 4))
+        n_values = data.draw(st.integers(1, 6))
+        depth = data.draw(st.integers(1, 8))
+        shape = st.sampled_from(["stump", "chain", "complete", "random"])
+        forests = [random_forest(rng, data.draw(st.lists(shape, min_size=n_trees, max_size=n_trees)),
+                                 data.draw(st.integers(1, 5)), n_values, n_classes, depth)
+                   for _ in range(data.draw(st.integers(1, 4)))]
+        rows = data.draw(st.integers(1, 40))
+        X = rng.integers(0, n_values, size=(rows, sum(f.n_features for f in forests)))
+        # small chunks: a forest's rows span several of them, the last one ragged
+        route_pairs = data.draw(st.integers(1, 3 * n_trees * len(forests)))
+        self.assert_routes_like_reference(forests, X, route_pairs)
+
+    def test_no_level_step(self):
+        # after the root level, stumps and depth-1 trees leave no pair at a split
+        rng = np.random.default_rng(1)
+        forests = [random_forest(rng, ["stump", "complete", "stump"], 3, 4, 3, 1) for _ in range(3)]
+        self.assert_routes_like_reference(forests, rng.integers(0, 4, size=(25, 9)), 1 << 14)
+
+    def test_level_steps_reach_the_deepest_leaf(self):
+        # complete trees keep every pair at a split until all reach their leaves together
+        rng = np.random.default_rng(2)
+        forests = [random_forest(rng, ["complete"] * 4, 5, 6, 2, 7) for _ in range(2)]
+        self.assert_routes_like_reference(forests, rng.integers(0, 6, size=(30, 10)), 1 << 14)
+
+    def test_leaf_roots_beside_deep_chains(self):
+        # stump roots keep their node while chains leave most pairs to the compacted walk
+        rng = np.random.default_rng(3)
+        forests = [random_forest(rng, ["stump", "chain", "stump", "chain"], 2, 3, 2, 12) for _ in range(2)]
+        self.assert_routes_like_reference(forests, rng.integers(0, 3, size=(17, 4)), 5)
 
 
 def _spec(rows, trees, n_classes=1):

@@ -13,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 import coeye
 from coeye import Dataset, dft_lowpass, fit_mcb, fit_sax_binning, paa, sax, sfa
-from coeye.errors import DegenerateBinning, EqualDepthDegenerate, InvalidWordSize
+from coeye.errors import DegenerateBinning, EqualDepthDegenerate, InvalidWordSize, NonFiniteSeries
 from coeye.symbolic import (
     SAX,
     SAX_MODES,
@@ -203,21 +203,42 @@ class TestSax:
 
 class TestTableDigitize:
     @given(st.data())
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_matches_per_column_searchsorted(self, data):
+        # a (w, alpha - 1) table, or one row of cuts shared by every column as a SAX binning's
         w = data.draw(st.integers(1, 6))
         alpha = data.draw(st.integers(2, 8))
         rows = data.draw(st.integers(1, 6))
+        shared = data.draw(st.booleans())
         finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
-        flat = data.draw(st.lists(finite, min_size=w * (alpha - 1), max_size=w * (alpha - 1)))
-        table = np.sort(np.asarray(flat, dtype=np.float64).reshape(w, alpha - 1), axis=1)
-        # about half the cells sit exactly on a cut of their column
+        # signed zeros and subnormals, which a compare and a binary search must order alike
+        tiny = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1040, -(2.0**-1040)])
+        n_rows = 1 if shared else w
+        flat = data.draw(st.lists(st.one_of(finite, tiny), min_size=n_rows * (alpha - 1),
+                                  max_size=n_rows * (alpha - 1)))
+        table = np.sort(np.asarray(flat, dtype=np.float64).reshape(n_rows, alpha - 1), axis=1)
+        # repeated and nextafter-spaced cuts: a cut may copy the one before it, or sit one step above it
+        for r in range(n_rows):
+            for j in range(1, alpha - 1):
+                step = data.draw(st.sampled_from(["keep", "repeat", "next"]))
+                if step != "keep":
+                    table[r, j] = table[r, j - 1] if step == "repeat" else np.nextafter(table[r, j - 1], np.inf)
+        table = np.sort(table, axis=1)
+
+        def near(row):
+            return [v for c in row.tolist() for v in (c, np.nextafter(c, -np.inf), np.nextafter(c, np.inf))]
+
+        # most cells sit on a cut of their column or one step beside it
         cells = [
-            data.draw(st.one_of(finite, st.sampled_from(table[c % w].tolist())))
+            data.draw(st.one_of(finite, tiny, st.sampled_from(near(table[0 if shared else c % w]))))
             for c in range(rows * w)
         ]
         values = np.asarray(cells, dtype=np.float64).reshape(rows, w)
-        assert np.array_equal(digitize(values, table), digitize_columns_reference(values, table))
+        full = np.broadcast_to(table, (w, alpha - 1))
+        got = digitize(values, table[0] if shared else table)
+        assert np.array_equal(got, digitize_columns_reference(values, full))
+        # the count of cuts strictly below each value
+        assert np.array_equal(got, (full < values[..., None]).sum(axis=-1))
 
 
 class TestDftLowpass:
@@ -421,6 +442,26 @@ class TestFitLenses:
         assert side_by_side.shape == (5, 8 + 6 + 4)
         one_by_one = [symbolize(waves.X[:5], [lens], [binning]) for lens, binning in zip(lenses, binnings)]
         assert np.array_equal(side_by_side, np.hstack(one_by_one))
+
+
+class TestNonFiniteRefused:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.7e308])
+    def test_word_builders_name_the_row(self, bad):
+        # 1.7e308 is finite, but a row of it overflows its znormalization
+        X = np.random.default_rng(0).normal(size=(6, 16))
+        table, cuts = fit_mcb(X, 4, 8), fit_sax_binning(np.array([-2.0, 2.0]), 4)
+        X[4, 3:] = bad
+        calls = [
+            (lambda: sax(X[4], 8, cuts), 0),
+            (lambda: sfa(X[4], table), 0),
+            (lambda: fit_mcb(X, 4, 8), 4),
+            (lambda: fit_lenses(X, [Lens(SAX, 4, 8)], "minmax"), 4),
+            (lambda: fit_lenses(X, [Lens(SAX, 4, 8)], "gaussian"), 4),
+            (lambda: symbolize(X, [Lens(SAX, 4, 8), Lens(SFA, 4, 8)], [cuts, table]), 4),
+        ]
+        for call, row in calls:
+            with pytest.raises(NonFiniteSeries, match=f"^series {row} "):
+                call()
 
 
 class TestSymbolicWord:
