@@ -48,16 +48,20 @@ Packed layout. For routing, the stores of forests of one tree count are
 concatenated, with global left-child ids and leaf class probabilities ``counts /
 counts.sum(1)``: pack tree ``f * n_trees + t`` is tree ``t`` of forest
 ``f``. The forests read their feature columns side by side, so a split
-feature is offset by the widths of the forests before its own. One
-``_leaves`` walk routes every row through every tree of the pack, from node
-``i`` to ``left[i] + (x > threshold[i])``, and each forest sums its own
-trees in tree order, bit-identical to routing it alone. The walk moves a
-chunk's (tree, row) pairs a level at a time (Asadi, Lin & de Vries, IEEE
-TKDE 2014): the root level reads whole columns of X, then level steps move
-every pair at once, a pair at a leaf keeping its node, while at least half
-of the pairs still sit at a split node. The pairs left at a split then walk
-on alone, compacted each step. Both read X through one extra array per
-chunk, each pair's row offset.
+feature is offset by the widths of the forests before its own. A leaf routes
+to itself, as in branch-free traversal (QuickScorer, Lucchese et al., SIGIR
+2015): its ``left`` is its own id, its ``feature`` its forest's first column
+and its ``threshold`` the int64 maximum, which no symbol exceeds; a one-byte
+``leaf`` mask marks it. One ``_leaves`` walk routes every row through every
+tree of the pack, from node ``i`` to ``left[i] + (x > threshold[i])``, and
+each forest sums its own trees in tree order, bit-identical to routing it
+alone. The walk moves a chunk's (tree, row) pairs a level at a time (Asadi,
+Lin & de Vries, IEEE TKDE 2014): the root level reads whole columns of X,
+then level steps move every pair at once, a pair at a leaf staying by its own
+route, while the mask shows at least half of the pairs at a split node. The
+pairs left at a split then walk on alone, compacted each step until the mask
+shows each at a leaf. Both read X through each pair's row offset, built once
+per chunk size.
 """
 
 from __future__ import annotations
@@ -79,7 +83,8 @@ _MIN_DECREASE = 1e-12
 _CHUNK_CELLS = 1 << 16
 # tree-row pairs per routing chunk: a model-wide pack routes many trees at
 # once, and each walk step holds about a dozen arrays of this length, the
-# pairs' row offsets among them
+# pairs' row offsets among them; the leaf-probability gather holds one float
+# per pair and class
 _ROUTE_PAIRS = 1 << 14
 # bootstrap slots (trees times rows) grown in one batch: the batch state is
 # a few integer arrays over all slots, so this bounds its memory; a 5-fold
@@ -116,6 +121,7 @@ class PackedForest(Record):
     threshold: np.ndarray = field(metadata={"dtype": np.int64})
     left: np.ndarray = field(metadata={"dtype": np.int64})
     proba: np.ndarray = field(metadata={"dtype": np.float64})
+    leaf: np.ndarray = field(metadata={"dtype": np.uint8})
     roots: np.ndarray = field(metadata={"dtype": np.int64})
     n_trees: int
     n_features: int
@@ -184,14 +190,18 @@ def pack_forests(forests: list[RandomForestModel]) -> PackedForest:
     feature, threshold, left, counts, sizes = (np.concatenate([getattr(f, name) for f in forests])
                                                for name in ("feature", "threshold", "left", "counts", "tree_sizes"))
     roots = np.cumsum(sizes) - sizes
-    offset = np.repeat(roots, sizes)
+    leaf = feature < 0
     proba = np.zeros(counts.shape)
-    np.divide(counts, counts.sum(axis=1, keepdims=True), out=proba, where=(feature < 0)[:, None])
+    np.divide(counts, counts.sum(axis=1, keepdims=True), out=proba, where=leaf[:, None])
     widths = np.array([f.n_features for f in forests])
     # a split reads its own forest's columns, which sit after the earlier forests' columns
     column = np.repeat(np.cumsum(widths) - widths, [f.feature.shape[0] for f in forests])
-    feature = np.where(feature >= 0, feature + column, feature)
-    return PackedForest(feature, threshold, left + offset, proba, roots, forests[0].n_trees, int(widths.sum()))
+    # a leaf routes to itself: it reads its forest's first column, and no int64 symbol exceeds its threshold
+    feature = np.where(leaf, column, feature + column)
+    threshold = np.where(leaf, np.iinfo(np.int64).max, threshold)
+    left = np.where(leaf, np.arange(leaf.shape[0]), left + np.repeat(roots, sizes))
+    return PackedForest(feature, threshold, left, proba, leaf.astype(np.uint8), roots, forests[0].n_trees,
+                        int(widths.sum()))
 
 
 class _ForestSpec(NamedTuple):
@@ -237,22 +247,22 @@ def _best_splits(X, sample_row, sample_cls, starts, sizes, counts, feats, n_valu
         # (node, sample position) of every row of the chunk's nodes
         seg = np.repeat(np.arange(q), n_node)
         pos = np.arange(seg.shape[0]) + np.repeat(starts[nodes] - (np.cumsum(n_node) - n_node), n_node)
-        cls = sample_cls[pos]
-        vals = X[sample_row[pos][:, None], feats[nodes][seg]]
+        cls = sample_cls.take(pos)
+        vals = X.take(sample_row.take(pos)[:, None] * X.shape[1] + feats.take(nodes, axis=0).take(seg, axis=0))
         # class-major (class, node, feature * value) cells: a class sum is a whole-array add
         codes = ((cls[:, None] * q + seg[:, None]) * m + np.arange(m)) * n_values + vals
         hist = np.bincount(codes.ravel(), minlength=c * q * m * n_values).reshape(c, q, m, n_values)
         cum = hist.cumsum(axis=3).reshape(c, q, -1)
         n_l = cum.sum(axis=0)
         n_r = n_node[:, None] - n_l
-        a, b = np.square(cum).sum(axis=0), np.square(counts[nodes].T[:, :, None] - cum).sum(axis=0)
+        node_counts = counts.take(nodes, axis=0)
+        a, b = np.square(cum).sum(axis=0), np.square(node_counts.T[:, :, None] - cum).sum(axis=0)
         # an invalid boundary (n_l or n_r zero) has A * n_r + B * n_l = 0 and scores 0
         score = (a * n_r.astype(np.float64) + b * n_l.astype(np.float64)) / np.maximum(n_l * n_r, 1)
         near = np.flatnonzero(score > score.max(axis=1, keepdims=True) * (1 - 1e-9))
         near = near[(near % n_values == 0) | (n_l.flat[near] > n_l.flat[near - 1])]
         at = near // (m * n_values)
         cum_near = np.ascontiguousarray(cum.reshape(c, -1)[:, near].T, dtype=np.float64)
-        node_counts = counts[nodes].astype(np.float64)
         parent_gini = 1.0 - np.sum((node_counts / n_node[:, None]) ** 2, axis=1)
         n_left = cum_near.sum(axis=1)
         n_right = n_node[at] - n_left
@@ -268,9 +278,9 @@ def _best_splits(X, sample_row, sample_cls, starts, sizes, counts, feats, n_valu
         value[nodes[split]] = v[split]
         left_counts[nodes[split]] = cum[:, split, flat[split]].T
 
-        moved = split[seg]
-        seg, pos = seg[moved], pos[moved]
-        go_left = vals[moved, fi[seg]] <= v[seg]
+        moved = np.flatnonzero(split.take(seg))
+        seg, pos = seg.take(moved), pos.take(moved)
+        go_left = vals.take(moved * m + fi.take(seg)) <= v.take(seg)
         order = np.argsort(seg * 2 + ~go_left, kind="stable")
         sample_row[pos] = sample_row[pos[order]]
         sample_cls[pos] = sample_cls[pos[order]]
@@ -464,38 +474,30 @@ def fit_forest(X, y, n_trees: int = 100, seed: int = 0, threads: int | None = No
     return fit_forests(X, y, [np.arange(n_rows)], [seed], n_trees, threads)[0]
 
 
-def _leaves(packed: PackedForest, X: np.ndarray) -> np.ndarray:
-    """Global leaf index reached by each (tree, row), tree-major.
+def _leaves(packed: PackedForest, X: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """Global leaf index reached by each (tree, row), tree-major; ``offset``
+    holds each pair's offset of its row in the flat ``X``.
 
-    The root level takes every pair's root split at once from whole columns
-    of ``X``; a root that is a leaf keeps its node. While at least half of the
-    pairs sit at a split node, a level step moves every pair one level down,
-    a pair at a leaf keeping its node. Once fewer do, the walk moves only the
-    pairs still at a split, dropping each pair that reaches a leaf.
+    Every node, a leaf too, routes from ``i`` to ``left[i] + (x > threshold[i])``,
+    a leaf to itself. The root level takes every pair's root step at once from
+    whole columns of ``X``. While at least half of the pairs sit at a split
+    node, a level step moves every pair one level down. Once fewer do, the walk
+    moves only the pairs still at a split, dropping each pair that reaches a
+    leaf. The leaf mask decides both, and every gather is a ``take``.
     """
-    rows, width = X.shape
     roots = packed.roots
-    feature, left, threshold = packed.feature, packed.left, packed.threshold
-    root_feature = feature[roots]
-    # a leaf root reads column -1 here, and keeps its node
-    down = left[roots, None] + (X.T[root_feature] > threshold[roots, None])
-    node = np.where((root_feature >= 0)[:, None], down, roots[:, None]).ravel()
-    # each pair's offset of its row in the flat X
-    offset = np.tile(np.arange(0, rows * width, width), roots.shape[0])
+    feature, left, threshold, leaf = packed.feature, packed.left, packed.threshold, packed.leaf
+    right = X.T.take(feature.take(roots), axis=0) > threshold.take(roots)[:, None]
+    node = (left.take(roots)[:, None] + right).ravel()
     flat = X.ravel()
-    at = feature[node]
-    inner = at >= 0
-    while 2 * np.count_nonzero(inner) >= node.shape[0]:
-        # a pair at a leaf reads some cell of X, and keeps its node
-        node = np.where(inner, left[node] + (flat[offset + at] > threshold[node]), node)
-        at = feature[node]
-        inner = at >= 0
-    active = np.flatnonzero(inner)
+    while 2 * np.count_nonzero(leaf.take(node)) <= node.shape[0]:
+        node = left.take(node) + (flat.take(offset + feature.take(node)) > threshold.take(node))
+    active = np.flatnonzero(leaf.take(node) == 0)
     while active.shape[0]:
-        at = node[active]
-        nxt = left[at] + (flat[offset[active] + feature[at]] > threshold[at])
+        at = node.take(active)
+        nxt = left.take(at) + (flat.take(offset.take(active) + feature.take(at)) > threshold.take(at))
         node[active] = nxt
-        active = active[feature[nxt] >= 0]
+        active = active[leaf.take(nxt) == 0]
     return node
 
 
@@ -513,16 +515,23 @@ def predict_packed(packed: PackedForest, X) -> np.ndarray:
     if X.ndim != 2 or X.shape[1] != packed.n_features:
         raise FeatureMismatch(f"expected {packed.n_features} features, "
                               f"got {X.shape[1] if X.ndim == 2 else 'non-matrix'}")
-    n_forests = packed.roots.shape[0] // packed.n_trees
+    n_pack = packed.roots.shape[0]
+    n_forests = n_pack // packed.n_trees
     out = np.empty((X.shape[0], n_forests, packed.proba.shape[1]))
-    step = max(1, _ROUTE_PAIRS // packed.roots.shape[0])
+    step = max(1, _ROUTE_PAIRS // n_pack)
+    offset = None
     for lo in range(0, X.shape[0], step):
         chunk = X[lo:lo + step]
-        leaves = _leaves(packed, chunk).reshape(n_forests, packed.n_trees, chunk.shape[0])
+        # each pair's row offset, built again only for a ragged last chunk
+        if offset is None or offset.shape[0] != n_pack * chunk.shape[0]:
+            offset = np.tile(np.arange(0, chunk.size, X.shape[1]), n_pack)
+        leaves = _leaves(packed, chunk, offset).reshape(n_forests, packed.n_trees, chunk.shape[0])
         # (forest, tree, row, class): each forest summed over its own trees in
-        # tree order, as routing that forest alone would
-        sums = packed.proba[leaves].sum(axis=1)
-        out[lo:lo + step] = (sums / packed.n_trees).transpose(1, 0, 2)
+        # tree order, as routing that forest alone would. Not class-major: when
+        # one forest routes one row, that layout puts the tree axis innermost,
+        # and numpy sums an innermost axis pairwise, in another order.
+        out[lo:lo + step] = packed.proba.take(leaves, axis=0).sum(axis=1).transpose(1, 0, 2)
+    out /= packed.n_trees
     return out
 
 

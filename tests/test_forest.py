@@ -485,7 +485,8 @@ class TestPackedRouting:
     @settings(max_examples=150, deadline=None)
     def test_random_packs(self, data):
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        n_trees = data.draw(st.integers(1, 5))
+        # past numpy's 8-term pairwise block, so a change of tree-summation order shows
+        n_trees = data.draw(st.integers(1, 12))
         n_classes = data.draw(st.integers(2, 4))
         n_values = data.draw(st.integers(1, 6))
         depth = data.draw(st.integers(1, 8))
@@ -516,6 +517,18 @@ class TestPackedRouting:
         rng = np.random.default_rng(3)
         forests = [random_forest(rng, ["stump", "chain", "stump", "chain"], 2, 3, 2, 12) for _ in range(2)]
         self.assert_routes_like_reference(forests, rng.integers(0, 3, size=(17, 4)), 5)
+
+    @pytest.mark.parametrize("shapes, depth, route_pairs", [
+        (["stump", "complete", "complete"], 5, 1 << 14),  # leaf pairs ride along in the level steps
+        (["stump", "chain", "chain", "stump"], 12, 7),  # and in the root level before the compacted walk
+    ])
+    def test_extreme_signed_symbols_stay_at_leaves(self, shapes, depth, route_pairs):
+        # signed-integer symbols skip the symbol check, so no int64 may move a pair off its leaf,
+        # which reads its forest's first column
+        rng = np.random.default_rng(4)
+        forests = [random_forest(rng, shapes, 3, 5, 3, depth) for _ in range(2)]
+        extremes = np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0, 2, 4])
+        self.assert_routes_like_reference(forests, rng.choice(extremes, size=(29, 6)), route_pairs)
 
 
 def _spec(rows, trees, n_classes=1):
