@@ -1,18 +1,18 @@
 """Hyper-parameter search over (alphabet size, word size) pairs.
 
 Every feasible pair of a representation's grid is scored by seeded,
-stratified k-fold cross-validated forest accuracy on the training set
-(leave-one-out when some class has a single instance). For each alphabet,
-all word sizes within a 0.01 margin of that alphabet's best score are
-kept as lenses, so every alphabet contributes its sharpest view. Fold
-assignment is fixed once per search and reused across the grid. SFA lenses
-keep the DC window: a znormalized series has a zero DC term, so the
-drop-DC window of width w is the keep-DC window shifted by one
-coefficient pair and scoring both would score nearly the same features
-twice. A grid is fitted in the calling process by one ``fit_lenses`` call
-(each SFA alphabet once, at its widest word), and each point's symbols are
-scored as one task on the caller's process pool. Results come back in task
-order, so scheduling changes nothing.
+stratified k-fold cross-validated forest accuracy on the training set;
+a class with a single row stays in every training fold and is never held
+out. For each alphabet, all word sizes within a 0.01 margin of that
+alphabet's best score are kept as lenses, so every alphabet contributes
+its sharpest view. Fold assignment is fixed once per search and reused
+across the grid. SFA lenses keep the DC window: a znormalized series has
+a zero DC term, so the drop-DC window of width w is the keep-DC window
+shifted by one coefficient pair and scoring both would score nearly the
+same features twice. A grid is fitted in the calling process by one
+``fit_lenses`` call (each SFA alphabet once, at its widest word), and
+each point's symbols are scored as one task on the caller's process
+pool. Results come back in task order, so scheduling changes nothing.
 """
 
 from __future__ import annotations
@@ -111,31 +111,37 @@ def stratified_fold_assignment(y, n_folds: int, seed: int) -> np.ndarray:
 
 
 def cross_val_accuracy(symbols, y, fold_ids, trees, seed) -> float:
-    """Pooled accuracy of per-fold forests predicting their held-out rows.
+    """Accuracy of per-fold forests over the rows they hold out.
 
-    The forests of as many folds as fit ``BATCH_SLOTS`` bootstrap rows are
-    grown in one batch, then scored and dropped: all folds of a 5-fold split
-    of a few hundred rows, a few folds at a time under leave-one-out.
-    Raises ValueError unless ``fold_ids`` holds at least two distinct ids.
+    A row of a class with one row in ``y`` is never held out: it trains
+    every fold's forest. A fold with no other row grows no forest, and the
+    score is 0.0 when no row can be held out. The forests of as many folds
+    as fit ``BATCH_SLOTS`` bootstrap rows grow in one batch, then are scored
+    and dropped. Raises ValueError unless ``fold_ids`` holds at least two
+    distinct ids.
     """
     symbols = np.asarray(symbols)
     y = np.asarray(y)
-    folds = [int(f) for f in np.unique(fold_ids)]
-    if len(folds) < 2:
+    if np.unique(fold_ids).shape[0] < 2:
         raise ValueError("cross-validation needs at least two distinct fold ids: one fold leaves no training rows")
+    _, inverse, counts = np.unique(y, return_inverse=True, return_counts=True)
+    scored = counts[inverse] > 1
+    folds = [int(f) for f in np.unique(fold_ids[scored])]
+    if not folds:
+        return 0.0
     train_rows = y.shape[0] - y.shape[0] // len(folds)
     step = max(1, BATCH_SLOTS // max(1, trees * train_rows))
     correct = 0
     for lo in range(0, len(folds), step):
         group = folds[lo:lo + step]
         models = fit_forests(
-            symbols, y, [np.flatnonzero(fold_ids != f) for f in group],
+            symbols, y, [np.flatnonzero((fold_ids != f) | ~scored) for f in group],
             [_derived_seed(seed, f) for f in group], n_trees=trees,
         )
         for f, model in zip(group, models):
-            val = fold_ids == f
+            val = (fold_ids == f) & scored
             correct += int(np.sum(predict(model, symbols[val]) == y[val]))
-    return correct / y.shape[0]
+    return correct / int(scored.sum())
 
 
 def select_within_margin(accuracies):
@@ -161,13 +167,6 @@ def select_per_alpha(pairs, accuracies):
     return sorted(keep)
 
 
-def _fold_ids_for(train: Dataset, folds: int, seed: int) -> np.ndarray:
-    counts = train.class_counts()
-    if min(counts.values()) == 1:
-        return np.arange(len(train))  # leave-one-out
-    return stratified_fold_assignment(train.y, folds, seed)
-
-
 def _pool_workers(threads: int | None) -> int:
     """Worker processes for ``threads``, capped at the core count; 1 means this process only."""
     return min(threads or 1, os.cpu_count() or 1)
@@ -188,7 +187,7 @@ def _score_grid(train, representation, grid, seed, trees, sax_mode, pool) -> lis
     pairs = grid.pairs(rep, train.n)
     if not pairs:
         raise NoFeasibleLens(f"no feasible (alpha, w) pairs for series length {train.n}")
-    fold_ids = _fold_ids_for(train, grid.folds, seed)
+    fold_ids = stratified_fold_assignment(train.y, grid.folds, seed)
     lenses = [Lens(rep, alpha, w) for alpha, w in pairs]
     symbols = [fitted[1] for fitted in fit_lenses(train.X, lenses, sax_mode)]
     # the stream omits drop_dc: the pinned model bytes were written with

@@ -1311,13 +1311,13 @@ def test_model_bytes_pinned_gaussian(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_CHINATOWN_GAUSSIAN_SHA256
 
 
-# sha256 of a leave-one-out train: class 9 has a single row, so the searches
-# grow 2-class and 3-class fold forests in the same calls; re-based for format 3 as the pins above
-PINNED_LEAVE_ONE_OUT_SHA256 = "6f4d46e2feb830d6c3b7622d9c5543ebd54b1b3307e6b23ee593ddfd3833e625"
+# sha256 of a train where class 9 has a single row: it stays in every
+# training fold and is never held out, so every fold forest holds all 3 classes
+PINNED_SINGLETON_CLASS_SHA256 = "af7840cc70521e5de58eefddf299fbfb061eb34f044642fc24322fa07a02955d"
 
 
 @pytest.mark.parametrize("threads", [None, 2])
-def test_leave_one_out_model_bytes_pinned(tmp_path, monkeypatch, threads):
+def test_singleton_class_model_bytes_pinned(tmp_path, monkeypatch, threads):
     data = synth_dataset("waves", seed=3)
     y = data.y.copy()
     y[0] = 9
@@ -1331,12 +1331,27 @@ def test_leave_one_out_model_bytes_pinned(tmp_path, monkeypatch, threads):
     path = tmp_path / "singleton.json"
     save_model(train(Dataset(data.X, y, name="waves_singleton"), CoEyeConfig(seed=1, threads=threads, **SMALL_CONFIG)),
                path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_LEAVE_ONE_OUT_SHA256
-    assert path.stat().st_size == 35_110
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SINGLETON_CLASS_SHA256
+    assert path.stat().st_size == 31_320
     if threads is None:
-        # every batch holds forests of one class count, and both counts are grown
-        assert all(len(classes) == 1 for classes in batch_classes)
-        assert set().union(*batch_classes) == {2, 3}
+        # every forest, fold and eye alike, is grown on all three classes
+        assert set().union(*batch_classes) == {3}
+
+
+# sha256 of a train where every class has a single row: no row can be held
+# out, so every grid point scores 0.0 and is kept; leave-one-out wrote the same bytes
+PINNED_ALL_SINGLETONS_SHA256 = "e4cc543b6b90a2142205f63916e361f169c55cff47ef996925e1cc37bd6e198b"
+
+
+@pytest.mark.parametrize("threads", [None, 2])
+def test_all_singleton_classes_model_bytes_pinned(tmp_path, threads):
+    data = synth_dataset("waves", seed=3)
+    model = train(Dataset(data.X[[0, 10, 1, 11]], np.arange(4), name="waves_singletons"),
+                  CoEyeConfig(seed=1, threads=threads, **SMALL_CONFIG))
+    assert len(model.eyes) == 12 and all(eye.lens.cv_accuracy == 0.0 for eye in model.eyes)
+    path = tmp_path / "singletons.json"
+    save_model(model, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_ALL_SINGLETONS_SHA256
 
 
 def _recording_executor(made: list):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coeye import CoEyeConfig, Dataset, load_ucr, search_lenses, search_lenses_random, train
+from coeye import CoEyeConfig, Dataset, lenses, load_ucr, search_lenses, search_lenses_random, train
 from coeye.errors import NoFeasibleLens, file_fields
 from coeye.lenses import (
     SAX,
@@ -18,6 +18,7 @@ from coeye.lenses import (
     select_within_margin,
     stratified_fold_assignment,
 )
+from tests.forest_reference import reference_fit_forest, reference_predict_proba
 
 
 class TestSelectionRule:
@@ -185,6 +186,26 @@ class TestCrossValidation:
         with pytest.raises(ValueError, match="two distinct fold ids"):
             cross_val_accuracy(symbols, y, fold_ids, trees=5, seed=0)
 
+    @pytest.mark.parametrize("y, fold_ids, forests", [
+        ([0, 0, 1, 1, 2], [0, 1, 0, 1, 2], 2),  # fold 2 holds only the single row of class 2
+        ([0, 1, 2, 3], [0, 1, 0, 1], 0),  # every class has one row: nothing is held out
+    ])
+    def test_folds_with_nothing_to_hold_out_grow_nothing(self, monkeypatch, y, fold_ids, forests):
+        grown, fit_forests = [], lenses.fit_forests
+
+        def recording(X_, y_, row_sets, *args, **kwargs):
+            grown.extend(row_sets)
+            return fit_forests(X_, y_, row_sets, *args, **kwargs)
+
+        monkeypatch.setattr(lenses, "fit_forests", recording)
+        y, fold_ids = np.array(y), np.array(fold_ids)
+        symbols = np.arange(y.shape[0] * 3).reshape(-1, 3)
+        accuracy = cross_val_accuracy(symbols, y, fold_ids, trees=5, seed=0)
+        assert len(grown) == forests
+        assert all(y.shape[0] - 1 in rows for rows in grown)  # the last row is its class's only row
+        if not forests:
+            assert accuracy == 0.0
+
 
 class TestSearch:
     def small_grid(self):
@@ -226,13 +247,32 @@ class TestSearch:
         with pytest.raises(NoFeasibleLens):
             search_lenses(tiny, "sfa", LensGrid(), seed=0, trees=5)
 
-    def test_loo_used_for_singleton_class(self):
-        rng = np.random.default_rng(2)
-        X = np.vstack([rng.normal(0, 1, (5, 16)), rng.normal(8, 1, (1, 16))])
-        y = np.array([0] * 5 + [1])
-        ds = Dataset(X, y)
-        lenses = search_lenses(ds, "sax", LensGrid(sax_alphas=(3,), folds=5), seed=0, trees=10)
-        assert lenses  # LOO path executes without error and returns the single pair
+    def test_singleton_class_never_held_out(self, waves, monkeypatch):
+        # one row of class 9 beside 20 rows of two classes: 5 folds, not one per row
+        X = np.vstack([waves.X, waves.X[:1] * -1.0])
+        y = np.append(waves.y, 9)
+        single, trees = len(y) - 1, 10
+        calls, fit_forests = [], lenses.fit_forests
+
+        def recording(X_, y_, row_sets, seeds, n_trees=100, threads=None):
+            calls.append((X_, row_sets, seeds))
+            return fit_forests(X_, y_, row_sets, seeds, n_trees, threads)
+
+        monkeypatch.setattr(lenses, "fit_forests", recording)
+        found = search_lenses(Dataset(X, y), "sax", LensGrid(sax_alphas=(3, 4), folds=5), seed=0, trees=trees)
+        assert [l.alpha for l in found] == [3, 4] and len(calls) == 2
+        for lens, (symbols, row_sets, seeds) in zip(found, calls):
+            assert len(row_sets) == 5
+            held_out = [np.setdiff1d(np.arange(len(y)), rows) for rows in row_sets]
+            assert all(single in rows for rows in row_sets)
+            assert not any(single in held for held in held_out)
+            assert sorted(np.concatenate(held_out)) == list(range(single))
+            correct = 0
+            for rows, held, forest_seed in zip(row_sets, held_out, seeds):
+                model = reference_fit_forest(symbols[rows], y[rows], trees, forest_seed)
+                labels = model.class_labels[np.argmax(reference_predict_proba(model, symbols[held]), axis=1)]
+                correct += int(np.sum(labels == y[held]))
+            assert lens.cv_accuracy == correct / single
 
 
 class TestRandomSearch:
