@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 usage or data errors, 3 training errors, 4 series
 shape mismatches. Human-readable output goes to stdout, diagnostics to
-stderr, machine output only to ``--out`` files. ``--data`` defaults to the
-COEYE_DATA_DIR environment variable.
+stderr, machine output to ``--out`` files; ``predict`` without ``--out``
+writes its CSV alone to stdout and its accuracy to stderr. ``--data``
+defaults to the COEYE_DATA_DIR environment variable.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from . import __version__
 from .config import CoEyeConfig
 from .data import Dataset, load_ucr
-from .ensemble import classify, load_model, predict_dataset, save_model, train
+from .ensemble import classify, eye_probabilities, load_model, predict_dataset, save_model, train
 from .errors import (
     CoEyeError,
     EmptyEnsemble,
@@ -147,7 +148,7 @@ def cmd_predict(args) -> int:
     else:
         sys.stdout.write(text)
     if has_truth:
-        print(f"accuracy: {correct / len(preds):.6f}")
+        print(f"accuracy: {correct / len(preds):.6f}", file=sys.stdout if args.out else sys.stderr)
     return 0
 
 
@@ -166,12 +167,13 @@ def cmd_inspect(args) -> int:
     X, _ = _resolve_input(args)
     if not 0 <= args.index < X.shape[0]:
         raise ValueError(f"--index {args.index} outside input with {X.shape[0]} series")
-    pred = classify(model, X[args.index], include_per_eye=True)
+    pred = classify(model, X[args.index])
+    per_eye = eye_probabilities(model, X[args.index])[0]
     print("eye_index,representation,alpha,w,class,probability")
     for j, eye in enumerate(model.eyes):
         for ci, label in enumerate(model.class_labels):
             print(f"{j},{eye.lens.representation},{eye.lens.alpha},{eye.lens.w},"
-                  f"{int(label)},{pred.per_eye[j, ci]:.6f}")
+                  f"{int(label)},{per_eye[j, ci]:.6f}")
     print(f"vote sax_best: {pred.sax_label if pred.sax_label is not None else '-'}")
     print(f"vote sfa_best: {pred.sfa_label if pred.sfa_label is not None else '-'}")
     print(f"vote round: {pred.round}")

@@ -10,6 +10,13 @@ from .errors import Record
 from .symbolic import SAX_MODES, check_alphabets
 
 
+def check_grid(grid) -> None:
+    """Raise ValueError unless ``grid``, a config or a lens grid, has 2 or more folds and alphabets in range."""
+    if not 2 <= grid.folds < 2**63:
+        raise ValueError("folds must be at least 2 and below 2**63: one fold holds no row out, ids are int64")
+    check_alphabets(*grid.sax_alphas, *grid.sfa_alphas)
+
+
 @dataclass(frozen=True)
 class CoEyeConfig(Record):
     seed: int = 42
@@ -29,12 +36,10 @@ class CoEyeConfig(Record):
             raise ValueError("seed must be non-negative")
         if not 1 <= self.trees <= 2**32:
             raise ValueError("trees must lie in [1, 2**32]: the forest stream keys a tree by one 32-bit word")
-        if not 2 <= self.folds < 2**63:
-            raise ValueError("folds must be at least 2 and below 2**63: one fold holds no row out, ids are int64")
         if self.smote_k < 1:
             raise ValueError("smote_k must be at least 1")
         if self.threads is not None and self.threads < 1:
             raise ValueError("threads must be at least 1")
         if self.sax_mode not in SAX_MODES:
             raise ValueError(f"unknown sax_mode {self.sax_mode!r}")
-        check_alphabets(*self.sax_alphas, *self.sfa_alphas)
+        check_grid(self)

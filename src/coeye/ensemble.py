@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import json
 import time
+from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
 
@@ -62,6 +63,7 @@ from .lenses import (
     _derived_seed,
     _NS_SMOTE,
     _NS_TRAIN,
+    _NS_VOTE,
     _pool_map,
     _pool_workers,
     _score_grid,
@@ -71,8 +73,6 @@ from .resample import SmoteReport, smote
 from .symbolic import McbTable, SaxBinning, fit_lenses, symbolize, word_fits
 
 MODEL_FORMAT_VERSION = 3
-
-_NS_VOTE = 6
 
 ROUND_FIRST = "first"
 ROUND_SECOND = "second"
@@ -152,7 +152,6 @@ class Prediction(Record):
     label: int
     confidence: float
     round: str
-    per_eye: np.ndarray | None = field(default=None, metadata={"dtype": np.float64})
     sax_label: int | None = None
     sfa_label: int | None = None
 
@@ -232,7 +231,7 @@ def vote(pred, sax_count: int, seed: int = 0, class_labels=None) -> Prediction |
     of Predictions. Every row that needs a tie draw draws from its own
     stream seeded by ``seed``: SAX's labels first, then SFA's, then the
     fallback's pick. ``class_labels``, if given, names each of the c
-    classes, in class index order.
+    classes, in class index order. Every entry must be a finite number in [0, 1].
     """
     pred = np.asarray(pred, dtype=np.float64)
     if pred.ndim not in (2, 3) or pred.shape[-2] == 0:
@@ -243,16 +242,15 @@ def vote(pred, sax_count: int, seed: int = 0, class_labels=None) -> Prediction |
     names = None if class_labels is None else np.asarray(class_labels)
     if names is not None and (names.shape != pred.shape[-1:] or names.dtype.kind not in "iu"):
         raise ValueError(f"class_labels must be {pred.shape[-1]} integers, one per class, got {class_labels!r}")
+    bad = ~((pred >= 0) & (pred <= 1)).all(axis=-1)  # NaN fails both comparisons
+    if bad.any():
+        at = np.unravel_index(np.argmax(bad), bad.shape)
+        raise ValueError(f"row {at[-1]}{f' of matrix {at[0]}' if pred.ndim == 3 else ''} holds {pred[at].tolist()}: "
+                         "every probability must be a finite number in [0, 1]")
     stack = pred if pred.ndim == 3 else pred[None]
     rows = stack.shape[0]
 
-    rngs = {}
-
-    def rng_of(row):
-        if row not in rngs:
-            rngs[row] = np.random.default_rng(np.random.SeedSequence([seed, _NS_VOTE]))
-        return rngs[row]
-
+    rng_of = defaultdict(lambda: np.random.default_rng(np.random.SeedSequence([seed, _NS_VOTE]))).__getitem__
     sax = _block_best(stack[:, :sax_count], rng_of) if sax_count else None
     sfa = _block_best(stack[:, sax_count:], rng_of) if sax_count < k else None
     if sax is None or sfa is None:
@@ -341,28 +339,25 @@ def train(train_raw: Dataset, config: CoEyeConfig | None = None, lens_strategy: 
     )
 
 
-def _restrict(matrix: np.ndarray, sax_count: int, representation: str) -> tuple[np.ndarray, int]:
-    """The eyes of one representation from a (k, c) matrix or a (rows, k, c) stack."""
+def _restrict(stack: np.ndarray, sax_count: int, representation: str) -> tuple[np.ndarray, int]:
+    """The eyes of one representation from a (rows, k, c) stack."""
     if representation == "both":
-        return matrix, sax_count
+        return stack, sax_count
     if representation == "sax":
-        return matrix[..., :sax_count, :], sax_count
+        return stack[:, :sax_count], sax_count
     if representation == "sfa":
-        return matrix[..., sax_count:, :], 0
+        return stack[:, sax_count:], 0
     raise ValueError(f"unknown representation {representation!r}")
 
 
-def classify(model: CoEyeModel, ts, representation: str = "both", include_per_eye: bool = False) -> Prediction:
-    """Predict one instance; ``representation`` may restrict the vote to one block."""
+def classify(model: CoEyeModel, ts, representation: str = "both") -> Prediction:
+    """``predict_dataset`` of one series; ``representation`` may restrict the vote to one block."""
     values = ts.values if isinstance(ts, TimeSeries) else np.asarray(ts, dtype=np.float64)
     if values.ndim != 1:
         raise SeriesLengthMismatch(
             f"classify takes one series of length {model.n}, got an array of shape {values.shape}"
         )
-    matrix = eye_probabilities(model, values)[0]
-    sliced, sax_count = _restrict(matrix, model.sax_count, representation)
-    result = vote(sliced, sax_count, seed=model.config.seed, class_labels=model.class_labels)
-    return replace(result, per_eye=matrix) if include_per_eye else result
+    return predict_dataset(model, values, representation)[0]
 
 
 def predict_dataset(model: CoEyeModel, data, representation: str = "both") -> list[Prediction]:

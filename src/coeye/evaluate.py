@@ -144,16 +144,14 @@ def metrics(y_true, y_pred, classes) -> EvalReport:
     scores = np.column_stack([precision, recall, f1]).tolist()
     per_class = {label: ClassScores(*row) for label, row in zip(classes.tolist(), scores)}
 
-    total = confusion.sum()
-    tp_total = np.trace(confusion)
-    micro_p = tp_total / total
+    accuracy = float(np.trace(confusion) / confusion.sum())
     return EvalReport(
-        accuracy=float(tp_total / total),
+        accuracy=accuracy,
         per_class=per_class,
         macro_precision=float(np.mean(precision)),
         macro_recall=float(np.mean(recall)),
         macro_f1=float(np.mean(f1)),
-        micro_f1=float(micro_p),  # single-label multiclass: micro P = R = F1
+        micro_f1=accuracy,  # single-label multiclass: micro P = R = F1 = accuracy
         confusion=confusion,
     )
 

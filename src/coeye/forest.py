@@ -45,23 +45,23 @@ writes these fields as they are, and each ``Eye`` checks that its forest's
 store routes (``check_store``).
 
 Packed layout. For routing, the stores of forests of one tree count are
-concatenated, with global left-child ids and leaf class probabilities ``counts /
-counts.sum(1)``: pack tree ``f * n_trees + t`` is tree ``t`` of forest
-``f``. The forests read their feature columns side by side, so a split
-feature is offset by the widths of the forests before its own. A leaf routes
-to itself, as in branch-free traversal (QuickScorer, Lucchese et al., SIGIR
-2015): its ``left`` is its own id, its ``feature`` its forest's first column
-and its ``threshold`` the int64 maximum, which no symbol exceeds; a one-byte
-``leaf`` mask marks it. One ``_leaves`` walk routes every row through every
-tree of the pack, from node ``i`` to ``left[i] + (x > threshold[i])``, and
-each forest sums its own trees in tree order, bit-identical to routing it
-alone. The walk moves a chunk's (tree, row) pairs a level at a time (Asadi,
-Lin & de Vries, IEEE TKDE 2014): the root level reads whole columns of X,
-then level steps move every pair at once, a pair at a leaf staying by its own
-route, while the mask shows at least half of the pairs at a split node. The
-pairs left at a split then walk on alone, compacted each step until the mask
-shows each at a leaf. Both read X through each pair's row offset, built once
-per chunk size.
+concatenated, with global left-child ids and class probabilities ``counts /
+counts.sum(1)`` at leaves, 0 elsewhere: pack tree ``f * n_trees + t`` is tree
+``t`` of forest ``f``. The forests read their feature columns side by side, so
+a split feature is offset by the widths of the forests before its own. A leaf
+routes to itself, as in branch-free traversal (QuickScorer, Lucchese et al.,
+SIGIR 2015): its ``left`` is its own id, its ``feature`` its forest's first
+column and its ``threshold`` the int64 maximum, which no symbol exceeds. That
+self-loop is what makes a node a leaf: no split's left child is itself. One
+``_leaves`` walk routes every row through every tree of the pack, from node
+``i`` to ``left[i] + (x > threshold[i])``, and each forest sums its own trees
+in tree order, bit-identical to routing it alone. The walk moves a chunk's
+(tree, row) pairs a level at a time (Asadi, Lin & de Vries, IEEE TKDE 2014):
+the root level reads whole columns of X, then level steps move every pair at
+once, a pair at a leaf staying by its own route, while at least half of the
+pairs sit at a split node. The pairs left at a split then walk on alone,
+compacted each step until each sits at a leaf. Both read X through each pair's
+row offset, built once per chunk size.
 """
 
 from __future__ import annotations
@@ -121,7 +121,6 @@ class PackedForest(Record):
     threshold: np.ndarray = field(metadata={"dtype": np.int64})
     left: np.ndarray = field(metadata={"dtype": np.int64})
     proba: np.ndarray = field(metadata={"dtype": np.float64})
-    leaf: np.ndarray = field(metadata={"dtype": np.uint8})
     roots: np.ndarray = field(metadata={"dtype": np.int64})
     n_trees: int
     n_features: int
@@ -191,8 +190,10 @@ def pack_forests(forests: list[RandomForestModel]) -> PackedForest:
                                                for name in ("feature", "threshold", "left", "counts", "tree_sizes"))
     roots = np.cumsum(sizes) - sizes
     leaf = feature < 0
+    at = np.flatnonzero(leaf)
+    leaf_counts = counts.take(at, axis=0)
     proba = np.zeros(counts.shape)
-    np.divide(counts, counts.sum(axis=1, keepdims=True), out=proba, where=leaf[:, None])
+    proba[at] = leaf_counts / leaf_counts.sum(axis=1, keepdims=True)
     widths = np.array([f.n_features for f in forests])
     # a split reads its own forest's columns, which sit after the earlier forests' columns
     column = np.repeat(np.cumsum(widths) - widths, [f.feature.shape[0] for f in forests])
@@ -200,8 +201,7 @@ def pack_forests(forests: list[RandomForestModel]) -> PackedForest:
     feature = np.where(leaf, column, feature + column)
     threshold = np.where(leaf, np.iinfo(np.int64).max, threshold)
     left = np.where(leaf, np.arange(leaf.shape[0]), left + np.repeat(roots, sizes))
-    return PackedForest(feature, threshold, left, proba, leaf.astype(np.uint8), roots, forests[0].n_trees,
-                        int(widths.sum()))
+    return PackedForest(feature, threshold, left, proba, roots, forests[0].n_trees, int(widths.sum()))
 
 
 class _ForestSpec(NamedTuple):
@@ -483,21 +483,24 @@ def _leaves(packed: PackedForest, X: np.ndarray, offset: np.ndarray) -> np.ndarr
     whole columns of ``X``. While at least half of the pairs sit at a split
     node, a level step moves every pair one level down. Once fewer do, the walk
     moves only the pairs still at a split, dropping each pair that reaches a
-    leaf. The leaf mask decides both, and every gather is a ``take``.
+    leaf. A pair is at a leaf when ``left`` of its node is that node, read from
+    the ``left`` gather the next step uses; every gather is a ``take``.
     """
     roots = packed.roots
-    feature, left, threshold, leaf = packed.feature, packed.left, packed.threshold, packed.leaf
+    feature, left, threshold = packed.feature, packed.left, packed.threshold
     right = X.T.take(feature.take(roots), axis=0) > threshold.take(roots)[:, None]
     node = (left.take(roots)[:, None] + right).ravel()
     flat = X.ravel()
-    while 2 * np.count_nonzero(leaf.take(node)) <= node.shape[0]:
-        node = left.take(node) + (flat.take(offset + feature.take(node)) > threshold.take(node))
-    active = np.flatnonzero(leaf.take(node) == 0)
+    step = left.take(node)
+    while 2 * np.count_nonzero(step == node) <= node.shape[0]:
+        node = step + (flat.take(offset + feature.take(node)) > threshold.take(node))
+        step = left.take(node)
+    active = np.flatnonzero(step != node)
     while active.shape[0]:
         at = node.take(active)
         nxt = left.take(at) + (flat.take(offset.take(active) + feature.take(at)) > threshold.take(at))
         node[active] = nxt
-        active = active[leaf.take(nxt) == 0]
+        active = active[left.take(nxt) != nxt]
     return node
 
 

@@ -25,11 +25,11 @@ from itertools import repeat
 
 import numpy as np
 
-from .config import CoEyeConfig
+from .config import CoEyeConfig, check_grid
 from .data import Dataset
 from .errors import NoFeasibleLens, Record
 from .forest import BATCH_SLOTS, fit_forests, predict
-from .symbolic import SAX, SFA, Lens, check_alphabets, fit_lenses, word_fits
+from .symbolic import SAX, SFA, Lens, fit_lenses, word_fits
 
 ACCURACY_MARGIN = 0.01
 _MARGIN_SLACK = 1e-12
@@ -40,6 +40,7 @@ _NS_TRAIN = 2
 _NS_SMOTE = 3
 _NS_FOLDS = 4
 _NS_RANDOM_LENSES = 5
+_NS_VOTE = 6
 
 
 @dataclass(frozen=True)
@@ -57,9 +58,7 @@ class LensGrid(Record):
     folds: int = CoEyeConfig.folds
 
     def check(self):
-        if not 2 <= self.folds < 2**63:
-            raise ValueError("folds must be at least 2 and below 2**63: one fold holds no row out, ids are int64")
-        check_alphabets(*self.sax_alphas, *self.sfa_alphas)
+        check_grid(self)
 
     @staticmethod
     def from_config(config: CoEyeConfig) -> "LensGrid":
@@ -84,14 +83,11 @@ def _feasible_pairs(s: int, alphas, words, n: int) -> list[tuple[int, int]]:
 
 
 def _rep_flag(representation) -> int:
-    if representation in (SAX, SFA):
-        return representation
-    name = str(representation).lower()
-    if name == "sax":
-        return SAX
-    if name == "sfa":
-        return SFA
-    raise ValueError(f"unknown representation {representation!r}")
+    """``SAX`` or ``SFA``, given as itself or by name in any case."""
+    flag = {"sax": SAX, "sfa": SFA}.get(str(representation).lower(), representation)
+    if flag not in (SAX, SFA):
+        raise ValueError(f"unknown representation {representation!r}")
+    return flag
 
 
 def _derived_seed(*components) -> int:

@@ -2,6 +2,7 @@ import csv
 import inspect
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -132,6 +133,15 @@ class TestPredict:
         rows = list(csv.DictReader(io.StringIO(out.read_text())))
         assert len(rows) == 20
         assert set(rows[0]) == {"index", "predicted", "confidence", "round", "true", "correct"}
+
+    def test_csv_on_stdout_holds_one_row_per_series(self, workdir, trained, capsys):
+        # the accuracy line used to follow the CSV on stdout, read as one more row
+        code = main(["predict", "--model", str(trained), "--data", str(workdir), "--dataset", "waves"])
+        assert code == 0
+        captured = capsys.readouterr()
+        rows = list(csv.DictReader(io.StringIO(captured.out)))
+        assert [row["index"] for row in rows] == [str(i) for i in range(20)]
+        assert re.fullmatch(r"accuracy: [01]\.\d{6}\n", captured.err)
 
     def test_values_only_input(self, workdir, trained, tmp_path, capsys):
         series = synth_dataset("waves", seed=3).X[:4]

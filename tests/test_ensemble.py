@@ -166,6 +166,29 @@ class TestVote:
         with pytest.raises(ValueError, match="class_labels"):
             vote([[0.2, 0.8], [0.3, 0.7]], 1, class_labels=class_labels)
 
+    @pytest.mark.parametrize("matrix, row", [
+        (np.full((3, 2), np.nan), 0),
+        ([[0.3, 0.7], [np.inf, 0.5]], 1),
+        ([[0.3, 0.7], [0.5, -np.inf]], 1),
+        ([[0.3, 0.7], [-1.0, 2.0]], 1),
+        ([[0.3, 0.7], [0.2, 0.8], [0.0, 1.0 + 2**-52]], 2),
+        # alone it voted 0, in a stack 1
+        ([[0.3, 0.7], [np.nan, 0.5], [0.2, 0.8]], 1),
+    ])
+    def test_non_probabilities_refused_naming_the_row(self, matrix, row):
+        # each used to give a label, with a confidence of nan, inf or 2.0
+        matrix = np.asarray(matrix, dtype=np.float64)
+        with pytest.raises(ValueError, match=rf"^row {row} holds"):
+            vote(matrix, 1)
+        stack = np.stack([np.full_like(matrix, 0.5), matrix])
+        with pytest.raises(ValueError, match=rf"^row {row} of matrix 1 holds"):
+            vote(stack, 1)
+
+    def test_certain_rows_accepted(self):
+        matrix = np.array([[0.0, 1.0], [1.0, 0.0]])
+        assert vote(matrix, 1, seed=0).confidence == 1.0
+        assert len(vote(np.stack([matrix, matrix]), 1, seed=0)) == 2
+
     def test_class_labels_mapped(self):
         matrix = two_class_rows((0, 0.9), (0, 0.8))
         result = vote(matrix, sax_count=1, seed=0, class_labels=[5, 9])
@@ -398,12 +421,13 @@ class TestTrain:
 class TestClassify:
     def test_prediction_fields(self, waves, small_config):
         model = train(waves, small_config)
-        pred = classify(model, waves.X[0], include_per_eye=True)
+        pred = classify(model, waves.X[0])
+        per_eye = eye_probabilities(model, waves.X[0])[0]
         assert pred.label in model.class_labels
         assert 0.0 <= pred.confidence <= 1.0
         assert pred.round in ("first", "second", "fallback")
-        assert pred.per_eye.shape == (len(model.eyes), 2)
-        assert np.allclose(pred.per_eye.sum(axis=1), 1.0, atol=1e-9)
+        assert per_eye.shape == (len(model.eyes), 2)
+        assert np.allclose(per_eye.sum(axis=1), 1.0, atol=1e-9)
 
     def test_accurate_on_separable_fixture(self, waves, small_config):
         model = train(waves, small_config)
@@ -441,8 +465,8 @@ class TestClassify:
             config=CoEyeConfig(seed=0, trees=10),
         )
         probe = np.array([5.0, -1.0, 2.0, 0.5])
-        pred = classify(model, probe, include_per_eye=True)
-        assert pred.label == int(np.argmax(pred.per_eye[0]))
+        pred = classify(model, probe)
+        assert pred.label == int(np.argmax(eye_probabilities(model, probe)[0, 0]))
 
     def test_representation_restriction(self, waves, small_config):
         model = train(waves, small_config)
@@ -529,10 +553,10 @@ class TestServingMatchesPerEye:
         batch = predict_dataset(model, test_set)
         matrices = eye_probabilities(model, test_set.X)
         for i, expected in enumerate(batch):
-            single = classify(model, test_set.X[i], include_per_eye=True)
+            single = classify(model, test_set.X[i])
             assert (single.label, single.confidence, single.round, single.sax_label, single.sfa_label) == (
                 expected.label, expected.confidence, expected.round, expected.sax_label, expected.sfa_label)
-            assert np.array_equal(single.per_eye, matrices[i])
+            assert np.array_equal(eye_probabilities(model, test_set.X[i])[0], matrices[i])
 
     def test_one_fft_and_one_znormalize_per_call(self, ucr_models, monkeypatch):
         model, test_set = ucr_models["Chinatown"]

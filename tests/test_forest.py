@@ -500,6 +500,24 @@ class TestPackedRouting:
         route_pairs = data.draw(st.integers(1, 3 * n_trees * len(forests)))
         self.assert_routes_like_reference(forests, X, route_pairs)
 
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_leaves_are_the_self_loops(self, data):
+        # the walk reads a leaf only from left[i] == i, and the vote only from leaf rows
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n_trees, n_classes = data.draw(st.integers(1, 6)), data.draw(st.integers(2, 4))
+        shape = st.sampled_from(["stump", "chain", "complete", "random"])
+        forests = [random_forest(rng, data.draw(st.lists(shape, min_size=n_trees, max_size=n_trees)),
+                                 data.draw(st.integers(1, 5)), 6, n_classes, data.draw(st.integers(1, 6)))
+                   for _ in range(data.draw(st.integers(1, 3)))]
+        packed = pack_forests(forests)
+        leaf = np.concatenate([f.feature for f in forests]) < 0
+        counts = np.concatenate([f.counts for f in forests])
+        assert np.array_equal(packed.left == np.arange(leaf.shape[0]), leaf)
+        assert not packed.proba[~leaf].any()
+        for i in np.flatnonzero(leaf).tolist():
+            assert np.array_equal(packed.proba[i], counts[i] / counts[i].sum())
+
     def test_no_level_step(self):
         # after the root level, stumps and depth-1 trees leave no pair at a split
         rng = np.random.default_rng(1)

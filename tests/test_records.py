@@ -173,8 +173,8 @@ def test_a_model_and_its_records_cannot_be_rebound(any_model):
 def test_no_array_of_a_model_can_be_written(any_model):
     model = any_model
     arrays = _arrays(model)
-    # the labels, 6 pack arrays, and per eye its cuts and 6 forest arrays
-    assert len(arrays) == 7 + 7 * len(model.eyes)
+    # the labels, 5 pack arrays, and per eye its cuts and 6 forest arrays
+    assert len(arrays) == 6 + 7 * len(model.eyes)
     for array in arrays:
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
