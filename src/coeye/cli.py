@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .config import CoEyeConfig
 from .data import Dataset, load_ucr
-from .ensemble import classify, eye_probabilities, load_model, predict_dataset, save_model, train
+from .ensemble import eye_probabilities, load_model, predict_dataset, save_model, train, vote
 from .errors import (
     CoEyeError,
     EmptyEnsemble,
@@ -39,8 +39,12 @@ _EXIT_CODES = {
 }
 
 
+def _name_list(text) -> tuple[str, ...]:
+    return tuple(str(text).replace(",", " ").split())
+
+
 def _int_list(text) -> tuple[int, ...]:
-    return tuple(int(v) for v in str(text).replace(",", " ").split())
+    return tuple(map(int, _name_list(text)))
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -167,8 +171,8 @@ def cmd_inspect(args) -> int:
     X, _ = _resolve_input(args)
     if not 0 <= args.index < X.shape[0]:
         raise ValueError(f"--index {args.index} outside input with {X.shape[0]} series")
-    pred = classify(model, X[args.index])
     per_eye = eye_probabilities(model, X[args.index])[0]
+    pred = vote(per_eye, model.sax_count, seed=model.config.seed, class_labels=model.class_labels)
     print("eye_index,representation,alpha,w,class,probability")
     for j, eye in enumerate(model.eyes):
         for ci, label in enumerate(model.class_labels):
@@ -197,21 +201,12 @@ def cmd_benchmark(args) -> int:
     if args.manifest:
         with open(args.manifest, "r", encoding="utf-8") as fh:
             names = [line.strip() for line in fh if line.strip()]
-    if args.datasets:
-        names.extend(n for n in str(args.datasets).replace(",", " ").split())
+    names.extend(args.datasets)
     if not names:
         raise ValueError("provide --datasets or --manifest")
-    modes = [m for m in str(args.modes).replace(",", " ").split()]
-    for mode in modes:
-        if mode not in BENCHMARK_MODES:
-            raise ValueError(f"unknown mode {mode!r}; choose from {', '.join(BENCHMARK_MODES)}")
-    config = _config_from_args(args)
-
-    all_reports = []
-    for mode in modes:
-        all_reports.extend(run_benchmark(data_dir, names, mode, args.seeds, args.out, config))
-    ok = sum(1 for r in all_reports if r.status == "ok")
-    print(f"benchmark rows written: {len(all_reports)} ({ok} ok) -> {args.out}")
+    reports = run_benchmark(data_dir, names, args.modes, args.seeds, args.out, _config_from_args(args))
+    ok = sum(1 for r in reports if r.status == "ok")
+    print(f"benchmark rows written: {len(reports)} ({ok} ok) -> {args.out}")
     return 0 if ok > 0 else 3
 
 
@@ -260,9 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("benchmark", help="train/test sweeps appended to a results CSV")
     _add_data_dir_flag(p)
-    p.add_argument("--datasets", default=None, help="comma list of dataset names")
+    p.add_argument("--datasets", type=_name_list, default=(), help="comma list of dataset names")
     p.add_argument("--manifest", default=None, help="file with one dataset name per line")
-    p.add_argument("--modes", default="coeye",
+    p.add_argument("--modes", type=_name_list, default=("coeye",),
                    help=f"comma list from: {', '.join(BENCHMARK_MODES)} (default: coeye)")
     p.add_argument("--seeds", type=_int_list, default=(CoEyeConfig.seed,),
                    help=f"comma list of seeds (default: {CoEyeConfig.seed})")

@@ -1,9 +1,9 @@
 """Metrics, the nearest-neighbour sanity baseline, and the benchmark harness.
 
-The harness trains on ``<Name>_TRAIN`` and scores ``<Name>_TEST`` files
-for each (dataset, seed, mode), appending one row per run to a
-schema-stable CSV. Modes: ``coeye`` (full ensemble), ``sax_only`` /
-``sfa_only`` (vote restricted to one representation block),
+The harness trains on ``<Name>_TRAIN`` and scores ``<Name>_TEST`` files,
+appending one row per (dataset, seed, mode) to a schema-stable CSV. Modes
+(``MODES``): ``coeye`` (full ensemble), ``sax_only`` / ``sfa_only`` (vote
+restricted to one representation block of the same model),
 ``random_lenses`` (uniform lens sampling instead of the CV search), and
 ``ed1nn`` (1-nearest-neighbour on raw Euclidean distance).
 """
@@ -25,7 +25,11 @@ from .data import DATA_EXTENSIONS, Dataset, load_ucr
 from .ensemble import predict_dataset, train
 from .errors import Record, SeriesLengthMismatch, UnknownLabel
 
-BENCHMARK_MODES = ("coeye", "sax_only", "sfa_only", "random_lenses", "ed1nn")
+# each mode's (lens strategy of ``train``, representation block it votes); ed1nn trains nothing
+MODES = {"coeye": ("search", "both"), "sax_only": ("search", "sax"), "sfa_only": ("search", "sfa"),
+         "random_lenses": ("random", "both"), "ed1nn": (None, None)}
+BENCHMARK_MODES = tuple(MODES)
+_UNTRAINED = {"search_sax": 0.0, "search_sfa": 0.0, "train": 0.0, "total": 0.0}  # ed1nn's model timings
 
 CSV_COLUMNS = [
     "dataset", "mode", "seed", "accuracy",
@@ -34,6 +38,7 @@ CSV_COLUMNS = [
     "t_search_sax_s", "t_search_sfa_s", "t_train_s", "t_predict_s", "t_total_s",
     "status", "version",
 ]
+_ERROR_COLUMNS = ("dataset", "mode", "seed", "status", "version")  # an error row leaves the rest blank
 
 
 @dataclass(frozen=True)
@@ -67,32 +72,15 @@ class EvalReport(Record):
     status: str = "ok"
 
     def csv_row(self) -> dict:
-        t = self.timings
-        if self.status != "ok":
-            row = {c: "" for c in CSV_COLUMNS}
-            row.update(dataset=self.dataset, mode=self.mode, seed=self.seed,
-                       status=self.status, version=build_version())
-            return row
-        return {
-            "dataset": self.dataset,
-            "mode": self.mode,
-            "seed": self.seed,
-            "accuracy": f"{self.accuracy:.6f}",
-            "macro_precision": f"{self.macro_precision:.6f}",
-            "macro_recall": f"{self.macro_recall:.6f}",
-            "macro_f1": f"{self.macro_f1:.6f}",
-            "micro_f1": f"{self.micro_f1:.6f}",
-            "n_sax_lenses": self.n_sax_lenses,
-            "n_sfa_lenses": self.n_sfa_lenses,
-            "smote_pct": f"{self.smote_pct:.6f}",
-            "t_search_sax_s": f"{t.get('search_sax', 0.0):.3f}",
-            "t_search_sfa_s": f"{t.get('search_sfa', 0.0):.3f}",
-            "t_train_s": f"{t.get('train', 0.0):.3f}",
-            "t_predict_s": f"{t.get('predict', 0.0):.3f}",
-            "t_total_s": f"{t.get('total', 0.0):.3f}",
-            "status": self.status,
-            "version": build_version(),
-        }
+        """One cell per ``CSV_COLUMNS`` entry: a float to 6 places, ``t_<phase>_s`` as ``timings[phase]`` to 3."""
+        row = dict.fromkeys(CSV_COLUMNS, "")
+        for c in CSV_COLUMNS if self.status == "ok" else _ERROR_COLUMNS:
+            if c.startswith("t_"):
+                row[c] = f"{self.timings.get(c[2:-2], 0.0):.3f}"
+            else:
+                value = build_version() if c == "version" else getattr(self, c)
+                row[c] = f"{value:.6f}" if isinstance(value, float) else value
+        return row
 
 
 @cache
@@ -179,61 +167,77 @@ def find_split(data_dir, name: str, split: str) -> str:
     raise FileNotFoundError(f"no {name}_{split} file under {data_dir}")
 
 
+def _modes(modes) -> tuple[str, ...]:
+    """One mode name or a sequence of them, as a tuple; ValueError if it is empty or names an unknown mode."""
+    modes = (modes,) if isinstance(modes, str) else tuple(modes)
+    for mode in modes or ("",):  # an empty sequence is refused as the empty name
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}; choose from {', '.join(BENCHMARK_MODES)}")
+    return modes
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return exc
+
+
+def _train(train_set: Dataset, strategy: str | None, seed: int, config: CoEyeConfig | None):
+    """The model of one lens strategy at ``seed``; ed1nn's strategy ``None`` trains nothing."""
+    cfg = replace(config or CoEyeConfig(), seed=seed)
+    return None if strategy is None else train(train_set, cfg, lens_strategy=strategy)
+
+
+def _score(splits, mode: str, seed: int, model) -> EvalReport:
+    """``mode``'s report on (train, test) ``splits`` from ``_train``'s outcome; its predict time adds to the model's."""
+    if isinstance(model, Exception):
+        raise model
+    train_set, test_set = splits
+    t0 = time.perf_counter()
+    if model is None:
+        y_pred, fit = [nn1_euclidean(train_set, row) for row in test_set.X], {}
+    else:
+        y_pred = [p.label for p in predict_dataset(model, test_set, representation=MODES[mode][1])]
+        fit = dict(smote_pct=model.smote_report.smote_percentage, n_sax_lenses=model.sax_count,
+                   n_sfa_lenses=model.sfa_count)
+    predict = time.perf_counter() - t0
+    timings = dict(_UNTRAINED if model is None else model.timings, predict=predict)
+    timings["total"] += predict
+    classes = sorted(set(train_set.class_labels) | set(test_set.class_labels))
+    return replace(metrics(test_set.y, y_pred, classes), dataset=train_set.name or "dataset", mode=mode, seed=seed,
+                   timings=timings, **fit)
+
+
 def run_single(train_set: Dataset, test_set: Dataset, mode: str, seed: int,
                config: CoEyeConfig | None = None) -> EvalReport:
     """Train and score one (dataset, mode, seed) combination."""
-    if mode not in BENCHMARK_MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    cfg = replace(config or CoEyeConfig(), seed=seed)
-    report = dict(dataset=train_set.name or "dataset", mode=mode, seed=seed)
-
-    t_start = time.perf_counter()
-    if mode == "ed1nn":
-        t0 = time.perf_counter()
-        y_pred = [nn1_euclidean(train_set, test_set.X[i]) for i in range(len(test_set))]
-        report["timings"] = {"search_sax": 0.0, "search_sfa": 0.0, "train": 0.0,
-                             "predict": time.perf_counter() - t0}
-    else:
-        strategy = "random" if mode == "random_lenses" else "search"
-        model = train(train_set, cfg, lens_strategy=strategy)
-        representation = {"sax_only": "sax", "sfa_only": "sfa"}.get(mode, "both")
-        t0 = time.perf_counter()
-        preds = predict_dataset(model, test_set, representation=representation)
-        y_pred = [p.label for p in preds]
-        report.update(
-            timings=dict(model.timings, predict=time.perf_counter() - t0),
-            smote_pct=model.smote_report.smote_percentage if model.smote_report else 0.0,
-            n_sax_lenses=model.sax_count,
-            n_sfa_lenses=model.sfa_count,
-        )
-    report["timings"]["total"] = time.perf_counter() - t_start
-
-    classes = sorted(set(train_set.class_labels) | set(test_set.class_labels))
-    return replace(metrics(test_set.y, y_pred, classes), **report)
+    _modes(mode)
+    return _score((train_set, test_set), mode, seed, _train(train_set, MODES[mode][0], seed, config))
 
 
-def run_benchmark(data_dir, names, mode: str, seeds, out_csv,
+def run_benchmark(data_dir, names, modes, seeds, out_csv,
                   config: CoEyeConfig | None = None) -> list[EvalReport]:
-    """Append one CSV row per (dataset, seed); failures become status=error rows."""
-    if mode not in BENCHMARK_MODES:
-        raise ValueError(f"unknown mode {mode!r}")
+    """Append one CSV row per (dataset, seed, mode), in that nesting, a dataset's rows when it is done.
+    ``modes`` is one mode name or a sequence. Each split is parsed once and each lens strategy the modes
+    need trains once per seed; a mode whose split, train or scoring fails gets a status=error row."""
+    modes = _modes(modes)
+    if not seeds:
+        raise ValueError("provide at least one seed")
     reports = []
     for name in names:
-        failure = None
-        try:
-            splits = [load_ucr(find_split(data_dir, name, split)) for split in ("TRAIN", "TEST")]
-        except Exception as exc:
-            failure = exc
+        splits = _outcome(lambda: [load_ucr(find_split(data_dir, name, split)) for split in ("TRAIN", "TEST")])
+        rows = []
         for seed in seeds:
-            try:
-                if failure is not None:
-                    raise failure
-                report = run_single(*splits, mode, seed, config)
-            except Exception as exc:
-                report = EvalReport(dataset=name, mode=mode, seed=seed,
-                                    status=f"error: {exc}")
-            reports.append(report)
-    append_rows(out_csv, reports)
+            models = {s: splits if isinstance(splits, Exception) else _outcome(_train, splits[0], s, seed, config)
+                      for s in dict.fromkeys(MODES[m][0] for m in modes)}
+            for m in modes:
+                r = _outcome(_score, splits, m, seed, models[MODES[m][0]])
+                rows.append(r if isinstance(r, EvalReport) else
+                            EvalReport(dataset=name, mode=m, seed=seed, status=f"error: {r}"))
+        append_rows(out_csv, rows)
+        reports.extend(rows)
     return reports
 
 

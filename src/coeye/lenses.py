@@ -73,7 +73,10 @@ class LensGrid(Record):
         return _feasible_pairs(SFA, self.sfa_alphas, words, n)
 
     def pairs(self, representation: int, n: int) -> list[tuple[int, int]]:
-        return self.sax_pairs(n) if representation == SAX else self.sfa_pairs(n)
+        pairs = self.sax_pairs(n) if representation == SAX else self.sfa_pairs(n)
+        if not pairs:
+            raise NoFeasibleLens(f"no feasible (alpha, w) pairs for series length {n}")
+        return pairs
 
 
 def _feasible_pairs(s: int, alphas, words, n: int) -> list[tuple[int, int]]:
@@ -181,8 +184,6 @@ def _score_grid(train, representation, grid, seed, trees, sax_mode, pool) -> lis
     """
     rep = _rep_flag(representation)
     pairs = grid.pairs(rep, train.n)
-    if not pairs:
-        raise NoFeasibleLens(f"no feasible (alpha, w) pairs for series length {train.n}")
     fold_ids = stratified_fold_assignment(train.y, grid.folds, seed)
     lenses = [Lens(rep, alpha, w) for alpha, w in pairs]
     symbols = [fitted[1] for fitted in fit_lenses(train.X, lenses, sax_mode)]
@@ -228,8 +229,6 @@ def search_lenses_random(
     rep = _rep_flag(representation)
     grid = grid or LensGrid()
     pairs = grid.pairs(rep, train.n)
-    if not pairs:
-        raise NoFeasibleLens(f"no feasible (alpha, w) pairs for series length {train.n}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, _NS_RANDOM_LENSES, rep]))
     chosen = sorted(rng.choice(len(pairs), size=(len(pairs) + 1) // 2, replace=False))
     return [Lens(rep, pairs[i][0], pairs[i][1]) for i in chosen]

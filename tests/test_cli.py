@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coeye import CoEyeConfig, Dataset, cli, errors, load_model, write_ucr
+from coeye import CoEyeConfig, Dataset, classify, cli, errors, load_model, load_ucr, write_ucr
 from coeye.cli import _config_from_args, build_parser, main
 from tests.conftest import synth_dataset
 
@@ -257,6 +257,16 @@ class TestInspect:
         final = inspected.split("final label: ")[1].split()[0]
         assert final == rows[0]["predicted"]
 
+    def test_vote_lines_match_classify(self, workdir, trained, capsys):
+        model, test = load_model(trained), load_ucr(workdir / "waves_TEST.tsv")
+        for index in range(4):
+            assert main(["inspect", "--model", str(trained), "--data", str(workdir),
+                         "--dataset", "waves", "--index", str(index)]) == 0
+            pred = classify(model, test.X[index])
+            tail = capsys.readouterr().out.splitlines()[-4:]
+            assert tail == [f"vote sax_best: {pred.sax_label}", f"vote sfa_best: {pred.sfa_label}",
+                            f"vote round: {pred.round}", f"final label: {pred.label} (confidence {pred.confidence:.6f})"]
+
     def test_bad_index_exit_2(self, workdir, trained, capsys):
         code = main(["inspect", "--model", str(trained), "--data", str(workdir),
                      "--dataset", "waves", "--index", "99"])
@@ -338,6 +348,29 @@ class TestBenchmark:
         code = main(["benchmark", "--data", str(workdir), "--datasets", "ghost",
                      "--modes", "coeye", "--seeds", "0", "--out", str(tmp_path / "g.csv"), *FAST])
         assert code == 3
+
+    @pytest.mark.parametrize("flag", ["--modes", "--seeds"])
+    def test_empty_list_exit_2_before_the_file(self, workdir, tmp_path, capsys, flag):
+        out = tmp_path / "e.csv"
+        code = main(["benchmark", "--data", str(workdir), "--datasets", "waves", flag, "", "--out", str(out), *FAST])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_every_mode_in_one_pass(self, workdir, tmp_path, capsys, monkeypatch):
+        from coeye import evaluate
+
+        calls, train = [], evaluate.train
+        monkeypatch.setattr(evaluate, "train", lambda *a, **k: calls.append(k) or train(*a, **k))
+        out = tmp_path / "m.csv"
+        code = main(["benchmark", "--data", str(workdir), "--datasets", "waves, trends", "--modes",
+                     "sfa_only,ed1nn coeye,random_lenses", "--seeds", "0", "--out", str(out), *FAST])
+        assert code == 0
+        assert calls == [{"lens_strategy": "search"}, {"lens_strategy": "random"}] * 2
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        assert [(r["dataset"], r["mode"]) for r in rows] == [
+            (name, mode) for name in ("waves", "trends") for mode in ("sfa_only", "ed1nn", "coeye", "random_lenses")
+        ]
 
 
 class TestHelpAndUsage:

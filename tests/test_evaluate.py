@@ -12,6 +12,7 @@ from coeye import CoEyeConfig, Dataset
 from coeye import evaluate
 from coeye.errors import SeriesLengthMismatch, UnknownLabel
 from coeye.evaluate import (
+    BENCHMARK_MODES,
     CSV_COLUMNS,
     EvalReport,
     build_version,
@@ -253,8 +254,119 @@ class TestRunBenchmark:
         assert stable_rows(a) == stable_rows(b)
 
 
+class TestMultiModeBenchmark:
+    """One ``run_benchmark`` call scores every mode of a seed from one model per lens strategy."""
+
+    def config(self):
+        return CoEyeConfig(seed=0, trees=10, sax_alphas=(3, 4), sfa_alphas=(3, 4))
+
+    @staticmethod
+    def stable(path):
+        with open(path) as fh:
+            return [{c: v for c, v in row.items() if not c.startswith("t_")} for row in csv.DictReader(fh)]
+
+    @staticmethod
+    def counting_train(monkeypatch, fail=None):
+        calls, train = [], evaluate.train
+
+        def counting(train_set, config, lens_strategy="search"):
+            calls.append((train_set.name, config.seed, lens_strategy))
+            if lens_strategy == fail:
+                raise ValueError(f"no {fail} model")
+            return train(train_set, config, lens_strategy=lens_strategy)
+
+        monkeypatch.setattr(evaluate, "train", counting)
+        return calls
+
+    def test_one_train_per_dataset_and_seed(self, ucr_dir, tmp_path, monkeypatch):
+        calls = self.counting_train(monkeypatch)
+        modes = ["coeye", "sax_only", "sfa_only"]
+        reports = run_benchmark(ucr_dir, ["waves", "trends"], modes, [0, 1], tmp_path / "r.csv", self.config())
+        assert calls == [(name, seed, "search") for name in ("waves", "trends") for seed in (0, 1)]
+        assert [(r.dataset, r.seed, r.mode, r.status) for r in reports] == [
+            (name, seed, mode, "ok") for name in ("waves", "trends") for seed in (0, 1) for mode in modes
+        ]
+
+    def test_rows_equal_one_mode_runs(self, ucr_dir, tmp_path):
+        both = tmp_path / "all.csv"
+        run_benchmark(ucr_dir, ["waves"], BENCHMARK_MODES, [0, 1], both, self.config())
+        single = []
+        for mode in BENCHMARK_MODES:
+            run_benchmark(ucr_dir, ["waves"], mode, [0, 1], tmp_path / f"{mode}.csv", self.config())
+            single.extend(self.stable(tmp_path / f"{mode}.csv"))
+        key = lambda row: (row["seed"], BENCHMARK_MODES.index(row["mode"]))
+        assert self.stable(both) == sorted(single, key=key)
+        assert len(single) == 2 * len(BENCHMARK_MODES)
+
+    def test_every_row_accounts_for_its_total(self, ucr_dir, tmp_path):
+        reports = run_benchmark(ucr_dir, ["waves"], BENCHMARK_MODES, [0], tmp_path / "r.csv", self.config())
+        for r in reports:
+            t = r.timings
+            assert r.status == "ok"
+            assert t["total"] >= 0.95 * (t["search_sax"] + t["search_sfa"] + t["train"] + t["predict"])
+        by_mode = {r.mode: r.timings for r in reports}
+        shared = [{k: by_mode[m][k] for k in ("search_sax", "search_sfa", "train")}
+                  for m in ("coeye", "sax_only", "sfa_only")]
+        assert shared[0] == shared[1] == shared[2]
+
+    def test_a_failed_train_fails_only_its_modes(self, ucr_dir, tmp_path, monkeypatch):
+        calls = self.counting_train(monkeypatch, fail="search")
+        reports = run_benchmark(ucr_dir, ["waves"], BENCHMARK_MODES, [0], tmp_path / "r.csv", self.config())
+        status = {r.mode: r.status for r in reports}
+        assert status == {"coeye": "error: no search model", "sax_only": "error: no search model",
+                          "sfa_only": "error: no search model", "random_lenses": "ok", "ed1nn": "ok"}
+        assert [strategy for _, _, strategy in calls] == ["search", "random"]
+        with open(tmp_path / "r.csv") as fh:
+            assert [row["status"] for row in csv.DictReader(fh)] == [status[m] for m in BENCHMARK_MODES]
+
+    def test_rows_appended_as_each_dataset_finishes(self, ucr_dir, tmp_path, monkeypatch):
+        out, written = tmp_path / "r.csv", []
+        append_rows = evaluate.append_rows
+
+        def recording(path, reports):
+            written.append([r.dataset for r in reports])
+            append_rows(path, reports)
+
+        monkeypatch.setattr(evaluate, "append_rows", recording)
+        run_benchmark(ucr_dir, ["waves", "trends"], ["ed1nn", "coeye"], [0], out, self.config())
+        assert written == [["waves", "waves"], ["trends", "trends"]]
+
+    @pytest.mark.parametrize("modes, seeds", [([], [0]), ("coeye", []), (["coeye", "bogus"], [0])])
+    def test_empty_or_unknown_refused_before_the_file(self, ucr_dir, tmp_path, modes, seeds):
+        with pytest.raises(ValueError):
+            run_benchmark(ucr_dir, ["waves"], modes, seeds, tmp_path / "r.csv", self.config())
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_run_single_keeps_raising(self, splits, monkeypatch):
+        self.counting_train(monkeypatch, fail="search")
+        with pytest.raises(ValueError, match="no search model"):
+            run_single(*splits, "sax_only", seed=0, config=self.config())
+        assert run_single(*splits, "ed1nn", seed=0, config=self.config()).status == "ok"
+
+
 class TestErrorRow:
     def test_error_report_blank_metrics(self):
         row = EvalReport(dataset="x", mode="coeye", seed=1, status="error: boom").csv_row()
         assert row["accuracy"] == "" and row["t_total_s"] == ""
         assert row["dataset"] == "x"
+
+    def test_error_row_cells(self):
+        row = EvalReport(dataset="x", mode="ed1nn", seed=3, accuracy=0.5, status="error: boom").csv_row()
+        assert row == {**dict.fromkeys(CSV_COLUMNS, ""), "dataset": "x", "mode": "ed1nn", "seed": 3,
+                       "status": "error: boom", "version": build_version()}
+
+
+def test_csv_row_cells():
+    report = EvalReport(
+        dataset="waves", mode="sax_only", seed=7, accuracy=0.25, macro_precision=1 / 3, macro_recall=0.5,
+        macro_f1=0.4, micro_f1=0.25, n_sax_lenses=4, n_sfa_lenses=9, smote_pct=0.125,
+        timings={"search_sax": 1.23456, "search_sfa": 2.0, "train": 0.0004, "predict": 0.5, "total": 3.7346},
+    )
+    assert list(report.csv_row().items()) == [
+        ("dataset", "waves"), ("mode", "sax_only"), ("seed", 7), ("accuracy", "0.250000"),
+        ("macro_precision", "0.333333"), ("macro_recall", "0.500000"), ("macro_f1", "0.400000"),
+        ("micro_f1", "0.250000"), ("n_sax_lenses", 4), ("n_sfa_lenses", 9), ("smote_pct", "0.125000"),
+        ("t_search_sax_s", "1.235"), ("t_search_sfa_s", "2.000"), ("t_train_s", "0.000"), ("t_predict_s", "0.500"),
+        ("t_total_s", "3.735"), ("status", "ok"), ("version", build_version()),
+    ]
+    assert EvalReport().csv_row()["t_total_s"] == "0.000"  # a phase the timings lack reads as zero

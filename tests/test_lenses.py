@@ -73,6 +73,17 @@ class TestGrid:
         assert grid.sfa_pairs(24) == [(3, 10), (3, 20)]
         assert grid.sfa_pairs(512) == [(3, w) for w in range(10, 131, 10)]
 
+    def test_pairs_refuse_an_empty_grid(self):
+        grid = LensGrid(sfa_word_lengths=(200,))
+        assert grid.pairs(SAX, 16) == grid.sax_pairs(16)
+        assert grid.sfa_pairs(16) == []
+        with pytest.raises(NoFeasibleLens, match=r"^no feasible \(alpha, w\) pairs for series length 16$"):
+            grid.pairs(SFA, 16)
+        tiny = Dataset(np.random.default_rng(0).normal(size=(6, 16)), np.array([0, 0, 0, 1, 1, 1]))
+        for search in (search_lenses, search_lenses_random):
+            with pytest.raises(NoFeasibleLens, match="for series length 16$"):
+                search(tiny, "sfa", grid=grid, seed=0)
+
     def test_sfa_words_filtered_to_even_and_feasible(self):
         grid = LensGrid(sfa_alphas=(4,), sfa_word_lengths=(5, 6, 8, 200))
         assert grid.sfa_pairs(16) == [(4, 6), (4, 8)]
