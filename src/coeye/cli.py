@@ -116,8 +116,8 @@ def _resolve_input(args) -> tuple[np.ndarray, np.ndarray | None]:
 
 
 def cmd_train(args) -> int:
-    train_set = _load_split(args, "TRAIN")
     config = _config_from_args(args)
+    train_set = _load_split(args, "TRAIN")
     model = train(train_set, config)
     save_model(model, args.out)
     report = model.smote_report

@@ -11,9 +11,12 @@ from .symbolic import SAX_MODES, check_alphabets
 
 
 def check_grid(grid) -> None:
-    """Raise ValueError unless ``grid``, a config or a lens grid, has 2 or more folds and alphabets in range."""
+    """Raise ValueError unless ``grid``, a config or a lens grid, has 2+ folds, no empty list and alphabets in range."""
     if not 2 <= grid.folds < 2**63:
         raise ValueError("folds must be at least 2 and below 2**63: one fold holds no row out, ids are int64")
+    for name in ("sax_alphas", "sfa_alphas", "sax_word_lengths", "sfa_word_lengths"):
+        if getattr(grid, name) == ():
+            raise ValueError(f"{name} must not be empty: it leaves no (alpha, w) pair to search")
     check_alphabets(*grid.sax_alphas, *grid.sfa_alphas)
 
 

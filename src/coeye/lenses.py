@@ -1,18 +1,16 @@
 """Hyper-parameter search over (alphabet size, word size) pairs.
 
-Every feasible pair of a representation's grid is scored by seeded,
-stratified k-fold cross-validated forest accuracy on the training set;
-a class with a single row stays in every training fold and is never held
-out. For each alphabet, all word sizes within a 0.01 margin of that
-alphabet's best score are kept as lenses, so every alphabet contributes
-its sharpest view. Fold assignment is fixed once per search and reused
-across the grid. SFA lenses keep the DC window: a znormalized series has
-a zero DC term, so the drop-DC window of width w is the keep-DC window
-shifted by one coefficient pair and scoring both would score nearly the
-same features twice. A grid is fitted in the calling process by one
-``fit_lenses`` call (each SFA alphabet once, at its widest word), and
-each point's symbols are scored as one task on the caller's process
-pool. Results come back in task order, so scheduling changes nothing.
+A search builds one fold plan (``fold_plan``) from a seeded, stratified
+k-fold assignment of the training set; a class's single row trains every
+fold and is never held out. Every feasible pair of a representation's
+grid is scored by its forests' accuracy through that plan, and for each
+alphabet all word sizes within 0.01 of its best score are kept as
+lenses. SFA lenses keep the DC window: a znormalized series has a zero
+DC term, so the drop-DC window of width w is the keep-DC window shifted
+by one coefficient pair and would score nearly the same features twice.
+A grid is fitted here by one ``fit_lenses`` call (each SFA alphabet once,
+at its widest word) and each point is one task on the caller's process
+pool, whose results come back in task order, so scheduling changes nothing.
 """
 
 from __future__ import annotations
@@ -109,38 +107,40 @@ def stratified_fold_assignment(y, n_folds: int, seed: int) -> np.ndarray:
     return fold
 
 
-def cross_val_accuracy(symbols, y, fold_ids, trees, seed) -> float:
-    """Accuracy of per-fold forests over the rows they hold out.
+def fold_plan(y, fold_ids) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """(fold id, training rows, held-out rows) per fold with a row to hold out, by ascending id.
 
-    A row of a class with one row in ``y`` is never held out: it trains
-    every fold's forest. A fold with no other row grows no forest, and the
-    score is 0.0 when no row can be held out. The forests of as many folds
-    as fit ``BATCH_SLOTS`` bootstrap rows grow in one batch, then are scored
-    and dropped. Raises ValueError unless ``fold_ids`` holds at least two
-    distinct ids.
+    A class's only row trains every fold and is never held out. Raises ValueError
+    unless ``fold_ids`` holds one id per row of ``y`` and at least two distinct ids.
     """
-    symbols = np.asarray(symbols)
-    y = np.asarray(y)
+    y, fold_ids = np.asarray(y), np.asarray(fold_ids)
+    if fold_ids.shape != y.shape:
+        raise ValueError(f"need one fold id per row of y: {fold_ids.size} ids for {y.shape[0]} rows")
     if np.unique(fold_ids).shape[0] < 2:
         raise ValueError("cross-validation needs at least two distinct fold ids: one fold leaves no training rows")
     _, inverse, counts = np.unique(y, return_inverse=True, return_counts=True)
     scored = counts[inverse] > 1
-    folds = [int(f) for f in np.unique(fold_ids[scored])]
-    if not folds:
+    return [(int(f), np.flatnonzero((fold_ids != f) | ~scored), np.flatnonzero((fold_ids == f) & scored))
+            for f in np.unique(fold_ids[scored])]
+
+
+def cross_val_accuracy(symbols, y, plan, trees, seed) -> float:
+    """Accuracy over the rows that ``plan``, a ``fold_plan``, holds out; 0.0 if none.
+
+    Fold ``f`` grows on its training rows with seed ``_derived_seed(seed, f)``, as many
+    folds per batch as fit ``BATCH_SLOTS`` bootstrap rows of the plan's largest training set.
+    """
+    symbols, y = np.asarray(symbols), np.asarray(y)
+    if not plan:
         return 0.0
-    train_rows = y.shape[0] - y.shape[0] // len(folds)
-    step = max(1, BATCH_SLOTS // max(1, trees * train_rows))
+    step = max(1, BATCH_SLOTS // max(1, trees * max(len(rows) for _, rows, _ in plan)))
     correct = 0
-    for lo in range(0, len(folds), step):
-        group = folds[lo:lo + step]
-        models = fit_forests(
-            symbols, y, [np.flatnonzero((fold_ids != f) | ~scored) for f in group],
-            [_derived_seed(seed, f) for f in group], n_trees=trees,
-        )
-        for f, model in zip(group, models):
-            val = (fold_ids == f) & scored
-            correct += int(np.sum(predict(model, symbols[val]) == y[val]))
-    return correct / int(scored.sum())
+    for lo in range(0, len(plan), step):
+        ids, row_sets, held = zip(*plan[lo:lo + step])
+        models = fit_forests(symbols, y, row_sets, [_derived_seed(seed, f) for f in ids], n_trees=trees)
+        for rows, model in zip(held, models):
+            correct += int(np.sum(predict(model, symbols[rows]) == y[rows]))
+    return correct / sum(len(held) for _, _, held in plan)
 
 
 def select_within_margin(accuracies):
@@ -179,18 +179,18 @@ def _pool_map(pool, fn, *args) -> list:
 def _score_grid(train, representation, grid, seed, trees, sax_mode, pool) -> list[Lens]:
     """Fit the grid here and score each point's symbols as one task on ``pool``; the kept lenses.
 
-    Fold ids are drawn once, and results come back in task order, so the
-    lenses do not depend on the pool or its size.
+    One fold plan serves every point, and results come back in task order,
+    so the lenses do not depend on the pool or its size.
     """
     rep = _rep_flag(representation)
     pairs = grid.pairs(rep, train.n)
-    fold_ids = stratified_fold_assignment(train.y, grid.folds, seed)
+    plan = fold_plan(train.y, stratified_fold_assignment(train.y, grid.folds, seed))
     lenses = [Lens(rep, alpha, w) for alpha, w in pairs]
     symbols = [fitted[1] for fitted in fit_lenses(train.X, lenses, sax_mode)]
     # the stream omits drop_dc: the pinned model bytes were written with
     # this seed, so adding the flag would move every model
     seeds = [_derived_seed(seed, _NS_SEARCH, rep, alpha, w) for alpha, w in pairs]
-    accs = _pool_map(pool, cross_val_accuracy, symbols, repeat(train.y), repeat(fold_ids), repeat(trees), seeds)
+    accs = _pool_map(pool, cross_val_accuracy, symbols, repeat(train.y), repeat(plan), repeat(trees), seeds)
     return [replace(lenses[i], cv_accuracy=float(accs[i])) for i in select_per_alpha(pairs, accs)]
 
 

@@ -100,6 +100,17 @@ class TestTrain:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("flag, name", [("--sax-alphas", "sax_alphas"), ("--sfa-alphas", "sfa_alphas"),
+                                            ("--sax-w", "sax_word_lengths"), ("--sfa-w", "sfa_word_lengths")])
+    def test_empty_grid_list_exit_2_before_any_work(self, workdir, tmp_path, capsys, monkeypatch, flag, name):
+        # it used to run SMOTE, then exit 3 with "no feasible (alpha, w) pairs"
+        monkeypatch.setattr(cli, "train", lambda *a, **k: pytest.fail("train ran"))
+        out = tmp_path / "m.json"
+        code = main(["train", "--data", str(workdir), "--dataset", "waves", *FAST, flag, "", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {name} must not be empty: it leaves no (alpha, w) pair to search\n"
+        assert not out.exists()
+
     def test_trees_past_the_stream_exit_2_promptly(self, tmp_path):
         # a tree is keyed by one 32-bit word; this count used to run on silently past 20 s
         result = _train_chinatown(tmp_path / "m.json", "--trees", str(10**30))
@@ -355,6 +366,15 @@ class TestBenchmark:
         code = main(["benchmark", "--data", str(workdir), "--datasets", "waves", flag, "", "--out", str(out), *FAST])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_empty_grid_list_exit_2_before_the_file(self, workdir, tmp_path, capsys):
+        # it used to write a coeye error row beside the ed1nn row and exit 0
+        out = tmp_path / "g.csv"
+        code = main(["benchmark", "--data", str(workdir), "--datasets", "waves", "--modes", "coeye,ed1nn",
+                     "--seeds", "0", "--out", str(out), *FAST, "--sax-alphas", ""])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: sax_alphas must not be empty")
         assert not out.exists()
 
     def test_every_mode_in_one_pass(self, workdir, tmp_path, capsys, monkeypatch):

@@ -1,7 +1,8 @@
 """The package depends on numpy and the standard library alone, only the
 model reader's modules know the model file's field types, only the symbolic
-module builds lens words and binnings, and ``import coeye`` loads a public
-name's home module only when the name is first used."""
+module builds lens words and binnings, only the lens search plans
+cross-validation folds, and ``import coeye`` loads a public name's home
+module only when the name is first used."""
 
 import ast
 import os
@@ -68,6 +69,17 @@ PIPELINE_STEPS = {"lens_words", "digitize", "equal_depth_breakpoints", "fit_sax_
 def test_only_the_symbolic_module_runs_the_pipeline_steps(path):
     used = referenced_names(path) & PIPELINE_STEPS
     assert not used or path.name == "symbolic.py"
+
+
+# the cross-validation protocol: one fold plan per lens search, built and scored in ``lenses``, so a change
+# to the protocol edits its builder alone
+FOLD_PROTOCOL = {"stratified_fold_assignment", "fold_plan"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_lens_search_plans_folds(path):
+    used = referenced_names(path) & FOLD_PROTOCOL
+    assert not used or path.name == "lenses.py"
 
 
 def test_pyproject_declares_numpy_only():

@@ -598,7 +598,7 @@ class TestLeaveOneOutMemory:
 
         monkeypatch.setattr(lenses, "BATCH_SLOTS", 1000)
         monkeypatch.setattr(lenses, "fit_forests", recording)
-        acc = lenses.cross_val_accuracy(X, y, folds, trees, 5)
+        acc = lenses.cross_val_accuracy(X, y, lenses.fold_plan(y, folds), trees, 5)
         assert len(calls) == 10 and max(calls) <= 1000
         correct = 0
         for f in range(30):

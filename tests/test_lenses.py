@@ -14,6 +14,7 @@ from coeye.lenses import (
     Lens,
     LensGrid,
     cross_val_accuracy,
+    fold_plan,
     select_per_alpha,
     select_within_margin,
     stratified_fold_assignment,
@@ -116,6 +117,15 @@ class TestGrid:
         with pytest.raises(ValueError):
             LensGrid(sfa_alphas=(1,))
 
+    @pytest.mark.parametrize("record", [CoEyeConfig, LensGrid], ids=lambda r: r.__name__)
+    @pytest.mark.parametrize("name", ["sax_alphas", "sfa_alphas", "sax_word_lengths", "sfa_word_lengths"])
+    def test_an_empty_grid_list_is_refused_by_name(self, record, name):
+        # it used to pass, and the search raised NoFeasibleLens after SMOTE had run
+        with pytest.raises(ValueError, match=f"^{name} must not be empty"):
+            record(**{name: ()})
+        if name.endswith("word_lengths"):
+            assert getattr(record(**{name: None}), name) is None  # the default word lengths
+
     def test_lens_validation(self):
         with pytest.raises(ValueError):
             Lens(2, 4, 8)
@@ -187,15 +197,53 @@ class TestFolds:
         fold = stratified_fold_assignment(y, 5, 1)
         assert set(fold.tolist()) == {0, 1, 2, 3, 4}
 
+    @given(rows=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 6)), min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_plan_holds_each_scored_row_out_once(self, rows):
+        y, fold_ids = map(np.asarray, zip(*rows))
+        if np.unique(fold_ids).shape[0] < 2:
+            with pytest.raises(ValueError, match="two distinct fold ids"):
+                fold_plan(y, fold_ids)
+            return
+        labels, counts = np.unique(y, return_counts=True)
+        single = np.isin(y, labels[counts == 1])
+        plan = fold_plan(y, fold_ids)
+        ids = [f for f, _, _ in plan]
+        assert ids == sorted(set(ids))
+        held_by = np.full(y.shape[0], -1)
+        for f, train_rows, held in plan:
+            assert held.shape[0] > 0 and np.all(fold_ids[held] == f) and np.all(held_by[held] == -1)
+            held_by[held] = f
+            # every other row trains, a single-row class's row among them
+            assert np.array_equal(train_rows, np.setdiff1d(np.arange(y.shape[0]), held))
+            assert set(np.flatnonzero(single)) <= set(train_rows.tolist())
+        assert np.array_equal(held_by[~single], fold_ids[~single])
+        assert np.all(held_by[single] == -1)
+
+    @given(
+        labels=st.lists(st.integers(0, 4), min_size=2, max_size=60),
+        folds=st.integers(2, 6),
+        seed=st.integers(0, 1000),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_stratified_plan_trains_every_class_in_every_fold(self, labels, folds, seed):
+        y = np.asarray(labels)
+        for _, train_rows, _ in fold_plan(y, stratified_fold_assignment(y, folds, seed)):
+            assert set(y[train_rows].tolist()) == set(labels)
+
 
 class TestCrossValidation:
     @pytest.mark.parametrize("fold_ids", [np.zeros(10, dtype=np.int64), np.full(10, 3), np.array([], dtype=np.int64)])
     def test_fewer_than_two_folds_refused(self, fold_ids):
         # a single fold held no row out, and the score read 0.0
         rows = fold_ids.shape[0]
-        symbols, y = np.zeros((rows, 4), dtype=np.int64), np.arange(rows) % 2
+        y = np.arange(rows) % 2
         with pytest.raises(ValueError, match="two distinct fold ids"):
-            cross_val_accuracy(symbols, y, fold_ids, trees=5, seed=0)
+            fold_plan(y, fold_ids)
+        # labels for one row more or one fewer than there are ids used to raise an IndexError
+        for wrong in (rows + 1, rows - 1) if rows else (1,):
+            with pytest.raises(ValueError, match="one fold id per row"):
+                fold_plan(np.arange(wrong) % 2, fold_ids)
 
     @pytest.mark.parametrize("y, fold_ids, forests", [
         ([0, 0, 1, 1, 2], [0, 1, 0, 1, 2], 2),  # fold 2 holds only the single row of class 2
@@ -211,7 +259,7 @@ class TestCrossValidation:
         monkeypatch.setattr(lenses, "fit_forests", recording)
         y, fold_ids = np.array(y), np.array(fold_ids)
         symbols = np.arange(y.shape[0] * 3).reshape(-1, 3)
-        accuracy = cross_val_accuracy(symbols, y, fold_ids, trees=5, seed=0)
+        accuracy = cross_val_accuracy(symbols, y, fold_plan(y, fold_ids), trees=5, seed=0)
         assert len(grown) == forests
         assert all(y.shape[0] - 1 in rows for rows in grown)  # the last row is its class's only row
         if not forests:
@@ -252,6 +300,27 @@ class TestSearch:
     def test_separable_data_gets_high_accuracy(self, waves):
         lenses = search_lenses(waves, "sfa", self.small_grid(), seed=0, trees=25)
         assert max(l.cv_accuracy for l in lenses) >= 0.9
+
+    def test_one_fold_plan_per_search(self, waves, monkeypatch):
+        planned, received = [], []
+        make_plan, score = lenses.fold_plan, lenses.cross_val_accuracy
+
+        def counted_plan(*args):
+            planned.append(make_plan(*args))
+            return planned[-1]
+
+        def counted_score(symbols, y, plan, *args):
+            received.append(plan)
+            return score(symbols, y, plan, *args)
+
+        monkeypatch.setattr(lenses, "fold_plan", counted_plan)
+        monkeypatch.setattr(lenses, "cross_val_accuracy", counted_score)
+        config = CoEyeConfig(seed=3, trees=5, sax_alphas=(3, 4), sfa_alphas=(3,), sfa_word_lengths=(8, 10), threads=1)
+        train(waves, config)
+        grid = LensGrid.from_config(config)
+        sax, sfa = len(grid.sax_pairs(waves.n)), len(grid.sfa_pairs(waves.n))
+        assert len(planned) == 2 and len(received) == sax + sfa
+        assert all(p is planned[0] for p in received[:sax]) and all(p is planned[1] for p in received[sax:])
 
     def test_no_feasible_lens(self):
         tiny = Dataset(np.random.default_rng(0).normal(size=(6, 8)), np.array([0, 0, 0, 1, 1, 1]))
