@@ -1,10 +1,10 @@
 """The compound-eye classifier: one forest per selected lens.
 
-Training balances the data, picks the lens sets by cross-validated search
-(SFA lenses keep the DC window), fits the kept lenses with one
-``fit_lenses`` call, then grows one forest per lens (SAX eyes first), all
-on one worker pool. Training rejects NaN and infinite values before it
-balances the data; serving rejects them where ``symbolize`` builds words.
+Training balances the data, chooses each representation's lenses in one
+step (a cross-validated search keeping SFA's DC window, or a random draw),
+then grows one forest per lens (SAX eyes first) from the binning and
+symbols that step fitted, all on one worker pool. NaN and infinite values
+are refused before balancing, and in serving where ``symbolize`` builds words.
 Serving is one pass over the whole model: ``symbolize`` sets every eye's
 symbols side by side, the trees of all eyes are routed together, and the
 per-eye class-probability rows of each series, a (k, c) matrix, go to a
@@ -64,13 +64,12 @@ from .lenses import (
     _NS_SMOTE,
     _NS_TRAIN,
     _NS_VOTE,
+    _choose_lenses,
     _pool_map,
     _pool_workers,
-    _score_grid,
-    search_lenses_random,
 )
 from .resample import SmoteReport, smote
-from .symbolic import McbTable, SaxBinning, fit_lenses, symbolize, word_fits
+from .symbolic import McbTable, SaxBinning, symbolize, word_fits
 
 MODEL_FORMAT_VERSION = 3
 
@@ -308,17 +307,11 @@ def train(train_raw: Dataset, config: CoEyeConfig | None = None, lens_strategy: 
     workers = _pool_workers(config.threads)
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         t_sax = time.perf_counter()
-        if lens_strategy == "search":
-            sax_lenses = _score_grid(balanced, SAX, grid, config.seed, config.trees, config.sax_mode, pool)
-            t_sfa = time.perf_counter()
-            sfa_lenses = _score_grid(balanced, SFA, grid, config.seed, config.trees, config.sax_mode, pool)
-        else:
-            sax_lenses = search_lenses_random(balanced, SAX, seed=config.seed, grid=grid)
-            t_sfa = time.perf_counter()
-            sfa_lenses = search_lenses_random(balanced, SFA, seed=config.seed, grid=grid)
+        sax = _choose_lenses(balanced, SAX, grid, config.seed, config.trees, config.sax_mode, pool, lens_strategy)
+        t_sfa = time.perf_counter()
+        sfa = _choose_lenses(balanced, SFA, grid, config.seed, config.trees, config.sax_mode, pool, lens_strategy)
         t_fit = time.perf_counter()
-        kept = sax_lenses + sfa_lenses
-        binnings, symbols = zip(*fit_lenses(balanced.X, kept, config.sax_mode))
+        kept, binnings, symbols = zip(*sax, *sfa)
         seeds = [_derived_seed(config.seed, _NS_TRAIN, lens.s, lens.alpha, lens.w, int(lens.drop_dc)) for lens in kept]
         forests = _pool_map(pool, fit_forest, symbols, repeat(balanced.y), repeat(config.trees), seeds)
         t_end = time.perf_counter()

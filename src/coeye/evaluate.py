@@ -184,10 +184,9 @@ def _outcome(fn, *args):
         return exc
 
 
-def _train(train_set: Dataset, strategy: str | None, seed: int, config: CoEyeConfig | None):
-    """The model of one lens strategy at ``seed``; ed1nn's strategy ``None`` trains nothing."""
-    cfg = replace(config or CoEyeConfig(), seed=seed)
-    return None if strategy is None else train(train_set, cfg, lens_strategy=strategy)
+def _train(train_set: Dataset, strategy: str | None, config: CoEyeConfig):
+    """The model of one lens strategy under ``config``; ed1nn's strategy ``None`` trains nothing."""
+    return None if strategy is None else train(train_set, config, lens_strategy=strategy)
 
 
 def _score(splits, mode: str, seed: int, model) -> EvalReport:
@@ -214,23 +213,26 @@ def run_single(train_set: Dataset, test_set: Dataset, mode: str, seed: int,
                config: CoEyeConfig | None = None) -> EvalReport:
     """Train and score one (dataset, mode, seed) combination."""
     _modes(mode)
-    return _score((train_set, test_set), mode, seed, _train(train_set, MODES[mode][0], seed, config))
+    cfg = replace(config or CoEyeConfig(), seed=seed)
+    return _score((train_set, test_set), mode, seed, _train(train_set, MODES[mode][0], cfg))
 
 
 def run_benchmark(data_dir, names, modes, seeds, out_csv,
                   config: CoEyeConfig | None = None) -> list[EvalReport]:
     """Append one CSV row per (dataset, seed, mode), in that nesting, a dataset's rows when it is done.
     ``modes`` is one mode name or a sequence. Each split is parsed once and each lens strategy the modes
-    need trains once per seed; a mode whose split, train or scoring fails gets a status=error row."""
+    need trains once per seed; a mode whose split, train or scoring fails gets a status=error row.
+    Every seed's config is built before any split is read, so a refused seed raises ValueError."""
     modes = _modes(modes)
     if not seeds:
         raise ValueError("provide at least one seed")
+    configs = {seed: replace(config or CoEyeConfig(), seed=seed) for seed in seeds}
     reports = []
     for name in names:
         splits = _outcome(lambda: [load_ucr(find_split(data_dir, name, split)) for split in ("TRAIN", "TEST")])
         rows = []
         for seed in seeds:
-            models = {s: splits if isinstance(splits, Exception) else _outcome(_train, splits[0], s, seed, config)
+            models = {s: splits if isinstance(splits, Exception) else _outcome(_train, splits[0], s, configs[seed])
                       for s in dict.fromkeys(MODES[m][0] for m in modes)}
             for m in modes:
                 r = _outcome(_score, splits, m, seed, models[MODES[m][0]])

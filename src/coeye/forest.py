@@ -414,7 +414,11 @@ def fit_forests(X, y, row_sets, seeds, n_trees: int = 100, threads: int | None =
     a pool of that many threads. The forests do not depend on the batches.
     """
     X = np.asarray(X)
-    y = np.asarray(y, dtype=np.int64)
+    y = np.asarray(y)
+    # a float or bool label would be cast quietly, and a uint64 one above int64 would wrap
+    if y.dtype.kind not in "iu" or y.dtype.kind == "u" and y.size and y.max() >= 1 << 63:
+        raise ValueError(f"class labels must be integers within int64, got {y.dtype}: {y.ravel()[:5].tolist()}")
+    y = y.astype(np.int64)
     if X.ndim != 2 or 0 in X.shape:
         raise EmptyTrainingSet("training set must contain at least one row and one column")
     if y.shape != (X.shape[0],):

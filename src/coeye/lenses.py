@@ -11,6 +11,8 @@ by one coefficient pair and would score nearly the same features twice.
 A grid is fitted here by one ``fit_lenses`` call (each SFA alphabet once,
 at its widest word) and each point is one task on the caller's process
 pool, whose results come back in task order, so scheduling changes nothing.
+The random strategy fits only the half of the grid it draws. Either way one
+step returns each chosen lens with the binning and symbols it was chosen with.
 """
 
 from __future__ import annotations
@@ -176,22 +178,26 @@ def _pool_map(pool, fn, *args) -> list:
     return list(map(fn, *args) if pool is None else pool.map(fn, *args, chunksize=1))
 
 
-def _score_grid(train, representation, grid, seed, trees, sax_mode, pool) -> list[Lens]:
-    """Fit the grid here and score each point's symbols as one task on ``pool``; the kept lenses.
+def _choose_lenses(train, representation, grid, seed, trees, sax_mode, pool, strategy="search") -> list[tuple]:
+    """The one selection step: each chosen lens of one representation as (lens, binning, training symbols).
 
-    One fold plan serves every point, and results come back in task order,
-    so the lenses do not depend on the pool or its size.
+    ``random`` fits only the points ``search_lenses_random`` draws; ``search`` fits the whole grid, scores
+    each point as one task on ``pool`` through one fold plan and keeps each alphabet's margin band.
     """
     rep = _rep_flag(representation)
+    if strategy == "random":
+        lenses = search_lenses_random(train, rep, seed, grid)
+        return [(lens, *fit) for lens, fit in zip(lenses, fit_lenses(train.X, lenses, sax_mode))]
     pairs = grid.pairs(rep, train.n)
     plan = fold_plan(train.y, stratified_fold_assignment(train.y, grid.folds, seed))
     lenses = [Lens(rep, alpha, w) for alpha, w in pairs]
-    symbols = [fitted[1] for fitted in fit_lenses(train.X, lenses, sax_mode)]
+    binnings, symbols = zip(*fit_lenses(train.X, lenses, sax_mode))
     # the stream omits drop_dc: the pinned model bytes were written with
     # this seed, so adding the flag would move every model
     seeds = [_derived_seed(seed, _NS_SEARCH, rep, alpha, w) for alpha, w in pairs]
     accs = _pool_map(pool, cross_val_accuracy, symbols, repeat(train.y), repeat(plan), repeat(trees), seeds)
-    return [replace(lenses[i], cv_accuracy=float(accs[i])) for i in select_per_alpha(pairs, accs)]
+    return [(replace(lenses[i], cv_accuracy=float(accs[i])), binnings[i], symbols[i])
+            for i in select_per_alpha(pairs, accs)]
 
 
 def search_lenses(
@@ -213,7 +219,8 @@ def search_lenses(
     """
     size = _pool_workers(workers)
     with ProcessPoolExecutor(max_workers=size) if size > 1 else nullcontext() as pool:
-        return _score_grid(train, representation, grid or LensGrid(), seed, trees, sax_mode, pool)
+        chosen = _choose_lenses(train, representation, grid or LensGrid(), seed, trees, sax_mode, pool)
+    return [lens for lens, _, _ in chosen]
 
 
 def search_lenses_random(
@@ -224,11 +231,10 @@ def search_lenses_random(
 ) -> list[Lens]:
     """Sample half the feasible grid pairs (rounded up), distinct and uniform, skipping CV entirely.
 
-    Ablation baseline; the sampled lenses carry cv_accuracy 0.
+    Ablation baseline; the sampled lenses carry cv_accuracy 0. No word is built.
     """
     rep = _rep_flag(representation)
-    grid = grid or LensGrid()
-    pairs = grid.pairs(rep, train.n)
+    pairs = (grid or LensGrid()).pairs(rep, train.n)
     rng = np.random.default_rng(np.random.SeedSequence([seed, _NS_RANDOM_LENSES, rep]))
     chosen = sorted(rng.choice(len(pairs), size=(len(pairs) + 1) // 2, replace=False))
     return [Lens(rep, pairs[i][0], pairs[i][1]) for i in chosen]

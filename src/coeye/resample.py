@@ -67,6 +67,8 @@ def smote(train: Dataset, k: int = 5, seed: int = 0) -> tuple[Dataset, SmoteRepo
     ahead of the synthetics. Balanced inputs pass through untouched with a
     zero-percentage report. Raises NoMinorityClass on single-class input.
     """
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError(f"k must be an integer of at least 1, got {k!r}")
     counts = train.class_counts()
     if len(counts) < 2:
         raise NoMinorityClass("oversampling needs at least two classes")

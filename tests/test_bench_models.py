@@ -4,7 +4,8 @@
 and the benchmark reports each model file's size as ``model_bytes``. This
 trains the same grids on the same data at one worker and pins every file's
 sha256 and size, so a change that moves them is seen in the suite, and
-checks that saving each file's loaded model writes the same bytes. When a
+checks that saving each file's loaded model writes the same bytes. The
+models of the random lens strategy are pinned beside them. When a
 change to the tree draws or to the model file format moves them on purpose,
 the pins move with it, with the reason recorded.
 
@@ -47,6 +48,14 @@ SERVING = {
                    "25bf64e81e36c32a575f70ac738008cf06d2e5b9e35595ef5037506d3071a45b"),
 }
 TEST_SEED = 0
+
+# the same workloads trained with lens_strategy="random", at the same seed and
+# one worker: each representation's lenses are drawn from the grid, not searched
+PINNED_RANDOM = {
+    "beetlefly": ("d568b4a829a7d8e95e4f1bbac91719495b930325bb1cc9fa3456c01311a22722", 228_783),
+    "chinatown": ("728dee36d79c1f5cdcebab8cc718d7b9eb3816f2559cccafa44efb8903165638", 136_277),
+    "imbalanced": ("5e5e4c6fd09bde54c91ed2ac342e41386cb7533416e70b49fbe62cd1e9f671b1", 95_428),
+}
 
 
 def perfbench():
@@ -100,3 +109,12 @@ def test_benchmark_serving_pinned(model_file):
     votes = [(p.label, p.confidence, p.round) for p in predict_dataset(model, test_set)]
     assert (hashlib.sha256(proba.tobytes()).hexdigest(),
             hashlib.sha256(repr(votes).encode()).hexdigest()) == SERVING[name]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RANDOM))
+def test_random_strategy_model_bytes_pinned(name, tmp_path):
+    _, workloads = perfbench()
+    config = CoEyeConfig(seed=workloads.MODEL_SEED, threads=1, **workloads.WORKLOADS[name].grid)
+    path = tmp_path / "model.json"
+    save_model(train(splits(name)[0], config, lens_strategy="random"), path)
+    assert (hashlib.sha256(path.read_bytes()).hexdigest(), path.stat().st_size) == PINNED_RANDOM[name]

@@ -368,6 +368,16 @@ class TestBenchmark:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("modes, seeds", [("ed1nn,coeye", "-1"), ("ed1nn", "0,-1")])
+    def test_negative_seed_exit_2_before_the_file(self, workdir, tmp_path, capsys, modes, seeds):
+        # it was reported as failed training: an error row per mode, ed1nn's too, with exit 3 or 0
+        out = tmp_path / "s.csv"
+        code = main(["benchmark", "--data", str(workdir), "--datasets", "waves", "--modes", modes,
+                     "--seeds", seeds, "--out", str(out), *FAST])
+        assert code == 2
+        assert capsys.readouterr().err == "error: seed must be non-negative\n"
+        assert not out.exists()
+
     def test_empty_grid_list_exit_2_before_the_file(self, workdir, tmp_path, capsys):
         # it used to write a coeye error row beside the ed1nn row and exit 0
         out = tmp_path / "g.csv"

@@ -40,7 +40,7 @@ from coeye.errors import (
     UnsupportedModelVersion,
 )
 from coeye.forest import RandomForestModel, _grow, fit_forest, predict_proba
-from coeye.lenses import SAX, SFA, Lens, LensGrid, search_lenses
+from coeye.lenses import SAX, SFA, Lens, LensGrid, search_lenses, search_lenses_random
 from coeye.symbolic import fit_lenses, fit_sax_binning, symbolize
 from tests.conftest import SMALL_CONFIG, synth_dataset
 from tests.forest_reference import reference_predict_proba
@@ -382,15 +382,15 @@ class TestTrain:
             return fit(X, lens_set, *args)
 
         monkeypatch.setattr(lenses, "cross_val_accuracy", counted)
-        for module in (lenses, coeye.ensemble):
-            monkeypatch.setattr(module, "fit_lenses", counted_fit)
+        for module in (lenses, coeye.ensemble):  # ensemble no longer imports it: a refit there would be counted
+            monkeypatch.setattr(module, "fit_lenses", counted_fit, raising=False)
         model = train(waves, dataclasses.replace(small_config, threads=1))
         monkeypatch.undo()
         grid = LensGrid.from_config(small_config)
         assert model.smote_report.smote_percentage == 0.0  # the search saw waves itself
         assert len(scored) == len(grid.sax_pairs(waves.n)) + len(grid.sfa_pairs(waves.n))
-        # one fit for the SAX grid, one for the SFA grid and one for the kept eyes
-        assert fitted == [len(grid.sax_pairs(waves.n)), len(grid.sfa_pairs(waves.n)), len(model.eyes)]
+        # one fit for the SAX grid and one for the SFA grid, whose binnings the eyes keep
+        assert fitted == [len(grid.sax_pairs(waves.n)), len(grid.sfa_pairs(waves.n))]
         sfa_lenses = [e.lens for e in model.eyes if e.lens.s == SFA]
         assert sfa_lenses and not any(lens.drop_dc for lens in sfa_lenses)
         assert sfa_lenses == search_lenses(waves, "sfa", grid, small_config.seed, small_config.trees)
@@ -406,10 +406,43 @@ class TestTrain:
                 train(train_set, CoEyeConfig(seed=0, threads=threads, **grid))
             seen[threads] = [(w.category, str(w.message)) for w in caught]
         assert seen[1] == seen[2]
-        # 20 rows: each SFA alphabet above 20 warns once in the search and once in the eye fits
+        # 20 rows: each SFA alphabet above 20 warns once, in the one fit of its grid
         assert [message for _, message in seen[1]] == [
-            f"equal-depth binning with 20 series and {alpha} bins is degenerate" for alpha in (21, 22, 21, 22)]
+            f"equal-depth binning with 20 series and {alpha} bins is degenerate" for alpha in (21, 22)]
         assert {category for category, _ in seen[1]} == {EqualDepthDegenerate}
+
+    @pytest.mark.parametrize("strategy", ["search", "random"])
+    def test_one_fit_per_representation_and_the_eyes_keep_it(self, waves, small_config, monkeypatch, strategy):
+        # train fitted the chosen lenses again, after the search had fitted its grid
+        fit, choose, grow = symbolic.fit_lenses, lenses._choose_lenses, coeye.ensemble.fit_forest
+        fitted, chosen, grown = [], [], []
+
+        def counted_fit(X, lens_set, *args):
+            fitted.append({lens.s for lens in lens_set})
+            return fit(X, lens_set, *args)
+
+        def recorded_choose(*args):
+            out = choose(*args)
+            chosen.extend(out)
+            return out
+
+        def recorded_grow(symbols, *args):
+            grown.append(symbols)
+            return grow(symbols, *args)
+
+        monkeypatch.setattr(lenses, "fit_lenses", counted_fit)
+        monkeypatch.setattr(coeye.ensemble, "_choose_lenses", recorded_choose)
+        monkeypatch.setattr(coeye.ensemble, "fit_forest", recorded_grow)
+        model = train(waves, dataclasses.replace(small_config, threads=1), lens_strategy=strategy)
+        monkeypatch.undo()
+        assert fitted == [{SAX}, {SFA}]
+        assert [eye.lens for eye in model.eyes] == [lens for lens, _, _ in chosen]
+        for eye, (_, binning, symbols), grown_on in zip(model.eyes, chosen, grown, strict=True):
+            assert eye.binning is binning and grown_on is symbols
+        if strategy == "random":
+            grid = LensGrid.from_config(small_config)
+            assert [eye.lens for eye in model.eyes] == [
+                lens for rep in (SAX, SFA) for lens in search_lenses_random(waves, rep, small_config.seed, grid)]
 
     def test_random_strategy_trains(self, waves):
         config = CoEyeConfig(seed=2, **SMALL_CONFIG)

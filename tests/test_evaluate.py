@@ -337,6 +337,12 @@ class TestMultiModeBenchmark:
             run_benchmark(ucr_dir, ["waves"], modes, seeds, tmp_path / "r.csv", self.config())
         assert not (tmp_path / "r.csv").exists()
 
+    def test_negative_seed_refused_before_the_file(self, ucr_dir, tmp_path):
+        # ed1nn trains nothing, so the seed was never checked and the run wrote its rows
+        with pytest.raises(ValueError, match="^seed must be non-negative$"):
+            run_benchmark(ucr_dir, ["waves"], ["ed1nn"], [0, -1], tmp_path / "r.csv", self.config())
+        assert not (tmp_path / "r.csv").exists()
+
     def test_run_single_keeps_raising(self, splits, monkeypatch):
         self.counting_train(monkeypatch, fail="search")
         with pytest.raises(ValueError, match="no search model"):

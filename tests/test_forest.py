@@ -142,6 +142,21 @@ class TestFit:
         with pytest.raises(ValueError, match="symbol values must be non-negative integers below 2\\*\\*52"):
             fit_forest(np.array(X), np.array([0, 1, 0, 1]), 3, 0)
 
+    @pytest.mark.parametrize("y", [[0.5, 1.5, 0.5, 1.5], [True, False, True, False], [0, np.nan, 0, 1],
+                                   [0, 2**63, 0, 1], [0.0, 1.0, 0.0, 1.0],
+                                   np.array([0, 2**63, 0, 1], dtype=np.uint64)],
+                             ids=["fractions", "bool", "nan", "2**63", "whole_floats", "uint64_2**63"])
+    def test_labels_must_be_integers_within_int64(self, y):
+        # fractions were cast to 0 and 1, bools and whole floats trained as
+        # integers, and NaN and 2**63 failed inside numpy's cast
+        with pytest.raises(ValueError, match="^class labels must be integers within int64, got "):
+            fit_forest(np.array([[0, 1], [3, 0], [2, 1], [2, 0]]), y, 3, 0)
+
+    def test_labels_of_any_integer_dtype_accepted(self):
+        X, y = separable_fixture(seed=5, rows_per_class=6)
+        for dtype in (np.uint8, np.int32, np.uint64):
+            assert_same_forest(fit_forest(X, y, 4, 1), fit_forest(X, y.astype(dtype), 4, 1))
+
     def test_integral_float_and_largest_symbols_accepted(self):
         X, y = separable_fixture(seed=4, rows_per_class=8)
         assert_same_forest(fit_forest(X, y, 6, 2), fit_forest(X.astype(np.float64), y, 6, 2))

@@ -109,6 +109,14 @@ class TestSmote:
         assert np.array_equal(a.X, b.X)
         assert not np.array_equal(a.X, c.X)
 
+    @pytest.mark.parametrize("counts, k", [({1: 8, 2: 4}, 0), ({1: 8, 2: 4}, -2), ({1: 5, 2: 5}, 0),
+                                           ({1: 8, 2: 4}, True), ({1: 8, 2: 4}, 2.0)],
+                             ids=["zero", "negative", "balanced_zero", "bool", "float"])
+    def test_k_must_be_an_integer_of_at_least_1(self, counts, k):
+        # 0 and -2 failed inside numpy, a balanced set passed with k=0, True worked as 1
+        with pytest.raises(ValueError, match="^k must be an integer of at least 1, got "):
+            smote(imbalanced(counts), k=k, seed=0)
+
     def test_k_capped_for_tiny_classes(self):
         ds = imbalanced({1: 8, 2: 2}, seed=1)
         out, report = smote(ds, k=5, seed=0)
