@@ -4,16 +4,21 @@
 Trains BeetleFly and Chinatown from ``tests/data/ucr`` with the default
 ``CoEyeConfig`` under each lens strategy, at 1 and at 2 workers, saves
 each model and prints one line per file. A change that must keep every
-model's bytes prints the same lines before and after it:
+model's bytes prints the same lines before and after it. With ``--expect
+FILE``, a table saved from an earlier run, it also prints the rows that
+differ from that table and exits 1 on any difference:
 
-    PYTHONPATH=src python3 scripts/model_hashes.py
+    PYTHONPATH=src python3 scripts/model_hashes.py > before.md
+    PYTHONPATH=src python3 scripts/model_hashes.py --expect before.md
 """
 
+import argparse
 import hashlib
 import os
 import sys
 import tempfile
 import warnings
+from itertools import zip_longest
 
 from coeye import CoEyeConfig, load_ucr, save_model, train
 from coeye.errors import EqualDepthDegenerate
@@ -24,10 +29,10 @@ STRATEGIES = ("search", "random")
 WORKERS = (1, 2)
 
 
-def main() -> int:
-    warnings.simplefilter("ignore", EqualDepthDegenerate)
-    print("| dataset | strategy | workers | sha256 | bytes |")
-    print("|---|---|---|---|---|")
+def table():
+    """Yield the table's lines, a model's line as soon as it is trained."""
+    yield "| dataset | strategy | workers | sha256 | bytes |"
+    yield "|---|---|---|---|---|"
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "model.json")
         for name in DATASETS:
@@ -37,8 +42,30 @@ def main() -> int:
                     save_model(train(train_set, CoEyeConfig(threads=workers), lens_strategy=strategy), path)
                     with open(path, "rb") as fh:
                         digest = hashlib.sha256(fh.read()).hexdigest()
-                    print(f"| {name} | {strategy} | {workers} | {digest} | {os.path.getsize(path):,} |", flush=True)
-    return 0
+                    yield f"| {name} | {strategy} | {workers} | {digest} | {os.path.getsize(path):,} |"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Print the sha256 and size of each bundled set's default-config model.")
+    parser.add_argument("--expect", metavar="FILE",
+                        help="a table saved from an earlier run: print the rows that differ and exit 1 on any")
+    args = parser.parse_args(argv)
+    expected = None
+    if args.expect:
+        with open(args.expect, encoding="utf-8") as fh:
+            expected = [line.strip() for line in fh if line.strip()]
+    warnings.simplefilter("ignore", EqualDepthDegenerate)
+    lines = []
+    for line in table():
+        print(line, flush=True)
+        lines.append(line)
+    if expected is None:
+        return 0
+    differ = [(want, got) for want, got in zip_longest(expected, lines, fillvalue="(no row)") if want != got]
+    for want, got in differ:
+        print(f"expected: {want}\ngot:      {got}")
+    print(f"{len(differ)} row(s) differ from {args.expect}" if differ else f"every row equals {args.expect}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

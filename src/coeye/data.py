@@ -79,7 +79,8 @@ def load_ucr(path, delimiter: str = "auto", labeled: bool = True) -> Dataset:
     ``delimiter`` is ``auto`` (try tab, then comma), ``tab``, or ``comma``.
     With ``labeled=False`` every field is a series value, as in the
     label-free files ``coeye predict --input`` reads, and every row gets the
-    placeholder label 0. Raises RaggedData / ParseError / EmptyDataset on
+    placeholder label 0. A number is written in ASCII, without ``_``
+    digit separators. Raises RaggedData / ParseError / EmptyDataset on
     malformed input; never silently drops rows.
     """
     with open(path, "r", encoding="utf-8") as fh:
@@ -96,7 +97,8 @@ def load_ucr(path, delimiter: str = "auto", labeled: bool = True) -> Dataset:
     labels = []
     width = None
     for line_no, line in lines:
-        fields = line.strip().split(sep)
+        line = line.strip()
+        fields = line.split(sep)
         if width is None:
             width = len(fields)
             if width <= first:
@@ -104,6 +106,10 @@ def load_ucr(path, delimiter: str = "auto", labeled: bool = True) -> Dataset:
         elif len(fields) != width:
             raise RaggedData(path, line_no, width - first, len(fields) - first)
 
+        # Python alone reads "1_0" as 10 and non-ASCII digits as numbers
+        if "_" in line or not line.isascii():
+            col = next(col for col, cell in enumerate(fields, start=1) if "_" in cell or not cell.isascii())
+            raise ParseError(path, line_no, col, f"not a plain ASCII number: {fields[col - 1]!r}")
         label = _parse_label(path, line_no, fields[0]) if labeled else 0
         values = np.empty(width - first, dtype=np.float64)
         for col, cell in enumerate(fields[first:], start=first + 1):

@@ -11,6 +11,7 @@ restricted to one representation block of the same model),
 from __future__ import annotations
 
 import csv
+import hashlib
 import os
 import subprocess
 import time
@@ -85,21 +86,25 @@ class EvalReport(Record):
 
 @cache
 def build_version() -> str:
-    """git describe of the working tree when available, else the package version.
+    """git describe of the working tree when available, else the package
+    version and the first 12 hex digits of the sha256 over the package's
+    ``*.py`` files, each as its name, a NUL and its bytes, in name order.
 
     Computed once per process, not once per CSV row.
     """
+    package = os.path.dirname(os.path.abspath(__file__))
     try:
-        out = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-            capture_output=True, text=True, timeout=5,
-        )
+        out = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=package,
+                             capture_output=True, text=True, timeout=5)
         if out.returncode == 0 and out.stdout.strip():
             return f"{__version__}+{out.stdout.strip()}"
     except (OSError, subprocess.SubprocessError):
         pass
-    return __version__
+    digest = hashlib.sha256()
+    for name in sorted(name for name in os.listdir(package) if name.endswith(".py")):
+        with open(os.path.join(package, name), "rb") as fh:
+            digest.update(name.encode() + b"\0" + fh.read())
+    return f"{__version__}+src.{digest.hexdigest()[:12]}"
 
 
 def metrics(y_true, y_pred, classes) -> EvalReport:

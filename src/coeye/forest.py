@@ -26,8 +26,8 @@ a root at set-up and a child when its parent splits, and one that cannot
 split is a leaf at once. Every unfinished tree pops its next candidate, so a
 batch runs as many rounds as its busiest tree has candidates, and the round
 searches all popped nodes with a few NumPy calls. Class-major histograms over
-value ranks give an exact integer score that ranks every split, and the
-float Gini decrease picks among the near-best (see ``_best_splits``). Rows
+value ranks give an exact integer score that ranks every split, and its
+first maximum is the split (see ``_best_splits``). Rows
 live in one flat sample array per batch; a node owns a [start, end) range
 of it, partitioned in place when the node splits. A batch holds at most
 ``BATCH_SLOTS`` bootstrap rows (trees times rows), so a large forest grows
@@ -77,7 +77,6 @@ import numpy as np
 from .errors import EmptyTrainingSet, FeatureMismatch, Record
 from .stream import Streams
 
-_MIN_DECREASE = 1e-12
 # class-major histogram cells, score cells and gathered sample values per
 # split-search chunk: bounds the grower's transient memory
 _CHUNK_CELLS = 1 << 16
@@ -228,10 +227,16 @@ def _best_splits(X, sample_row, sample_cls, starts, sizes, counts, feats, n_valu
     The boundary after value (rank) v is ranked by S = (A n_r
     + B n_l) / (n_l n_r), where A and B sum the squared integer class
     counts left and right of it: the Gini decrease is parent_gini - 1 + S / n.
-    Only the boundaries after present values within a relative 1e-9 of the
-    node's best S get the float Gini decrease, whose first maximum wins, so
-    ties break as that float breaks them. S >= n / c, so any other boundary
-    trails the best decrease by over 1e-9 / c, far above the float's error.
+    The first maximum of S wins, lowest feature slot, then lowest value; a
+    boundary after a value absent from the node repeats the score before it,
+    so the winner follows a present value. The node splits there when the
+    decrease is positive: n**2 n_l n_r times it is the sum over classes of
+    (L_c n_r - R_c n_l)**2, so the test compares int64 products of at most
+    n**2, and a boundary with an empty side never passes. S's int64
+    numerator and denominator are exact in float64 and the division rounds
+    correctly, so equal scores stay equal; distinct ones differ by at least
+    16 / n**4, above S's float spacing n 2**-52 for nodes of up to about
+    2,350 rows, where the float argmax is the exact first maximum.
     """
     m, c = feats.shape[1], n_classes
     slot = np.full(sizes.shape[0], -1)
@@ -255,28 +260,20 @@ def _best_splits(X, sample_row, sample_cls, starts, sizes, counts, feats, n_valu
         cum = hist.cumsum(axis=3).reshape(c, q, -1)
         n_l = cum.sum(axis=0)
         n_r = n_node[:, None] - n_l
-        node_counts = counts.take(nodes, axis=0)
-        a, b = np.square(cum).sum(axis=0), np.square(node_counts.T[:, :, None] - cum).sum(axis=0)
+        node_counts = counts.take(nodes, axis=0).T
+        a, b = np.square(cum).sum(axis=0), np.square(node_counts[:, :, None] - cum).sum(axis=0)
         # an invalid boundary (n_l or n_r zero) has A * n_r + B * n_l = 0 and scores 0
-        score = (a * n_r.astype(np.float64) + b * n_l.astype(np.float64)) / np.maximum(n_l * n_r, 1)
-        near = np.flatnonzero(score > score.max(axis=1, keepdims=True) * (1 - 1e-9))
-        near = near[(near % n_values == 0) | (n_l.flat[near] > n_l.flat[near - 1])]
-        at = near // (m * n_values)
-        cum_near = np.ascontiguousarray(cum.reshape(c, -1)[:, near].T, dtype=np.float64)
-        parent_gini = 1.0 - np.sum((node_counts / n_node[:, None]) ** 2, axis=1)
-        n_left = cum_near.sum(axis=1)
-        n_right = n_node[at] - n_left
-        gini_l = 1.0 - np.sum((cum_near / n_left[:, None]) ** 2, axis=1)
-        gini_r = 1.0 - np.sum(((node_counts[at] - cum_near) / n_right[:, None]) ** 2, axis=1)
-        dec = np.full(score.shape, -np.inf)
-        dec.flat[near] = parent_gini[at] - (n_left * gini_l + n_right * gini_r) / n_node[at]
+        score = (a * n_r + b * n_l) / np.maximum(n_l * n_r, 1)
         # first maximum: lowest feature (subsets are sorted), then lowest threshold
-        flat = dec.argmax(axis=1)
-        split = dec[np.arange(q), flat] > _MIN_DECREASE
+        flat = score.argmax(axis=1)
+        left = cum[:, np.arange(q), flat]
+        n_left = n_l[np.arange(q), flat]
+        # a positive decrease: some class's left share differs from its right share
+        split = np.any(left * (n_node - n_left) != (node_counts - left) * n_left, axis=0)
         fi, v = np.divmod(flat, n_values)
         slot[nodes[split]] = fi[split]
         value[nodes[split]] = v[split]
-        left_counts[nodes[split]] = cum[:, split, flat[split]].T
+        left_counts[nodes[split]] = left[:, split].T
 
         moved = np.flatnonzero(split.take(seg))
         seg, pos = seg.take(moved), pos.take(moved)
@@ -470,8 +467,9 @@ def fit_forest(X, y, n_trees: int = 100, seed: int = 0, threads: int | None = No
     """Fit ``n_trees`` bootstrap CART trees with sqrt-width feature subsets.
 
     Trees are grown until pure or until no split improves Gini impurity; no
-    depth limit, minimum split size 2. Tie-breaks go to the lowest feature
-    index, then the lowest threshold.
+    depth limit, minimum split size 2. Exact ties in Gini decrease go to the
+    lowest feature index, then the lowest threshold, for nodes of up to
+    about 2,350 bootstrap rows (see ``_best_splits``).
     """
     X = np.asarray(X)
     n_rows = X.shape[0] if X.ndim == 2 else 0

@@ -3,7 +3,9 @@
 This is the straightforward implementation that ``coeye.forest``'s batched
 engine must reproduce exactly: same nodes, same thresholds, same counts,
 and bit-identical probabilities. It grows one tree at a time, one node at a
-time, and routes one tree at a time. Its forest is built from the
+time, and routes one tree at a time. A node splits at the first strict
+maximum of the exact (``Fraction``) Gini gain, in (feature, threshold)
+order, when that gain is positive. Its forest is built from the
 per-tree arrays it grows, laid end to end as the engine's node store: a
 split's threshold is the largest symbol it sends left, and its right
 child, made right after its left, is ``left + 1``.
@@ -12,16 +14,39 @@ child, made right after its left, is ``left + 1``.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from coeye.forest import DecisionTree, RandomForestModel
 
-_MIN_DECREASE = 1e-12
+
+def _gini(counts):
+    """Exact Gini impurity of a node's class counts."""
+    n = int(counts.sum())
+    return 1 - sum(Fraction(int(c), n) ** 2 for c in counts)
 
 
-def _gini_from_counts(counts, n):
-    return 1.0 - np.sum((counts / n) ** 2)
+def exact_best_split(cols, y, n_values, n_classes):
+    """(column, threshold) of the first strict maximum of the exact Gini gain
+    over the columns of ``cols``, values in [0, n_values), in (column,
+    threshold) order; None when no split has a positive gain."""
+    n, width = cols.shape
+    node_counts = np.bincount(y, minlength=n_classes)
+    codes = (np.arange(width) * n_values + cols) * n_classes + y[:, None]
+    cum = np.bincount(codes.ravel(), minlength=width * n_values * n_classes)
+    cum = cum.reshape(width, n_values, n_classes).cumsum(axis=1)
+    best, best_gain = None, Fraction(0)
+    for fi in range(width):
+        for v in range(n_values - 1):
+            n_left = int(cum[fi, v].sum())
+            if 0 < n_left < n:
+                gain = (_gini(node_counts)
+                        - Fraction(n_left, n) * _gini(cum[fi, v])
+                        - Fraction(n - n_left, n) * _gini(node_counts - cum[fi, v]))
+                if gain > best_gain:
+                    best, best_gain = (fi, v), gain
+    return best
 
 
 def _grow_tree(Xb, yb, n_values, n_classes, max_features, rng):
@@ -46,27 +71,12 @@ def _grow_tree(Xb, yb, n_values, n_classes, max_features, rng):
         if n_node < 2 or nonzero <= 1:
             continue
 
-        parent_gini = _gini_from_counts(node_counts, n_node)
         feats = np.sort(rng.choice(Xb.shape[1], size=max_features, replace=False))
         cols = Xb[rows][:, feats]
-        codes = (np.arange(feats.shape[0]) * n_values + cols) * n_classes + yb[rows][:, None]
-        hist = np.bincount(codes.ravel(), minlength=feats.shape[0] * n_values * n_classes)
-        hist = hist.reshape(feats.shape[0], n_values, n_classes)
-        cum = hist.cumsum(axis=1)[:, :-1, :].astype(np.float64)
-        n_left = cum.sum(axis=2)
-        n_right = n_node - n_left
-        valid = (n_left > 0) & (n_right > 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gini_l = 1.0 - np.sum((cum / n_left[..., None]) ** 2, axis=2)
-            gini_r = 1.0 - np.sum(((node_counts - cum) / n_right[..., None]) ** 2, axis=2)
-            dec = parent_gini - (n_left * gini_l + n_right * gini_r) / n_node
-        dec[~valid] = -np.inf
-        if dec.size == 0:
+        best = exact_best_split(cols, yb[rows], n_values, n_classes)
+        if best is None:
             continue
-        flat = int(np.argmax(dec))
-        fi, v = divmod(flat, n_values - 1)
-        if not np.isfinite(dec[fi, v]) or dec[fi, v] <= _MIN_DECREASE:
-            continue
+        fi, v = best
         best_f = int(feats[fi])
         best_t = v
         best_mask = cols[:, fi] <= best_t

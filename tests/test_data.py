@@ -90,6 +90,16 @@ class TestLoadUcr:
         ds = load_ucr(write(tmp_path, "-1\t1.0\t2.0\n1\t0.0\t0.5\n"))
         assert ds.class_labels == (-1, 1)
 
+    @pytest.mark.parametrize("row, column", [("1\t1_0\t2.0", 2), ("2_0\t1.0\t2.0", 1),
+                                             ("1\t\u0661\u0662\t2.0", 2), ("\uff12\t1.0\t2.0", 1)])
+    def test_only_plain_ascii_numbers(self, tmp_path, row, column):
+        # float and int read "1_0" as 10 and Arabic-Indic or full-width digits as numbers
+        path = tmp_path / "d.tsv"
+        path.write_text(f"1\t0.0\t0.5\n{row}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="not a plain ASCII number") as err:
+            load_ucr(path)
+        assert (err.value.line_no, err.value.column) == (2, column)
+
     def test_nan_value_rejected(self, tmp_path):
         with pytest.raises(ParseError):
             load_ucr(write(tmp_path, "1\tnan\t2.0\n"))

@@ -1355,8 +1355,9 @@ def test_model_bytes_pinned(tmp_path, threads):
 
 
 # sha256 of the model file below: gaussian SAX cuts, which the pin above
-# (minmax cuts) does not cover; re-based for format 3 as the pin above
-PINNED_CHINATOWN_GAUSSIAN_SHA256 = "4238d6c25a469ad4944d11887d6e4c699dd38852becdc0313216a81921aa23ba"
+# (minmax cuts) does not cover; re-based for format 3 as the pin above, and
+# when every split became the first maximum of the exact Gini score
+PINNED_CHINATOWN_GAUSSIAN_SHA256 = "5f2badabde23bbe83d259877eaf9e43bd9feab1ed672a6c9288fa963453ae2f1"
 
 
 def test_model_bytes_pinned_gaussian(tmp_path):
@@ -1369,8 +1370,9 @@ def test_model_bytes_pinned_gaussian(tmp_path):
 
 
 # sha256 of a train where class 9 has a single row: it stays in every
-# training fold and is never held out, so every fold forest holds all 3 classes
-PINNED_SINGLETON_CLASS_SHA256 = "af7840cc70521e5de58eefddf299fbfb061eb34f044642fc24322fa07a02955d"
+# training fold and is never held out, so every fold forest holds all 3 classes;
+# re-based when every split became the first maximum of the exact Gini score
+PINNED_SINGLETON_CLASS_SHA256 = "656ac21960a9a256e5ef45f3238fadaa83b30e516189b8841efa6a1ce1c10feb"
 
 
 @pytest.mark.parametrize("threads", [None, 2])
@@ -1389,7 +1391,7 @@ def test_singleton_class_model_bytes_pinned(tmp_path, monkeypatch, threads):
     save_model(train(Dataset(data.X, y, name="waves_singleton"), CoEyeConfig(seed=1, threads=threads, **SMALL_CONFIG)),
                path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SINGLETON_CLASS_SHA256
-    assert path.stat().st_size == 31_320
+    assert path.stat().st_size == 35_756
     if threads is None:
         # every forest, fold and eye alike, is grown on all three classes
         assert set().union(*batch_classes) == {3}

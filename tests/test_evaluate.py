@@ -1,6 +1,9 @@
 import csv
 import dataclasses
+import os
 import pickle
+import re
+import shutil
 import subprocess
 
 import numpy as np
@@ -8,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coeye import CoEyeConfig, Dataset
+from coeye import CoEyeConfig, Dataset, __version__
 from coeye import evaluate
 from coeye.errors import SeriesLengthMismatch, UnknownLabel
 from coeye.evaluate import (
@@ -228,6 +231,26 @@ class TestRunBenchmark:
         assert sum(cmd[0] == "git" for cmd in commands) == 1
         with open(out) as fh:
             assert {r["version"] for r in csv.DictReader(fh)} == {build_version()}
+
+    def test_source_hash_outside_a_git_checkout(self, tmp_path, monkeypatch):
+        def no_git(*args, **kwargs):
+            raise OSError("no git")
+
+        # a copy of the package's sources, as a git archive leaves them
+        package = tmp_path / "coeye"
+        shutil.copytree(os.path.dirname(evaluate.__file__), package, ignore=shutil.ignore_patterns("__pycache__"))
+        monkeypatch.setattr(subprocess, "run", no_git)
+        monkeypatch.setattr(evaluate, "__file__", str(package / "evaluate.py"))
+        try:
+            build_version.cache_clear()
+            version = build_version()
+            assert re.fullmatch(rf"{re.escape(__version__)}\+src\.[0-9a-f]{{12}}", version)
+            source = package / "data.py"
+            source.write_bytes(source.read_bytes() + b" ")
+            build_version.cache_clear()
+            assert build_version() != version
+        finally:
+            build_version.cache_clear()
 
     def test_append_only(self, ucr_dir, tmp_path):
         out = tmp_path / "results.csv"

@@ -23,7 +23,7 @@ from coeye.forest import (
     predict_proba,
 )
 from coeye.stream import Streams
-from tests.forest_reference import reference_fit_forest, reference_predict_proba
+from tests.forest_reference import exact_best_split, reference_fit_forest, reference_predict_proba
 
 
 def reloaded(model):
@@ -323,8 +323,8 @@ class TestEngineMatchesReference:
 
     def test_ten_classes_keep_the_float_sum_order(self):
         # numpy sums a contiguous axis of eight or more in pairwise blocks, not
-        # left to right; with ten classes some exact ties between boundaries
-        # round apart, and the engine must break them as the reference does
+        # left to right; with ten classes a float Gini sum rounds some exact
+        # ties apart, and the engine must still break them in the documented order
         rng = np.random.default_rng(2)
         X, y = rng.integers(0, 4, size=(40, 3)), rng.integers(0, 10, size=40)
         assert_same_forest(reference_fit_forest(X, y, 10, 2), fit_forest(X, y, n_trees=10, seed=2))
@@ -443,6 +443,50 @@ class TestEngineMatchesReference:
         X, y = separable_fixture(seed=5, rows_per_class=20)
         clone = reloaded(fit_forest(X, y, n_trees=12, seed=4))
         assert_same_proba(reference_fit_forest(X, y, 12, 4), clone, X)
+
+
+def split_search(X, sample_row, y, feats, n_values, n_classes):
+    """``_best_splits`` on one node holding the rows ``sample_row`` of the value ranks ``X``,
+    classes ``y`` by sample; returns (slot, value, left counts, partitioned rows)."""
+    sample_row, sample_cls = np.array(sample_row), np.array(y)
+    counts = np.bincount(sample_cls, minlength=n_classes)[None]
+    slot, value, left_counts = forest._best_splits(
+        np.ascontiguousarray(X), sample_row, sample_cls, np.array([0]), np.array([sample_row.shape[0]]),
+        counts, np.array([feats]), n_values, n_classes)
+    return int(slot[0]), int(value[0]), left_counts[0].tolist(), sample_row
+
+
+class TestBestSplits:
+    """Every split is the first maximum of the exact Gini decrease, lowest feature slot, then lowest value."""
+
+    def test_exact_tie_goes_to_the_lowest_feature_slot(self):
+        # (f0, <= 1) and (f1, <= 1) both score S = 6 exactly
+        X = np.array([[0, 1, 0, 1, 0, 0, 2, 0, 1], [2, 2, 0, 1, 1, 1, 0, 1, 2]]).T
+        y = [0, 0, 1, 1, 1, 1, 0, 1, 1]
+        assert exact_best_split(X, np.array(y), 3, 2) == (0, 1)
+        slot, value, left_counts, rows = split_search(X, np.arange(9), y, [0, 1], 3, 2)
+        assert (slot, value, left_counts) == (0, 1, [2, 6])
+        # left rows first, each part in its old order
+        assert rows.tolist() == [0, 1, 2, 3, 4, 5, 7, 8, 6]
+
+    @given(st.integers(2, 12), st.integers(1, 4), st.integers(1, 4), st.integers(2, 4), st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_first_maximum_of_the_exact_gain(self, n, width, n_values, n_classes, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, n_values, size=(n, width))
+        # columns drawn with replacement, so equal columns tie exactly
+        X = X[:, rng.integers(0, width, size=width)]
+        sample_row = rng.integers(0, n, size=n)
+        y = rng.integers(0, n_classes, size=n)
+        feats = np.sort(rng.choice(width, size=rng.integers(1, width + 1), replace=False))
+        slot, value, left_counts, rows = split_search(X, sample_row, y, feats, n_values, n_classes)
+        assert (slot, value) == (exact_best_split(X[sample_row][:, feats], y, n_values, n_classes) or (-1, 0))
+        if slot >= 0:
+            n_left = sum(left_counts)
+            assert left_counts == np.bincount(y[X[sample_row, feats[slot]] <= value], minlength=n_classes).tolist()
+            assert np.all(X[rows[:n_left], feats[slot]] <= value) and np.all(X[rows[n_left:], feats[slot]] > value)
+        else:
+            assert np.array_equal(rows, sample_row)
 
 
 def random_tree(rng, shape, width, n_values, n_classes, depth):
