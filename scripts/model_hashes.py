@@ -17,11 +17,9 @@ import hashlib
 import os
 import sys
 import tempfile
-import warnings
 from itertools import zip_longest
 
 from coeye import CoEyeConfig, load_ucr, save_model, train
-from coeye.errors import EqualDepthDegenerate
 
 UCR_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tests", "data", "ucr")
 DATASETS = ("Chinatown", "BeetleFly")
@@ -54,7 +52,6 @@ def main(argv=None) -> int:
     if args.expect:
         with open(args.expect, encoding="utf-8") as fh:
             expected = [line.strip() for line in fh if line.strip()]
-    warnings.simplefilter("ignore", EqualDepthDegenerate)
     lines = []
     for line in table():
         print(line, flush=True)

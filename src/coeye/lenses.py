@@ -13,6 +13,8 @@ at its widest word) and each point is one task on the caller's process
 pool, whose results come back in task order, so scheduling changes nothing.
 The random strategy fits only the half of the grid it draws. Either way one
 step returns each chosen lens with the binning and symbols it was chosen with.
+Both draw from ``LensGrid.pairs``, which keeps one SFA alphabet at or above the
+row count: equal-depth binning on s rows has at most s bins per column.
 """
 
 from __future__ import annotations
@@ -72,8 +74,15 @@ class LensGrid(Record):
         words = range(10, min(130, n) + 1, 10) if self.sfa_word_lengths is None else self.sfa_word_lengths
         return _feasible_pairs(SFA, self.sfa_alphas, words, n)
 
-    def pairs(self, representation: int, n: int) -> list[tuple[int, int]]:
-        pairs = self.sax_pairs(n) if representation == SAX else self.sfa_pairs(n)
+    def pairs(self, representation: int, n: int, rows: int) -> list[tuple[int, int]]:
+        """Pairs for ``rows`` series of length ``n``. SFA keeps one alphabet at or above ``rows``:
+        each cuts a column between every two distinct values, so all give one partition, unless values
+        a few ulps apart meet the upward repair of duplicate cuts, which can split them otherwise."""
+        if representation == SAX:
+            pairs = self.sax_pairs(n)
+        else:
+            cap = min((a for a in self.sfa_alphas if a >= rows), default=rows)
+            pairs = [(a, w) for a, w in self.sfa_pairs(n) if a <= cap]
         if not pairs:
             raise NoFeasibleLens(f"no feasible (alpha, w) pairs for series length {n}")
         return pairs
@@ -188,7 +197,7 @@ def _choose_lenses(train, representation, grid, seed, trees, sax_mode, pool, str
     if strategy == "random":
         lenses = search_lenses_random(train, rep, seed, grid)
         return [(lens, *fit) for lens, fit in zip(lenses, fit_lenses(train.X, lenses, sax_mode))]
-    pairs = grid.pairs(rep, train.n)
+    pairs = grid.pairs(rep, train.n, len(train))
     plan = fold_plan(train.y, stratified_fold_assignment(train.y, grid.folds, seed))
     lenses = [Lens(rep, alpha, w) for alpha, w in pairs]
     binnings, symbols = zip(*fit_lenses(train.X, lenses, sax_mode))
@@ -234,7 +243,7 @@ def search_lenses_random(
     Ablation baseline; the sampled lenses carry cv_accuracy 0. No word is built.
     """
     rep = _rep_flag(representation)
-    pairs = (grid or LensGrid()).pairs(rep, train.n)
+    pairs = (grid or LensGrid()).pairs(rep, train.n, len(train))
     rng = np.random.default_rng(np.random.SeedSequence([seed, _NS_RANDOM_LENSES, rep]))
     chosen = sorted(rng.choice(len(pairs), size=(len(pairs) + 1) // 2, replace=False))
     return [Lens(rep, pairs[i][0], pairs[i][1]) for i in chosen]

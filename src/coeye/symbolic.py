@@ -316,6 +316,7 @@ def fit_lenses(X, lenses, sax_mode: str = "minmax") -> list[tuple[SaxBinning | M
     SAX fits one row of cuts per lens in ``sax_mode``. SFA fits each
     (alpha, drop_dc) once, at its widest word, and gives a narrower lens the
     prefix of that table and symbols, so a degenerate table warns once.
+    An alphabet at or above the row count gives each distinct value of a column its own bin.
     """
     def group(lens):  # a PAA word is no prefix of a wider one: SAX fits per lens
         return lens.s, lens.alpha, lens.drop_dc, lens.w if lens.s == SAX else 0

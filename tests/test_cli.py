@@ -355,6 +355,23 @@ class TestBenchmark:
         assert capsys.readouterr().err == "error: --data is required (or set COEYE_DATA_DIR)\n"
         assert not (tmp_path / "n.csv").exists()
 
+    def test_manifest_names_skip_blank_lines_and_precede_datasets(self, workdir, tmp_path, capsys):
+        manifest = tmp_path / "names.txt"
+        manifest.write_text("trends\n\n   \nwaves\n")
+        out = tmp_path / "m.csv"
+        code = main(["benchmark", "--data", str(workdir), "--manifest", str(manifest), "--datasets", "waves",
+                     "--modes", "ed1nn", "--seeds", "0", "--out", str(out), *FAST])
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        assert [r["dataset"] for r in rows] == ["trends", "waves", "waves"]
+
+    def test_no_datasets_exit_2_before_the_file(self, workdir, tmp_path, capsys):
+        out = tmp_path / "n.csv"
+        code = main(["benchmark", "--data", str(workdir), "--modes", "ed1nn", "--out", str(out), *FAST])
+        assert code == 2
+        assert capsys.readouterr().err == "error: provide --datasets or --manifest\n"
+        assert not out.exists()
+
     def test_all_errors_nonzero_exit(self, workdir, tmp_path, capsys):
         code = main(["benchmark", "--data", str(workdir), "--datasets", "ghost",
                      "--modes", "coeye", "--seeds", "0", "--out", str(tmp_path / "g.csv"), *FAST])

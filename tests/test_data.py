@@ -64,6 +64,13 @@ class TestLoadUcr:
             load_ucr(write(tmp_path, f"1\t0.0\t0.5\n{label}\t1.0\t2.0\n"))
         assert (err.value.line_no, err.value.column) == (2, 1)
 
+    @pytest.mark.parametrize("label, reason", [("abc", "not a number"), ("nan", "not finite"), ("inf", "not finite"),
+                                               ("-inf", "not finite")])
+    def test_label_not_a_finite_number_rejected(self, tmp_path, label, reason):
+        with pytest.raises(ParseError, match=f"label is {reason}") as err:
+            load_ucr(write(tmp_path, f"1\t0.0\t0.5\n{label}\t1.0\t2.0\n"))
+        assert (err.value.line_no, err.value.column) == (2, 1)
+
     def test_labels_past_2_53_stay_distinct(self, tmp_path):
         ds = load_ucr(write(tmp_path, "9007199254740993\t1.0\t2.0\n9007199254740992\t0.0\t0.5\n"))
         assert ds.class_labels == (2**53, 2**53 + 1)

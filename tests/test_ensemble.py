@@ -32,6 +32,7 @@ from coeye.cli import main
 from coeye.ensemble import CoEyeModel, Eye, _restrict, eye_probabilities
 from coeye.errors import (
     EmptyEnsemble,
+    EmptyTrainingSet,
     EqualDepthDegenerate,
     ModelParseError,
     NoMinorityClass,
@@ -158,6 +159,11 @@ class TestVote:
     def test_empty_matrix_rejected(self):
         with pytest.raises(EmptyEnsemble):
             vote(np.empty((0, 2)), sax_count=0, seed=0)
+
+    @pytest.mark.parametrize("sax_count", [-1, 3])
+    def test_sax_count_outside_the_matrix_refused(self, sax_count):
+        with pytest.raises(ValueError, match="^sax_count outside the matrix$"):
+            vote(two_class_rows((0, 0.9), (1, 0.8)), sax_count=sax_count, seed=0)
 
     @pytest.mark.parametrize("class_labels", [[5], [5, 9, 11], [[5, 9]], [1.5, 2.7]])
     def test_class_labels_must_name_each_class(self, class_labels):
@@ -357,6 +363,14 @@ class TestTrain:
         with pytest.raises(TypeError, match=r"must be integers|smote must be a bool|CoEyeConfig\.\w+ must be"):
             CoEyeConfig(**{field: value})
 
+    @pytest.mark.parametrize("rows, strategy, error, message", [
+        (1, "search", EmptyTrainingSet, "at least two series"),
+        (20, "grid", ValueError, "unknown lens strategy 'grid'"),
+    ], ids=["one_series", "unknown_strategy"])
+    def test_refused_before_any_work(self, waves, small_config, rows, strategy, error, message):
+        with pytest.raises(error, match=message):
+            train(Dataset(waves.X[:rows], waves.y[:rows]), small_config, lens_strategy=strategy)
+
     def test_single_class_rejected(self):
         ds = Dataset(np.random.default_rng(0).normal(size=(6, 16)), np.ones(6, dtype=int))
         with pytest.raises(NoMinorityClass):
@@ -406,9 +420,9 @@ class TestTrain:
                 train(train_set, CoEyeConfig(seed=0, threads=threads, **grid))
             seen[threads] = [(w.category, str(w.message)) for w in caught]
         assert seen[1] == seen[2]
-        # 20 rows: each SFA alphabet above 20 warns once, in the one fit of its grid
+        # 20 rows: alphabet 21 warns once, in the one fit of its grid; 22 gives 21's view and is never fitted
         assert [message for _, message in seen[1]] == [
-            f"equal-depth binning with 20 series and {alpha} bins is degenerate" for alpha in (21, 22)]
+            f"equal-depth binning with 20 series and {alpha} bins is degenerate" for alpha in (21,)]
         assert {category for category, _ in seen[1]} == {EqualDepthDegenerate}
 
     @pytest.mark.parametrize("strategy", ["search", "random"])
@@ -512,6 +526,8 @@ class TestClassify:
         assert sfa_only.label == vote(matrix[model.sax_count :], 0,
                                       seed=model.config.seed, class_labels=model.class_labels).label
         assert full.label in {sax_only.label, sfa_only.label}
+        with pytest.raises(ValueError, match="unknown representation 'SAX'"):
+            predict_dataset(model, waves.X[:2], representation="SAX")
 
     def test_deterministic_across_calls(self, waves, small_config):
         model = train(waves, small_config)
@@ -1398,8 +1414,10 @@ def test_singleton_class_model_bytes_pinned(tmp_path, monkeypatch, threads):
 
 
 # sha256 of a train where every class has a single row: no row can be held
-# out, so every grid point scores 0.0 and is kept; leave-one-out wrote the same bytes
-PINNED_ALL_SINGLETONS_SHA256 = "e4cc543b6b90a2142205f63916e361f169c55cff47ef996925e1cc37bd6e198b"
+# out, so every grid point scores 0.0 and is kept; leave-one-out wrote the same bytes.
+# Re-based when the grid kept one SFA alphabet at or above the row count: on
+# 4 rows alphabet 5 repeated alphabet 4's view, so its 3 SFA eyes are gone
+PINNED_ALL_SINGLETONS_SHA256 = "fe5ce5f12182908791c72d7cd9189e04b0bf56d4218933fa52a07e22cc3d0c97"
 
 
 @pytest.mark.parametrize("threads", [None, 2])
@@ -1407,7 +1425,7 @@ def test_all_singleton_classes_model_bytes_pinned(tmp_path, threads):
     data = synth_dataset("waves", seed=3)
     model = train(Dataset(data.X[[0, 10, 1, 11]], np.arange(4), name="waves_singletons"),
                   CoEyeConfig(seed=1, threads=threads, **SMALL_CONFIG))
-    assert len(model.eyes) == 12 and all(eye.lens.cv_accuracy == 0.0 for eye in model.eyes)
+    assert len(model.eyes) == 9 and all(eye.lens.cv_accuracy == 0.0 for eye in model.eyes)
     path = tmp_path / "singletons.json"
     save_model(model, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_ALL_SINGLETONS_SHA256

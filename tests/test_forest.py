@@ -107,6 +107,15 @@ class TestFit:
             fit_forests(X, y, [np.arange(10)], seeds=[2**32], n_trees=2)
         assert fit_forest(X, y, n_trees=2, seed=2**32 - 1).seed == 2**32 - 1
 
+    @pytest.mark.parametrize("y, row_sets, seeds, error, message", [
+        (np.array([1, 2, 1]), [np.arange(4)], [0], ValueError, "y length must match rows of X"),
+        (np.array([1, 2, 1, 2]), [np.arange(4), np.arange(2)], [0], ValueError, "need one seed per row set"),
+        (np.array([1, 2, 1, 2]), [np.arange(4), np.arange(0)], [0, 1], EmptyTrainingSet, "at least one row$"),
+    ], ids=["y_length", "seed_count", "empty_row_set"])
+    def test_forests_refuse_mismatched_inputs(self, y, row_sets, seeds, error, message):
+        with pytest.raises(error, match=message):
+            fit_forests(np.array([[0, 1], [3, 0], [2, 1], [2, 0]]), y, row_sets, seeds, n_trees=2)
+
     def test_tree_count(self):
         X, y = separable_fixture(rows_per_class=5)
         assert len(fit_forest(X, y, n_trees=17, seed=0).trees) == 17

@@ -1,13 +1,15 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from coeye import CoEyeConfig, Dataset, lenses, load_ucr, search_lenses, search_lenses_random, train
-from coeye.errors import NoFeasibleLens, file_fields
+from coeye.errors import EqualDepthDegenerate, NoFeasibleLens, file_fields
 from coeye.lenses import (
     SAX,
     SFA,
@@ -19,7 +21,15 @@ from coeye.lenses import (
     select_within_margin,
     stratified_fold_assignment,
 )
+from coeye.symbolic import fit_lenses, lens_words
 from tests.forest_reference import reference_fit_forest, reference_predict_proba
+
+UCR_DIR = Path(__file__).parent / "data" / "ucr"
+
+
+def rank_pattern(values) -> bytes:
+    """Each column's values replaced by their rank among the column's distinct values: the partition a split sees."""
+    return np.stack([np.unique(col, return_inverse=True)[1].ravel() for col in np.asarray(values).T], axis=1).tobytes()
 
 
 class TestSelectionRule:
@@ -76,10 +86,10 @@ class TestGrid:
 
     def test_pairs_refuse_an_empty_grid(self):
         grid = LensGrid(sfa_word_lengths=(200,))
-        assert grid.pairs(SAX, 16) == grid.sax_pairs(16)
+        assert grid.pairs(SAX, 16, 6) == grid.sax_pairs(16)
         assert grid.sfa_pairs(16) == []
         with pytest.raises(NoFeasibleLens, match=r"^no feasible \(alpha, w\) pairs for series length 16$"):
-            grid.pairs(SFA, 16)
+            grid.pairs(SFA, 16, 6)
         tiny = Dataset(np.random.default_rng(0).normal(size=(6, 16)), np.array([0, 0, 0, 1, 1, 1]))
         for search in (search_lenses, search_lenses_random):
             with pytest.raises(NoFeasibleLens, match="for series length 16$"):
@@ -97,6 +107,52 @@ class TestGrid:
         grid = LensGrid(sax_alphas=(4, 3, 4), sax_word_lengths=(8, 4, 8), sfa_alphas=(3, 3), sfa_word_lengths=(6, 6))
         assert grid.sax_pairs(8) == [(3, 4), (3, 8), (4, 4), (4, 8)]
         assert grid.sfa_pairs(8) == [(3, 6)]
+
+    def test_sfa_alphabets_past_the_first_at_or_above_the_row_count_dropped(self):
+        grid = LensGrid(sfa_alphas=(26, 3, 21, 20), sfa_word_lengths=(10,))
+        for rows, kept in [(2, (3,)), (4, (3, 20)), (20, (3, 20)), (21, (3, 20, 21)), (22, (3, 20, 21, 26)),
+                           (30, (3, 20, 21, 26))]:
+            assert grid.pairs(SFA, 24, rows) == [(alpha, 10) for alpha in kept]
+        assert grid.sfa_pairs(24) == [(alpha, 10) for alpha in (3, 20, 21, 26)]
+        # SAX cuts split the value range into equal widths, not the rows into equal counts: none is dropped
+        assert LensGrid(sax_alphas=(3, 26)).pairs(SAX, 24, 2) == [(3, 24), (26, 24)]
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_alphabets_at_or_above_the_row_count_give_one_partition(self, data):
+        # rows drawn from a few series on a coarse value grid, so columns hold ties
+        rows, n = data.draw(st.integers(2, 12)), data.draw(st.integers(2, 24))
+        series = data.draw(hnp.arrays(np.float64, (data.draw(st.integers(1, rows)), n),
+                                      elements=st.integers(-3, 3).map(float)))
+        X = series[data.draw(st.lists(st.integers(0, len(series) - 1), min_size=rows, max_size=rows))]
+        lenses = [Lens(SFA, alpha, n - n % 2) for alpha in range(rows, 27)]
+        (words,) = lens_words(X, lenses[:1])
+        for col in words.T:
+            # distinct values a few ulps apart can split differently: the caveat of LensGrid.pairs
+            values = np.unique(col)
+            assume(np.all(np.diff(values) > 64 * np.spacing(np.abs(values[1:]) + np.abs(values[:-1]))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EqualDepthDegenerate)
+            fitted = fit_lenses(X, lenses)
+        # every distinct value of a column gets its own symbol, whatever the alphabet
+        assert {rank_pattern(symbols) for _, symbols in fitted} == {rank_pattern(words)}
+
+    @pytest.mark.parametrize("name", ["BeetleFly", "Chinatown"])
+    def test_the_bundled_sets_default_grid_keeps_one_point_per_view(self, name):
+        train_set = load_ucr(UCR_DIR / f"{name}_TRAIN.tsv")
+        grid = LensGrid()
+        everything = [Lens(SFA, alpha, w) for alpha, w in grid.sfa_pairs(train_set.n)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EqualDepthDegenerate)
+            fitted = fit_lenses(train_set.X, everything)
+        views = {}
+        for lens, (_, symbols) in zip(everything, fitted):
+            views.setdefault((lens.w, rank_pattern(symbols)), []).append(lens.alpha)
+        words = sorted({lens.w for lens in everything})
+        # 20 rows: alphabets 20 to 26 are one view at every word, and every other view stands alone
+        assert sorted(alphas for alphas in views.values() if len(alphas) > 1) == [list(range(20, 27))] * len(words)
+        kept = grid.pairs(SFA, train_set.n, len(train_set))
+        assert sorted((min(alphas), w) for (w, _), alphas in views.items()) == kept
 
     def test_a_grid_with_repeats_trains_the_eyes_of_the_grid_without(self):
         # the repeats trained each of their eyes twice, so the vote counted those lenses twice
@@ -360,7 +416,7 @@ class TestRandomSearch:
         for alphas in [(3,), (3, 4), (3, 4, 5), tuple(range(3, 11))]:
             grid = LensGrid(sax_alphas=alphas, sfa_alphas=alphas)
             for rep in (SAX, SFA):
-                pairs = grid.pairs(rep, waves.n)
+                pairs = grid.pairs(rep, waves.n, len(waves))
                 lenses = search_lenses_random(waves, rep, seed=0, grid=grid)
                 assert len(lenses) == (len(pairs) + 1) // 2
 

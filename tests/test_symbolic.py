@@ -286,6 +286,11 @@ class TestEqualDepth:
     def test_two_values_midpoint(self):
         assert np.array_equal(equal_depth_breakpoints([10.0, 20.0], 2), [15.0])
 
+    @pytest.mark.parametrize("values", [[], np.empty((0, 3))], ids=["column", "table"])
+    def test_empty_column_refused(self, values):
+        with pytest.raises(ValueError, match="empty column"):
+            equal_depth_breakpoints(values, 3)
+
     def test_identical_column_repaired(self):
         bps = equal_depth_breakpoints([4.0, 4.0, 4.0, 4.0], 3)
         assert np.all(np.diff(bps) > 0)
