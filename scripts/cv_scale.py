@@ -16,8 +16,8 @@ import time
 
 import numpy as np
 
-from coeye import Dataset, lenses
-from coeye.lenses import LensGrid, search_lenses
+from coeye import CoEyeConfig, Dataset, lenses
+from coeye.lenses import search_lenses
 
 LENGTH = 40
 ALPHABET = 8
@@ -47,14 +47,15 @@ def main() -> int:
         return fit_forests(X, y, row_sets, *rest, **kwargs)
 
     lenses.fit_forests = counting
-    grid = LensGrid(sax_alphas=(ALPHABET,), sax_word_lengths=(LENGTH,))
+    config = CoEyeConfig(sax_alphas=(ALPHABET,), sax_word_lengths=(LENGTH,), seed=args.seed, trees=args.trees,
+                         threads=1)
     print("| rows | fold forests | seconds |")
     print("|---|---|---|")
     for rows in args.rows:
         data = singleton_set(rows, args.seed)
         grown.clear()
         start = time.perf_counter()
-        search_lenses(data, "sax", grid, seed=args.seed, trees=args.trees, workers=1)
+        search_lenses(data, "sax", config)
         seconds = time.perf_counter() - start
         print(f"| {rows} | {sum(grown)} | {seconds:.2f} |", flush=True)
     return 0

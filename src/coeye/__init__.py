@@ -16,12 +16,12 @@ __version__ = "0.1.0"
 
 # home module -> the public names it defines
 _PUBLIC = {
-    "config": ("CoEyeConfig",),
+    "config": ("CoEyeConfig", "LensGrid"),
     "data": ("Dataset", "TimeSeries", "load_ucr", "write_ucr", "znormalize"),
     "ensemble": ("CoEyeModel", "Eye", "Prediction", "classify", "load_model", "predict_dataset", "save_model",
                  "train", "vote"),
     "forest": ("RandomForestModel", "fit_forest", "predict", "predict_proba"),
-    "lenses": ("LensGrid", "search_lenses", "search_lenses_random"),
+    "lenses": ("search_lenses", "search_lenses_random"),
     "resample": ("SmoteReport", "smote"),
     "symbolic": ("Lens", "McbTable", "SaxBinning", "SymbolicWord", "dft_lowpass", "fit_mcb", "fit_sax_binning",
                  "paa", "sax", "sfa"),

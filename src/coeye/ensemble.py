@@ -59,7 +59,6 @@ from .lenses import (
     SAX,
     SFA,
     Lens,
-    LensGrid,
     _derived_seed,
     _NS_SMOTE,
     _NS_TRAIN,
@@ -233,8 +232,8 @@ def vote(pred, sax_count: int, seed: int = 0, class_labels=None) -> Prediction |
     classes, in class index order. Every entry must be a finite number in [0, 1].
     """
     pred = np.asarray(pred, dtype=np.float64)
-    if pred.ndim not in (2, 3) or pred.shape[-2] == 0:
-        raise EmptyEnsemble("the probability matrix has no rows")
+    if pred.ndim not in (2, 3) or 0 in pred.shape[-2:]:
+        raise EmptyEnsemble("the probability matrix has no rows or no class columns")
     k = pred.shape[-2]
     if not 0 <= sax_count <= k:
         raise ValueError("sax_count outside the matrix")
@@ -302,14 +301,13 @@ def train(train_raw: Dataset, config: CoEyeConfig | None = None, lens_strategy: 
     else:
         balanced, report = train_raw, SmoteReport.empty(train_raw.class_counts())
 
-    grid = LensGrid.from_config(config)
     # one pool for the SAX grid, the SFA grid and the eye fits, in that order
     workers = _pool_workers(config.threads)
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         t_sax = time.perf_counter()
-        sax = _choose_lenses(balanced, SAX, grid, config.seed, config.trees, config.sax_mode, pool, lens_strategy)
+        sax = _choose_lenses(balanced, SAX, config, pool, lens_strategy)
         t_sfa = time.perf_counter()
-        sfa = _choose_lenses(balanced, SFA, grid, config.seed, config.trees, config.sax_mode, pool, lens_strategy)
+        sfa = _choose_lenses(balanced, SFA, config, pool, lens_strategy)
         t_fit = time.perf_counter()
         kept, binnings, symbols = zip(*sax, *sfa)
         seeds = [_derived_seed(config.seed, _NS_TRAIN, lens.s, lens.alpha, lens.w, int(lens.drop_dc)) for lens in kept]

@@ -13,8 +13,8 @@ at its widest word) and each point is one task on the caller's process
 pool, whose results come back in task order, so scheduling changes nothing.
 The random strategy fits only the half of the grid it draws. Either way one
 step returns each chosen lens with the binning and symbols it was chosen with.
-Both draw from ``LensGrid.pairs``, which keeps one SFA alphabet at or above the
-row count: equal-depth binning on s rows has at most s bins per column.
+Both draw from the config's ``LensGrid.pairs``, which keeps one SFA alphabet at or
+above the row count: equal-depth binning on s rows has at most s bins per column.
 """
 
 from __future__ import annotations
@@ -22,16 +22,15 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, fields, replace
+from dataclasses import replace
 from itertools import repeat
 
 import numpy as np
 
-from .config import CoEyeConfig, check_grid
+from .config import CoEyeConfig, LensGrid  # noqa: F401  (LensGrid re-exported: ``from coeye.lenses import LensGrid``)
 from .data import Dataset
-from .errors import NoFeasibleLens, Record
 from .forest import BATCH_SLOTS, fit_forests, predict
-from .symbolic import SAX, SFA, Lens, fit_lenses, word_fits
+from .symbolic import SAX, SFA, Lens, fit_lenses
 
 ACCURACY_MARGIN = 0.01
 _MARGIN_SLACK = 1e-12
@@ -43,55 +42,6 @@ _NS_SMOTE = 3
 _NS_FOLDS = 4
 _NS_RANDOM_LENSES = 5
 _NS_VOTE = 6
-
-
-@dataclass(frozen=True)
-class LensGrid(Record):
-    """Candidate (alpha, w) pairs per representation, before feasibility filtering.
-
-    ``None`` word lengths mean the defaults: a single uniform SAX word of
-    min(n, 128), and even SFA words 10..min(130, n) step 10.
-    """
-
-    sax_alphas: tuple[int, ...] = CoEyeConfig.sax_alphas
-    sax_word_lengths: tuple[int, ...] | None = CoEyeConfig.sax_word_lengths
-    sfa_alphas: tuple[int, ...] = CoEyeConfig.sfa_alphas
-    sfa_word_lengths: tuple[int, ...] | None = CoEyeConfig.sfa_word_lengths
-    folds: int = CoEyeConfig.folds
-
-    def check(self):
-        check_grid(self)
-
-    @staticmethod
-    def from_config(config: CoEyeConfig) -> "LensGrid":
-        return LensGrid(**{f.name: getattr(config, f.name) for f in fields(LensGrid)})
-
-    def sax_pairs(self, n: int) -> list[tuple[int, int]]:
-        words = [min(n, 128)] if self.sax_word_lengths is None else self.sax_word_lengths
-        return _feasible_pairs(SAX, self.sax_alphas, words, n)
-
-    def sfa_pairs(self, n: int) -> list[tuple[int, int]]:
-        words = range(10, min(130, n) + 1, 10) if self.sfa_word_lengths is None else self.sfa_word_lengths
-        return _feasible_pairs(SFA, self.sfa_alphas, words, n)
-
-    def pairs(self, representation: int, n: int, rows: int) -> list[tuple[int, int]]:
-        """Pairs for ``rows`` series of length ``n``. SFA keeps one alphabet at or above ``rows``:
-        each cuts a column between every two distinct values, so all give one partition, unless values
-        a few ulps apart meet the upward repair of duplicate cuts, which can split them otherwise."""
-        if representation == SAX:
-            pairs = self.sax_pairs(n)
-        else:
-            cap = min((a for a in self.sfa_alphas if a >= rows), default=rows)
-            pairs = [(a, w) for a, w in self.sfa_pairs(n) if a <= cap]
-        if not pairs:
-            raise NoFeasibleLens(f"no feasible (alpha, w) pairs for series length {n}")
-        return pairs
-
-
-def _feasible_pairs(s: int, alphas, words, n: int) -> list[tuple[int, int]]:
-    """Each (alpha, w) pair once, in sorted order, whose word fits series of length ``n``."""
-    fitting = sorted({w for w in words if word_fits(s, w, n)})
-    return [(a, w) for a in sorted(set(alphas)) for w in fitting]
 
 
 def _rep_flag(representation) -> int:
@@ -122,9 +72,11 @@ def fold_plan(y, fold_ids) -> list[tuple[int, np.ndarray, np.ndarray]]:
     """(fold id, training rows, held-out rows) per fold with a row to hold out, by ascending id.
 
     A class's only row trains every fold and is never held out. Raises ValueError
-    unless ``fold_ids`` holds one id per row of ``y`` and at least two distinct ids.
+    unless ``fold_ids`` holds one integer id per row of ``y`` and at least two distinct ids.
     """
     y, fold_ids = np.asarray(y), np.asarray(fold_ids)
+    if fold_ids.dtype.kind not in "iu":  # ``int(f)`` would truncate 0.2 and 0.7 to one fold id 0
+        raise ValueError(f"fold ids must be integers, got {fold_ids.dtype}: {fold_ids.ravel()[:5].tolist()}")
     if fold_ids.shape != y.shape:
         raise ValueError(f"need one fold id per row of y: {fold_ids.size} ids for {y.shape[0]} rows")
     if np.unique(fold_ids).shape[0] < 2:
@@ -187,7 +139,7 @@ def _pool_map(pool, fn, *args) -> list:
     return list(map(fn, *args) if pool is None else pool.map(fn, *args, chunksize=1))
 
 
-def _choose_lenses(train, representation, grid, seed, trees, sax_mode, pool, strategy="search") -> list[tuple]:
+def _choose_lenses(train, representation, config: CoEyeConfig, pool, strategy="search") -> list[tuple]:
     """The one selection step: each chosen lens of one representation as (lens, binning, training symbols).
 
     ``random`` fits only the points ``search_lenses_random`` draws; ``search`` fits the whole grid, scores
@@ -195,55 +147,44 @@ def _choose_lenses(train, representation, grid, seed, trees, sax_mode, pool, str
     """
     rep = _rep_flag(representation)
     if strategy == "random":
-        lenses = search_lenses_random(train, rep, seed, grid)
-        return [(lens, *fit) for lens, fit in zip(lenses, fit_lenses(train.X, lenses, sax_mode))]
-    pairs = grid.pairs(rep, train.n, len(train))
-    plan = fold_plan(train.y, stratified_fold_assignment(train.y, grid.folds, seed))
+        lenses = search_lenses_random(train, rep, config)
+        return [(lens, *fit) for lens, fit in zip(lenses, fit_lenses(train.X, lenses, config.sax_mode))]
+    pairs = config.pairs(rep, train.n, len(train))
+    plan = fold_plan(train.y, stratified_fold_assignment(train.y, config.folds, config.seed))
     lenses = [Lens(rep, alpha, w) for alpha, w in pairs]
-    binnings, symbols = zip(*fit_lenses(train.X, lenses, sax_mode))
+    binnings, symbols = zip(*fit_lenses(train.X, lenses, config.sax_mode))
     # the stream omits drop_dc: the pinned model bytes were written with
     # this seed, so adding the flag would move every model
-    seeds = [_derived_seed(seed, _NS_SEARCH, rep, alpha, w) for alpha, w in pairs]
-    accs = _pool_map(pool, cross_val_accuracy, symbols, repeat(train.y), repeat(plan), repeat(trees), seeds)
+    seeds = [_derived_seed(config.seed, _NS_SEARCH, rep, alpha, w) for alpha, w in pairs]
+    accs = _pool_map(pool, cross_val_accuracy, symbols, repeat(train.y), repeat(plan), repeat(config.trees), seeds)
     return [(replace(lenses[i], cv_accuracy=float(accs[i])), binnings[i], symbols[i])
             for i in select_per_alpha(pairs, accs)]
 
 
-def search_lenses(
-    train: Dataset,
-    representation,
-    grid: LensGrid | None = None,
-    seed: int = 0,
-    trees: int = 100,
-    sax_mode: str = "minmax",
-    workers: int | None = None,
-) -> list[Lens]:
+def search_lenses(train: Dataset, representation, config: CoEyeConfig | None = None) -> list[Lens]:
     """Score the representation's grid by CV accuracy, keep the 1% bands.
 
-    The margin is applied per alphabet: for each alpha, every word size
-    within 0.01 of that alpha's best cross-validation accuracy is kept.
-    Returns lenses ordered by ascending alpha then w, each carrying its
-    cv_accuracy. Raises NoFeasibleLens when feasibility filtering empties
-    the grid.
+    ``config`` gives the grid, seed, trees, SAX mode and workers; ``None`` means
+    ``CoEyeConfig()``, so seed 42. The margin is applied per alphabet: for each alpha,
+    every word size within 0.01 of that alpha's best cross-validation accuracy is kept.
+    Returns lenses ordered by ascending alpha then w, each carrying its cv_accuracy.
+    Raises NoFeasibleLens when feasibility filtering empties the grid.
     """
-    size = _pool_workers(workers)
+    config = config or CoEyeConfig()
+    size = _pool_workers(config.threads)
     with ProcessPoolExecutor(max_workers=size) if size > 1 else nullcontext() as pool:
-        chosen = _choose_lenses(train, representation, grid or LensGrid(), seed, trees, sax_mode, pool)
+        chosen = _choose_lenses(train, representation, config, pool)
     return [lens for lens, _, _ in chosen]
 
 
-def search_lenses_random(
-    train: Dataset,
-    representation,
-    seed: int = 0,
-    grid: LensGrid | None = None,
-) -> list[Lens]:
-    """Sample half the feasible grid pairs (rounded up), distinct and uniform, skipping CV entirely.
+def search_lenses_random(train: Dataset, representation, config: CoEyeConfig | None = None) -> list[Lens]:
+    """Sample half the feasible grid pairs of ``config`` (rounded up), distinct and uniform, skipping CV entirely.
 
     Ablation baseline; the sampled lenses carry cv_accuracy 0. No word is built.
     """
+    config = config or CoEyeConfig()
     rep = _rep_flag(representation)
-    pairs = (grid or LensGrid()).pairs(rep, train.n, len(train))
-    rng = np.random.default_rng(np.random.SeedSequence([seed, _NS_RANDOM_LENSES, rep]))
+    pairs = config.pairs(rep, train.n, len(train))
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, _NS_RANDOM_LENSES, rep]))
     chosen = sorted(rng.choice(len(pairs), size=(len(pairs) + 1) // 2, replace=False))
     return [Lens(rep, pairs[i][0], pairs[i][1]) for i in chosen]

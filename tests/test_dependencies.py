@@ -1,8 +1,9 @@
 """The package depends on numpy and the standard library alone, only the
 model reader's modules know the model file's field types, only the symbolic
 module builds lens words and binnings, only the lens search plans
-cross-validation folds, and ``import coeye`` loads a public name's home
-module only when the name is first used."""
+cross-validation folds, only the config declares the lens grid, and
+``import coeye`` loads a public name's home module only when the name is
+first used."""
 
 import ast
 import os
@@ -80,6 +81,24 @@ FOLD_PROTOCOL = {"stratified_fold_assignment", "fold_plan"}
 def test_only_the_lens_search_plans_folds(path):
     used = referenced_names(path) & FOLD_PROTOCOL
     assert not used or path.name == "lenses.py"
+
+
+# the lens grid's fields: ``config.LensGrid`` declares them once and ``CoEyeConfig`` inherits them, so no
+# second grid record can copy them
+GRID_FIELDS = {"sax_alphas", "sax_word_lengths", "sfa_alphas", "sfa_word_lengths", "folds"}
+
+
+def declared_fields(path):
+    """Every name a class body of a source file annotates."""
+    return {stmt.target.id for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.ClassDef) for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_config_declares_the_grid(path):
+    declared = declared_fields(path) & GRID_FIELDS
+    assert not declared or path.name == "config.py"
 
 
 def test_pyproject_declares_numpy_only():

@@ -160,6 +160,12 @@ class TestVote:
         with pytest.raises(EmptyEnsemble):
             vote(np.empty((0, 2)), sax_count=0, seed=0)
 
+    @pytest.mark.parametrize("shape", [(3, 0), (2, 3, 0)])
+    def test_matrix_without_class_columns_rejected(self, shape):
+        # it used to fail in numpy's max with "zero-size array to reduction operation"
+        with pytest.raises(EmptyEnsemble, match="no class columns"):
+            vote(np.zeros(shape), sax_count=1, seed=0)
+
     @pytest.mark.parametrize("sax_count", [-1, 3])
     def test_sax_count_outside_the_matrix_refused(self, sax_count):
         with pytest.raises(ValueError, match="^sax_count outside the matrix$"):
@@ -407,7 +413,7 @@ class TestTrain:
         assert fitted == [len(grid.sax_pairs(waves.n)), len(grid.sfa_pairs(waves.n))]
         sfa_lenses = [e.lens for e in model.eyes if e.lens.s == SFA]
         assert sfa_lenses and not any(lens.drop_dc for lens in sfa_lenses)
-        assert sfa_lenses == search_lenses(waves, "sfa", grid, small_config.seed, small_config.trees)
+        assert sfa_lenses == search_lenses(waves, "sfa", small_config)
 
     def test_warnings_do_not_depend_on_the_worker_count(self):
         # the search used to fit each grid point in a worker, whose warnings reached only its own stderr
@@ -454,9 +460,8 @@ class TestTrain:
         for eye, (_, binning, symbols), grown_on in zip(model.eyes, chosen, grown, strict=True):
             assert eye.binning is binning and grown_on is symbols
         if strategy == "random":
-            grid = LensGrid.from_config(small_config)
             assert [eye.lens for eye in model.eyes] == [
-                lens for rep in (SAX, SFA) for lens in search_lenses_random(waves, rep, small_config.seed, grid)]
+                lens for rep in (SAX, SFA) for lens in search_lenses_random(waves, rep, small_config)]
 
     def test_random_strategy_trains(self, waves):
         config = CoEyeConfig(seed=2, **SMALL_CONFIG)
@@ -1477,8 +1482,7 @@ class TestOnePool:
         assert pools == {"ensemble": [2], "lenses": []}
 
     def test_standalone_searches_open_their_own(self, pools, waves):
-        grid_args = dict(grid=LensGrid(sax_alphas=(3, 4), sfa_alphas=(3, 4)), seed=0, trees=10, workers=10_000)
-        search_lenses(waves, "sax", **grid_args)
+        search_lenses(waves, "sax", CoEyeConfig(sax_alphas=(3, 4), sfa_alphas=(3, 4), seed=0, trees=10, threads=10_000))
         assert pools == {"ensemble": [], "lenses": [2]}
 
     @pytest.mark.parametrize("threads", [0, -1])

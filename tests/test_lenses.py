@@ -93,7 +93,7 @@ class TestGrid:
         tiny = Dataset(np.random.default_rng(0).normal(size=(6, 16)), np.array([0, 0, 0, 1, 1, 1]))
         for search in (search_lenses, search_lenses_random):
             with pytest.raises(NoFeasibleLens, match="for series length 16$"):
-                search(tiny, "sfa", grid=grid, seed=0)
+                search(tiny, "sfa", CoEyeConfig(sfa_word_lengths=(200,), seed=0))
 
     def test_sfa_words_filtered_to_even_and_feasible(self):
         grid = LensGrid(sfa_alphas=(4,), sfa_word_lengths=(5, 6, 8, 200))
@@ -253,6 +253,12 @@ class TestFolds:
         fold = stratified_fold_assignment(y, 5, 1)
         assert set(fold.tolist()) == {0, 1, 2, 3, 4}
 
+    @pytest.mark.parametrize("fold_ids", [[0.2, 0.7] * 4, [0.0, 1.0] * 4, [False, True] * 4])
+    def test_non_integer_fold_ids_refused(self, fold_ids):
+        # int(f) truncated each id, so 0.2 and 0.7 made two folds that both grew from fold 0's seed
+        with pytest.raises(ValueError, match=f"^fold ids must be integers, got {np.asarray(fold_ids).dtype}"):
+            fold_plan(np.arange(8) % 2, fold_ids)
+
     @given(rows=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 6)), min_size=1, max_size=40))
     @settings(max_examples=200, deadline=None)
     def test_plan_holds_each_scored_row_out_once(self, rows):
@@ -323,38 +329,37 @@ class TestCrossValidation:
 
 
 class TestSearch:
-    def small_grid(self):
-        return LensGrid(sax_alphas=(3, 4), sfa_alphas=(3, 4), folds=3)
+    def small_config(self, **run):
+        return CoEyeConfig(sax_alphas=(3, 4), sfa_alphas=(3, 4), folds=3, **run)
 
     def test_selected_within_margin_of_alpha_best(self, waves):
-        grid = LensGrid(sfa_alphas=(3, 4), sfa_word_lengths=(10, 12, 14, 16), folds=3)
-        lenses = search_lenses(waves, "sfa", grid, seed=1, trees=15)
+        config = CoEyeConfig(sfa_alphas=(3, 4), sfa_word_lengths=(10, 12, 14, 16), folds=3, seed=1, trees=15)
+        lenses = search_lenses(waves, "sfa", config)
         assert {l.alpha for l in lenses} == {3, 4}  # every alphabet contributes
         for alpha in (3, 4):
             row = [l.cv_accuracy for l in lenses if l.alpha == alpha]
             assert max(row) - min(row) <= 0.01 + 1e-12
 
     def test_sax_lens_count_tracks_alphabet_count(self, waves):
-        lenses = search_lenses(waves, "sax", self.small_grid(), seed=1, trees=15)
+        lenses = search_lenses(waves, "sax", self.small_config(seed=1, trees=15))
         # a single uniform word per alphabet: each alphabet keeps its only pair
         assert [l.alpha for l in lenses] == [3, 4]
         assert all(l.s == SAX and not l.drop_dc for l in lenses)
 
     def test_order_ascending_alpha_then_w(self, waves):
-        grid = LensGrid(sfa_alphas=(4, 3), sfa_word_lengths=(12, 10), folds=3)
-        lenses = search_lenses(waves, "sfa", grid, seed=0, trees=10)
+        config = CoEyeConfig(sfa_alphas=(4, 3), sfa_word_lengths=(12, 10), folds=3, seed=0, trees=10)
+        lenses = search_lenses(waves, "sfa", config)
         keys = [(l.alpha, l.w) for l in lenses]
         assert keys == sorted(keys)
 
     def test_deterministic_and_worker_independent(self, waves):
-        grid = self.small_grid()
-        a = search_lenses(waves, "sfa", grid, seed=3, trees=10)
-        b = search_lenses(waves, "sfa", grid, seed=3, trees=10)
-        c = search_lenses(waves, "sfa", grid, seed=3, trees=10, workers=2)
+        a = search_lenses(waves, "sfa", self.small_config(seed=3, trees=10))
+        b = search_lenses(waves, "sfa", self.small_config(seed=3, trees=10))
+        c = search_lenses(waves, "sfa", self.small_config(seed=3, trees=10, threads=2))
         assert a == b == c
 
     def test_separable_data_gets_high_accuracy(self, waves):
-        lenses = search_lenses(waves, "sfa", self.small_grid(), seed=0, trees=25)
+        lenses = search_lenses(waves, "sfa", self.small_config(seed=0, trees=25))
         assert max(l.cv_accuracy for l in lenses) >= 0.9
 
     def test_one_fold_plan_per_search(self, waves, monkeypatch):
@@ -381,7 +386,7 @@ class TestSearch:
     def test_no_feasible_lens(self):
         tiny = Dataset(np.random.default_rng(0).normal(size=(6, 8)), np.array([0, 0, 0, 1, 1, 1]))
         with pytest.raises(NoFeasibleLens):
-            search_lenses(tiny, "sfa", LensGrid(), seed=0, trees=5)
+            search_lenses(tiny, "sfa", CoEyeConfig(seed=0, trees=5))
 
     def test_singleton_class_never_held_out(self, waves, monkeypatch):
         # one row of class 9 beside 20 rows of two classes: 5 folds, not one per row
@@ -395,7 +400,7 @@ class TestSearch:
             return fit_forests(X_, y_, row_sets, seeds, n_trees, threads)
 
         monkeypatch.setattr(lenses, "fit_forests", recording)
-        found = search_lenses(Dataset(X, y), "sax", LensGrid(sax_alphas=(3, 4), folds=5), seed=0, trees=trees)
+        found = search_lenses(Dataset(X, y), "sax", CoEyeConfig(sax_alphas=(3, 4), folds=5, seed=0, trees=trees))
         assert [l.alpha for l in found] == [3, 4] and len(calls) == 2
         for lens, (symbols, row_sets, seeds) in zip(found, calls):
             assert len(row_sets) == 5
@@ -414,22 +419,22 @@ class TestSearch:
 class TestRandomSearch:
     def test_half_grid_rounded_up(self, waves):
         for alphas in [(3,), (3, 4), (3, 4, 5), tuple(range(3, 11))]:
-            grid = LensGrid(sax_alphas=alphas, sfa_alphas=alphas)
+            config = CoEyeConfig(sax_alphas=alphas, sfa_alphas=alphas, seed=0)
             for rep in (SAX, SFA):
-                pairs = grid.pairs(rep, waves.n, len(waves))
-                lenses = search_lenses_random(waves, rep, seed=0, grid=grid)
+                pairs = config.pairs(rep, waves.n, len(waves))
+                lenses = search_lenses_random(waves, rep, config)
                 assert len(lenses) == (len(pairs) + 1) // 2
 
     def test_distinct_grid_pairs(self, waves):
-        grid = LensGrid(sfa_alphas=tuple(range(3, 11)))
-        lenses = search_lenses_random(waves, "sfa", seed=0, grid=grid)
+        config = CoEyeConfig(sfa_alphas=tuple(range(3, 11)), seed=0)
+        lenses = search_lenses_random(waves, "sfa", config)
         chosen = [(l.alpha, l.w) for l in lenses]
         assert len(set(chosen)) == len(chosen)
-        assert set(chosen) <= set(grid.sfa_pairs(waves.n))
+        assert set(chosen) <= set(config.sfa_pairs(waves.n))
         assert all(l.s == SFA and l.cv_accuracy == 0 for l in lenses)
 
     def test_deterministic(self, waves):
-        grid = LensGrid(sfa_alphas=tuple(range(3, 11)))
-        a = search_lenses_random(waves, "sfa", seed=6, grid=grid)
-        b = search_lenses_random(waves, "sfa", seed=6, grid=grid)
+        config = CoEyeConfig(sfa_alphas=tuple(range(3, 11)), seed=6)
+        a = search_lenses_random(waves, "sfa", config)
+        b = search_lenses_random(waves, "sfa", config)
         assert a == b
