@@ -105,6 +105,16 @@ def _load_split(args, split: str) -> Dataset:
     return load_ucr(find_split(_data_dir(args), args.dataset, split))
 
 
+def _check_out(out) -> None:
+    """Raise unless ``--out``, if given, can be written as a file: it is no
+    directory, and its directory exists. So no work is done in vain."""
+    if out and os.path.isdir(out):
+        raise IsADirectoryError(f"--out {out} is a directory")
+    directory = os.path.dirname(out or "")
+    if directory and not os.path.isdir(directory):
+        raise FileNotFoundError(f"--out {out}: no directory {directory}")
+
+
 def _resolve_input(args) -> tuple[np.ndarray, np.ndarray | None]:
     """(values matrix, labels or None) from --input or --data/--dataset."""
     if getattr(args, "input", None):
@@ -275,6 +285,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        # train, predict and benchmark write --out: check it before any split is loaded
+        _check_out(getattr(args, "out", None))
         return args.func(args)
     except (CoEyeError, FileNotFoundError, IsADirectoryError, PermissionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,6 +22,7 @@ two-round vote that handles all rows at once:
 from __future__ import annotations
 
 import json
+import os
 import time
 from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
@@ -70,7 +71,7 @@ from .lenses import (
 from .resample import SmoteReport, smote
 from .symbolic import McbTable, SaxBinning, symbolize, word_fits
 
-MODEL_FORMAT_VERSION = 3
+MODEL_FORMAT_VERSION = 4
 
 ROUND_FIRST = "first"
 ROUND_SECOND = "second"
@@ -360,11 +361,22 @@ def predict_dataset(model: CoEyeModel, data, representation: str = "both") -> li
 
 def save_model(model: CoEyeModel, path) -> None:
     """Serialize to versioned JSON, each record as ``errors.file_fields``
-    writes it; identical models produce identical bytes."""
+    writes it; identical models produce identical bytes.
+
+    The text goes to a new file beside ``path``, which then replaces
+    ``path`` in one step: a write that fails part-way leaves any earlier
+    file at ``path`` as it was, and removes its own."""
     payload = {"format_version": MODEL_FORMAT_VERSION, "library_version": __version__, **file_fields(model)}
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=np.ndarray.tolist)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    temporary = f"{os.fspath(path)}.{os.urandom(8).hex()}.tmp"
+    fh = open(temporary, "x", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(temporary, path)
+    except BaseException:
+        os.remove(temporary)
+        raise
 
 
 def load_model(path) -> CoEyeModel:

@@ -36,23 +36,27 @@ Each tree still pops its own candidates in the order above, so its draws,
 and hence its bytes, are the same as when it grows alone.
 
 Node store. A forest holds the nodes of all its trees, tree after tree, in
-four integer arrays (``feature``, -1 at a leaf, ``threshold``, 0 at a leaf,
-``left`` and class ``counts``) with tree-local child ids, and each tree's
-node count. A split's children are made together, so the right child is
-``left + 1`` and is not stored. The forest record declares each array's
-dtype, and, like every record, holds its arrays read-only. The model file
-writes these fields as they are, and each ``Eye`` checks that its forest's
-store routes (``check_store``).
+node order within each tree, with tree-local child ids, and each tree's node
+count. Each array holds only what routing reads: ``feature`` has one entry
+per node, -1 at a leaf; ``threshold`` and ``left`` have one entry per split
+node, in node order; class ``counts`` have one row per leaf, in node order.
+A split's children are made together, so the right child is ``left + 1`` and
+is not stored, and a split node's counts, the sum of its leaves', are not
+stored either. The forest record declares each array's dtype, and, like every
+record, holds its arrays read-only. The model file writes these fields as
+they are, and each ``Eye`` checks that its forest's store routes
+(``check_store``).
 
 Packed layout. For routing, the stores of forests of one tree count are
-concatenated, with global left-child ids and class probabilities ``counts /
-counts.sum(1)`` at leaves, 0 elsewhere: pack tree ``f * n_trees + t`` is tree
-``t`` of forest ``f``. The forests read their feature columns side by side, so
-a split feature is offset by the widths of the forests before its own. A leaf
-routes to itself, as in branch-free traversal (QuickScorer, Lucchese et al.,
-SIGIR 2015): its ``left`` is its own id, its ``feature`` its forest's first
-column and its ``threshold`` the int64 maximum, which no symbol exceeds. That
-self-loop is what makes a node a leaf: no split's left child is itself. One
+spread back to one entry per node and concatenated, with global left-child
+ids and class probabilities ``counts / counts.sum(1)`` at leaves, 0
+elsewhere: pack tree ``f * n_trees + t`` is tree ``t`` of forest ``f``. The
+forests read their feature columns side by side, so a split feature is offset
+by the widths of the forests before its own. A leaf routes to itself, as in
+branch-free traversal (QuickScorer, Lucchese et al., SIGIR 2015): its ``left``
+is its own id, its ``feature`` its forest's first column and its
+``threshold`` the int64 maximum, which no symbol exceeds. That self-loop is
+what makes a node a leaf: no split's left child is itself. One
 ``_leaves`` walk routes every row through every tree of the pack, from node
 ``i`` to ``left[i] + (x > threshold[i])``, and each forest sums its own trees
 in tree order, bit-identical to routing it alone. The walk moves a chunk's
@@ -99,7 +103,8 @@ def check_labels(labels: np.ndarray) -> None:
 
 @dataclass(frozen=True, eq=False)
 class DecisionTree(Record):
-    """One tree's slice of a forest's node store (see ``RandomForestModel.trees``)."""
+    """One tree's slice of a forest's node store (see ``RandomForestModel.trees``):
+    ``feature`` per node, ``threshold`` and ``left`` per split node, ``counts`` per leaf."""
 
     feature: np.ndarray = field(metadata={"dtype": np.int32})
     threshold: np.ndarray = field(metadata={"dtype": np.int64})
@@ -154,53 +159,67 @@ class RandomForestModel(Record):
     @property
     def trees(self) -> list[DecisionTree]:
         """Each tree's slice of the store, in tree order."""
-        cuts = np.cumsum(self.tree_sizes)[:-1]
-        splits = (np.split(getattr(self, f.name), cuts) for f in fields(DecisionTree))
-        return [DecisionTree(*arrays) for arrays in zip(*splits)]
+        nodes = np.cumsum(self.tree_sizes)[:-1]
+        # the split nodes before each tree's first node, and so the leaves
+        split = np.searchsorted(np.flatnonzero(self.feature >= 0), nodes)
+        cuts = {"feature": nodes, "threshold": split, "left": split, "counts": nodes - split}
+        parts = (np.split(getattr(self, f.name), cuts[f.name]) for f in fields(DecisionTree))
+        return [DecisionTree(*arrays) for arrays in zip(*parts)]
 
     def check_store(self) -> None:
         """Raise ValueError unless the node store holds one well-formed routing
-        graph per tree, checked on tree-local ids, and leaf counts of exact probabilities."""
+        graph per tree, checked on tree-local ids, with a threshold and a left
+        child per split node and leaf counts of exact probabilities, one row per leaf."""
         sizes, n = self.tree_sizes, self.feature.size
         # every size in [1, n] before anything sums or repeats the sizes: read from a file, they can wrap an int64 sum
         sized = sizes.ndim == 1 and sizes.size and np.all((sizes >= 1) & (sizes <= n))
+        split = np.flatnonzero(self.feature >= 0)
+        n_splits = split.shape[0]
         shapes = [a.shape for a in (self.feature, self.threshold, self.left, self.counts)]
-        if not sized or shapes != [(sizes.sum(),)] * 3 + [(n, self.n_classes)]:
-            raise ValueError(f"a forest needs tree sizes in [1, {n}] that sum to its node count; node arrays "
-                             f"of shapes {shapes} do not hold {n} nodes of {self.n_classes} classes")
-        # each node's id within its tree, and its tree's node count
-        node, end = np.arange(n) - np.repeat(np.cumsum(sizes) - sizes, sizes), np.repeat(sizes, sizes)
-        inner = self.feature >= 0
+        if not sized or shapes != [(sizes.sum(),), (n_splits,), (n_splits,), (n - n_splits, self.n_classes)]:
+            raise ValueError(f"a forest needs tree sizes in [1, {n}] that sum to its node count, a threshold and "
+                             f"a left child per split node and a class count row per leaf; arrays of shapes "
+                             f"{shapes} do not hold {n} nodes, {n_splits} of them splits, of {self.n_classes} "
+                             "classes")
+        # each split node's id within its tree, and its tree's node count
+        node = split - np.repeat(np.cumsum(sizes) - sizes, sizes).take(split)
+        end = np.repeat(sizes, sizes).take(split)
         # both children, left and left + 1, above their parent and inside the tree: routing always terminates
-        left = self.left
-        if not (np.all((left[inner] > node[inner]) & (left[inner] < end[inner] - 1)) and np.all(left[~inner] == -1)):
-            raise ValueError("tree child pointers must point forward within the tree, at inner nodes only")
-        if np.any(self.feature[inner] >= self.n_features):
+        if not np.all((self.left > node) & (self.left < end - 1)):
+            raise ValueError("tree child pointers must point forward within the tree")
+        if np.any(self.feature >= self.n_features):
             raise ValueError(f"split feature outside [0, {self.n_features})")
         # below 2**52 a leaf's int64 count sum cannot wrap, and the float64 division into probabilities is exact
-        counts, total = self.counts, self.counts[~inner].sum(axis=1, dtype=np.float64)
+        counts, total = self.counts, self.counts.sum(axis=1, dtype=np.float64)
         if not (np.all((counts >= 0) & (counts < 2**52)) and np.all((total > 0) & (total < 2**52))):
-            raise ValueError("class counts must lie in [0, 2**52), with rows at every leaf, below 2**52 in all")
+            raise ValueError("class counts must lie in [0, 2**52), with a positive row at every leaf, "
+                             "below 2**52 in all")
 
 
 def pack_forests(forests: list[RandomForestModel]) -> PackedForest:
-    """Pack ``forests``, at least one, of one tree count and class labels (as a model's are), for one routing walk."""
+    """Pack ``forests``, at least one, of one tree count and class labels (as a model's are), for one routing walk.
+
+    The stores are concatenated and spread to one entry per node: split
+    fields are scattered to the split nodes and leaf probabilities to the
+    leaves, each found once with ``flatnonzero``."""
     feature, threshold, left, counts, sizes = (np.concatenate([getattr(f, name) for f in forests])
                                                for name in ("feature", "threshold", "left", "counts", "tree_sizes"))
+    n = feature.shape[0]
     roots = np.cumsum(sizes) - sizes
-    leaf = feature < 0
-    at = np.flatnonzero(leaf)
-    leaf_counts = counts.take(at, axis=0)
-    proba = np.zeros(counts.shape)
-    proba[at] = leaf_counts / leaf_counts.sum(axis=1, keepdims=True)
+    split, leaf = np.flatnonzero(feature >= 0), np.flatnonzero(feature < 0)
+    proba = np.zeros((n, counts.shape[1]))
+    proba[leaf] = counts / counts.sum(axis=1, keepdims=True)
     widths = np.array([f.n_features for f in forests])
-    # a split reads its own forest's columns, which sit after the earlier forests' columns
-    column = np.repeat(np.cumsum(widths) - widths, [f.feature.shape[0] for f in forests])
-    # a leaf routes to itself: it reads its forest's first column, and no int64 symbol exceeds its threshold
-    feature = np.where(leaf, column, feature + column)
-    threshold = np.where(leaf, np.iinfo(np.int64).max, threshold)
-    left = np.where(leaf, np.arange(leaf.shape[0]), left + np.repeat(roots, sizes))
-    return PackedForest(feature, threshold, left, proba, roots, forests[0].n_trees, int(widths.sum()))
+    # every node reads its own forest's columns, which sit after the earlier forests' columns; a leaf
+    # routes to itself: it reads its forest's first column, and no int64 symbol exceeds its threshold
+    packed_feature = np.repeat(np.cumsum(widths) - widths, [f.feature.shape[0] for f in forests])
+    packed_feature[split] += feature.take(split)
+    packed_threshold = np.full(n, np.iinfo(np.int64).max)
+    packed_threshold[split] = threshold
+    packed_left = np.arange(n)
+    packed_left[split] = left + np.repeat(roots, sizes).take(split)
+    return PackedForest(packed_feature, packed_threshold, packed_left, proba, roots, forests[0].n_trees,
+                        int(widths.sum()))
 
 
 class _ForestSpec(NamedTuple):
@@ -287,7 +306,7 @@ def _best_splits(X, sample_row, sample_cls, starts, sizes, counts, feats, n_valu
 def _grow(X, specs: list[_ForestSpec], max_features: int, values: np.ndarray) -> list[tuple[np.ndarray, ...]]:
     """Grow every tree of every spec, all of one class count, together, on
     the value ranks ``X`` of the sorted distinct ``values``; returns each
-    spec's node store: its four node arrays and its trees' node counts."""
+    spec's node store: its four store arrays and its trees' node counts."""
     d = X.shape[1]
     tree_spec = np.repeat(np.arange(len(specs)), [len(s.trees) for s in specs])
     n_trees = tree_spec.shape[0]
@@ -351,20 +370,25 @@ def _grow(X, specs: list[_ForestSpec], max_features: int, values: np.ndarray) ->
         place(trees, lo, mid, left, left_counts)
         place(trees, mid, hi, left + 1, counts - left_counts)
 
-    # the batch's store: tree t holds nodes bounds[t]:bounds[t + 1], in node id order
+    # the batch's nodes: tree t holds nodes bounds[t]:bounds[t + 1], in node id order
     bounds = np.concatenate([[0], np.cumsum(n_nodes)])
     trees, node, node_counts = map(np.concatenate, zip(*placed))
-    counts, threshold = np.empty((bounds[-1], n_classes), dtype=np.int64), np.zeros(bounds[-1], dtype=np.int64)
+    counts, threshold = np.empty((bounds[-1], n_classes), dtype=np.int64), np.empty(bounds[-1], dtype=np.int64)
     counts[bounds[trees] + node] = node_counts
-    feature, left = np.full(bounds[-1], -1, dtype=np.int32), np.full(bounds[-1], -1, dtype=np.int32)
+    feature, left = np.full(bounds[-1], -1, dtype=np.int32), np.empty(bounds[-1], dtype=np.int32)
     trees, node, split_feature, split_threshold, split_left = map(np.concatenate, zip(*splits))
     at = bounds[trees] + node
     feature[at], threshold[at], left[at] = split_feature, split_threshold, split_left
-    # a spec's trees, and so its nodes, are contiguous
+    # the store keeps split fields at split nodes and counts at leaves, each in node order
+    split, leaf = np.flatnonzero(feature >= 0), np.flatnonzero(feature < 0)
+    threshold, left, counts = threshold.take(split), left.take(split), counts.take(leaf, axis=0)
+    # a spec's trees, and so its nodes, its splits and its leaves, are contiguous
     first_tree = [0, *accumulate(len(spec.trees) for spec in specs)]
-    first_node = bounds[first_tree].tolist()
-    return [(feature[a:b], threshold[a:b], left[a:b], counts[a:b], n_nodes[i:j])
-            for i, j, a, b in zip(first_tree, first_tree[1:], first_node, first_node[1:])]
+    first_node = bounds[first_tree]
+    first_split = np.searchsorted(split, first_node)
+    edges = np.column_stack([first_tree, first_node, first_split, first_node - first_split]).tolist()
+    return [(feature[n0:n1], threshold[s0:s1], left[s0:s1], counts[l0:l1], n_nodes[t0:t1])
+            for (t0, n0, s0, l0), (t1, n1, s1, l1) in zip(edges, edges[1:])]
 
 
 def _batches(specs: list[_ForestSpec], max_slots: int):

@@ -8,7 +8,9 @@ maximum of the exact (``Fraction``) Gini gain, in (feature, threshold)
 order, when that gain is positive. Its forest is built from the
 per-tree arrays it grows, laid end to end as the engine's node store: a
 split's threshold is the largest symbol it sends left, and its right
-child, made right after its left, is ``left + 1``.
+child, made right after its left, is ``left + 1``. Each tree grows one
+entry per node in every array and then keeps, in node order, thresholds and
+left children at split nodes and class counts at leaves.
 """
 
 from __future__ import annotations
@@ -87,11 +89,12 @@ def _grow_tree(Xb, yb, n_values, n_classes, max_features, rng):
         stack.append((rows[best_mask], li))
         stack.append((rows[~best_mask], ri))
 
+    inner = np.asarray(feature) >= 0
     return (
         np.asarray(feature, dtype=np.int32),
-        np.asarray(threshold, dtype=np.int64),
-        np.asarray(left, dtype=np.int32),
-        np.vstack(counts).astype(np.int64),
+        np.asarray(threshold, dtype=np.int64)[inner],
+        np.asarray(left, dtype=np.int32)[inner],
+        np.vstack(counts).astype(np.int64)[~inner],
     )
 
 
@@ -117,16 +120,20 @@ def reference_fit_forest(X, y, n_trees=100, seed=0) -> RandomForestModel:
 
 
 def _route(tree: DecisionTree, X: np.ndarray) -> np.ndarray:
-    """Leaf index reached by each row."""
+    """Leaf reached by each row, as its row of the tree's ``counts``."""
+    inner = tree.feature >= 0
+    # each node's place among the split nodes (its threshold and left child) and among the leaves
+    split_of, leaf_of = np.cumsum(inner) - 1, np.cumsum(~inner) - 1
     idx = np.zeros(X.shape[0], dtype=np.int32)
-    active = tree.feature[idx] >= 0
+    active = inner[idx]
     while active.any():
         rows = np.nonzero(active)[0]
         nd = idx[rows]
-        go_left = X[rows, tree.feature[nd]] <= tree.threshold[nd]
-        idx[rows] = np.where(go_left, tree.left[nd], tree.left[nd] + 1)
-        active[rows] = tree.feature[idx[rows]] >= 0
-    return idx
+        s = split_of[nd]
+        go_left = X[rows, tree.feature[nd]] <= tree.threshold[s]
+        idx[rows] = np.where(go_left, tree.left[s], tree.left[s] + 1)
+        active[rows] = inner[idx[rows]]
+    return leaf_of[idx]
 
 
 def reference_predict_proba(model: RandomForestModel, X) -> np.ndarray:

@@ -34,10 +34,13 @@ pytestmark = pytest.mark.filterwarnings("ignore::coeye.errors.EqualDepthDegenera
 # Gini score: its float re-rank had broken exact ties against that order.
 # chinatown re-based when the grid kept one SFA alphabet at or above the row
 # count: of its alphabets 21 and 24 over 20 rows, 24 repeated 21's view.
+# All three re-based for model file format 4 (thresholds and left children at
+# split nodes only, class counts at leaves only): each file equals its format
+# 3 file after that conversion, and the serving pins below did not move.
 PINNED = {
-    "beetlefly": ("201920187559ac900887e3aade19b79883522a8d36bd9d7de00c791b8c9db884", 104_619),
-    "chinatown": ("fbc17ebd7e1505604d22c43ac98164fe0e4d7b1a65c8252404177f98c76cc0c6", 158_870),
-    "imbalanced": ("48d522bd7d099bb1d2252bb58abca069cce07c9560bb779040f15ac8e1420b66", 216_730),
+    "beetlefly": ("da9926bf795dbd3ac7764364dd8e948db42c0a74992f6002291d68845f0b075a", 79_863),
+    "chinatown": ("6794beb4f862ca4a627d24154dc1ec9f1693af5b3a2a5a48bf7a9cce82d88f05", 106_807),
+    "imbalanced": ("a04fbae328fefd30005cc936dc4e6a13da4ceae43760b72246dfc74942006a83", 127_380),
 }
 
 # sha256 of each model's eye_probabilities bytes and of its predict_dataset
@@ -57,11 +60,12 @@ TEST_SEED = 0
 # the same workloads trained with lens_strategy="random", at the same seed and
 # one worker: each representation's lenses are drawn from the grid, not searched;
 # beetlefly re-based with the imbalanced model pin above, for the same split rule,
-# and chinatown with the chinatown pin above, for the same dropped alphabet
+# and chinatown with the chinatown pin above, for the same dropped alphabet;
+# all three re-based for format 4 with the pins above, same trees
 PINNED_RANDOM = {
-    "beetlefly": ("770defbbc088146320ccbe3f0bdf40645b9c26fe55ed48f560c96f887a322a6d", 228_809),
-    "chinatown": ("9463800b67c620febfbd4f4d4846ca41b16dc28d277308c40e05a03c86721cc4", 114_917),
-    "imbalanced": ("5e5e4c6fd09bde54c91ed2ac342e41386cb7533416e70b49fbe62cd1e9f671b1", 95_428),
+    "beetlefly": ("0c477edbf76bce2e7f860ba141cb15e78579de360dac8712c40b43074fd69b74", 198_616),
+    "chinatown": ("46bd62ba535814963558fca8cc08edb13e3b3047b4db0191c02b5f082d202c74", 80_677),
+    "imbalanced": ("8f846e8af15c1d995f9a554c0e847677b937f4829a0c6d3b59774fe5bfc43c57", 57_163),
 }
 
 

@@ -131,6 +131,51 @@ class TestTrain:
                          "--dataset", "Chinatown", "--out", str(tmp_path / "p.csv")]) == 0
 
 
+class TestOutDirectory:
+    """A command whose --out is a directory, or lies in one that does not exist, exits 2 before any work."""
+
+    def test_train_exit_2_before_training(self, workdir, tmp_path, capsys, monkeypatch):
+        # it trained the whole model, then failed to open the file
+        calls = []
+        monkeypatch.setattr(cli, "train", lambda *a, **k: calls.append(a))
+        out = tmp_path / "missing" / "m.json"
+        code = main(["train", "--data", str(workdir), "--dataset", "waves", "--out", str(out), *FAST])
+        assert (code, calls) == (2, [])
+        assert capsys.readouterr().err == f"error: --out {out}: no directory {out.parent}\n"
+
+    def test_benchmark_exit_2_before_training(self, workdir, tmp_path, capsys, monkeypatch):
+        from coeye import evaluate
+
+        calls = []
+        monkeypatch.setattr(evaluate, "train", lambda *a, **k: calls.append(a))
+        out = tmp_path / "missing" / "b.csv"
+        code = main(["benchmark", "--data", str(workdir), "--datasets", "waves", "--out", str(out), *FAST])
+        assert (code, calls) == (2, [])
+        assert capsys.readouterr().err.startswith(f"error: --out {out}: no directory")
+
+    def test_predict_exit_2_before_loading(self, trained, workdir, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "load_model", lambda *a: calls.append(a))
+        out = tmp_path / "missing" / "p.csv"
+        code = main(["predict", "--model", str(trained), "--data", str(workdir), "--dataset", "waves",
+                     "--out", str(out)])
+        assert (code, calls) == (2, [])
+        assert capsys.readouterr().err.startswith(f"error: --out {out}: no directory")
+
+    def test_directory_as_out_exit_2_before_training(self, workdir, tmp_path, capsys, monkeypatch):
+        # it trained the whole model, then failed to replace the directory with the file
+        calls = []
+        monkeypatch.setattr(cli, "train", lambda *a, **k: calls.append(a))
+        code = main(["train", "--data", str(workdir), "--dataset", "waves", "--out", str(tmp_path), *FAST])
+        assert (code, calls) == (2, [])
+        assert capsys.readouterr().err == f"error: --out {tmp_path} is a directory\n"
+
+    def test_bare_file_name_and_stdout_pass(self):
+        # a bare file name is written to the working directory, and predict writes stdout without --out
+        cli._check_out("m.json")
+        cli._check_out(None)
+
+
 class TestPredict:
     def test_accuracy_printed_and_rows_match(self, workdir, trained, tmp_path, capsys):
         out = tmp_path / "preds.csv"

@@ -185,11 +185,9 @@ class TestFit:
             "rng = np.random.default_rng(3)\n"
             "X, y = rng.integers(0, 4, size=(30, 5)), rng.integers(0, 3, size=30)\n"
             "small, big = fit_forest(X, y, 10, 7), fit_forest(X * 10**12, y, 10, 7)\n"
-            "inner = small.feature >= 0\n"
-            "assert inner.any() and np.array_equal(small.feature, big.feature)\n"
+            "assert np.any(small.feature >= 0) and np.array_equal(small.feature, big.feature)\n"
             "assert np.array_equal(small.counts, big.counts) and np.array_equal(small.tree_sizes, big.tree_sizes)\n"
-            "assert np.array_equal(small.threshold[inner] * 10**12, big.threshold[inner])\n"
-            "assert np.all(big.threshold[~inner] == 0)\n"
+            "assert np.array_equal(small.threshold * 10**12, big.threshold)\n"
         )
         result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
         assert result.returncode == 0, result.stderr
@@ -198,8 +196,8 @@ class TestFit:
         X, y = separable_fixture(seed=8, rows_per_class=10)
         model = fit_forest(X, y, n_trees=20, seed=0)
         for tree in model.trees:
-            leaves = tree.feature < 0
-            assert np.all(tree.counts[leaves].sum(axis=1) > 0)
+            assert tree.counts.shape[0] == np.count_nonzero(tree.feature < 0)
+            assert np.all(tree.counts.sum(axis=1) > 0)
 
 
 class TestPredict:
@@ -266,13 +264,21 @@ class TestSerialization:
         # thresholds and class counts are whole numbers, written as JSON integers
         assert {type(v) for v in written["threshold"]} == {type(c) for row in written["counts"] for c in row} == {int}
 
-    def test_trees_view_slices_the_store_in_tree_order(self):
-        X, y = separable_fixture(seed=2)
-        model = fit_forest(X, y, n_trees=6, seed=1)
+    @given(st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_trees_view_slices_the_store_in_tree_order(self, data):
+        X, y, seed, n_trees = data.draw(symbol_problems())
+        model = fit_forest(X, y, n_trees=n_trees, seed=seed)
         trees = model.trees
+        assert len(trees) == n_trees
         assert [tree.n_nodes for tree in trees] == model.tree_sizes.tolist()
         for name in ("feature", "threshold", "left", "counts"):
             assert np.array_equal(np.concatenate([getattr(tree, name) for tree in trees]), getattr(model, name))
+        for tree in trees:
+            splits = np.count_nonzero(tree.feature >= 0)
+            # one threshold and left child per split node, one class count row per leaf
+            assert tree.threshold.shape == tree.left.shape == (splits,)
+            assert tree.counts.shape == (tree.n_nodes - splits, model.n_classes)
 
 
 def assert_same_forest(expected, got):
@@ -411,10 +417,11 @@ class TestEngineMatchesReference:
 
         monkeypatch.setattr(Streams, "subsets", counting)
         models = fit_forests(*candidate_fixture(), [1, 2, 3], n_trees=30)
-        leaf = np.concatenate([model.feature < 0 for model in models])
-        impure = np.count_nonzero(np.concatenate([model.counts for model in models]), axis=1) >= 2
-        assert np.count_nonzero(leaf & impure) > 10
-        assert sum(drawn) == np.count_nonzero(~leaf) + np.count_nonzero(leaf & impure)
+        splits = sum(np.count_nonzero(model.feature >= 0) for model in models)
+        # the store keeps counts at leaves only
+        impure_leaves = sum(np.count_nonzero(np.count_nonzero(model.counts, axis=1) >= 2) for model in models)
+        assert impure_leaves > 10
+        assert sum(drawn) == splits + impure_leaves
 
     def test_one_round_per_split_candidate_of_the_busiest_tree(self, monkeypatch):
         # leaves are recorded when their parent splits, so each round pops one
@@ -425,7 +432,7 @@ class TestEngineMatchesReference:
         monkeypatch.setattr(forest, "_best_splits", lambda *args: rounds.append(1) or best_splits(*args))
         monkeypatch.setattr(forest, "_grow", lambda *args: batches.append(1) or grow(*args))
         models = fit_forests(*candidate_fixture(), [1, 2, 3], n_trees=30)
-        candidates = [np.count_nonzero((tree.feature >= 0) | (np.count_nonzero(tree.counts, axis=1) >= 2))
+        candidates = [np.count_nonzero(tree.feature >= 0) + np.count_nonzero(np.count_nonzero(tree.counts, axis=1) >= 2)
                       for model in models for tree in model.trees]
         assert len(batches) == 1
         assert len(rounds) == max(candidates)
@@ -499,7 +506,7 @@ class TestBestSplits:
 
 
 def random_tree(rng, shape, width, n_values, n_classes, depth):
-    """One tree's node arrays, each split's children made together, left first.
+    """One tree's store arrays, each split's children made together, left first.
 
     ``stump``: the root is a leaf; ``chain``: only left children split, down
     to ``depth``; ``complete``: every node above ``depth`` splits; ``random``:
@@ -520,11 +527,12 @@ def random_tree(rng, shape, width, n_values, n_classes, depth):
             left += [-1, -1]
             level += [d + 1, d + 1]
         node += 1
-    counts = rng.integers(0, 4, size=(len(feature), n_classes))
-    counts[np.arange(len(feature)), rng.integers(n_classes, size=len(feature))] += 1
-    counts[np.array(feature) >= 0] = 0
-    return (np.array(feature, dtype=np.int32), np.array(threshold, dtype=np.int64),
-            np.array(left, dtype=np.int32), counts.astype(np.int64))
+    inner = np.array(feature) >= 0
+    leaves = np.count_nonzero(~inner)
+    counts = rng.integers(0, 4, size=(leaves, n_classes))
+    counts[np.arange(leaves), rng.integers(n_classes, size=leaves)] += 1
+    return (np.array(feature, dtype=np.int32), np.array(threshold, dtype=np.int64)[inner],
+            np.array(left, dtype=np.int32)[inner], counts.astype(np.int64))
 
 
 def random_forest(rng, shapes, width, n_values, n_classes, depth):
@@ -583,8 +591,9 @@ class TestPackedRouting:
         counts = np.concatenate([f.counts for f in forests])
         assert np.array_equal(packed.left == np.arange(leaf.shape[0]), leaf)
         assert not packed.proba[~leaf].any()
-        for i in np.flatnonzero(leaf).tolist():
-            assert np.array_equal(packed.proba[i], counts[i] / counts[i].sum())
+        # the store's counts hold one row per leaf, in node order
+        for row, i in enumerate(np.flatnonzero(leaf).tolist()):
+            assert np.array_equal(packed.proba[i], counts[row] / counts[row].sum())
 
     def test_no_level_step(self):
         # after the root level, stumps and depth-1 trees leave no pair at a split
