@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
-"""Print the sha256 and size of each bundled set's default-config model, and its serving pack's digest.
+"""Print the sha256 and size of each bundled set's default-config model, its serving pack's digest and its vote's.
 
 Trains BeetleFly and Chinatown from ``tests/data/ucr`` with the default
 ``CoEyeConfig`` under each lens strategy, at 1 and at 2 workers, saves
 each model and prints one line per file. The pack digest is a sha256 over
 the arrays of ``model.packed``, the one node layout that routing reads, so a
 change of the file format that keeps every tree keeps that column while the
-file hash moves. A change that must keep every model's bytes prints the
-same lines before and after it. With ``--expect
+file hash moves. The vote digest is a sha256 over every field of every
+Prediction the model gives on its set's TEST split; these models hold 30 to
+130 eyes, so their votes reach ties that small models never meet. A change
+that must keep every model's bytes and votes prints the same lines before
+and after it. With ``--expect
 FILE``, a table saved from an earlier run, it also prints the rows that
 differ from that table and exits 1 on any difference:
 
@@ -25,7 +28,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from coeye import CoEyeConfig, load_ucr, save_model, train
+from coeye import CoEyeConfig, load_ucr, predict_dataset, save_model, train
 
 UCR_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tests", "data", "ucr")
 DATASETS = ("Chinatown", "BeetleFly")
@@ -42,14 +45,20 @@ def pack_digest(model) -> str:
     return digest.hexdigest()
 
 
+def vote_digest(model, test) -> str:
+    """sha256 over the repr of each TEST row's (label, confidence, round, sax_label, sfa_label)."""
+    votes = [(p.label, p.confidence, p.round, p.sax_label, p.sfa_label) for p in predict_dataset(model, test)]
+    return hashlib.sha256(repr(votes).encode()).hexdigest()
+
+
 def table():
     """Yield the table's lines, a model's line as soon as it is trained."""
-    yield "| dataset | strategy | workers | sha256 | bytes | pack sha256 |"
-    yield "|---|---|---|---|---|---|"
+    yield "| dataset | strategy | workers | sha256 | bytes | pack sha256 | vote sha256 |"
+    yield "|---|---|---|---|---|---|---|"
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "model.json")
         for name in DATASETS:
-            train_set = load_ucr(os.path.join(UCR_DIR, f"{name}_TRAIN.tsv"))
+            train_set, test_set = (load_ucr(os.path.join(UCR_DIR, f"{name}_{part}.tsv")) for part in ("TRAIN", "TEST"))
             for strategy in STRATEGIES:
                 for workers in WORKERS:
                     model = train(train_set, CoEyeConfig(threads=workers), lens_strategy=strategy)
@@ -57,12 +66,12 @@ def table():
                     with open(path, "rb") as fh:
                         digest = hashlib.sha256(fh.read()).hexdigest()
                     yield (f"| {name} | {strategy} | {workers} | {digest} | {os.path.getsize(path):,} "
-                           f"| {pack_digest(model)} |")
+                           f"| {pack_digest(model)} | {vote_digest(model, test_set)} |")
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Print the sha256 and size of each bundled set's default-config "
-                                                 "model, and its serving pack's digest.")
+                                                 "model, its serving pack's digest and its vote's.")
     parser.add_argument("--expect", metavar="FILE",
                         help="a table saved from an earlier run: print the rows that differ and exit 1 on any")
     args = parser.parse_args(argv)

@@ -13,8 +13,8 @@ two-round vote that handles all rows at once:
 * round 1 — each representation nominates the label of its most confident
   row (most frequent on ties at that confidence); agreement decides.
 * round 2 — on disagreement, the representations' second-best labels are
-  compared (the runner-up label at the top confidence when it was
-  disputed, otherwise the next-most-confident row's label).
+  compared, each by the same rule: the best label of the eyes left once the
+  winner's eyes at the top confidence are set aside.
 * fallback — the representation with the strictly higher round-1
   confidence wins; an exact tie is settled by a seeded random draw.
 """
@@ -45,6 +45,7 @@ from .errors import (
     Record,
     SeriesLengthMismatch,
     UnsupportedModelVersion,
+    _is_int,
     file_fields,
     model_record,
 )
@@ -95,8 +96,6 @@ class Eye(Record):
             raise ValueError(f"binning does not fit its {lens.representation} lens (alpha={lens.alpha}, w={lens.w})")
         if self.forest.n_features != lens.w:
             raise ValueError(f"a forest of width {self.forest.n_features} does not fit a lens of width {lens.w}")
-        # checked here rather than in the forest: the search's fold forests never reach a file
-        self.forest.check_store()
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,47 +176,34 @@ def eye_probabilities(model: CoEyeModel, X) -> np.ndarray:
     return predict_packed(model.packed, symbols)
 
 
-def _draw(candidates: np.ndarray, rng) -> int:
-    """The one candidate label of a boolean mask, or a seeded draw among several."""
-    labels = np.flatnonzero(candidates)
-    return int(labels[0]) if labels.shape[0] == 1 else int(rng.choice(labels))
+def _top_label(row_max: np.ndarray, votes: np.ndarray, rng_of):
+    """(label, confidence, eyes at that confidence) per row of eyes with confidences ``row_max`` (rows, k)
+    and label votes ``votes`` (rows, k, c): the label most eyes vote among those at the row's highest
+    confidence, a tie drawn from the row's stream ``rng_of(row)``, or -1 where no eye votes."""
+    best = row_max.max(axis=1)
+    at_best = row_max == best[:, None]
+    freq = (votes & at_best[..., None]).sum(axis=1)
+    top = (freq == freq.max(axis=1)[:, None]) & (freq > 0)
+    n_top = top.sum(axis=1)
+    label = np.where(n_top > 0, top.argmax(axis=1), -1)
+    for i in np.flatnonzero(n_top > 1).tolist():
+        label[i] = rng_of(i).choice(np.flatnonzero(top[i]))
+    return label, best, at_best
 
 
 def _block_best(block: np.ndarray, rng_of):
     """(best label, best confidence, second label or -1, second confidence) per row of a (rows, k, c) block.
 
-    A tie among labels is drawn from the row's stream ``rng_of(row)``, the
-    best label's draw before the second's.
+    Each eye votes its most probable label. Both labels are ``_top_label``'s:
+    the best over every eye, the second over the eyes left once the winner's
+    eyes at the top confidence are set aside, its tie drawn after the best's.
     """
-    classes = np.arange(block.shape[2])
+    arg = block.argmax(axis=2)
     row_max = block.max(axis=2)
-    votes = block.argmax(axis=2)[..., None] == classes
-    best = row_max.max(axis=1)
-    at_best = row_max == best[:, None]
-    # how many eyes at the best confidence vote each label
-    freq = (votes & at_best[..., None]).sum(axis=1)
-    top_freq = freq.max(axis=1)
-    top = freq == top_freq[:, None]
-    first = top.argmax(axis=1)
-    # the runner-up label at the best when it is disputed, else the label
-    # of the next confidence down
-    disputed = at_best.sum(axis=1) > top_freq
-    next_best = np.where(at_best, -np.inf, row_max).max(axis=1)
-    freq_next = (votes & (row_max == next_best[:, None])[..., None]).sum(axis=1)
-    runner_freq = np.where(disputed[:, None], freq * (classes != first[:, None]), freq_next)
-    runner_top = runner_freq.max(axis=1)
-    runners = (runner_freq == runner_top[:, None]) & (runner_top > 0)[:, None]
-    has_second = runner_top > 0
-    second = np.where(has_second, runners.argmax(axis=1), -1)
-    second_conf = np.where(disputed, best, next_best)
-    for i in np.flatnonzero((top.sum(axis=1) > 1) | (runners.sum(axis=1) > 1)).tolist():
-        rng = rng_of(i)
-        first[i] = _draw(top[i], rng)
-        if disputed[i]:
-            rest = freq[i] * (classes != first[i])
-            runners[i] = rest == rest.max()
-        if has_second[i]:
-            second[i] = _draw(runners[i], rng)
+    votes = arg[..., None] == np.arange(block.shape[2])
+    first, best, at_best = _top_label(row_max, votes, rng_of)
+    aside = at_best & (arg == first[:, None])
+    second, second_conf, _ = _top_label(np.where(aside, -np.inf, row_max), votes & ~aside[..., None], rng_of)
     return first, best, second, second_conf
 
 
@@ -236,6 +222,8 @@ def vote(pred, sax_count: int, seed: int = 0, class_labels=None) -> Prediction |
     if pred.ndim not in (2, 3) or 0 in pred.shape[-2:]:
         raise EmptyEnsemble("the probability matrix has no rows or no class columns")
     k = pred.shape[-2]
+    if not _is_int(sax_count):  # a bool would read as 0 or 1 SAX eyes
+        raise ValueError(f"sax_count must be an integer, got {sax_count!r}")
     if not 0 <= sax_count <= k:
         raise ValueError("sax_count outside the matrix")
     names = None if class_labels is None else np.asarray(class_labels)
@@ -365,7 +353,10 @@ def save_model(model: CoEyeModel, path) -> None:
 
     The text goes to a new file beside ``path``, which then replaces
     ``path`` in one step: a write that fails part-way leaves any earlier
-    file at ``path`` as it was, and removes its own."""
+    file at ``path`` as it was, and removes its own. A directory at
+    ``path`` is refused before any file is made."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"cannot save the model to {path}: it is a directory")
     payload = {"format_version": MODEL_FORMAT_VERSION, "library_version": __version__, **file_fields(model)}
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=np.ndarray.tolist)
     temporary = f"{os.fspath(path)}.{os.urandom(8).hex()}.tmp"

@@ -44,8 +44,8 @@ A split's children are made together, so the right child is ``left + 1`` and
 is not stored, and a split node's counts, the sum of its leaves', are not
 stored either. The forest record declares each array's dtype, and, like every
 record, holds its arrays read-only. The model file writes these fields as
-they are, and each ``Eye`` checks that its forest's store routes
-(``check_store``).
+they are, and every forest record checks its store (``check_store``), so a
+grown, hand-built or read forest routes every row to a leaf.
 
 Packed layout. For routing, the stores of forests of one tree count are
 spread back to one entry per node and concatenated, with global left-child
@@ -78,7 +78,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EmptyTrainingSet, FeatureMismatch, Record
+from .errors import EmptyTrainingSet, FeatureMismatch, Record, _is_int
 from .stream import Streams
 
 # class-major histogram cells, score cells and gathered sample values per
@@ -147,6 +147,7 @@ class RandomForestModel(Record):
         check_labels(self.class_labels)
         if self.n_features < 1:
             raise ValueError(f"a forest reads at least one feature, got n_features={self.n_features}")
+        self.check_store()
 
     @property
     def n_classes(self) -> int:
@@ -446,10 +447,13 @@ def fit_forests(X, y, row_sets, seeds, n_trees: int = 100, threads: int | None =
         raise ValueError("y length must match rows of X")
     if len(seeds) != len(row_sets):
         raise ValueError("need one seed per row set")
-    if not 1 <= n_trees <= 1 << 32:
-        raise ValueError("need between 1 and 2**32 trees: the forest stream keys a tree by one 32-bit word")
-    if any(not 0 <= seed < 1 << 32 for seed in seeds):
-        raise ValueError("seeds must lie in [0, 2**32)")
+    # a bool or a fraction would be read as a count or a seed quietly, 1.5 as 1
+    if not _is_int(n_trees) or not 1 <= n_trees <= 1 << 32:
+        raise ValueError(f"n_trees must be an integer in [1, 2**32], got {n_trees!r}: the forest stream keys a "
+                         "tree by one 32-bit word")
+    bad = [seed for seed in seeds if not _is_int(seed) or not 0 <= seed < 1 << 32]
+    if bad:
+        raise ValueError(f"seeds must be integers in [0, 2**32), got {bad[0]!r}")
     # growth runs on value ranks, so its memory follows the distinct values
     values, ranks = np.unique(X, return_inverse=True)
     _check_symbols(values)

@@ -4,6 +4,7 @@ import errno
 import hashlib
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -171,6 +172,16 @@ class TestVote:
     def test_sax_count_outside_the_matrix_refused(self, sax_count):
         with pytest.raises(ValueError, match="^sax_count outside the matrix$"):
             vote(two_class_rows((0, 0.9), (1, 0.8)), sax_count=sax_count, seed=0)
+
+    @pytest.mark.parametrize("sax_count", [True, False, 1.5, 1.0, "1"])
+    def test_sax_count_must_be_an_integer(self, sax_count):
+        # True was read as one SAX eye, and 1.5 failed inside numpy's slicing
+        with pytest.raises(ValueError, match=re.escape(f"sax_count must be an integer, got {sax_count!r}")):
+            vote(two_class_rows((0, 0.9), (1, 0.8)), sax_count=sax_count, seed=0)
+
+    def test_numpy_integer_sax_count_accepted(self):
+        matrix = two_class_rows((0, 0.9), (1, 0.8))
+        assert vote(matrix, sax_count=np.int64(1), seed=0) == vote(matrix, sax_count=1, seed=0)
 
     @pytest.mark.parametrize("class_labels", [[5], [5, 9, 11], [[5, 9]], [1.5, 2.7]])
     def test_class_labels_must_name_each_class(self, class_labels):
@@ -745,6 +756,17 @@ class TestPersistence:
         save_model(dataclasses.replace(model, dataset_name="other"), path)
         assert load_model(path).dataset_name == "other"
         assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+    def test_directory_target_named_and_left_clean(self, waves, small_config, tmp_path):
+        # the error named the temporary file beside the directory, not the directory
+        target = tmp_path / "out.json"
+        target.mkdir()
+        model = train(waves, small_config)
+        with pytest.raises(IsADirectoryError, match="out.json: it is a directory") as caught:
+            save_model(model, target)
+        assert ".tmp" not in str(caught.value)
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+        assert not any(target.iterdir())
 
     def test_truncated_file_rejected(self, waves, small_config, tmp_path):
         model = train(waves, small_config)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -106,6 +107,27 @@ class TestFit:
         with pytest.raises(ValueError):
             fit_forests(X, y, [np.arange(10)], seeds=[2**32], n_trees=2)
         assert fit_forest(X, y, n_trees=2, seed=2**32 - 1).seed == 2**32 - 1
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True, np.float64(1.0), "1"])
+    def test_seeds_must_be_integers(self, seed):
+        # 1.5 grew and recorded seed 1, and True grew as seed 1
+        X, y = separable_fixture(rows_per_class=5)
+        with pytest.raises(ValueError, match=re.escape(f"seeds must be integers in [0, 2**32), got {seed!r}")):
+            fit_forest(X, y, n_trees=2, seed=seed)
+        with pytest.raises(ValueError, match="seeds must be integers"):
+            fit_forests(X, y, [np.arange(10), np.arange(4)], seeds=[0, seed], n_trees=2)
+
+    @pytest.mark.parametrize("n_trees", [True, 2.0, 2.5, np.float64(2.0)])
+    def test_tree_count_must_be_an_integer(self, n_trees):
+        # True grew one tree
+        X, y = separable_fixture(rows_per_class=5)
+        with pytest.raises(ValueError, match=re.escape(f"n_trees must be an integer in [1, 2**32], got {n_trees!r}")):
+            fit_forest(X, y, n_trees=n_trees, seed=0)
+
+    def test_numpy_integer_seed_and_tree_count_accepted(self):
+        X, y = separable_fixture(rows_per_class=5)
+        model = fit_forest(X, y, n_trees=np.int64(3), seed=np.uint32(7))
+        assert (model.n_trees, model.seed) == (3, 7)
 
     @pytest.mark.parametrize("y, row_sets, seeds, error, message", [
         (np.array([1, 2, 1]), [np.arange(4)], [0], ValueError, "y length must match rows of X"),
@@ -245,6 +267,12 @@ class TestPredict:
 
 
 class TestSerialization:
+    def test_hand_built_store_that_loops_refused(self):
+        # a split whose left child is its own parent: routing a row never reached a leaf
+        with pytest.raises(ValueError, match="point forward"):
+            RandomForestModel(feature=[0, 0, -1], threshold=[0, 0], left=[1, 0], counts=[[1, 0]], tree_sizes=[3],
+                              class_labels=[1, 2], n_features=1, seed=0)
+
     def test_round_trip_predictions(self):
         X, y = separable_fixture(seed=6)
         model = fit_forest(X, y, n_trees=15, seed=2)
