@@ -52,6 +52,7 @@ from .errors import (
 from .forest import (
     PackedForest,
     RandomForestModel,
+    _pool_workers,
     check_labels,
     fit_forest,
     pack_forests,
@@ -67,7 +68,6 @@ from .lenses import (
     _NS_VOTE,
     _choose_lenses,
     _pool_map,
-    _pool_workers,
 )
 from .resample import SmoteReport, smote
 from .symbolic import McbTable, SaxBinning, symbolize, word_fits

@@ -19,10 +19,11 @@ vectorised pass per batch, bit-identical to that generator's, and
 bootstraps of a batch are drawn in one call, and each growth round draws
 the subsets of the nodes it tries to split in one call.
 
-Growth. ``_grow`` grows the trees of several forests of one class count
-together, in rounds. Each tree's depth-first stack holds only its split
-candidates, with their class counts: a node is recorded when it is made,
-a root at set-up and a child when its parent splits, and one that cannot
+Growth. ``_grow`` grows the trees of several forests together, in rounds, on
+the class axis of its widest forest, where a class that a forest lacks counts
+zero and so moves none of its splits. Each tree's depth-first stack holds only
+its split candidates, with their class counts: a node is recorded when it is
+made, a root at set-up and a child when its parent splits, and one that cannot
 split is a leaf at once. Every unfinished tree pops its next candidate, so a
 batch runs as many rounds as its busiest tree has candidates, and the round
 searches all popped nodes with a few NumPy calls. Class-major histograms over
@@ -30,10 +31,10 @@ value ranks give an exact integer score that ranks every split, and its
 first maximum is the split (see ``_best_splits``). Rows
 live in one flat sample array per batch; a node owns a [start, end) range
 of it, partitioned in place when the node splits. A batch holds at most
-``BATCH_SLOTS`` bootstrap rows (trees times rows), so a large forest grows
-as several tree ranges, and threads grow the same batches, cut smaller.
-Each tree still pops its own candidates in the order above, so its draws,
-and hence its bytes, are the same as when it grows alone.
+``BATCH_SLOTS`` bootstrap rows (trees times rows), so a large forest grows as
+several tree ranges, and threads, at most one per core, grow the same batches,
+cut smaller. Each tree still pops its own candidates in the order above, so
+its draws, and hence its bytes, are the same as when it grows alone.
 
 Node store. A forest holds the nodes of all its trees, tree after tree, in
 node order within each tree, with tree-local child ids, and each tree's node
@@ -71,6 +72,7 @@ row offset, built once per chunk size.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from itertools import accumulate
@@ -190,9 +192,11 @@ class RandomForestModel(Record):
             raise ValueError("tree child pointers must point forward within the tree")
         if np.any(self.feature >= self.n_features):
             raise ValueError(f"split feature outside [0, {self.n_features})")
-        # below 2**52 a leaf's int64 count sum cannot wrap, and the float64 division into probabilities is exact
-        counts, total = self.counts, self.counts.sum(axis=1, dtype=np.float64)
-        if not (np.all((counts >= 0) & (counts < 2**52)) and np.all((total > 0) & (total < 2**52))):
+        # below 2**52 a leaf's int64 count sum cannot wrap, and the float64 division into probabilities is exact;
+        # the float total is exact below 2**53 in any summation order and never rounds a total of 2**52 below it
+        counts = self.counts
+        total = counts @ np.ones(counts.shape[1])
+        if not (counts.min() >= 0 and counts.max() < 2**52 and total.min() > 0 and total.max() < 2**52):
             raise ValueError("class counts must lie in [0, 2**52), with a positive row at every leaf, "
                              "below 2**52 in all")
 
@@ -236,13 +240,13 @@ class _ForestSpec(NamedTuple):
 def _best_splits(X, sample_row, sample_cls, starts, sizes, counts, feats, n_values, n_classes):
     """Best (feature slot, value) of each node, or slot -1 for a leaf.
 
-    Nodes are given by their sample ranges, class counts and sorted feature
-    subsets ``feats`` (nodes, m); all belong to forests of ``n_classes``
-    classes. Rows of each split node are partitioned in place, left rows
-    first; returns (slot, value, left class counts) per node. ``X`` holds
-    value ranks and ``n_values`` is the number of distinct values: a
-    boundary beyond a forest's own values leaves no row on the right, so it
-    is never valid and never chosen.
+    Nodes are given by their sample ranges, class counts over ``n_classes``
+    columns (zero for a class the node's forest lacks) and sorted feature
+    subsets ``feats`` (nodes, m). Rows of each split node are partitioned in
+    place, left rows first; returns (slot, value, left class counts) per
+    node. ``X`` holds value ranks and ``n_values`` is the number of distinct
+    values: a boundary beyond a forest's own values leaves no row on the
+    right, so it is never valid and never chosen.
 
     The boundary after value (rank) v is ranked by S = (A n_r
     + B n_l) / (n_l n_r), where A and B sum the squared integer class
@@ -305,13 +309,13 @@ def _best_splits(X, sample_row, sample_cls, starts, sizes, counts, feats, n_valu
 
 
 def _grow(X, specs: list[_ForestSpec], max_features: int, values: np.ndarray) -> list[tuple[np.ndarray, ...]]:
-    """Grow every tree of every spec, all of one class count, together, on
-    the value ranks ``X`` of the sorted distinct ``values``; returns each
-    spec's node store: its four store arrays and its trees' node counts."""
+    """Grow every tree of every spec together, on the value ranks ``X`` of the
+    sorted distinct ``values``; returns each spec's node store: its four store
+    arrays, leaf counts cut to its own classes, and its trees' node counts."""
     d = X.shape[1]
     tree_spec = np.repeat(np.arange(len(specs)), [len(s.trees) for s in specs])
     n_trees = tree_spec.shape[0]
-    n_classes = specs[0].n_classes
+    n_classes = max(spec.n_classes for spec in specs)
 
     # bootstraps, mapped to rows of X, laid out tree after tree; trees of one
     # bootstrap size draw together
@@ -388,20 +392,16 @@ def _grow(X, specs: list[_ForestSpec], max_features: int, values: np.ndarray) ->
     first_node = bounds[first_tree]
     first_split = np.searchsorted(split, first_node)
     edges = np.column_stack([first_tree, first_node, first_split, first_node - first_split]).tolist()
-    return [(feature[n0:n1], threshold[s0:s1], left[s0:s1], counts[l0:l1], n_nodes[t0:t1])
-            for (t0, n0, s0, l0), (t1, n1, s1, l1) in zip(edges, edges[1:])]
+    return [(feature[n0:n1], threshold[s0:s1], left[s0:s1], counts[l0:l1, :spec.n_classes], n_nodes[t0:t1])
+            for spec, (t0, n0, s0, l0), (t1, n1, s1, l1) in zip(specs, edges, edges[1:])]
 
 
 def _batches(specs: list[_ForestSpec], max_slots: int):
-    """Split the trees of ``specs``, taken in stable class-count order, into
-    batches of one class count and at most ``max_slots`` bootstrap slots (at
-    least one tree each); yields lists of (spec index, spec restricted to a
-    tree range)."""
+    """Split the trees of ``specs``, in order, into batches of at most
+    ``max_slots`` bootstrap slots (at least one tree each); yields lists of
+    (spec index, spec restricted to a tree range)."""
     batch, used = [], 0
-    for k, spec in sorted(enumerate(specs), key=lambda item: item[1].n_classes):
-        if batch and batch[-1][1].n_classes != spec.n_classes:
-            yield batch
-            batch, used = [], 0
+    for k, spec in enumerate(specs):
         n = spec.rows.shape[0]
         start = spec.trees.start
         while start < spec.trees.stop:
@@ -418,6 +418,12 @@ def _batches(specs: list[_ForestSpec], max_slots: int):
         yield batch
 
 
+def _pool_workers(threads: int | None) -> int:
+    """The one worker rule, for threads and processes alike: ``threads``, at least 1 and at most the
+    core count; 1 means this thread only."""
+    return max(1, min(threads or 1, os.cpu_count() or 1))
+
+
 def _check_symbols(values: np.ndarray) -> None:
     """Raise ValueError unless every symbol is an integer in [0, 2**52), which casts to
     one exact int64 from an int or a float and so compares exactly with the thresholds. NaN fails."""
@@ -429,11 +435,12 @@ def fit_forests(X, y, row_sets, seeds, n_trees: int = 100, threads: int | None =
     """Fit one forest per row set of (X, y), grown together in batches.
 
     Forest ``k`` is exactly ``fit_forest(X[row_sets[k]], y[row_sets[k]],
-    n_trees, seeds[k])``; seeds lie in [0, 2**32). A batch holds forests of
-    one class count and at most ``BATCH_SLOTS`` bootstrap rows, which bounds
-    the growth state; the returned forests are the caller's to bound. With
-    ``threads`` > 1 batches of at most a thread's share of the rows grow on
-    a pool of that many threads. The forests do not depend on the batches.
+    n_trees, seeds[k])``; seeds lie in [0, 2**32). A batch holds consecutive
+    forests' trees, of any class counts, up to ``BATCH_SLOTS`` bootstrap rows,
+    which bounds the growth state; the returned forests are the caller's to
+    bound. With ``threads`` > 1, capped at the core count (``_pool_workers``),
+    batches of at most a thread's share of the rows grow on a pool of that
+    many threads. The forests do not depend on the batches.
     """
     X = np.asarray(X)
     y = np.asarray(y)
@@ -470,7 +477,7 @@ def fit_forests(X, y, row_sets, seeds, n_trees: int = 100, threads: int | None =
         labels.append(class_labels)
         specs.append(_ForestSpec(rows, y_enc, class_labels.shape[0], int(seed), range(n_trees)))
 
-    workers = max(threads or 1, 1)
+    workers = _pool_workers(threads)
     slots = n_trees * sum(spec.rows.shape[0] for spec in specs)
     batches = list(_batches(specs, min(BATCH_SLOTS, -(-slots // workers))))
 

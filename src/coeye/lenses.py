@@ -1,8 +1,8 @@
 """Hyper-parameter search over (alphabet size, word size) pairs.
 
-A search builds one fold plan (``fold_plan``) from a seeded, stratified
-k-fold assignment of the training set; a class's single row trains every
-fold and is never held out. Every feasible pair of a representation's
+A search builds one fold plan, ``fold_plan(y, folds, seed)``: a seeded,
+stratified k-fold split of the training set in which a class's single row
+trains every fold and is never held out. Every feasible pair of a representation's
 grid is scored by its forests' accuracy through that plan, and for each
 alphabet all word sizes within 0.01 of its best score are kept as
 lenses. SFA lenses keep the DC window: a znormalized series has a zero
@@ -19,7 +19,6 @@ above the row count: equal-depth binning on s rows has at most s bins per column
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import replace
@@ -29,7 +28,7 @@ import numpy as np
 
 from .config import CoEyeConfig, LensGrid  # noqa: F401  (LensGrid re-exported: ``from coeye.lenses import LensGrid``)
 from .data import Dataset
-from .forest import BATCH_SLOTS, fit_forests, predict
+from .forest import BATCH_SLOTS, _pool_workers, fit_forests, predict
 from .symbolic import SAX, SFA, Lens, fit_lenses
 
 ACCURACY_MARGIN = 0.01
@@ -56,35 +55,22 @@ def _derived_seed(*components) -> int:
     return int(np.random.SeedSequence(list(components)).generate_state(1)[0])
 
 
-def stratified_fold_assignment(y, n_folds: int, seed: int) -> np.ndarray:
-    """Seeded fold ids; per-fold class counts deviate from even by <= 1."""
-    y = np.asarray(y)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, _NS_FOLDS]))
-    fold = np.empty(y.shape[0], dtype=np.int64)
-    for rank, label in enumerate(np.unique(y)):
-        idx = np.nonzero(y == label)[0]
-        rng.shuffle(idx)
-        fold[idx] = (np.arange(idx.shape[0]) + rank) % n_folds
-    return fold
-
-
-def fold_plan(y, fold_ids) -> list[tuple[int, np.ndarray, np.ndarray]]:
+def fold_plan(y, folds: int, seed: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
     """(fold id, training rows, held-out rows) per fold with a row to hold out, by ascending id.
 
-    A class's only row trains every fold and is never held out. Raises ValueError
-    unless ``fold_ids`` holds one integer id per row of ``y`` and at least two distinct ids.
+    The seeded, stratified plan: each class, in label order, shuffles its rows once and deals them to
+    folds ``(arange(count) + rank) % folds``. A class's only row trains every fold and is never held out.
     """
-    y, fold_ids = np.asarray(y), np.asarray(fold_ids)
-    if fold_ids.dtype.kind not in "iu":  # ``int(f)`` would truncate 0.2 and 0.7 to one fold id 0
-        raise ValueError(f"fold ids must be integers, got {fold_ids.dtype}: {fold_ids.ravel()[:5].tolist()}")
-    if fold_ids.shape != y.shape:
-        raise ValueError(f"need one fold id per row of y: {fold_ids.size} ids for {y.shape[0]} rows")
-    if np.unique(fold_ids).shape[0] < 2:
-        raise ValueError("cross-validation needs at least two distinct fold ids: one fold leaves no training rows")
+    rng = np.random.default_rng(np.random.SeedSequence([seed, _NS_FOLDS]))
     _, inverse, counts = np.unique(y, return_inverse=True, return_counts=True)
+    fold = np.empty(inverse.shape[0], dtype=np.int64)
+    for rank, count in enumerate(counts.tolist()):
+        rows = np.flatnonzero(inverse == rank)
+        rng.shuffle(rows)
+        fold[rows] = (np.arange(count) + rank) % folds
     scored = counts[inverse] > 1
-    return [(int(f), np.flatnonzero((fold_ids != f) | ~scored), np.flatnonzero((fold_ids == f) & scored))
-            for f in np.unique(fold_ids[scored])]
+    return [(int(f), np.flatnonzero((fold != f) | ~scored), np.flatnonzero((fold == f) & scored))
+            for f in np.unique(fold[scored])]
 
 
 def cross_val_accuracy(symbols, y, plan, trees, seed) -> float:
@@ -129,11 +115,6 @@ def select_per_alpha(pairs, accuracies):
     return sorted(keep)
 
 
-def _pool_workers(threads: int | None) -> int:
-    """Worker processes for ``threads``, capped at the core count; 1 means this process only."""
-    return min(threads or 1, os.cpu_count() or 1)
-
-
 def _pool_map(pool, fn, *args) -> list:
     """``fn`` over the zipped argument lists in order, on ``pool`` or, when it is ``None``, in this process."""
     return list(map(fn, *args) if pool is None else pool.map(fn, *args, chunksize=1))
@@ -150,7 +131,7 @@ def _choose_lenses(train, representation, config: CoEyeConfig, pool, strategy="s
         lenses = search_lenses_random(train, rep, config)
         return [(lens, *fit) for lens, fit in zip(lenses, fit_lenses(train.X, lenses, config.sax_mode))]
     pairs = config.pairs(rep, train.n, len(train))
-    plan = fold_plan(train.y, stratified_fold_assignment(train.y, config.folds, config.seed))
+    plan = fold_plan(train.y, config.folds, config.seed)
     lenses = [Lens(rep, alpha, w) for alpha, w in pairs]
     binnings, symbols = zip(*fit_lenses(train.X, lenses, config.sax_mode))
     # the stream omits drop_dc: the pinned model bytes were written with

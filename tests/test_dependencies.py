@@ -1,7 +1,8 @@
 """The package depends on numpy and the standard library alone, only the
 model reader's modules know the model file's field types, only the symbolic
 module builds lens words and binnings, only the lens search plans
-cross-validation folds, only the config declares the lens grid, and
+cross-validation folds, only the worker rule and the CLI read the core
+count, only the config declares the lens grid, and
 ``import coeye`` loads a public name's home module only when the name is
 first used."""
 
@@ -74,13 +75,23 @@ def test_only_the_symbolic_module_runs_the_pipeline_steps(path):
 
 # the cross-validation protocol: one fold plan per lens search, built and scored in ``lenses``, so a change
 # to the protocol edits its builder alone
-FOLD_PROTOCOL = {"stratified_fold_assignment", "fold_plan"}
+FOLD_PROTOCOL = {"fold_plan"}
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_only_the_lens_search_plans_folds(path):
     used = referenced_names(path) & FOLD_PROTOCOL
     assert not used or path.name == "lenses.py"
+
+
+# the core count: ``forest._pool_workers`` caps every thread and process pool at it and ``cli`` makes it the
+# ``--threads`` default, so no second worker rule can size a pool past the cores
+CORE_COUNT_READERS = {"forest.py", "cli.py"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_worker_rule_reads_the_core_count(path):
+    assert "cpu_count" not in referenced_names(path) or path.name in CORE_COUNT_READERS
 
 
 # the lens grid's fields: ``config.LensGrid`` declares them once and ``CoEyeConfig`` inherits them, so no

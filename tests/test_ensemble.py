@@ -1561,7 +1561,7 @@ def test_all_singleton_classes_model_bytes_pinned(tmp_path, threads):
 
 def _recording_executor(made: list):
     class RecordingExecutor:
-        """Stands in for ProcessPoolExecutor: records each pool's size, runs map() here, starts no process."""
+        """Stands in for a pool executor: records each pool's size, runs map() here, starts no process or thread."""
 
         def __init__(self, max_workers=None):
             made.append(max_workers)

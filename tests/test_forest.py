@@ -25,6 +25,7 @@ from coeye.forest import (
 )
 from coeye.stream import Streams
 from tests.forest_reference import exact_best_split, reference_fit_forest, reference_predict_proba
+from tests.test_ensemble import _recording_executor
 
 
 def reloaded(model):
@@ -93,6 +94,16 @@ class TestFit:
         for threads in (2, os.cpu_count()):
             got = predict_proba(fit_forest(X, y, n_trees=40, seed=11, threads=threads), probe)
             assert np.array_equal(reference, got)
+
+    def test_threads_capped_at_core_count(self, monkeypatch):
+        pools = []
+        monkeypatch.setattr(forest, "ThreadPoolExecutor", _recording_executor(pools))
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        X, y = separable_fixture(rows_per_class=10, width=8)
+        reference = predict_proba(fit_forest(X, y, n_trees=100, seed=3, threads=1), X)
+        got = predict_proba(fit_forest(X, y, n_trees=100, seed=3, threads=64), X)
+        assert pools == [2]
+        assert np.array_equal(reference, got)
 
     def test_empty_training_set(self):
         with pytest.raises(EmptyTrainingSet):
@@ -672,29 +683,30 @@ class TestBatches:
         batches = list(_batches([_spec(50, 3)], 10))
         assert [[list(part.trees) for _, part in batch] for batch in batches] == [[[0]], [[1]], [[2]]]
 
-    def test_batches_hold_one_class_count_in_class_count_order(self):
-        # a leave-one-out call: the fold without a singleton class has one class fewer
+    def test_batches_follow_spec_order_and_mix_class_counts(self):
+        # a class a forest lacks counts zero in a wider batch, so forests of any class counts grow together
         specs = [_spec(30, 10, 3), _spec(29, 10, 2), _spec(30, 10, 3)]
         seen = {k: [] for k in range(len(specs))}
-        counts = []
+        order, mixed = [], False
         for batch in _batches(specs, 500):
             assert sum(len(part.trees) * part.rows.shape[0] for _, part in batch) <= 500
-            assert len({part.n_classes for _, part in batch}) == 1
-            counts.append(batch[0][1].n_classes)
+            mixed |= len({part.n_classes for _, part in batch}) == 2
             for k, part in batch:
+                order.append(k)
                 seen[k].extend(part.trees)
-        assert counts == sorted(counts) and set(counts) == {2, 3}
+        assert order == sorted(order) and mixed
         assert all(seen[k] == list(range(10)) for k in seen)
 
 
 class TestLeaveOneOutMemory:
-    """Leave-one-out grows and holds only a few forests at a time, with the same accuracy."""
+    """A plan of as many folds as rows, which replaced leave-one-out, grows and holds only a few forests at a
+    time, with the same accuracy."""
 
     def test_groups_bounded_and_accuracy_unchanged(self, monkeypatch):
         rng = np.random.default_rng(2)
         X = rng.integers(0, 6, size=(30, 8))
         y = rng.integers(0, 2, size=30)
-        folds, trees = np.arange(30), 10
+        plan, trees = lenses.fold_plan(y, 30, 5), 10
         calls = []
 
         def recording(X_, y_, row_sets, seeds, n_trees=100, threads=None):
@@ -703,11 +715,13 @@ class TestLeaveOneOutMemory:
 
         monkeypatch.setattr(lenses, "BATCH_SLOTS", 1000)
         monkeypatch.setattr(lenses, "fit_forests", recording)
-        acc = lenses.cross_val_accuracy(X, y, lenses.fold_plan(y, folds), trees, 5)
-        assert len(calls) == 10 and max(calls) <= 1000
+        acc = lenses.cross_val_accuracy(X, y, plan, trees, 5)
+        # 1000 slots hold the 10 trees of at most three 29-row training sets
+        per_call = 1000 // (trees * max(len(rows) for _, rows, _ in plan))
+        assert len(plan) > per_call and len(calls) == -(-len(plan) // per_call) and max(calls) <= 1000
         correct = 0
-        for f in range(30):
-            rows = np.flatnonzero(folds != f)
+        for f, rows, held in plan:
             model = reference_fit_forest(X[rows], y[rows], trees, lenses._derived_seed(5, f))
-            correct += int(model.class_labels[np.argmax(reference_predict_proba(model, X[f:f + 1]))] == y[f])
+            correct += int(np.sum(model.class_labels[np.argmax(reference_predict_proba(model, X[held]), axis=1)]
+                                  == y[held]))
         assert acc == correct / 30

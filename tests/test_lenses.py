@@ -19,7 +19,6 @@ from coeye.lenses import (
     fold_plan,
     select_per_alpha,
     select_within_margin,
-    stratified_fold_assignment,
 )
 from coeye.symbolic import fit_lenses, lens_words
 from tests.forest_reference import reference_fit_forest, reference_predict_proba
@@ -228,6 +227,14 @@ class TestGrid:
             record(**fields)
 
 
+def held_per_fold(plan, y, label, folds):
+    """Rows of class ``label`` that each of the ``folds`` folds holds out; a fold absent from ``plan`` holds 0."""
+    per_fold = np.zeros(folds, dtype=np.int64)
+    for f, _, held in plan:
+        per_fold[f] = np.count_nonzero(y[held] == label)
+    return per_fold
+
+
 class TestFolds:
     @given(
         labels=st.lists(st.integers(0, 4), min_size=10, max_size=80),
@@ -237,49 +244,44 @@ class TestFolds:
     @settings(max_examples=100, deadline=None)
     def test_stratified_deviation_at_most_one(self, labels, folds, seed):
         y = np.asarray(labels)
-        fold = stratified_fold_assignment(y, folds, seed)
+        plan = fold_plan(y, folds, seed)
         for label in np.unique(y):
-            per_fold = np.bincount(fold[y == label], minlength=folds)
+            per_fold = held_per_fold(plan, y, label, folds)
             assert per_fold.max() - per_fold.min() <= 1
 
     def test_deterministic(self):
         y = np.array([0, 0, 0, 1, 1, 1, 1, 2, 2, 2])
-        a = stratified_fold_assignment(y, 3, 5)
-        b = stratified_fold_assignment(y, 3, 5)
-        assert np.array_equal(a, b)
+        a, b = fold_plan(y, 3, 5), fold_plan(y, 3, 5)
+        assert [f for f, _, _ in a] == [f for f, _, _ in b]
+        assert all(np.array_equal(x, z) for (_, *xs), (_, *zs) in zip(a, b) for x, z in zip(xs, zs))
 
     def test_every_fold_used(self):
         y = np.array([0] * 10 + [1] * 10)
-        fold = stratified_fold_assignment(y, 5, 1)
-        assert set(fold.tolist()) == {0, 1, 2, 3, 4}
+        plan = fold_plan(y, 5, 1)
+        assert [f for f, _, _ in plan] == [0, 1, 2, 3, 4]
+        assert all(held_per_fold(plan, y, label, 5).tolist() == [2] * 5 for label in (0, 1))
 
-    @pytest.mark.parametrize("fold_ids", [[0.2, 0.7] * 4, [0.0, 1.0] * 4, [False, True] * 4])
-    def test_non_integer_fold_ids_refused(self, fold_ids):
-        # int(f) truncated each id, so 0.2 and 0.7 made two folds that both grew from fold 0's seed
-        with pytest.raises(ValueError, match=f"^fold ids must be integers, got {np.asarray(fold_ids).dtype}"):
-            fold_plan(np.arange(8) % 2, fold_ids)
-
-    @given(rows=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 6)), min_size=1, max_size=40))
+    @given(
+        labels=st.lists(st.integers(0, 4), min_size=1, max_size=40),
+        folds=st.integers(2, 7),
+        seed=st.integers(0, 1000),
+    )
     @settings(max_examples=200, deadline=None)
-    def test_plan_holds_each_scored_row_out_once(self, rows):
-        y, fold_ids = map(np.asarray, zip(*rows))
-        if np.unique(fold_ids).shape[0] < 2:
-            with pytest.raises(ValueError, match="two distinct fold ids"):
-                fold_plan(y, fold_ids)
-            return
-        labels, counts = np.unique(y, return_counts=True)
-        single = np.isin(y, labels[counts == 1])
-        plan = fold_plan(y, fold_ids)
+    def test_plan_holds_each_scored_row_out_once(self, labels, folds, seed):
+        y = np.asarray(labels)
+        values, counts = np.unique(y, return_counts=True)
+        single = np.isin(y, values[counts == 1])
+        plan = fold_plan(y, folds, seed)
         ids = [f for f, _, _ in plan]
-        assert ids == sorted(set(ids))
+        assert ids == sorted(set(ids)) and all(0 <= f < folds for f in ids)
         held_by = np.full(y.shape[0], -1)
         for f, train_rows, held in plan:
-            assert held.shape[0] > 0 and np.all(fold_ids[held] == f) and np.all(held_by[held] == -1)
+            assert held.shape[0] > 0 and np.all(held_by[held] == -1)
             held_by[held] = f
             # every other row trains, a single-row class's row among them
             assert np.array_equal(train_rows, np.setdiff1d(np.arange(y.shape[0]), held))
             assert set(np.flatnonzero(single)) <= set(train_rows.tolist())
-        assert np.array_equal(held_by[~single], fold_ids[~single])
+        assert np.all(held_by[~single] >= 0)
         assert np.all(held_by[single] == -1)
 
     @given(
@@ -290,28 +292,17 @@ class TestFolds:
     @settings(max_examples=100, deadline=None)
     def test_stratified_plan_trains_every_class_in_every_fold(self, labels, folds, seed):
         y = np.asarray(labels)
-        for _, train_rows, _ in fold_plan(y, stratified_fold_assignment(y, folds, seed)):
+        for _, train_rows, _ in fold_plan(y, folds, seed):
             assert set(y[train_rows].tolist()) == set(labels)
 
 
 class TestCrossValidation:
-    @pytest.mark.parametrize("fold_ids", [np.zeros(10, dtype=np.int64), np.full(10, 3), np.array([], dtype=np.int64)])
-    def test_fewer_than_two_folds_refused(self, fold_ids):
-        # a single fold held no row out, and the score read 0.0
-        rows = fold_ids.shape[0]
-        y = np.arange(rows) % 2
-        with pytest.raises(ValueError, match="two distinct fold ids"):
-            fold_plan(y, fold_ids)
-        # labels for one row more or one fewer than there are ids used to raise an IndexError
-        for wrong in (rows + 1, rows - 1) if rows else (1,):
-            with pytest.raises(ValueError, match="one fold id per row"):
-                fold_plan(np.arange(wrong) % 2, fold_ids)
-
-    @pytest.mark.parametrize("y, fold_ids, forests", [
-        ([0, 0, 1, 1, 2], [0, 1, 0, 1, 2], 2),  # fold 2 holds only the single row of class 2
-        ([0, 1, 2, 3], [0, 1, 0, 1], 0),  # every class has one row: nothing is held out
+    @pytest.mark.parametrize("y, folds, forests", [
+        ([0, 0, 1, 1, 2], 2, 2),  # the single row of class 2 is never held out
+        ([0, 0, 1, 2], 5, 2),  # folds 0 and 1; fold 2 gets only class 2's single row and grows nothing
+        ([0, 1, 2, 3], 2, 0),  # every class has one row: nothing is held out
     ])
-    def test_folds_with_nothing_to_hold_out_grow_nothing(self, monkeypatch, y, fold_ids, forests):
+    def test_folds_with_nothing_to_hold_out_grow_nothing(self, monkeypatch, y, folds, forests):
         grown, fit_forests = [], lenses.fit_forests
 
         def recording(X_, y_, row_sets, *args, **kwargs):
@@ -319,9 +310,9 @@ class TestCrossValidation:
             return fit_forests(X_, y_, row_sets, *args, **kwargs)
 
         monkeypatch.setattr(lenses, "fit_forests", recording)
-        y, fold_ids = np.array(y), np.array(fold_ids)
+        y = np.array(y)
         symbols = np.arange(y.shape[0] * 3).reshape(-1, 3)
-        accuracy = cross_val_accuracy(symbols, y, fold_plan(y, fold_ids), trees=5, seed=0)
+        accuracy = cross_val_accuracy(symbols, y, fold_plan(y, folds, 0), trees=5, seed=0)
         assert len(grown) == forests
         assert all(y.shape[0] - 1 in rows for rows in grown)  # the last row is its class's only row
         if not forests:
