@@ -28,7 +28,7 @@ from .errors import (
     NoMinorityClass,
     SeriesLengthMismatch,
 )
-from .evaluate import BENCHMARK_MODES, find_split, run_benchmark
+from .evaluate import MODES, find_split, run_benchmark
 from .lenses import _rep_flag
 from .symbolic import SAX_MODES, Lens, SymbolicWord, fit_lenses
 
@@ -106,8 +106,10 @@ def _load_split(args, split: str) -> Dataset:
 
 
 def _check_out(out) -> None:
-    """Raise unless ``--out``, if given, can be written as a file: it is no
-    directory, and its directory exists. So no work is done in vain."""
+    """Raise unless ``--out``, if given, can be written as a file: it is not
+    empty, no directory, and its directory exists. So no work is done in vain."""
+    if out == "":
+        raise ValueError("--out is empty")
     if out and os.path.isdir(out):
         raise IsADirectoryError(f"--out {out} is a directory")
     directory = os.path.dirname(out or "")
@@ -268,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--datasets", type=_name_list, default=(), help="comma list of dataset names")
     p.add_argument("--manifest", default=None, help="file with one dataset name per line")
     p.add_argument("--modes", type=_name_list, default=("coeye",),
-                   help=f"comma list from: {', '.join(BENCHMARK_MODES)} (default: coeye)")
+                   help=f"comma list from: {', '.join(MODES)} (default: coeye)")
     p.add_argument("--seeds", type=_int_list, default=(CoEyeConfig.seed,),
                    help=f"comma list of seeds (default: {CoEyeConfig.seed})")
     p.add_argument("--out", required=True, help="results CSV, appended to")

@@ -353,8 +353,10 @@ def save_model(model: CoEyeModel, path) -> None:
 
     The text goes to a new file beside ``path``, which then replaces
     ``path`` in one step: a write that fails part-way leaves any earlier
-    file at ``path`` as it was, and removes its own. A directory at
-    ``path`` is refused before any file is made."""
+    file at ``path`` as it was, and removes its own. An empty ``path`` or
+    a directory at ``path`` is refused before any file is made."""
+    if not os.fspath(path):
+        raise FileNotFoundError("cannot save the model to an empty path")
     if os.path.isdir(path):
         raise IsADirectoryError(f"cannot save the model to {path}: it is a directory")
     payload = {"format_version": MODEL_FORMAT_VERSION, "library_version": __version__, **file_fields(model)}

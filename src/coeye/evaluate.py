@@ -29,7 +29,6 @@ from .errors import Record, SeriesLengthMismatch, UnknownLabel
 # each mode's (lens strategy of ``train``, representation block it votes); ed1nn trains nothing
 MODES = {"coeye": ("search", "both"), "sax_only": ("search", "sax"), "sfa_only": ("search", "sfa"),
          "random_lenses": ("random", "both"), "ed1nn": (None, None)}
-BENCHMARK_MODES = tuple(MODES)
 _UNTRAINED = {"search_sax": 0.0, "search_sfa": 0.0, "train": 0.0, "total": 0.0}  # ed1nn's model timings
 
 CSV_COLUMNS = [
@@ -177,7 +176,7 @@ def _modes(modes) -> tuple[str, ...]:
     modes = (modes,) if isinstance(modes, str) else tuple(modes)
     for mode in modes or ("",):  # an empty sequence is refused as the empty name
         if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}; choose from {', '.join(BENCHMARK_MODES)}")
+            raise ValueError(f"unknown mode {mode!r}; choose from {', '.join(MODES)}")
     return modes
 
 
@@ -212,14 +211,6 @@ def _score(splits, mode: str, seed: int, model) -> EvalReport:
     classes = sorted(set(train_set.class_labels) | set(test_set.class_labels))
     return replace(metrics(test_set.y, y_pred, classes), dataset=train_set.name or "dataset", mode=mode, seed=seed,
                    timings=timings, **fit)
-
-
-def run_single(train_set: Dataset, test_set: Dataset, mode: str, seed: int,
-               config: CoEyeConfig | None = None) -> EvalReport:
-    """Train and score one (dataset, mode, seed) combination."""
-    _modes(mode)
-    cfg = replace(config or CoEyeConfig(), seed=seed)
-    return _score((train_set, test_set), mode, seed, _train(train_set, MODES[mode][0], cfg))
 
 
 def run_benchmark(data_dir, names, modes, seeds, out_csv,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import NoMinorityClass, Record
+from .errors import NoMinorityClass, Record, _is_int
 
 # float64 elements of the difference tensor held at once by the neighbour search
 NEIGHBOR_BLOCK = 1 << 22
@@ -67,7 +67,7 @@ def smote(train: Dataset, k: int = 5, seed: int = 0) -> tuple[Dataset, SmoteRepo
     ahead of the synthetics. Balanced inputs pass through untouched with a
     zero-percentage report. Raises NoMinorityClass on single-class input.
     """
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+    if not _is_int(k) or k < 1:
         raise ValueError(f"k must be an integer of at least 1, got {k!r}")
     counts = train.class_counts()
     if len(counts) < 2:

@@ -132,16 +132,17 @@ class TestTrain:
 
 
 class TestOutDirectory:
-    """A command whose --out is a directory, or lies in one that does not exist, exits 2 before any work."""
+    """A command whose --out is empty, is a directory, or lies in one that does not exist, exits 2 before any work."""
 
     def test_train_exit_2_before_training(self, workdir, tmp_path, capsys, monkeypatch):
-        # it trained the whole model, then failed to open the file
+        # it trained the whole model, then failed to open the file (or, for "", to rename it)
         calls = []
         monkeypatch.setattr(cli, "train", lambda *a, **k: calls.append(a))
         out = tmp_path / "missing" / "m.json"
-        code = main(["train", "--data", str(workdir), "--dataset", "waves", "--out", str(out), *FAST])
-        assert (code, calls) == (2, [])
-        assert capsys.readouterr().err == f"error: --out {out}: no directory {out.parent}\n"
+        for given, error in ((str(out), f"--out {out}: no directory {out.parent}"), ("", "--out is empty")):
+            code = main(["train", "--data", str(workdir), "--dataset", "waves", "--out", given, *FAST])
+            assert (code, calls) == (2, [])
+            assert capsys.readouterr().err == f"error: {error}\n"
 
     def test_benchmark_exit_2_before_training(self, workdir, tmp_path, capsys, monkeypatch):
         from coeye import evaluate
@@ -149,18 +150,21 @@ class TestOutDirectory:
         calls = []
         monkeypatch.setattr(evaluate, "train", lambda *a, **k: calls.append(a))
         out = tmp_path / "missing" / "b.csv"
-        code = main(["benchmark", "--data", str(workdir), "--datasets", "waves", "--out", str(out), *FAST])
-        assert (code, calls) == (2, [])
-        assert capsys.readouterr().err.startswith(f"error: --out {out}: no directory")
+        for given, error in ((str(out), f"--out {out}: no directory"), ("", "--out is empty")):
+            code = main(["benchmark", "--data", str(workdir), "--datasets", "waves", "--out", given, *FAST])
+            assert (code, calls) == (2, [])
+            assert capsys.readouterr().err.startswith(f"error: {error}")
 
     def test_predict_exit_2_before_loading(self, trained, workdir, tmp_path, capsys, monkeypatch):
+        # an empty --out wrote the CSV to stdout, as if none were given
         calls = []
         monkeypatch.setattr(cli, "load_model", lambda *a: calls.append(a))
         out = tmp_path / "missing" / "p.csv"
-        code = main(["predict", "--model", str(trained), "--data", str(workdir), "--dataset", "waves",
-                     "--out", str(out)])
-        assert (code, calls) == (2, [])
-        assert capsys.readouterr().err.startswith(f"error: --out {out}: no directory")
+        for given, error in ((str(out), f"--out {out}: no directory"), ("", "--out is empty")):
+            code = main(["predict", "--model", str(trained), "--data", str(workdir), "--dataset", "waves",
+                         "--out", given])
+            assert (code, calls) == (2, [])
+            assert capsys.readouterr().err.startswith(f"error: {error}")
 
     def test_directory_as_out_exit_2_before_training(self, workdir, tmp_path, capsys, monkeypatch):
         # it trained the whole model, then failed to replace the directory with the file

@@ -768,6 +768,16 @@ class TestPersistence:
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
         assert not any(target.iterdir())
 
+    def test_empty_path_refused_before_any_file(self, waves, small_config, tmp_path, monkeypatch):
+        # it wrote a temporary file in the working directory, then failed to rename it to ""
+        monkeypatch.chdir(tmp_path)
+        model = train(waves, small_config)
+        opened = []
+        monkeypatch.setattr(ensemble, "open", lambda *a, **k: opened.append(a) or open(*a, **k), raising=False)
+        with pytest.raises(FileNotFoundError, match="^cannot save the model to an empty path$"):
+            save_model(model, "")
+        assert opened == [] and not any(tmp_path.iterdir())
+
     def test_truncated_file_rejected(self, waves, small_config, tmp_path):
         model = train(waves, small_config)
         path = tmp_path / "model.json"

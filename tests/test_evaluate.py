@@ -15,16 +15,14 @@ from coeye import CoEyeConfig, Dataset, __version__
 from coeye import evaluate
 from coeye.errors import SeriesLengthMismatch, UnknownLabel
 from coeye.evaluate import (
-    BENCHMARK_MODES,
     CSV_COLUMNS,
+    MODES,
     EvalReport,
     build_version,
     metrics,
     nn1_euclidean,
     run_benchmark,
-    run_single,
 )
-from tests.conftest import SMALL_CONFIG, synth_dataset
 
 
 class TestMetrics:
@@ -126,51 +124,6 @@ class TestNn1:
                 if d < best_d:
                     best_i, best_d = i, d
             assert nn1_euclidean(ds, probe) == ds.y[best_i]
-
-
-@pytest.fixture(scope="module")
-def splits():
-    return synth_dataset("waves", seed=1), synth_dataset("waves", seed=2)
-
-
-class TestRunSingle:
-
-    def config(self):
-        return CoEyeConfig(seed=0, **SMALL_CONFIG)
-
-    def test_coeye_mode(self, splits):
-        train_set, test_set = splits
-        report = run_single(train_set, test_set, "coeye", seed=0, config=self.config())
-        assert report.status == "ok"
-        assert 0.0 <= report.accuracy <= 1.0
-        assert report.n_sax_lenses >= 1 and report.n_sfa_lenses >= 1
-        assert set(report.timings) == {"search_sax", "search_sfa", "train", "predict", "total"}
-
-    def test_phase_timings_account_for_total(self, splits):
-        train_set, test_set = splits
-        report = run_single(train_set, test_set, "coeye", seed=0, config=self.config())
-        t = report.timings
-        parts = t["search_sax"] + t["search_sfa"] + t["train"] + t["predict"]
-        assert t["total"] >= parts * 0.95
-
-    def test_ablation_modes_run(self, splits):
-        train_set, test_set = splits
-        for mode in ("sax_only", "sfa_only", "random_lenses"):
-            report = run_single(train_set, test_set, mode, seed=0, config=self.config())
-            assert report.status == "ok"
-            assert 0.0 <= report.accuracy <= 1.0
-
-    def test_ed1nn_mode(self, splits):
-        train_set, test_set = splits
-        report = run_single(train_set, test_set, "ed1nn", seed=0, config=self.config())
-        assert report.status == "ok"
-        assert report.n_sax_lenses == 0 and report.n_sfa_lenses == 0
-        assert report.accuracy >= 0.8  # separable fixture
-
-    def test_unknown_mode_rejected(self, splits):
-        train_set, test_set = splits
-        with pytest.raises(ValueError):
-            run_single(train_set, test_set, "nonsense", seed=0)
 
 
 class TestRunBenchmark:
@@ -311,36 +264,40 @@ class TestMultiModeBenchmark:
         ]
 
     def test_rows_equal_one_mode_runs(self, ucr_dir, tmp_path):
-        both = tmp_path / "all.csv"
-        run_benchmark(ucr_dir, ["waves"], BENCHMARK_MODES, [0, 1], both, self.config())
+        both, modes = tmp_path / "all.csv", tuple(MODES)
+        run_benchmark(ucr_dir, ["waves"], modes, [0, 1], both, self.config())
         single = []
-        for mode in BENCHMARK_MODES:
+        for mode in modes:
             run_benchmark(ucr_dir, ["waves"], mode, [0, 1], tmp_path / f"{mode}.csv", self.config())
             single.extend(self.stable(tmp_path / f"{mode}.csv"))
-        key = lambda row: (row["seed"], BENCHMARK_MODES.index(row["mode"]))
+        key = lambda row: (row["seed"], modes.index(row["mode"]))
         assert self.stable(both) == sorted(single, key=key)
-        assert len(single) == 2 * len(BENCHMARK_MODES)
+        assert len(single) == 2 * len(modes)
 
     def test_every_row_accounts_for_its_total(self, ucr_dir, tmp_path):
-        reports = run_benchmark(ucr_dir, ["waves"], BENCHMARK_MODES, [0], tmp_path / "r.csv", self.config())
+        reports = run_benchmark(ucr_dir, ["waves"], tuple(MODES), [0], tmp_path / "r.csv", self.config())
         for r in reports:
             t = r.timings
             assert r.status == "ok"
+            assert set(t) == {"search_sax", "search_sfa", "train", "predict", "total"}
             assert t["total"] >= 0.95 * (t["search_sax"] + t["search_sfa"] + t["train"] + t["predict"])
-        by_mode = {r.mode: r.timings for r in reports}
-        shared = [{k: by_mode[m][k] for k in ("search_sax", "search_sfa", "train")}
+        by_mode = {r.mode: r for r in reports}
+        shared = [{k: by_mode[m].timings[k] for k in ("search_sax", "search_sfa", "train")}
                   for m in ("coeye", "sax_only", "sfa_only")]
         assert shared[0] == shared[1] == shared[2]
+        assert by_mode["coeye"].n_sax_lenses >= 1 and by_mode["coeye"].n_sfa_lenses >= 1
+        assert by_mode["ed1nn"].n_sax_lenses == 0 and by_mode["ed1nn"].n_sfa_lenses == 0
+        assert by_mode["ed1nn"].accuracy >= 0.8  # separable fixture
 
     def test_a_failed_train_fails_only_its_modes(self, ucr_dir, tmp_path, monkeypatch):
         calls = self.counting_train(monkeypatch, fail="search")
-        reports = run_benchmark(ucr_dir, ["waves"], BENCHMARK_MODES, [0], tmp_path / "r.csv", self.config())
+        reports = run_benchmark(ucr_dir, ["waves"], tuple(MODES), [0], tmp_path / "r.csv", self.config())
         status = {r.mode: r.status for r in reports}
         assert status == {"coeye": "error: no search model", "sax_only": "error: no search model",
                           "sfa_only": "error: no search model", "random_lenses": "ok", "ed1nn": "ok"}
         assert [strategy for _, _, strategy in calls] == ["search", "random"]
         with open(tmp_path / "r.csv") as fh:
-            assert [row["status"] for row in csv.DictReader(fh)] == [status[m] for m in BENCHMARK_MODES]
+            assert [row["status"] for row in csv.DictReader(fh)] == [status[m] for m in MODES]
 
     def test_rows_appended_as_each_dataset_finishes(self, ucr_dir, tmp_path, monkeypatch):
         out, written = tmp_path / "r.csv", []
@@ -365,12 +322,6 @@ class TestMultiModeBenchmark:
         with pytest.raises(ValueError, match="^seed must be non-negative$"):
             run_benchmark(ucr_dir, ["waves"], ["ed1nn"], [0, -1], tmp_path / "r.csv", self.config())
         assert not (tmp_path / "r.csv").exists()
-
-    def test_run_single_keeps_raising(self, splits, monkeypatch):
-        self.counting_train(monkeypatch, fail="search")
-        with pytest.raises(ValueError, match="no search model"):
-            run_single(*splits, "sax_only", seed=0, config=self.config())
-        assert run_single(*splits, "ed1nn", seed=0, config=self.config()).status == "ok"
 
 
 class TestErrorRow:
