@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Time one lens-search grid point on training sets with a single-row class.
 
-One SAX point (40 features, 8 symbols) is scored with 100 trees and the
-default 5 folds in this process, on 30, 100 and 300 rows of two noisy
-classes plus one row of a third class. Prints, per size, the number of
-fold forests the search grew and the seconds it took:
+One SAX point (40 features, 8 symbols) is scored by ``train``'s selection
+step, ``lenses._choose_lenses``, with 100 trees and the default 5 folds in
+this process, on 30, 100 and 300 rows of two noisy classes plus one row of
+a third class. Prints, per size, the number of fold forests the search grew
+and the seconds it took:
 
     PYTHONPATH=src python3 scripts/cv_scale.py
     PYTHONPATH=src python3 scripts/cv_scale.py --rows 30 100 --trees 50
@@ -17,7 +18,7 @@ import time
 import numpy as np
 
 from coeye import CoEyeConfig, Dataset, lenses
-from coeye.lenses import search_lenses
+from coeye.lenses import SAX
 
 LENGTH = 40
 ALPHABET = 8
@@ -47,15 +48,14 @@ def main() -> int:
         return fit_forests(X, y, row_sets, *rest, **kwargs)
 
     lenses.fit_forests = counting
-    config = CoEyeConfig(sax_alphas=(ALPHABET,), sax_word_lengths=(LENGTH,), seed=args.seed, trees=args.trees,
-                         threads=1)
+    config = CoEyeConfig(sax_alphas=(ALPHABET,), sax_word_lengths=(LENGTH,), seed=args.seed, trees=args.trees)
     print("| rows | fold forests | seconds |")
     print("|---|---|---|")
     for rows in args.rows:
         data = singleton_set(rows, args.seed)
         grown.clear()
         start = time.perf_counter()
-        search_lenses(data, "sax", config)
+        lenses._choose_lenses(data, SAX, config, None)
         seconds = time.perf_counter() - start
         print(f"| {rows} | {sum(grown)} | {seconds:.2f} |", flush=True)
     return 0

@@ -21,7 +21,7 @@ _PUBLIC = {
     "ensemble": ("CoEyeModel", "Eye", "Prediction", "classify", "load_model", "predict_dataset", "save_model",
                  "train", "vote"),
     "forest": ("RandomForestModel", "fit_forest", "predict", "predict_proba"),
-    "lenses": ("search_lenses", "search_lenses_random"),
+    "lenses": ("search_lenses_random",),
     "resample": ("SmoteReport", "smote"),
     "symbolic": ("Lens", "McbTable", "SaxBinning", "SymbolicWord", "dft_lowpass", "fit_mcb", "fit_sax_binning",
                  "paa", "sax", "sfa"),

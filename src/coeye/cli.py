@@ -10,6 +10,7 @@ defaults to the COEYE_DATA_DIR environment variable.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -57,9 +58,9 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
                    help=f"comma list of SAX alphabet sizes (default: {min(sax)}..{max(sax)})")
     p.add_argument("--sfa-alphas", type=_int_list, default=sfa,
                    help=f"comma list of SFA alphabet sizes (default: {min(sfa)}..{max(sfa)})")
-    p.add_argument("--sax-w", type=_int_list, default=CoEyeConfig.sax_word_lengths,
+    p.add_argument("--sax-w", dest="sax_word_lengths", type=_int_list, default=CoEyeConfig.sax_word_lengths,
                    help="comma list of SAX word lengths (default: one uniform word of min(n, 128))")
-    p.add_argument("--sfa-w", type=_int_list, default=CoEyeConfig.sfa_word_lengths,
+    p.add_argument("--sfa-w", dest="sfa_word_lengths", type=_int_list, default=CoEyeConfig.sfa_word_lengths,
                    help="comma list of SFA word lengths (default: 10..min(130, n) step 10)")
     p.add_argument("--sax-mode", choices=SAX_MODES, default=CoEyeConfig.sax_mode,
                    help="SAX binning mode (default: %(default)s)")
@@ -71,18 +72,11 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args) -> CoEyeConfig:
-    return CoEyeConfig(
-        seed=args.seed,
-        trees=args.trees,
-        folds=args.folds,
-        sax_alphas=args.sax_alphas,
-        sax_word_lengths=args.sax_w,
-        sfa_alphas=args.sfa_alphas,
-        sfa_word_lengths=args.sfa_w,
-        sax_mode=args.sax_mode,
-        smote=args.smote == "on",
-        threads=args.threads,
-    )
+    """The config whose every field the parsed flag of that name sets; ``--smote`` is on or off."""
+    parsed = vars(args)
+    values = {f.name: parsed[f.name] for f in dataclasses.fields(CoEyeConfig) if f.name in parsed}
+    values["smote"] = values["smote"] == "on"
+    return CoEyeConfig(**values)
 
 
 def _add_data_dir_flag(p: argparse.ArgumentParser) -> None:
@@ -290,7 +284,7 @@ def main(argv=None) -> int:
         # train, predict and benchmark write --out: check it before any split is loaded
         _check_out(getattr(args, "out", None))
         return args.func(args)
-    except (CoEyeError, FileNotFoundError, IsADirectoryError, PermissionError, ValueError) as exc:
+    except (CoEyeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next((code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind)), 2)
 

@@ -361,7 +361,8 @@ def save_model(model: CoEyeModel, path) -> None:
         raise IsADirectoryError(f"cannot save the model to {path}: it is a directory")
     payload = {"format_version": MODEL_FORMAT_VERSION, "library_version": __version__, **file_fields(model)}
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=np.ndarray.tolist)
-    temporary = f"{os.fspath(path)}.{os.urandom(8).hex()}.tmp"
+    # a short hidden name in the same directory: the rename stays one step, and a name at the length limit fits
+    temporary = os.path.join(os.path.dirname(os.fspath(path)), f".{os.urandom(8).hex()}.tmp")
     fh = open(temporary, "x", encoding="utf-8")
     try:
         with fh:

@@ -19,8 +19,10 @@ above the row count: equal-depth binning on s rows has at most s bins per column
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+# unused here (``ensemble.train`` opens the one pool): perfbench/tracing.py rebinds
+# ``lenses.ProcessPoolExecutor`` to count pool starts and tests/test_bench_trace.py
+# asserts the name, so it stays until the benchmark stops tracing it
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import replace
 from itertools import repeat
 
@@ -28,7 +30,7 @@ import numpy as np
 
 from .config import CoEyeConfig, LensGrid  # noqa: F401  (LensGrid re-exported: ``from coeye.lenses import LensGrid``)
 from .data import Dataset
-from .forest import BATCH_SLOTS, _pool_workers, fit_forests, predict
+from .forest import BATCH_SLOTS, fit_forests, predict
 from .symbolic import SAX, SFA, Lens, fit_lenses
 
 ACCURACY_MARGIN = 0.01
@@ -140,22 +142,6 @@ def _choose_lenses(train, representation, config: CoEyeConfig, pool, strategy="s
     accs = _pool_map(pool, cross_val_accuracy, symbols, repeat(train.y), repeat(plan), repeat(config.trees), seeds)
     return [(replace(lenses[i], cv_accuracy=float(accs[i])), binnings[i], symbols[i])
             for i in select_per_alpha(pairs, accs)]
-
-
-def search_lenses(train: Dataset, representation, config: CoEyeConfig | None = None) -> list[Lens]:
-    """Score the representation's grid by CV accuracy, keep the 1% bands.
-
-    ``config`` gives the grid, seed, trees, SAX mode and workers; ``None`` means
-    ``CoEyeConfig()``, so seed 42. The margin is applied per alphabet: for each alpha,
-    every word size within 0.01 of that alpha's best cross-validation accuracy is kept.
-    Returns lenses ordered by ascending alpha then w, each carrying its cv_accuracy.
-    Raises NoFeasibleLens when feasibility filtering empties the grid.
-    """
-    config = config or CoEyeConfig()
-    size = _pool_workers(config.threads)
-    with ProcessPoolExecutor(max_workers=size) if size > 1 else nullcontext() as pool:
-        chosen = _choose_lenses(train, representation, config, pool)
-    return [lens for lens, _, _ in chosen]
 
 
 def search_lenses_random(train: Dataset, representation, config: CoEyeConfig | None = None) -> list[Lens]:

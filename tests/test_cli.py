@@ -246,6 +246,14 @@ class TestPredict:
         assert main(["predict", "--model", str(model), "--input", str(series)]) == 2
         assert "not a valid model file" in capsys.readouterr().err
 
+    def test_model_under_a_file_exit_2(self, tmp_path, capsys):
+        # NotADirectoryError escaped main as a traceback with exit 1
+        series = tmp_path / "series.tsv"
+        series.write_text("\t".join(["0.5"] * 32) + "\n")
+        assert main(["predict", "--model", str(series / "m.json"), "--input", str(series)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
     def test_no_input_exit_2(self, trained, capsys, monkeypatch):
         monkeypatch.delenv("COEYE_DATA_DIR", raising=False)
         code = main(["predict", "--model", str(trained)])
@@ -496,6 +504,17 @@ class TestDefaults:
         args = build_parser().parse_args(["train", "--dataset", "waves", "--out", "m.json"])
         assert _config_from_args(args) == CoEyeConfig(threads=os.cpu_count())
 
+    def test_each_config_flag_sets_its_field(self):
+        args = build_parser().parse_args([
+            "train", "--dataset", "waves", "--out", "m.json", "--seed", "7", "--trees", "9", "--folds", "3",
+            "--sax-alphas", "3,4", "--sfa-alphas", "5", "--sax-w", "8", "--sfa-w", "6,10", "--sax-mode", "gaussian",
+            "--smote", "off", "--threads", "1",
+        ])
+        assert _config_from_args(args) == CoEyeConfig(
+            seed=7, trees=9, folds=3, sax_alphas=(3, 4), sfa_alphas=(5,), sax_word_lengths=(8,),
+            sfa_word_lengths=(6, 10), sax_mode="gaussian", smote=False, threads=1,
+        )
+
     def test_benchmark_seeds_default_to_the_config_seed(self):
         args = build_parser().parse_args(["benchmark", "--datasets", "waves", "--out", "r.csv"])
         assert args.seeds == (CoEyeConfig().seed,)
@@ -520,7 +539,8 @@ class TestExitCodes:
         assert set(NON_DEFAULT_EXIT) <= {kind.__name__ for kind in COEYE_ERRORS}
 
     @pytest.mark.parametrize(
-        "kind", COEYE_ERRORS + [FileNotFoundError, IsADirectoryError, PermissionError, ValueError],
+        "kind", COEYE_ERRORS + [FileNotFoundError, IsADirectoryError, PermissionError, NotADirectoryError, OSError,
+                                ValueError],
         ids=lambda kind: kind.__name__,
     )
     def test_exit_code_of_each_error_type(self, kind, monkeypatch, capsys):

@@ -2,7 +2,8 @@
 model reader's modules know the model file's field types, only the symbolic
 module builds lens words and binnings, only the lens search plans
 cross-validation folds, only the worker rule and the CLI read the core
-count, only the config declares the lens grid, and
+count, only ``ensemble`` starts a process pool and only ``forest`` a thread
+pool, only the config declares the lens grid, and
 ``import coeye`` loads a public name's home module only when the name is
 first used."""
 
@@ -92,6 +93,23 @@ CORE_COUNT_READERS = {"forest.py", "cli.py"}
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_only_the_worker_rule_reads_the_core_count(path):
     assert "cpu_count" not in referenced_names(path) or path.name in CORE_COUNT_READERS
+
+
+# the pool sites: ``ensemble.train`` opens the one process pool of a train and ``forest`` the thread pool that grows
+# a forest's trees, so no second site can start workers of its own
+POOL_SITES = {"ProcessPoolExecutor": "ensemble.py", "ThreadPoolExecutor": "forest.py"}
+
+
+def called_names(path):
+    """The name of every function or class a source file calls, by name or as an attribute."""
+    return {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_each_pool_starts_at_one_site(path):
+    assert all(POOL_SITES[kind] == path.name for kind in called_names(path) & set(POOL_SITES))
 
 
 # the lens grid's fields: ``config.LensGrid`` declares them once and ``CoEyeConfig`` inherits them, so no

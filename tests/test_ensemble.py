@@ -43,7 +43,7 @@ from coeye.errors import (
     UnsupportedModelVersion,
 )
 from coeye.forest import RandomForestModel, _grow, fit_forest, predict_proba
-from coeye.lenses import SAX, SFA, Lens, LensGrid, search_lenses, search_lenses_random
+from coeye.lenses import SAX, SFA, Lens, LensGrid, _choose_lenses, search_lenses_random
 from coeye.symbolic import fit_lenses, fit_sax_binning, symbolize
 from tests.conftest import SMALL_CONFIG, synth_dataset
 from tests.forest_reference import reference_predict_proba
@@ -425,7 +425,7 @@ class TestTrain:
         assert fitted == [len(grid.sax_pairs(waves.n)), len(grid.sfa_pairs(waves.n))]
         sfa_lenses = [e.lens for e in model.eyes if e.lens.s == SFA]
         assert sfa_lenses and not any(lens.drop_dc for lens in sfa_lenses)
-        assert sfa_lenses == search_lenses(waves, "sfa", small_config)
+        assert sfa_lenses == [lens for lens, _, _ in _choose_lenses(waves, SFA, small_config, None)]
 
     def test_warnings_do_not_depend_on_the_worker_count(self):
         # the search used to fit each grid point in a worker, whose warnings reached only its own stderr
@@ -777,6 +777,14 @@ class TestPersistence:
         with pytest.raises(FileNotFoundError, match="^cannot save the model to an empty path$"):
             save_model(model, "")
         assert opened == [] and not any(tmp_path.iterdir())
+
+    def test_longest_legal_name_saved(self, waves, small_config, tmp_path):
+        # the temporary file was named "<path>.<16 hex>.tmp", 21 bytes past a name the file system takes
+        name = "m" * (os.pathconf(tmp_path, "PC_NAME_MAX") - 5) + ".json"
+        model = train(waves, small_config)
+        save_model(model, tmp_path / name)
+        assert load_model(tmp_path / name).eyes[0].lens == model.eyes[0].lens
+        assert [p.name for p in tmp_path.iterdir()] == [name]
 
     def test_truncated_file_rejected(self, waves, small_config, tmp_path):
         model = train(waves, small_config)
@@ -1613,10 +1621,6 @@ class TestOnePool:
     def test_pool_capped_at_core_count(self, pools, waves):
         train(waves, CoEyeConfig(seed=0, threads=10_000, **SMALL_CONFIG), lens_strategy="random")
         assert pools == {"ensemble": [2], "lenses": []}
-
-    def test_standalone_searches_open_their_own(self, pools, waves):
-        search_lenses(waves, "sax", CoEyeConfig(sax_alphas=(3, 4), sfa_alphas=(3, 4), seed=0, trees=10, threads=10_000))
-        assert pools == {"ensemble": [], "lenses": [2]}
 
     @pytest.mark.parametrize("threads", [0, -1])
     def test_threads_below_one_refused(self, threads):

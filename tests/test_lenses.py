@@ -1,5 +1,6 @@
 import json
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from coeye import CoEyeConfig, Dataset, lenses, load_ucr, search_lenses, search_lenses_random, train
+from coeye import CoEyeConfig, Dataset, lenses, load_ucr, search_lenses_random, train
 from coeye.errors import EqualDepthDegenerate, NoFeasibleLens, file_fields
 from coeye.lenses import (
     SAX,
@@ -24,6 +25,11 @@ from coeye.symbolic import fit_lenses, lens_words
 from tests.forest_reference import reference_fit_forest, reference_predict_proba
 
 UCR_DIR = Path(__file__).parent / "data" / "ucr"
+
+
+def chosen_lenses(data, representation, config, pool=None, strategy="search"):
+    """The lenses ``train``'s selection step keeps for one representation of ``data``."""
+    return [lens for lens, _, _ in lenses._choose_lenses(data, representation, config, pool, strategy)]
 
 
 def rank_pattern(values) -> bytes:
@@ -90,9 +96,9 @@ class TestGrid:
         with pytest.raises(NoFeasibleLens, match=r"^no feasible \(alpha, w\) pairs for series length 16$"):
             grid.pairs(SFA, 16, 6)
         tiny = Dataset(np.random.default_rng(0).normal(size=(6, 16)), np.array([0, 0, 0, 1, 1, 1]))
-        for search in (search_lenses, search_lenses_random):
+        for strategy in ("search", "random"):
             with pytest.raises(NoFeasibleLens, match="for series length 16$"):
-                search(tiny, "sfa", CoEyeConfig(sfa_word_lengths=(200,), seed=0))
+                chosen_lenses(tiny, "sfa", CoEyeConfig(sfa_word_lengths=(200,), seed=0), strategy=strategy)
 
     def test_sfa_words_filtered_to_even_and_feasible(self):
         grid = LensGrid(sfa_alphas=(4,), sfa_word_lengths=(5, 6, 8, 200))
@@ -325,32 +331,33 @@ class TestSearch:
 
     def test_selected_within_margin_of_alpha_best(self, waves):
         config = CoEyeConfig(sfa_alphas=(3, 4), sfa_word_lengths=(10, 12, 14, 16), folds=3, seed=1, trees=15)
-        lenses = search_lenses(waves, "sfa", config)
+        lenses = chosen_lenses(waves, "sfa", config)
         assert {l.alpha for l in lenses} == {3, 4}  # every alphabet contributes
         for alpha in (3, 4):
             row = [l.cv_accuracy for l in lenses if l.alpha == alpha]
             assert max(row) - min(row) <= 0.01 + 1e-12
 
     def test_sax_lens_count_tracks_alphabet_count(self, waves):
-        lenses = search_lenses(waves, "sax", self.small_config(seed=1, trees=15))
+        lenses = chosen_lenses(waves, "sax", self.small_config(seed=1, trees=15))
         # a single uniform word per alphabet: each alphabet keeps its only pair
         assert [l.alpha for l in lenses] == [3, 4]
         assert all(l.s == SAX and not l.drop_dc for l in lenses)
 
     def test_order_ascending_alpha_then_w(self, waves):
         config = CoEyeConfig(sfa_alphas=(4, 3), sfa_word_lengths=(12, 10), folds=3, seed=0, trees=10)
-        lenses = search_lenses(waves, "sfa", config)
+        lenses = chosen_lenses(waves, "sfa", config)
         keys = [(l.alpha, l.w) for l in lenses]
         assert keys == sorted(keys)
 
     def test_deterministic_and_worker_independent(self, waves):
-        a = search_lenses(waves, "sfa", self.small_config(seed=3, trees=10))
-        b = search_lenses(waves, "sfa", self.small_config(seed=3, trees=10))
-        c = search_lenses(waves, "sfa", self.small_config(seed=3, trees=10, threads=2))
+        a = chosen_lenses(waves, "sfa", self.small_config(seed=3, trees=10))
+        b = chosen_lenses(waves, "sfa", self.small_config(seed=3, trees=10))
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            c = chosen_lenses(waves, "sfa", self.small_config(seed=3, trees=10), pool)
         assert a == b == c
 
     def test_separable_data_gets_high_accuracy(self, waves):
-        lenses = search_lenses(waves, "sfa", self.small_config(seed=0, trees=25))
+        lenses = chosen_lenses(waves, "sfa", self.small_config(seed=0, trees=25))
         assert max(l.cv_accuracy for l in lenses) >= 0.9
 
     def test_one_fold_plan_per_search(self, waves, monkeypatch):
@@ -377,7 +384,7 @@ class TestSearch:
     def test_no_feasible_lens(self):
         tiny = Dataset(np.random.default_rng(0).normal(size=(6, 8)), np.array([0, 0, 0, 1, 1, 1]))
         with pytest.raises(NoFeasibleLens):
-            search_lenses(tiny, "sfa", CoEyeConfig(seed=0, trees=5))
+            chosen_lenses(tiny, "sfa", CoEyeConfig(seed=0, trees=5))
 
     def test_singleton_class_never_held_out(self, waves, monkeypatch):
         # one row of class 9 beside 20 rows of two classes: 5 folds, not one per row
@@ -391,7 +398,7 @@ class TestSearch:
             return fit_forests(X_, y_, row_sets, seeds, n_trees, threads)
 
         monkeypatch.setattr(lenses, "fit_forests", recording)
-        found = search_lenses(Dataset(X, y), "sax", CoEyeConfig(sax_alphas=(3, 4), folds=5, seed=0, trees=trees))
+        found = chosen_lenses(Dataset(X, y), "sax", CoEyeConfig(sax_alphas=(3, 4), folds=5, seed=0, trees=trees))
         assert [l.alpha for l in found] == [3, 4] and len(calls) == 2
         for lens, (symbols, row_sets, seeds) in zip(found, calls):
             assert len(row_sets) == 5
