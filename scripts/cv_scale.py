@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from coeye import CoEyeConfig, Dataset, lenses
-from coeye.lenses import SAX
+from coeye.symbolic import SAX
 
 LENGTH = 40
 ALPHABET = 8

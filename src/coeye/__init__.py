@@ -6,8 +6,8 @@ random forest is trained per lens and predictions are combined by a
 two-round most-confident vote.
 
 Each public name loads its home module on first use (PEP 562): ``load_ucr``
-imports the file parser alone, and only the forest, lens and ensemble names
-bring in the tree engine and the worker pool.
+imports the file parser alone, and only the forest and ensemble names bring
+in the tree engine and the worker pool.
 """
 
 from importlib import import_module
@@ -21,7 +21,6 @@ _PUBLIC = {
     "ensemble": ("CoEyeModel", "Eye", "Prediction", "classify", "load_model", "predict_dataset", "save_model",
                  "train", "vote"),
     "forest": ("RandomForestModel", "fit_forest", "predict", "predict_proba"),
-    "lenses": ("search_lenses_random",),
     "resample": ("SmoteReport", "smote"),
     "symbolic": ("Lens", "McbTable", "SaxBinning", "SymbolicWord", "dft_lowpass", "fit_mcb", "fit_sax_binning",
                  "paa", "sax", "sfa"),

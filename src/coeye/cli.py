@@ -30,8 +30,7 @@ from .errors import (
     SeriesLengthMismatch,
 )
 from .evaluate import MODES, find_split, run_benchmark
-from .lenses import _rep_flag
-from .symbolic import SAX_MODES, Lens, SymbolicWord, fit_lenses
+from .symbolic import SAX, SAX_MODES, SFA, Lens, SymbolicWord, fit_lenses
 
 # exit codes of the error types that do not exit with 2
 _EXIT_CODES = {
@@ -195,7 +194,7 @@ def cmd_transform(args) -> int:
     train_set = _load_split(args, "TRAIN")
     if not 0 <= args.index < len(train_set):
         raise ValueError(f"--index {args.index} outside dataset with {len(train_set)} series")
-    lens = Lens(_rep_flag(args.rep), args.alpha, args.w, args.drop_dc)
+    lens = Lens({"sax": SAX, "sfa": SFA}[args.rep], args.alpha, args.w, args.drop_dc)
     ((_, symbols),) = fit_lenses(train_set.X, [lens], args.sax_mode)
     print(SymbolicWord(symbols[args.index], lens.alpha, lens.w).to_text())
     return 0

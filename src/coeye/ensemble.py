@@ -59,9 +59,6 @@ from .forest import (
     predict_packed,
 )
 from .lenses import (
-    SAX,
-    SFA,
-    Lens,
     _derived_seed,
     _NS_SMOTE,
     _NS_TRAIN,
@@ -70,7 +67,7 @@ from .lenses import (
     _pool_map,
 )
 from .resample import SmoteReport, smote
-from .symbolic import McbTable, SaxBinning, symbolize, word_fits
+from .symbolic import SAX, SFA, Lens, McbTable, SaxBinning, symbolize, word_fits
 
 MODEL_FORMAT_VERSION = 4
 

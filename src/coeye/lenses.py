@@ -11,10 +11,12 @@ by one coefficient pair and would score nearly the same features twice.
 A grid is fitted here by one ``fit_lenses`` call (each SFA alphabet once,
 at its widest word) and each point is one task on the caller's process
 pool, whose results come back in task order, so scheduling changes nothing.
-The random strategy fits only the half of the grid it draws. Either way one
-step returns each chosen lens with the binning and symbols it was chosen with.
-Both draw from the config's ``LensGrid.pairs``, which keeps one SFA alphabet at or
-above the row count: equal-depth binning on s rows has at most s bins per column.
+The random strategy, the ablation that skips the search, draws half of the
+grid in the same step and fits only what it draws. Either way ``_choose_lenses``
+is the one step that makes lenses: it returns each chosen lens with the binning
+and symbols it was chosen with. Both strategies take the config's ``LensGrid.pairs``
+of the rows ``train`` balanced, which keeps one SFA alphabet at or above the row
+count: equal-depth binning on s rows has at most s bins per column.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 from .config import CoEyeConfig, LensGrid  # noqa: F401  (LensGrid re-exported: ``from coeye.lenses import LensGrid``)
 from .data import Dataset
 from .forest import BATCH_SLOTS, fit_forests, predict
-from .symbolic import SAX, SFA, Lens, fit_lenses
+from .symbolic import Lens, fit_lenses
 
 ACCURACY_MARGIN = 0.01
 _MARGIN_SLACK = 1e-12
@@ -43,14 +45,6 @@ _NS_SMOTE = 3
 _NS_FOLDS = 4
 _NS_RANDOM_LENSES = 5
 _NS_VOTE = 6
-
-
-def _rep_flag(representation) -> int:
-    """``SAX`` or ``SFA``, given as itself or by name in any case."""
-    flag = {"sax": SAX, "sfa": SFA}.get(str(representation).lower(), representation)
-    if flag not in (SAX, SFA):
-        raise ValueError(f"unknown representation {representation!r}")
-    return flag
 
 
 def _derived_seed(*components) -> int:
@@ -122,36 +116,26 @@ def _pool_map(pool, fn, *args) -> list:
     return list(map(fn, *args) if pool is None else pool.map(fn, *args, chunksize=1))
 
 
-def _choose_lenses(train, representation, config: CoEyeConfig, pool, strategy="search") -> list[tuple]:
-    """The one selection step: each chosen lens of one representation as (lens, binning, training symbols).
+def _choose_lenses(train: Dataset, rep: int, config: CoEyeConfig, pool, strategy="search") -> list[tuple]:
+    """The one selection step: each chosen lens of representation ``rep`` (``SAX`` or ``SFA``) as
+    (lens, binning, training symbols).
 
-    ``random`` fits only the points ``search_lenses_random`` draws; ``search`` fits the whole grid, scores
+    Both strategies take the grid of ``train``'s rows. ``random`` draws half its points (rounded up),
+    distinct and uniform, and fits only those, with cv_accuracy 0; ``search`` fits the whole grid, scores
     each point as one task on ``pool`` through one fold plan and keeps each alphabet's margin band.
     """
-    rep = _rep_flag(representation)
-    if strategy == "random":
-        lenses = search_lenses_random(train, rep, config)
-        return [(lens, *fit) for lens, fit in zip(lenses, fit_lenses(train.X, lenses, config.sax_mode))]
     pairs = config.pairs(rep, train.n, len(train))
-    plan = fold_plan(train.y, config.folds, config.seed)
+    if strategy == "random":
+        rng = np.random.default_rng(np.random.SeedSequence([config.seed, _NS_RANDOM_LENSES, rep]))
+        pairs = [pairs[i] for i in sorted(rng.choice(len(pairs), size=(len(pairs) + 1) // 2, replace=False))]
     lenses = [Lens(rep, alpha, w) for alpha, w in pairs]
     binnings, symbols = zip(*fit_lenses(train.X, lenses, config.sax_mode))
+    if strategy == "random":
+        return list(zip(lenses, binnings, symbols))
+    plan = fold_plan(train.y, config.folds, config.seed)
     # the stream omits drop_dc: the pinned model bytes were written with
     # this seed, so adding the flag would move every model
     seeds = [_derived_seed(config.seed, _NS_SEARCH, rep, alpha, w) for alpha, w in pairs]
     accs = _pool_map(pool, cross_val_accuracy, symbols, repeat(train.y), repeat(plan), repeat(config.trees), seeds)
     return [(replace(lenses[i], cv_accuracy=float(accs[i])), binnings[i], symbols[i])
             for i in select_per_alpha(pairs, accs)]
-
-
-def search_lenses_random(train: Dataset, representation, config: CoEyeConfig | None = None) -> list[Lens]:
-    """Sample half the feasible grid pairs of ``config`` (rounded up), distinct and uniform, skipping CV entirely.
-
-    Ablation baseline; the sampled lenses carry cv_accuracy 0. No word is built.
-    """
-    config = config or CoEyeConfig()
-    rep = _rep_flag(representation)
-    pairs = config.pairs(rep, train.n, len(train))
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed, _NS_RANDOM_LENSES, rep]))
-    chosen = sorted(rng.choice(len(pairs), size=(len(pairs) + 1) // 2, replace=False))
-    return [Lens(rep, pairs[i][0], pairs[i][1]) for i in chosen]

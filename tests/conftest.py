@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coeye import CoEyeConfig, Dataset, write_ucr
+from coeye import CoEyeConfig, Dataset, lenses, write_ucr
 
 
 def synth_dataset(kind: str, seed: int = 0, n: int = 32, per_class: int = 10) -> Dataset:
@@ -30,6 +30,11 @@ def synth_dataset(kind: str, seed: int = 0, n: int = 32, per_class: int = 10) ->
     else:
         raise ValueError(f"unknown fixture kind {kind!r}")
     return Dataset(np.asarray(rows), np.asarray(labels), name=kind)
+
+
+def chosen_lenses(data, rep, config, pool=None, strategy="search"):
+    """The lenses ``train``'s selection step keeps for representation ``rep`` (``SAX`` or ``SFA``) of ``data``."""
+    return [lens for lens, _, _ in lenses._choose_lenses(data, rep, config, pool, strategy)]
 
 
 SMALL_CONFIG = dict(

@@ -3,7 +3,8 @@ model reader's modules know the model file's field types, only the symbolic
 module builds lens words and binnings, only the lens search plans
 cross-validation folds, only the worker rule and the CLI read the core
 count, only ``ensemble`` starts a process pool and only ``forest`` a thread
-pool, only the config declares the lens grid, and
+pool, only the selection step of ``lenses`` makes lenses, only the config
+declares the lens grid, and
 ``import coeye`` loads a public name's home module only when the name is
 first used."""
 
@@ -100,16 +101,30 @@ def test_only_the_worker_rule_reads_the_core_count(path):
 POOL_SITES = {"ProcessPoolExecutor": "ensemble.py", "ThreadPoolExecutor": "forest.py"}
 
 
-def called_names(path):
-    """The name of every function or class a source file calls, by name or as an attribute."""
-    return {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+def calls_under(tree):
+    """The name of every function or class called under an AST node, by name or as an attribute."""
+    return {node.func.id if isinstance(node.func, ast.Name) else node.func.attr for node in ast.walk(tree)
             if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))}
+
+
+def called_names(path):
+    """The name of every function or class a source file calls."""
+    return calls_under(ast.parse(path.read_text(encoding="utf-8")))
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_each_pool_starts_at_one_site(path):
     assert all(POOL_SITES[kind] == path.name for kind in called_names(path) & set(POOL_SITES))
+
+
+# the lens draw: ``lenses._choose_lenses`` turns grid pairs into lenses under both strategies, on the rows ``train``
+# balanced, so no second entry point can draw lenses that no trained model keeps
+LENS_DRAW = "_choose_lenses"
+
+
+def test_only_the_selection_step_draws_lenses():
+    tree = ast.parse((PACKAGE / "lenses.py").read_text(encoding="utf-8"))
+    assert {getattr(node, "name", "<module>") for node in tree.body if "Lens" in calls_under(node)} == {LENS_DRAW}
 
 
 # the lens grid's fields: ``config.LensGrid`` declares them once and ``CoEyeConfig`` inherits them, so no

@@ -43,9 +43,9 @@ from coeye.errors import (
     UnsupportedModelVersion,
 )
 from coeye.forest import RandomForestModel, _grow, fit_forest, predict_proba
-from coeye.lenses import SAX, SFA, Lens, LensGrid, _choose_lenses, search_lenses_random
-from coeye.symbolic import fit_lenses, fit_sax_binning, symbolize
-from tests.conftest import SMALL_CONFIG, synth_dataset
+from coeye.lenses import LensGrid
+from coeye.symbolic import SAX, SFA, Lens, fit_lenses, fit_sax_binning, symbolize
+from tests.conftest import SMALL_CONFIG, chosen_lenses, synth_dataset
 from tests.forest_reference import reference_predict_proba
 from tests.vote_reference import vote_reference
 
@@ -425,7 +425,7 @@ class TestTrain:
         assert fitted == [len(grid.sax_pairs(waves.n)), len(grid.sfa_pairs(waves.n))]
         sfa_lenses = [e.lens for e in model.eyes if e.lens.s == SFA]
         assert sfa_lenses and not any(lens.drop_dc for lens in sfa_lenses)
-        assert sfa_lenses == [lens for lens, _, _ in _choose_lenses(waves, SFA, small_config, None)]
+        assert sfa_lenses == chosen_lenses(waves, SFA, small_config)
 
     def test_warnings_do_not_depend_on_the_worker_count(self):
         # the search used to fit each grid point in a worker, whose warnings reached only its own stderr
@@ -473,7 +473,7 @@ class TestTrain:
             assert eye.binning is binning and grown_on is symbols
         if strategy == "random":
             assert [eye.lens for eye in model.eyes] == [
-                lens for rep in (SAX, SFA) for lens in search_lenses_random(waves, rep, small_config)]
+                lens for rep in (SAX, SFA) for lens in chosen_lenses(waves, rep, small_config, strategy="random")]
 
     def test_random_strategy_trains(self, waves):
         config = CoEyeConfig(seed=2, **SMALL_CONFIG)

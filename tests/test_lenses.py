@@ -9,27 +9,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from coeye import CoEyeConfig, Dataset, lenses, load_ucr, search_lenses_random, train
+from coeye import CoEyeConfig, Dataset, lenses, load_ucr, train
 from coeye.errors import EqualDepthDegenerate, NoFeasibleLens, file_fields
-from coeye.lenses import (
-    SAX,
-    SFA,
-    Lens,
-    LensGrid,
-    cross_val_accuracy,
-    fold_plan,
-    select_per_alpha,
-    select_within_margin,
-)
-from coeye.symbolic import fit_lenses, lens_words
+from coeye.lenses import LensGrid, cross_val_accuracy, fold_plan, select_per_alpha, select_within_margin
+from coeye.symbolic import SAX, SFA, Lens, fit_lenses, lens_words
+from tests.conftest import chosen_lenses, synth_dataset
 from tests.forest_reference import reference_fit_forest, reference_predict_proba
 
 UCR_DIR = Path(__file__).parent / "data" / "ucr"
-
-
-def chosen_lenses(data, representation, config, pool=None, strategy="search"):
-    """The lenses ``train``'s selection step keeps for one representation of ``data``."""
-    return [lens for lens, _, _ in lenses._choose_lenses(data, representation, config, pool, strategy)]
 
 
 def rank_pattern(values) -> bytes:
@@ -98,7 +85,7 @@ class TestGrid:
         tiny = Dataset(np.random.default_rng(0).normal(size=(6, 16)), np.array([0, 0, 0, 1, 1, 1]))
         for strategy in ("search", "random"):
             with pytest.raises(NoFeasibleLens, match="for series length 16$"):
-                chosen_lenses(tiny, "sfa", CoEyeConfig(sfa_word_lengths=(200,), seed=0), strategy=strategy)
+                chosen_lenses(tiny, SFA, CoEyeConfig(sfa_word_lengths=(200,), seed=0), strategy=strategy)
 
     def test_sfa_words_filtered_to_even_and_feasible(self):
         grid = LensGrid(sfa_alphas=(4,), sfa_word_lengths=(5, 6, 8, 200))
@@ -331,33 +318,33 @@ class TestSearch:
 
     def test_selected_within_margin_of_alpha_best(self, waves):
         config = CoEyeConfig(sfa_alphas=(3, 4), sfa_word_lengths=(10, 12, 14, 16), folds=3, seed=1, trees=15)
-        lenses = chosen_lenses(waves, "sfa", config)
+        lenses = chosen_lenses(waves, SFA, config)
         assert {l.alpha for l in lenses} == {3, 4}  # every alphabet contributes
         for alpha in (3, 4):
             row = [l.cv_accuracy for l in lenses if l.alpha == alpha]
             assert max(row) - min(row) <= 0.01 + 1e-12
 
     def test_sax_lens_count_tracks_alphabet_count(self, waves):
-        lenses = chosen_lenses(waves, "sax", self.small_config(seed=1, trees=15))
+        lenses = chosen_lenses(waves, SAX, self.small_config(seed=1, trees=15))
         # a single uniform word per alphabet: each alphabet keeps its only pair
         assert [l.alpha for l in lenses] == [3, 4]
         assert all(l.s == SAX and not l.drop_dc for l in lenses)
 
     def test_order_ascending_alpha_then_w(self, waves):
         config = CoEyeConfig(sfa_alphas=(4, 3), sfa_word_lengths=(12, 10), folds=3, seed=0, trees=10)
-        lenses = chosen_lenses(waves, "sfa", config)
+        lenses = chosen_lenses(waves, SFA, config)
         keys = [(l.alpha, l.w) for l in lenses]
         assert keys == sorted(keys)
 
     def test_deterministic_and_worker_independent(self, waves):
-        a = chosen_lenses(waves, "sfa", self.small_config(seed=3, trees=10))
-        b = chosen_lenses(waves, "sfa", self.small_config(seed=3, trees=10))
+        a = chosen_lenses(waves, SFA, self.small_config(seed=3, trees=10))
+        b = chosen_lenses(waves, SFA, self.small_config(seed=3, trees=10))
         with ProcessPoolExecutor(max_workers=2) as pool:
-            c = chosen_lenses(waves, "sfa", self.small_config(seed=3, trees=10), pool)
+            c = chosen_lenses(waves, SFA, self.small_config(seed=3, trees=10), pool)
         assert a == b == c
 
     def test_separable_data_gets_high_accuracy(self, waves):
-        lenses = chosen_lenses(waves, "sfa", self.small_config(seed=0, trees=25))
+        lenses = chosen_lenses(waves, SFA, self.small_config(seed=0, trees=25))
         assert max(l.cv_accuracy for l in lenses) >= 0.9
 
     def test_one_fold_plan_per_search(self, waves, monkeypatch):
@@ -384,7 +371,7 @@ class TestSearch:
     def test_no_feasible_lens(self):
         tiny = Dataset(np.random.default_rng(0).normal(size=(6, 8)), np.array([0, 0, 0, 1, 1, 1]))
         with pytest.raises(NoFeasibleLens):
-            chosen_lenses(tiny, "sfa", CoEyeConfig(seed=0, trees=5))
+            chosen_lenses(tiny, SFA, CoEyeConfig(seed=0, trees=5))
 
     def test_singleton_class_never_held_out(self, waves, monkeypatch):
         # one row of class 9 beside 20 rows of two classes: 5 folds, not one per row
@@ -398,7 +385,7 @@ class TestSearch:
             return fit_forests(X_, y_, row_sets, seeds, n_trees, threads)
 
         monkeypatch.setattr(lenses, "fit_forests", recording)
-        found = chosen_lenses(Dataset(X, y), "sax", CoEyeConfig(sax_alphas=(3, 4), folds=5, seed=0, trees=trees))
+        found = chosen_lenses(Dataset(X, y), SAX, CoEyeConfig(sax_alphas=(3, 4), folds=5, seed=0, trees=trees))
         assert [l.alpha for l in found] == [3, 4] and len(calls) == 2
         for lens, (symbols, row_sets, seeds) in zip(found, calls):
             assert len(row_sets) == 5
@@ -420,19 +407,30 @@ class TestRandomSearch:
             config = CoEyeConfig(sax_alphas=alphas, sfa_alphas=alphas, seed=0)
             for rep in (SAX, SFA):
                 pairs = config.pairs(rep, waves.n, len(waves))
-                lenses = search_lenses_random(waves, rep, config)
-                assert len(lenses) == (len(pairs) + 1) // 2
+                assert len(chosen_lenses(waves, rep, config, strategy="random")) == (len(pairs) + 1) // 2
 
     def test_distinct_grid_pairs(self, waves):
         config = CoEyeConfig(sfa_alphas=tuple(range(3, 11)), seed=0)
-        lenses = search_lenses_random(waves, "sfa", config)
-        chosen = [(l.alpha, l.w) for l in lenses]
+        drawn = chosen_lenses(waves, SFA, config, strategy="random")
+        chosen = [(l.alpha, l.w) for l in drawn]
         assert len(set(chosen)) == len(chosen)
-        assert set(chosen) <= set(config.sfa_pairs(waves.n))
-        assert all(l.s == SFA and l.cv_accuracy == 0 for l in lenses)
+        assert set(chosen) <= set(config.pairs(SFA, waves.n, len(waves)))
+        assert all(l.s == SFA and l.cv_accuracy == 0 for l in drawn)
 
     def test_deterministic(self, waves):
         config = CoEyeConfig(sfa_alphas=tuple(range(3, 11)), seed=6)
-        a = search_lenses_random(waves, "sfa", config)
-        b = search_lenses_random(waves, "sfa", config)
+        a = chosen_lenses(waves, SFA, config, strategy="random")
+        b = chosen_lenses(waves, SFA, config, strategy="random")
         assert a == b
+
+    def test_train_draws_from_the_balanced_grid(self):
+        # 8 + 4 rows, which SMOTE balances to 16: a draw from the 12 raw rows' grid stopped at alphabet 12
+        waves = synth_dataset("waves", seed=5, n=40, per_class=8)
+        data = Dataset(waves.X[:12], waves.y[:12])
+        config = CoEyeConfig(seed=0, threads=1, trees=10)
+        model = train(data, config, lens_strategy="random")
+        report = model.smote_report
+        assert sum(report.original_counts.values()) + sum(report.added_counts.values()) == 16
+        sfa = [eye.lens for eye in model.eyes if eye.lens.s == SFA]
+        assert len(sfa) == (len(config.pairs(SFA, data.n, 16)) + 1) // 2
+        assert any(13 <= lens.alpha <= 16 for lens in sfa)
